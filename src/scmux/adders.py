@@ -16,18 +16,12 @@ correlation, precise sampling, or swap the data source for an LFSR.
 """
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bitstream import (
-    Bitstream,
-    SnFormat,
-    SnValue,
-    quantize_to_probability,
-    threshold_to_value,
-)
+from .bitstream import Bitstream, bipolar_thresholds
 from .muxtree import (
     BiasedSelectorTreeSpec,
     HardwiredTreeSpec,
@@ -36,8 +30,11 @@ from .muxtree import (
     build_hardwired_tree,
     quantize_weights,
 )
-from .rns import RnsSpec, rns_sequence
-from .sngen import PccKind, input_bit_matrix, make_channels, pcc_bits
+from .rns import RnsSpec, complement_output, rns_sequence
+
+# make_channels is not on the run path; it stays reachable as
+# scmux.adders.make_channels, where callers and perfbench's tracer look it up
+from .sngen import PccKind, make_channels, pcc_bits, pcc_thresholds  # noqa: F401
 
 DESIGN_NAMES = (
     "cemux",
@@ -187,15 +184,30 @@ class SimulationReport:
     estimate: float
     target: float
     error: float
-    output: Bitstream | None  # None for the APC, whose output is multi-bit
+    output_bits: np.ndarray | None = field(repr=False)  # one uint8 per cycle
     sampling_counts: np.ndarray | None
     quantized: QuantizedWeights | None
 
+    @cached_property
+    def output(self) -> Bitstream | None:
+        """The output stream, packed on first read; None for the APC, whose
+        output is multi-bit."""
+        return None if self.output_bits is None else Bitstream(self.output_bits)
 
-def _seed_ints(master_seed: int, count: int) -> list[int]:
-    """Stable expansion of one 64-bit master seed into per-source seeds."""
-    children = np.random.SeedSequence(master_seed).spawn(count)
-    return [int(c.generate_state(2, np.uint64)[0]) for c in children]
+
+# seeds only drive pseudo-random source kinds; these run from reset, as in hardware
+_RESET_KINDS = ("sobol_reversed_counter", "counter")
+
+
+def _source_seed(master_seed: int, index: int) -> int:
+    """Seed of source `index` (0 the data source, l the level-l select source).
+
+    Child `index` of SeedSequence(master_seed).spawn(k) for any k > index, so
+    the assignment is stable across designs; only the sources a design reads
+    are expanded.
+    """
+    child = np.random.SeedSequence(master_seed, spawn_key=(index,))
+    return int(child.generate_state(1, np.uint64)[0])
 
 
 def target_value(weights, values, n: int, height: int | None = None) -> float:
@@ -205,27 +217,26 @@ def target_value(weights, values, n: int, height: int | None = None) -> float:
     if len(w) != len(values):
         raise ValueError("weights and values must have equal length")
     q = quantize_weights(w, height if height is not None else n)
-    chans = make_channels(values, w, n, PccKind.COMPARATOR)
-    return _target_from_thresholds(
-        q, [c.threshold for c in chans], n
-    )
+    return _target_from_thresholds(q, bipolar_thresholds(values, n), n)
 
 
-def _target_from_thresholds(q: QuantizedWeights, thresholds, n: int) -> float:
-    # every product is a dyadic rational representable exactly in float64
-    terms = [
-        s * (num / q.denominator) * threshold_to_value(b, n, SnFormat.BIPOLAR)
-        for num, s, b in zip(q.numerators, q.signs, thresholds)
-    ]
-    return math.fsum(terms)
+def _target_from_thresholds(q: QuantizedWeights, thresholds: np.ndarray, n: int) -> float:
+    # sum_i s_i (q_i / 2^h)(2 B_i / 2^n - 1) is the integer below over
+    # 2^(h+n); one correctly rounded division gives the same double as the
+    # fsum of the exact terms
+    signed = np.array(q.signs, dtype=np.int64) * np.array(q.numerators, dtype=np.int64)
+    total = int(signed @ (2 * thresholds - (1 << n)))
+    return total / (1 << (q.height + n))
 
 
-def _validate_values(values, weights):
-    if len(values) != len(weights):
+def _validate_values(values, weights) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape != (len(weights),):
         raise ValueError("values and weights must have equal length")
-    for v in values:
-        if not -1.0 <= float(v) <= 1.0:
-            raise ValueError(f"input value {v} outside [-1, 1]")
+    bad = ~((v >= -1.0) & (v <= 1.0))  # NaN fails both comparisons
+    if bad.any():
+        raise ValueError(f"input value {v[bad][0]} outside [-1, 1]")
+    return v
 
 
 @lru_cache(maxsize=128)
@@ -242,7 +253,12 @@ def _biased_tree_cached(
     return build_biased_selector_tree(q, pcc, rns_kind, n)
 
 
-def _owner_sequence(design: AdderDesign, q, n, big_n, select_seeds) -> np.ndarray:
+def _select_words(design: AdderDesign, n: int, big_n: int, seed: int, level: int):
+    spec = RnsSpec(design.select_rns_kind, n, _source_seed(seed, level))
+    return rns_sequence(spec, big_n)
+
+
+def _owner_sequence(design: AdderDesign, q, n, big_n, seed) -> np.ndarray:
     """Input index sampled at each clock cycle, per the design's select wiring."""
     if design.tree_type == "hardwired":
         tree = _hardwired_tree_cached(q.numerators, q.height)
@@ -255,85 +271,66 @@ def _owner_sequence(design: AdderDesign, q, n, big_n, select_seeds) -> np.ndarra
             # one independent LFSR per level; its word's MSB is the select bit
             words = np.zeros(big_n, dtype=np.int64)
             for lvl in range(1, h + 1):
-                seq = rns_sequence(
-                    RnsSpec(design.select_rns_kind, n, select_seeds[lvl - 1]), big_n
-                )
-                bits = seq >> (n - 1)
+                bits = _select_words(design, n, big_n, seed, lvl) >> (n - 1)
                 words |= bits << (h - lvl)
         return tree.owner[words]
 
     tree = _biased_tree_cached(q.numerators, design.select_pcc, design.select_rns_kind, n)
-    if tree.root < 0:
-        return np.full(big_n, ~tree.root, dtype=np.int64)
-    levels = tree.num_levels
-    node_bits = np.empty((tree.mux_count, big_n), dtype=np.uint8)
-    level_words = [
-        rns_sequence(RnsSpec(design.select_rns_kind, n, select_seeds[lvl]), big_n)
-        for lvl in range(levels)
-    ]
-    for k in range(tree.mux_count):
-        node_bits[k] = pcc_bits(
-            tree.select_pcc, level_words[int(tree.node_level[k]) - 1],
-            int(tree.thresholds[k]), n,
-        )
     cur = np.full(big_n, tree.root, dtype=np.int64)
-    cols = np.arange(big_n)
-    while True:
-        internal = cur >= 0
-        if not internal.any():
-            break
-        idx = np.where(internal)[0]
-        refs = cur[idx]
-        b = node_bits[refs, cols[idx]]
+    # the tree is walked level by level: every cycle still at a mux sits on
+    # the current level, and only those cycles' select bits are generated
+    live = np.flatnonzero(cur >= 0)
+    level = 1
+    while live.size:
+        refs = cur[live]
+        words = _select_words(design, n, big_n, seed, level)[live]
+        b = pcc_bits(tree.select_pcc, words, tree.thresholds[refs], n)
         # select bit 1 routes toward child0, whose mass fraction is p_node
-        cur[idx] = np.where(b == 1, tree.child0[refs], tree.child1[refs])
+        nxt = np.where(b == 1, tree.child0[refs], tree.child1[refs])
+        cur[live] = nxt
+        live = live[nxt >= 0]
+        level += 1
     return ~cur
 
 
 def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationReport:
     """Cycle-accurate simulation of one adder run.
 
-    Generates the data streams from the shared source, routes them through
-    the design's tree (or the XNOR/parallel-counter datapath for the APC),
-    and accumulates the output with an up-down counter.
+    Each clock cycle the tree passes one input's bit to the output, so only
+    that bit is generated: the sampled input's PCC compares the cycle's
+    shared source word (complemented for negative inputs under full
+    correlation) with its threshold, and its sign inverter follows. The
+    up-down counter accumulates the output. The APC runs its own datapath.
     """
     if design.tree_type == "apc":
         return run_apc(design.weights, values, big_n, seed)
     n = design.n
     if big_n != (1 << n):
         raise ValueError(f"stream length must be 2^n = {1 << n} for design {design.name}")
-    _validate_values(values, design.weights)
+    v = _validate_values(values, design.weights)
 
     q = quantize_weights(design.weights, n)
-    # fixed-size expansion keeps seed assignment stable across designs
-    seeds = _seed_ints(seed, 25)
-    data_seed, select_seeds = seeds[0], seeds[1:]
-    if design.data_rns_kind in ("sobol_reversed_counter", "counter"):
-        # deterministic low-discrepancy sources run from their reset state,
-        # as in hardware; seeds only drive the pseudo-random source kinds
-        data_seed = 0
+    thresholds = pcc_thresholds(v, n, design.data_pcc)
+    negative = np.array(q.signs) < 0
 
+    data_seed = 0 if design.data_rns_kind in _RESET_KINDS else _source_seed(seed, 0)
     words = rns_sequence(RnsSpec(design.data_rns_kind, n, data_seed), big_n)
-    channels = make_channels(
-        values, design.weights, n, design.data_pcc,
-        correlated_wiring=design.full_correlation,
-    )
-    _, y = input_bit_matrix(channels, words, design.data_pcc, n)
+    owners = _owner_sequence(design, q, n, big_n, seed)
+    inverted = negative[owners]
+    if design.full_correlation:
+        words = np.where(inverted, complement_output(words, n), words)
+    z = pcc_bits(design.data_pcc, words, thresholds[owners], n) ^ inverted
 
-    owners = _owner_sequence(design, q, n, big_n, select_seeds)
-    z = y[owners, np.arange(big_n)]
-    counts = np.bincount(owners, minlength=len(channels))
-
-    ones = int(z.sum())
+    ones = int(np.count_nonzero(z))
     estimate = min(1.0, max(-1.0, 2.0 * ones / big_n - 1.0))
-    target = _target_from_thresholds(q, [c.threshold for c in channels], n)
+    target = _target_from_thresholds(q, thresholds, n)
     return SimulationReport(
         design=design.name,
         estimate=estimate,
         target=target,
         error=estimate - target,
-        output=Bitstream(z),
-        sampling_counts=counts,
+        output_bits=z,
+        sampling_counts=np.bincount(owners, minlength=len(design.weights)),
         quantized=q,
     )
 
@@ -351,49 +348,42 @@ def run_apc(weights, values, big_n: int, seed: int = 0) -> SimulationReport:
     n = int(round(math.log2(big_n)))
     if (1 << n) != big_n or not 3 <= n <= 16:
         raise ValueError("stream length must be a power of two with 3 <= log2(N) <= 16")
-    w = tuple(float(x) for x in weights)
-    _validate_values(values, w)
+    w = np.asarray(weights, dtype=np.float64)
+    x = _validate_values(values, w)
     m = len(w)
-    if any(abs(x) > 1.0 for x in w):
+    if not np.all(np.abs(w) <= 1.0):  # NaN fails too
         raise ValueError("APC coefficient values |w_i| must lie in [0, 1]")
 
     # both sources run from canonical phase; the design is fully deterministic
     data_words = rns_sequence(RnsSpec("sobol_reversed_counter", n, 0), big_n)
     coeff_words = rns_sequence(RnsSpec("counter", n, 0), big_n)
 
-    bx = np.array(
-        [quantize_to_probability(SnValue(float(v), SnFormat.BIPOLAR), n) for v in values],
-        dtype=np.int64,
-    )
-    bw = np.array(
-        [quantize_to_probability(SnValue(abs(x), SnFormat.BIPOLAR), n) for x in w],
-        dtype=np.int64,
-    )
-    negs = np.array([x < 0 for x in w], dtype=np.uint8)
+    bx = bipolar_thresholds(x, n)
+    bw = bipolar_thresholds(np.abs(w), n)
+    negs = w < 0
 
-    x_bits = (data_words[None, :] < bx[:, None]).astype(np.uint8)
-    w_bits = (coeff_words[None, :] < bw[:, None]).astype(np.uint8)
-    prod = (1 - (x_bits ^ w_bits)) ^ negs[:, None]
-
-    per_cycle = prod.sum(axis=0)  # parallel counter output
-    acc = int(per_cycle.sum())
+    x_bits = data_words[None, :] < bx[:, None]
+    w_bits = coeff_words[None, :] < bw[:, None]
+    # product bit = XNOR(x, w), inverted for a negative coefficient; the
+    # accumulator adds every product bit of every cycle
+    acc = m * big_n - int(np.count_nonzero(x_bits ^ w_bits ^ negs[:, None]))
     raw = 2.0 * acc / (big_n * m) - 1.0
 
-    w_hat = np.array([threshold_to_value(int(b), n, SnFormat.BIPOLAR) for b in bw])
+    w_hat = 2.0 * bw / big_n - 1.0
     denom = math.fsum(w_hat)
     if denom <= 0.0:
         raise ValueError("zero weight mass after quantization")
     estimate = min(1.0, max(-1.0, raw * m / denom))
 
-    mu_hat = np.array([threshold_to_value(int(b), n, SnFormat.BIPOLAR) for b in bx])
-    signs = np.where(negs == 1, -1.0, 1.0)
+    mu_hat = 2.0 * bx / big_n - 1.0
+    signs = np.where(negs, -1.0, 1.0)
     target = math.fsum(signs * w_hat * mu_hat) / denom
     return SimulationReport(
         design="apc",
         estimate=estimate,
         target=target,
         error=estimate - target,
-        output=None,
+        output_bits=None,
         sampling_counts=None,
         quantized=None,
     )

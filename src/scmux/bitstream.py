@@ -8,6 +8,7 @@ by the frequency of 1s: unipolar value = P(bit = 1), bipolar value =
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -164,16 +165,29 @@ def quantize_to_probability(v: SnValue, n: int) -> int:
     return (2 * (a << n) + b) // (2 * b)
 
 
-def bipolar_thresholds(values: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized comparator thresholds for bipolar values (bulk sweep path).
+@lru_cache(maxsize=None)
+def _bipolar_midpoints(n: int) -> np.ndarray:
+    # midpoint k = (2k + 1)/2^n - 1 is the least value whose code exceeds k;
+    # numerator and denominator are integers below 2^(n+1), so for any
+    # practical n every entry is exact in float64
+    size = 1 << n
+    mids = (2 * np.arange(size, dtype=np.int64) + 1 - size) / size
+    mids.setflags(write=False)
+    return mids
 
-    Same rounding rule as quantize_to_probability, evaluated in float64; for
-    dyadic values the two agree exactly.
+
+def bipolar_thresholds(values, n: int) -> np.ndarray:
+    """Vectorized comparator thresholds for bipolar values.
+
+    Equal to quantize_to_probability for every double: the code of v is the
+    number of rounding midpoints at or below v.
     """
+    if n < 1:
+        raise ValueError("bit-width must be >= 1")
     v = np.asarray(values, dtype=np.float64)
-    if np.any(v < -1.0) or np.any(v > 1.0):
+    if not np.all((v >= -1.0) & (v <= 1.0)):  # also rejects NaN
         raise ValueError("bipolar values must lie in [-1, 1]")
-    return np.floor((v + 1.0) * (1 << (n - 1)) + 0.5).astype(np.int64)
+    return np.searchsorted(_bipolar_midpoints(n), v, side="right").astype(np.int64)
 
 
 def threshold_to_value(b: int, n: int, fmt: SnFormat) -> float:

@@ -332,10 +332,20 @@ def build_parser() -> _Parser:
     return p
 
 
+# inclusive (low, high) option pairs that must not describe an empty sweep
+_RANGES = {"sweep-m": (("m_min", "m_max"),), "sweep-n": (("n_min", "n_max"),)}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    for lo, hi in _RANGES.get(args.command, ()):
+        if getattr(args, lo) > getattr(args, hi):
+            parser.error(
+                f"empty range: --{lo.replace('_', '-')} {getattr(args, lo)} exceeds "
+                f"--{hi.replace('_', '-')} {getattr(args, hi)}"
+            )
     args._invocation = "scmux " + " ".join(argv)
     try:
         args.func(args)

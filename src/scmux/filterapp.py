@@ -60,7 +60,15 @@ class FilterSpec:
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.coefficients or not math.fsum(abs(c) for c in self.coefficients) > 0:
+        if not all(math.isfinite(c) for c in self.coefficients):
+            raise ValueError("coefficients must be finite")
+        try:
+            mass = self.weight_mass
+        except OverflowError:
+            raise ValueError(
+                "coefficients must be finite: the sum of their magnitudes overflows"
+            ) from None
+        if not mass > 0:
             raise ValueError("coefficients must have nonzero total magnitude")
 
     @property

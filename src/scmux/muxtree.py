@@ -58,23 +58,34 @@ def quantize_weights(weights, m: int) -> QuantizedWeights:
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-d sequence")
     a = np.abs(w)
-    total = a.sum()
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"weights must be finite, got {w[~np.isfinite(a)][0]}")
+    with np.errstate(over="ignore"):
+        total = a.sum()
+    if not np.isfinite(total):
+        raise ValueError("weights must be finite: the sum of their magnitudes overflows")
     if total == 0.0:
         raise ValueError("zero weight mass")
+    # an exact power-of-two rescale keeps 2^m * a finite for huge weights
+    shift = int(np.frexp(total)[1]) + m - 1000
+    if shift > 0:
+        a = np.ldexp(a, -shift)
+        total = a.sum()
     t = (1 << m) * a / total
     q = np.floor(t + 0.5)
-    while q.sum() > (1 << m):
-        i = int(np.argmax(q - t))
-        q[i] -= 1
-    while q.sum() < (1 << m):
-        i = int(np.argmax(t - q))
-        q[i] += 1
-    signs = tuple(-1 if x < 0 else 1 for x in w)
+    # every rounding error lies within one half, so once an entry is adjusted
+    # its error is the smallest: the one-unit steps hit distinct entries in
+    # order of error, ties by lowest index, which a stable sort reproduces
+    excess = int(q.sum()) - (1 << m)
+    if excess > 0:
+        q[np.argsort(t - q, kind="stable")[:excess]] -= 1
+    elif excess < 0:
+        q[np.argsort(q - t, kind="stable")[:-excess]] += 1
     return QuantizedWeights(
-        numerators=tuple(int(v) for v in q),
+        numerators=tuple(q.astype(np.int64).tolist()),
         height=m,
-        signs=signs,
-        original=tuple(float(x) for x in w),
+        signs=tuple(np.where(w < 0, -1, 1).tolist()),
+        original=tuple(w.tolist()),
     )
 
 

@@ -15,7 +15,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitstream import Bitstream, SnFormat, SnValue, quantize_to_probability
+from .bitstream import (
+    Bitstream,
+    SnFormat,
+    SnValue,
+    bipolar_thresholds,
+    quantize_to_probability,
+)
 from .rns import RnsState, complement_output
 
 
@@ -38,21 +44,30 @@ class InputChannel:
     uses_complemented_rns: bool
 
 
+def _clamp_for_pcc(b, n: int, pcc: PccKind):
+    # the WBG has no all-ones code
+    if pcc is PccKind.WBG and np.any(b == 1 << n):
+        warnings.warn(
+            f"WBG cannot represent probability 1; clamping threshold to {(1 << n) - 1}",
+            QuantizationWarning,
+            stacklevel=3,
+        )
+        b = np.minimum(b, (1 << n) - 1)
+    return b
+
+
 def pcc_threshold(v: SnValue, n: int, pcc: PccKind) -> int:
     """Quantize a value to the threshold code a PCC of width n can realize.
 
     The WBG has no all-ones code, so probability 1 is clamped to
     (2^n - 1)/2^n with a warning.
     """
-    b = quantize_to_probability(v, n)
-    if pcc is PccKind.WBG and b == (1 << n):
-        warnings.warn(
-            f"WBG cannot represent probability 1; clamping threshold to {(1 << n) - 1}",
-            QuantizationWarning,
-            stacklevel=2,
-        )
-        b = (1 << n) - 1
-    return b
+    return int(_clamp_for_pcc(quantize_to_probability(v, n), n, pcc))
+
+
+def pcc_thresholds(values, n: int, pcc: PccKind) -> np.ndarray:
+    """pcc_threshold for an array of bipolar values, as an int64 array."""
+    return _clamp_for_pcc(bipolar_thresholds(values, n), n, pcc)
 
 
 def make_channels(
@@ -112,12 +127,16 @@ def wbg_bit(r: int, b: int, n: int) -> int:
     return (b >> (r.bit_length() - 1)) & 1
 
 
-def pcc_bits(pcc: PccKind, words: np.ndarray, b: int, n: int) -> np.ndarray:
-    """Vectorized PCC over an array of source words; returns uint8 bits."""
+def pcc_bits(pcc: PccKind, words: np.ndarray, b, n: int) -> np.ndarray:
+    """Vectorized PCC over an array of source words; returns uint8 bits.
+
+    b is one threshold for every word, or an array holding each word's own
+    threshold (a PCC whose threshold register changes from cycle to cycle).
+    """
     if pcc is PccKind.COMPARATOR:
         return (words < b).astype(np.uint8)
-    if not 0 <= b < (1 << n):
-        raise ValueError(f"WBG threshold {b} outside [0, 2^{n} - 1]")
+    if np.any((b < 0) | (b >= (1 << n))):
+        raise ValueError(f"WBG threshold outside [0, 2^{n} - 1]: {b}")
     return ((b >> _wbg_shift_table(n)[words]) & 1).astype(np.uint8)
 
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written as directly as possible (plain loops,
 exact rational arithmetic, integer arrays whose range is checked) and never
-calls into the production code paths it is used to check.
+calls into the production code paths it is used to check. The full-matrix
+adder run builds on the separately tested stream-generation primitives
+(sources, trees, scalar quantizer, channels) to check the O(N) run kernel.
 """
 
 import itertools
@@ -285,3 +287,103 @@ def enumerate_model_variance(cfg, owner_period, thresholds_post_sign):
     e_ones = Fraction(sum_w_ones, denom)
     e2 = (4 * e_ones2 - 4 * n_len * e_ones + n_len * n_len) / Fraction(n_len * n_len)
     return e2 - e1 * e1
+
+
+def spawned_seeds(master_seed, count=25):
+    """Per-source seeds as a fixed-size spawn: entry 0 data, entry l level l."""
+    children = np.random.SeedSequence(master_seed).spawn(count)
+    return [int(c.generate_state(2, np.uint64)[0]) for c in children]
+
+
+def full_matrix_owners(design, q, n, big_n, seeds):
+    """Input sampled at each cycle, every mux's select bit generated first."""
+    from scmux.muxtree import build_biased_selector_tree, build_hardwired_tree
+    from scmux.rns import RnsSpec, rns_sequence
+    from scmux.sngen import pcc_bits
+
+    def level_words(lvl):
+        return rns_sequence(RnsSpec(design.select_rns_kind, n, seeds[lvl]), big_n)
+
+    if design.tree_type == "hardwired":
+        tree = build_hardwired_tree(q)
+        if design.precise_sampling:
+            return tree.owner[np.arange(big_n) % (1 << q.height)]
+        words = np.zeros(big_n, dtype=np.int64)
+        for lvl in range(1, q.height + 1):
+            words |= (level_words(lvl) >> (n - 1)) << (q.height - lvl)
+        return tree.owner[words]
+
+    tree = build_biased_selector_tree(q, design.select_pcc, design.select_rns_kind, n)
+    if tree.root < 0:
+        return np.full(big_n, ~tree.root, dtype=np.int64)
+    node_bits = np.empty((tree.mux_count, big_n), dtype=np.uint8)
+    for k in range(tree.mux_count):
+        node_bits[k] = pcc_bits(
+            tree.select_pcc, level_words(int(tree.node_level[k])), int(tree.thresholds[k]), n
+        )
+    owners = []
+    for t in range(big_n):
+        ref = tree.root
+        while ref >= 0:
+            ref = int(tree.child0[ref] if node_bits[ref, t] else tree.child1[ref])
+        owners.append(~ref)
+    return np.array(owners, dtype=np.int64)
+
+
+def full_matrix_run(design, values, big_n, seed):
+    """One mux-adder run with every input's whole stream generated.
+
+    Returns (output bits, sampling counts, estimate, target, error). The
+    M x N matrix holds each input's stream after its sign inverter; the tree
+    passes one of its entries per cycle.
+    """
+    from scmux.muxtree import quantize_weights
+    from scmux.rns import RnsSpec, rns_sequence
+    from scmux.sngen import input_bit_matrix, make_channels
+
+    n = design.n
+    seeds = spawned_seeds(seed)
+    data_seed = seeds[0]
+    if design.data_rns_kind in ("sobol_reversed_counter", "counter"):
+        data_seed = 0
+    q = quantize_weights(design.weights, n)
+    words = rns_sequence(RnsSpec(design.data_rns_kind, n, data_seed), big_n)
+    channels = make_channels(
+        values, design.weights, n, design.data_pcc, correlated_wiring=design.full_correlation
+    )
+    _, y = input_bit_matrix(channels, words, design.data_pcc, n)
+    owners = full_matrix_owners(design, q, n, big_n, seeds)
+    z = y[owners, np.arange(big_n)]
+    counts = np.bincount(owners, minlength=len(channels))
+    estimate = min(1.0, max(-1.0, 2.0 * int(z.sum()) / big_n - 1.0))
+    target = float(sum(
+        Fraction(s * num * (2 * ch.threshold - big_n), q.denominator * big_n)
+        for num, s, ch in zip(q.numerators, q.signs, channels)
+    ))
+    return z, counts, estimate, target, estimate - target
+
+
+def full_matrix_apc(weights, values, big_n):
+    """APC run with both M x N bit matrices: (estimate, target, error)."""
+    from scmux.bitstream import SnFormat, SnValue, quantize_to_probability
+    from scmux.rns import RnsSpec, rns_sequence
+
+    n = big_n.bit_length() - 1
+    data_words = rns_sequence(RnsSpec("sobol_reversed_counter", n, 0), big_n)
+    coeff_words = rns_sequence(RnsSpec("counter", n, 0), big_n)
+    bx = [quantize_to_probability(SnValue(float(v), SnFormat.BIPOLAR), n) for v in values]
+    bw = [quantize_to_probability(SnValue(abs(float(x)), SnFormat.BIPOLAR), n) for x in weights]
+    negs = np.array([float(x) < 0 for x in weights], dtype=np.uint8)
+    x_bits = (data_words[None, :] < np.array(bx)[:, None]).astype(np.uint8)
+    w_bits = (coeff_words[None, :] < np.array(bw)[:, None]).astype(np.uint8)
+    prod = (1 - (x_bits ^ w_bits)) ^ negs[:, None]
+    m = len(bx)
+    raw = 2.0 * int(prod.sum()) / (big_n * m) - 1.0
+    w_hat = [2.0 * b / big_n - 1.0 for b in bw]
+    mu_hat = [2.0 * b / big_n - 1.0 for b in bx]
+    denom = math.fsum(w_hat)
+    estimate = min(1.0, max(-1.0, raw * m / denom))
+    target = math.fsum(
+        (-1.0 if ng else 1.0) * wh * mh for ng, wh, mh in zip(negs, w_hat, mu_hat)
+    ) / denom
+    return estimate, target, estimate - target

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,13 @@ from oracles import (
     bipolar_threshold,
     cemux_block_error,
     cemux_expected_mse,
+    full_matrix_apc,
+    full_matrix_run,
     quantize_weights_transcription,
+    spawned_seeds,
 )
 from scmux.adders import (
+    ABLATION_NAMES,
     DESIGN_NAMES,
     AdderDesign,
     make_design,
@@ -26,7 +31,7 @@ from scmux.analysis import accuracy_stats
 from scmux.bitstream import SnFormat, SnValue, quantize_to_probability
 from scmux.filterapp import make_lowpass
 from scmux.muxtree import quantize_weights
-from scmux.sngen import PccKind
+from scmux.sngen import PccKind, QuantizationWarning
 
 # feature matrix rows: tree type, data pcc, select source, select pcc,
 # full correlation, precise sampling
@@ -121,6 +126,61 @@ def test_cemux_block_rule_oracle_matches_simulation_exactly():
             assert Fraction(rep.error) == exact
 
 
+def _kernel_config(rng):
+    m_inputs = int(rng.integers(1, 65))
+    n = int(rng.integers(3, 11))
+    w = rng.uniform(-1, 1, m_inputs)
+    w[rng.random(m_inputs) < 0.1] = 0.0
+    # one weight of magnitude >= 1/2 keeps the APC's quantized mass positive
+    w[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0)
+    v = rng.uniform(-1, 1, m_inputs)
+    pick = rng.random(m_inputs)
+    ends = rng.choice([-1.0, 0.0, 1.0], m_inputs)
+    ties = (2 * rng.integers(0, 1 << n, m_inputs) + 1) / (1 << n) - 1
+    near = np.nextafter(ties, rng.choice([-np.inf, np.inf], m_inputs))
+    v = np.select([pick < 0.15, pick < 0.25, pick < 0.35], [ends, ties, near], v)
+    return w, v, n
+
+
+def test_run_kernel_matches_full_matrix_oracle_exactly():
+    # the oracle generates every input's whole stream with the scalar
+    # quantizer and, for biased trees, every mux's select bits; the kernel
+    # generates one data bit and one select path per cycle
+    rng = np.random.default_rng(4242)
+    presets = DESIGN_NAMES + ABLATION_NAMES
+    assert len(presets) == 10
+    checked = set()
+    for _ in range(300):
+        w, v, n = _kernel_config(rng)
+        seed = int(rng.integers(0, 2**63))
+        for name in presets:
+            d = make_design(name, w, n)
+            with warnings.catch_warnings():
+                # value 1 clamps on WBG data paths
+                warnings.simplefilter("ignore", QuantizationWarning)
+                rep = run_adder(d, v, 1 << n, seed)
+                if name == "apc":
+                    assert (rep.estimate, rep.target, rep.error) == full_matrix_apc(w, v, 1 << n)
+                    assert rep.output is None and rep.sampling_counts is None
+                    continue
+                z, counts, estimate, target, error = full_matrix_run(d, v, 1 << n, seed)
+            assert np.array_equal(rep.output.unpacked, z), name
+            assert np.array_equal(rep.sampling_counts, counts), name
+            assert (rep.estimate, rep.target, rep.error) == (estimate, target, error), name
+            if d.data_pcc is PccKind.WBG and np.any(v == 1.0):
+                checked.add("wbg clamp")
+            if d.full_correlation and np.any(w < 0):
+                checked.add("complemented wiring")
+    assert checked == {"wbg clamp", "complemented wiring"}
+
+
+def test_seed_expansion_matches_fixed_spawn():
+    from scmux.adders import _source_seed
+
+    for seed in (0, 1, 7, 2**32 + 5, 2**63 - 1):
+        assert [_source_seed(seed, i) for i in range(25)] == spawned_seeds(seed)
+
+
 def test_cemux_expected_error_ignores_sign_pattern():
     # complemented wiring maps a negative input's error at code B to a
     # positive input's at 2^n - B, and the threshold law is symmetric
@@ -203,6 +263,18 @@ def test_run_adder_validation():
         run_adder(d, [1.5, 0.0], 32, 0)
     with pytest.raises(ValueError):
         make_design("cemux", [0.0, 0.0], 5)
+
+
+def test_nan_inputs_rejected_before_quantization():
+    nan = float("nan")
+    for name in ("cemux", "basic_biased", "apc"):
+        d = make_design(name, [0.5, -0.5], 5)
+        with pytest.raises(ValueError, match="outside"):
+            run_adder(d, [0.25, nan], 32, 0)
+    with pytest.raises(ValueError, match="must lie in"):
+        run_apc([0.5, nan], [0.25, 0.25], 32)
+    with pytest.raises(ValueError, match="must be finite"):
+        run_adder(make_design("cemux", [0.5, nan], 5), [0.25, 0.25], 32, 0)
 
 
 def test_apc_trivials():

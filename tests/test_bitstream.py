@@ -101,6 +101,26 @@ def test_bulk_thresholds_match_scalar(v, n):
     assert got == quantize_to_probability(SnValue(v, SnFormat.BIPOLAR), n)
 
 
+@pytest.mark.parametrize("n", [3, 4, 10, 16])
+def test_bulk_thresholds_exact_at_every_tie_and_its_neighbours(n):
+    size = 1 << n
+    ties = (2 * np.arange(size) + 1 - size) / size  # exact: (2k + 1)/2^n - 1
+    values = np.concatenate(
+        (np.nextafter(ties, -2.0), ties, np.nextafter(ties, 2.0), [-1.0, -0.0, 0.0, 1.0])
+    )
+    got = bipolar_thresholds(values, n)
+    want = [quantize_to_probability(SnValue(float(v), SnFormat.BIPOLAR), n) for v in values]
+    assert got.tolist() == want
+    # a tie rounds up; one ulp below it does not
+    assert bipolar_thresholds([-0.49902343750000006, -0.4990234375], 10).tolist() == [256, 257]
+
+
+def test_bulk_thresholds_reject_nan_and_out_of_range():
+    for bad in (float("nan"), 1.0000000000000002, -np.inf):
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            bipolar_thresholds([0.0, bad], 8)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 10), st.integers(0, 2**16), st.integers(0, 2**32))
 def test_comparator_round_trip_over_permutation(n, b_raw, seed):

@@ -46,6 +46,32 @@ def test_quantize_zero_mass_exit_code(tmp_path, capsys):
     assert "zero weight mass" in err
 
 
+@pytest.mark.parametrize("text", ["0.5\nnan\n", "inf\n0.25\n", "1e308\n1e308\n"])
+def test_non_finite_weights_exit_code(tmp_path, capsys, text):
+    wf = tmp_path / "w.txt"
+    wf.write_text(text)
+    for argv in (["quantize", "--weights", str(wf), "--m", "3"],
+                 ["report", "--design", "cemux", "--coeff-file", str(wf), "--n", "4"],
+                 ["filter", "--coeff-file", str(wf), "--length", "4", "--n", "4"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "must be finite" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-m", "--designs", "cemux", "--m-min", "9", "--m-max", "3"],
+    ["sweep-n", "--designs", "cemux", "--n-min", "8", "--n-max", "4"],
+])
+def test_empty_sweep_range_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--runs", "2", "--out", str(out)])
+    assert exc.value.code == 1
+    assert "empty range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep-m"])  # missing required --designs

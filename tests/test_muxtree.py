@@ -46,6 +46,19 @@ def test_quantize_errors():
         quantize_weights([], 3)
 
 
+def test_quantize_rejects_non_finite_weights():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        for w in ([0.5, float("nan")], [float("inf"), 1.0], [-float("inf")], [1e308, 1e308]):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                quantize_weights(w, 4)
+        # finite weights whose 2^m multiples overflow are rescaled exactly
+        assert quantize_weights([1e308], 4).numerators == (16,)
+        assert quantize_weights([1e308, -5e307], 3).numerators == (5, 3)
+
+
 @settings(max_examples=400, deadline=None)
 @given(weight_lists, st.integers(1, 12))
 def test_quantize_matches_transcription_and_sums(w, m):
