@@ -6,12 +6,11 @@ from .bitstream import (
     SnFormat,
     SnValue,
     estimate_value,
-    quantize_to_probability,
     scc,
     threshold_to_value,
 )
-from .rns import RnsSpec, RnsState, complement_output, rns_sequence
-from .sngen import InputChannel, PccKind, QuantizationWarning, generate_inputs, make_channels
+from .rns import RnsSpec, complement_output, rns_sequence
+from .sngen import InputChannel, PccKind, QuantizationWarning, make_channels
 from .muxtree import (
     BiasedSelectorTreeSpec,
     HardwiredTreeSpec,
@@ -22,8 +21,6 @@ from .muxtree import (
     dump_tree,
     precise_sampling_counts,
     quantize_weights,
-    select_leaf_noisy,
-    select_leaf_precise,
 )
 from .adders import (
     AdderDesign,

@@ -147,24 +147,6 @@ def scc(x: Bitstream, y: Bitstream) -> float:
     return float(delta / denom)
 
 
-def quantize_to_probability(v: SnValue, n: int) -> int:
-    """Comparator threshold B in [0, 2^n] whose stream probability is closest to v.
-
-    Ties round half away from zero in the probability domain. B needs n+1
-    bits so that probability exactly 1 is representable. Exact: the value's
-    dyadic float representation is taken as-is and rounded in integer
-    arithmetic.
-    """
-    if n < 1:
-        raise ValueError("bit-width must be >= 1")
-    a, b = float(v.value).as_integer_ratio()  # exact, b > 0
-    if v.format is SnFormat.BIPOLAR:
-        a += b  # p = (v + 1) / 2 = (a + b) / (2 b)
-        b *= 2
-    # floor(p * 2^n + 1/2); p >= 0, so half rounds away from zero
-    return (2 * (a << n) + b) // (2 * b)
-
-
 @lru_cache(maxsize=None)
 def _bipolar_midpoints(n: int) -> np.ndarray:
     # midpoint k = (2k + 1)/2^n - 1 is the least value whose code exceeds k;
@@ -177,10 +159,12 @@ def _bipolar_midpoints(n: int) -> np.ndarray:
 
 
 def bipolar_thresholds(values, n: int) -> np.ndarray:
-    """Vectorized comparator thresholds for bipolar values.
+    """Comparator thresholds B in [0, 2^n] for bipolar values, as int64.
 
-    Equal to quantize_to_probability for every double: the code of v is the
-    number of rounding midpoints at or below v.
+    B is the code whose stream probability B/2^n is closest to (v + 1)/2,
+    ties rounding up, i.e. floor((v + 1)/2 * 2^n + 1/2); n + 1 bits hold it
+    so that probability 1 is representable. Exact for every double: the code
+    of v is the number of rounding midpoints at or below v.
     """
     if n < 1:
         raise ValueError("bit-width must be >= 1")

@@ -143,10 +143,11 @@ def cmd_sweep_n(args):
 
 def cmd_decompose(args):
     if args.weights_file:
-        weight_sets = {len(_read_coefficients(args.weights_file)): _read_coefficients(args.weights_file)}
-        m_list = sorted(weight_sets)
+        weights = _read_coefficients(args.weights_file)
+        weight_sets = {len(weights): weights}
+        m_list = [len(weights)]
     else:
-        m_list = [int(s) for s in args.m_list.split(",")]
+        m_list = args.m_list
         rng = np.random.default_rng(args.seed)
         weight_sets = {
             M: list(np.where(rng.random(M) < 0.5, -1.0, 1.0) / M) for M in m_list
@@ -224,6 +225,19 @@ def cmd_report(args):
     _emit(args, [], rows)
 
 
+def _positive_ints(text: str) -> list[int]:
+    """argparse type: comma-separated positive integers."""
+    try:
+        values = [int(s) for s in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}"
+        )
+    return values
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="scmux", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -278,7 +292,12 @@ def build_parser() -> _Parser:
     dc.add_argument("--model", choices=("bernoulli", "hypergeometric"), required=True)
     dc.add_argument("--sampling", choices=("noisy", "precise"), required=True)
     dc.add_argument("--scc", choices=("0", "1", "none"), default="none")
-    dc.add_argument("--m-list", default="2,4,8,16", help="input counts, random-sign 1/M weights")
+    dc.add_argument(
+        "--m-list",
+        type=_positive_ints,
+        default="2,4,8,16",
+        help="input counts, random-sign 1/M weights",
+    )
     dc.add_argument("--weights-file", help="fixed weights instead of --m-list")
     dc.add_argument("--values-file", help="fixed values (default: uniform per run)")
     dc.add_argument("--n", type=int, default=8, help="precision; stream length 2^n")

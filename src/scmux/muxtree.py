@@ -2,22 +2,20 @@
 
 Two tree styles are built here. The hardwired tree encodes weight magnitudes
 structurally: an input whose normalized magnitude has a 1 in the 2^-l place
-of its h-bit binary expansion owns one mux input slot on level l. Pairing
-slots bottom-up and eliminating redundant muxes yields the same structure as
-a discrete-distribution generating tree, so the mux count is one less than
-the total number of 1s across the expansions. The biased-selector tree is a
-balanced binary tree whose per-node select probabilities encode the weights
-instead.
+of its h-bit binary expansion owns one aligned block of 2^(h-l) select words,
+a level-l mux input. This is the discrete-distribution-generating tree of
+Knuth and Yao (1976), so it is kept as its owner map (select word -> input)
+and its redundancy-free mux count is one less than the total number of 1s
+across the expansions. The biased-selector tree is a balanced binary tree
+whose per-node select probabilities encode the weights instead.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .bitstream import SnValue, SnFormat
-from .sngen import PccKind, pcc_threshold
+from .sngen import PccKind, _clamp_for_pcc
 
 
 @dataclass(frozen=True)
@@ -91,124 +89,46 @@ def quantize_weights(weights, m: int) -> QuantizedWeights:
 
 @dataclass(frozen=True, eq=False)
 class HardwiredTreeSpec:
-    """A redundancy-free hardwired mux tree.
+    """A redundancy-free hardwired mux tree, held as its owner map.
 
-    Internal nodes are stored as parallel arrays. Child references encode a
-    leaf (data input) i as ~i (negative) and an internal node as its index.
-    node_level[k] is the mux level of node k; the root is level 1 and a
-    level-l mux is driven by the l-th MSB of the h-bit select word.
+    A level-l mux is driven by the l-th MSB of the h-bit select word, so the
+    whole tree is the map from select word to the input it routes. Each set
+    bit of a numerator is one leaf of the redundancy-free tree, so its mux
+    count is one less than the total number of set bits.
     """
 
     height: int
     num_inputs: int
     level_inputs: tuple[tuple[int, ...], ...]  # entry l-1 lists inputs on level l
-    child0: np.ndarray = field(repr=False)
-    child1: np.ndarray = field(repr=False)
-    node_level: np.ndarray = field(repr=False)
-    root: int
     owner: np.ndarray = field(repr=False)  # select word -> input index, 2^h entries
-
-    @property
-    def mux_count(self) -> int:
-        return int(self.child0.size)
-
-
-@lru_cache(maxsize=512)
-def _build_structure(numerators: tuple[int, ...], h: int):
-    size = 1 << h
-    if sum(numerators) != size:
-        raise ValueError("numerators must sum to 2^height")
-    level_inputs = tuple(
-        tuple(i for i, q in enumerate(numerators) if (q >> (h - lvl)) & 1)
-        for lvl in range(1, h + 1)
-    )
-    whole = [i for i, q in enumerate(numerators) if q == size]
-    child0_l, child1_l, level_l = [], [], []
-    if whole:
-        root = ~whole[0]  # single input carries all the weight: no muxes
-    else:
-        current: list[int] = []  # entries at the working depth, encoded refs
-        for depth in range(h, 0, -1):
-            current = [~i for i in level_inputs[depth - 1]] + current
-            assert len(current) % 2 == 0, "pairing parity violated"
-            nxt = []
-            for k in range(0, len(current), 2):
-                child0_l.append(current[k])
-                child1_l.append(current[k + 1])
-                level_l.append(depth)
-                nxt.append(len(child0_l) - 1)
-            current = nxt
-        assert len(current) == 1
-        root = current[0]
-
-    child0 = np.array(child0_l, dtype=np.int64)
-    child1 = np.array(child1_l, dtype=np.int64)
-    node_level = np.array(level_l, dtype=np.int64)
-
-    owner = np.empty(size, dtype=np.int64)
-    stack = [(root, 0, size)]
-    while stack:
-        ref, start, span = stack.pop()
-        if ref < 0:
-            owner[start : start + span] = ~ref
-        else:
-            half = span // 2
-            stack.append((child0[ref], start, half))
-            stack.append((child1[ref], start + half, half))
-
-    for arr in (child0, child1, node_level, owner):
-        arr.setflags(write=False)
-    return level_inputs, child0, child1, node_level, int(root), owner
+    mux_count: int
 
 
 def build_hardwired_tree(q: QuantizedWeights, h: int | None = None) -> HardwiredTreeSpec:
-    """Construct the redundancy-free hardwired tree for quantized weights."""
+    """Construct the redundancy-free hardwired tree for quantized weights.
+
+    The owner map gives each set bit 2^(h-l) of a numerator one aligned block
+    of 2^(h-l) select words, level 0 (a numerator of 2^h) first, then level by
+    level and in input order within a level. Longest blocks first keeps every
+    block aligned to its length, so it is one subtree of the full tree.
+    """
     if h is None:
         h = q.height
     if h != q.height:
         raise ValueError("tree height must equal the quantization height")
-    level_inputs, child0, child1, node_level, root, owner = _build_structure(
-        q.numerators, h
-    )
+    nums = np.array(q.numerators, dtype=np.int64)
+    # row l holds the inputs' level-l bits, the 2^(h-l) place
+    bits = (nums[None, :] >> np.arange(h, -1, -1)[:, None]) & 1
+    levels, inputs = np.nonzero(bits)  # level order, input order within a level
+    owner = np.repeat(inputs.astype(np.int64), 1 << (h - levels))
+    owner.setflags(write=False)
     return HardwiredTreeSpec(
         height=h,
         num_inputs=len(q.numerators),
-        level_inputs=level_inputs,
-        child0=child0,
-        child1=child1,
-        node_level=node_level,
-        root=root,
+        level_inputs=tuple(tuple(np.flatnonzero(row).tolist()) for row in bits[1:]),
         owner=owner,
+        mux_count=len(levels) - 1,
     )
-
-
-def select_leaf_precise(tree: HardwiredTreeSpec, counter_word: int) -> int:
-    """Route one select word through the tree; returns the selected input.
-
-    The level-l mux reads the word's l-th MSB; bit 0 takes the first child of
-    the pair, bit 1 the second. Equivalently each input owns a union of
-    dyadic intervals of [0, 2^h) and the owner of counter_word is returned.
-    """
-    if not 0 <= counter_word < (1 << tree.height):
-        raise ValueError("select word out of range")
-    ref = tree.root
-    while ref >= 0:
-        bit = (counter_word >> (tree.height - int(tree.node_level[ref]))) & 1
-        ref = int(tree.child1[ref]) if bit else int(tree.child0[ref])
-    return ~ref
-
-
-def select_leaf_noisy(tree: HardwiredTreeSpec, level_bits) -> int:
-    """Route independent per-level select bits (level_bits[l-1] drives level l)."""
-    bits = list(level_bits)
-    if len(bits) != tree.height:
-        raise ValueError("need one select bit per tree level")
-    word = 0
-    for lvl, b in enumerate(bits, start=1):
-        if b not in (0, 1):
-            raise ValueError("select bits must be 0 or 1")
-        word |= int(b) << (tree.height - lvl)
-    return select_leaf_precise(tree, word)
 
 
 def dump_tree(tree: HardwiredTreeSpec) -> str:
@@ -301,12 +221,15 @@ def build_biased_selector_tree(
                 if c >= 0:
                     stack.append((c, lvl + 1))
 
-    thresholds = np.array(
-        [
-            pcc_threshold(SnValue(float(p), SnFormat.UNIPOLAR), n, select_pcc)
-            for p in prob_l
-        ],
-        dtype=np.int64,
+    # code floor(p 2^n + 1/2), exact in integers; ties round up, as in
+    # bipolar_thresholds
+    thresholds = _clamp_for_pcc(
+        np.array(
+            [((2 * p.numerator << n) + p.denominator) // (2 * p.denominator) for p in prob_l],
+            dtype=np.int64,
+        ),
+        n,
+        select_pcc,
     )
     for arr in (child0, child1, node_level, thresholds):
         arr.setflags(write=False)

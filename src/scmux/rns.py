@@ -153,46 +153,6 @@ def rns_sequence(spec: RnsSpec, count: int) -> np.ndarray:
     return np.tile(period, reps)[:count]
 
 
-class RnsState:
-    """Running state of one number source, owned by a single simulation."""
-
-    def __init__(self, spec: RnsSpec):
-        self.spec = spec
-        self.t = 0
-        if spec.kind == "bernoulli":
-            self._rng = np.random.default_rng(spec.seed)
-            self._period = None
-        else:
-            self._rng = None
-            self._period = _one_period(spec)
-
-    @property
-    def register(self) -> int:
-        """The word that the next clock cycle will emit (cyclic kinds only)."""
-        if self._period is None:
-            raise ValueError("bernoulli source has no inspectable register")
-        return int(self._period[self.t % self._period.size])
-
-    def next_word(self) -> int:
-        """Emit the current word and advance one clock cycle."""
-        if self._period is None:
-            w = int(self._rng.integers(0, 1 << self.spec.width))
-        else:
-            w = int(self._period[self.t % self._period.size])
-        self.t += 1
-        return w
-
-    def take(self, count: int) -> np.ndarray:
-        """Emit the next `count` words as an array (same stream as next_word)."""
-        if self._period is None:
-            out = self._rng.integers(0, 1 << self.spec.width, size=count, dtype=np.int64)
-        else:
-            idx = (self.t + np.arange(count, dtype=np.int64)) % self._period.size
-            out = self._period[idx]
-        self.t += count
-        return out
-
-
 def complement_output(word, n: int):
     """Bitwise complement within n bits: 2^n - 1 - word. Accepts arrays."""
     return (1 << n) - 1 - word

@@ -15,14 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitstream import (
-    Bitstream,
-    SnFormat,
-    SnValue,
-    bipolar_thresholds,
-    quantize_to_probability,
-)
-from .rns import RnsState, complement_output
+from .bitstream import SnFormat, SnValue, bipolar_thresholds
+from .rns import complement_output
 
 
 class PccKind(Enum):
@@ -56,17 +50,12 @@ def _clamp_for_pcc(b, n: int, pcc: PccKind):
     return b
 
 
-def pcc_threshold(v: SnValue, n: int, pcc: PccKind) -> int:
-    """Quantize a value to the threshold code a PCC of width n can realize.
+def pcc_thresholds(values, n: int, pcc: PccKind) -> np.ndarray:
+    """Threshold codes a PCC of width n realizes for bipolar values (int64).
 
     The WBG has no all-ones code, so probability 1 is clamped to
     (2^n - 1)/2^n with a warning.
     """
-    return int(_clamp_for_pcc(quantize_to_probability(v, n), n, pcc))
-
-
-def pcc_thresholds(values, n: int, pcc: PccKind) -> np.ndarray:
-    """pcc_threshold for an array of bipolar values, as an int64 array."""
     return _clamp_for_pcc(bipolar_thresholds(values, n), n, pcc)
 
 
@@ -77,28 +66,24 @@ def make_channels(
     pcc: PccKind = PccKind.COMPARATOR,
     correlated_wiring: bool = True,
 ) -> list[InputChannel]:
-    """Build input channels; negative-weight channels get the complemented source
-    word when correlated wiring is enabled."""
+    """Build input channels for bipolar values (bare floats, as in the adder
+    designs, or bipolar SnValues); negative-weight channels get the
+    complemented source word when correlated wiring is enabled."""
     if len(values) != len(weights):
         raise ValueError("values and weights must have equal length")
-    out = []
-    for v, w in zip(values, weights):
-        # bare floats are treated as bipolar, matching the adder designs
-        sv = v if isinstance(v, SnValue) else SnValue(float(v), SnFormat.BIPOLAR)
-        out.append(
-            InputChannel(
-                value=sv,
-                weight=float(w),
-                threshold=pcc_threshold(sv, n, pcc),
-                uses_complemented_rns=bool(correlated_wiring and w < 0),
-            )
+    svs = [v if isinstance(v, SnValue) else SnValue(float(v), SnFormat.BIPOLAR) for v in values]
+    if any(sv.format is not SnFormat.BIPOLAR for sv in svs):
+        raise ValueError("channel values must be bipolar")
+    thresholds = pcc_thresholds([sv.value for sv in svs], n, pcc).tolist()
+    return [
+        InputChannel(
+            value=sv,
+            weight=float(w),
+            threshold=b,
+            uses_complemented_rns=bool(correlated_wiring and w < 0),
         )
-    return out
-
-
-def comparator_bit(r: int, b: int) -> int:
-    """1 iff r < b. Over a full-period source this yields exactly b ones."""
-    return 1 if r < b else 0
+        for sv, w, b in zip(svs, weights, thresholds)
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -110,21 +95,6 @@ def _wbg_shift_table(n: int) -> np.ndarray:
         tbl[r] = r.bit_length() - 1
     tbl.setflags(write=False)
     return tbl
-
-
-def wbg_bit(r: int, b: int, n: int) -> int:
-    """Weighted binary generator output bit.
-
-    The WBG decodes the position of r's leading one (a set of mutually
-    exclusive events with dyadic probabilities) and outputs the threshold bit
-    of matching significance, so a full period carries exactly b ones for
-    b in [0, 2^n - 1].
-    """
-    if not 0 <= b < (1 << n):
-        raise ValueError(f"WBG threshold {b} outside [0, 2^{n} - 1]")
-    if r == 0:
-        return 0
-    return (b >> (r.bit_length() - 1)) & 1
 
 
 def pcc_bits(pcc: PccKind, words: np.ndarray, b, n: int) -> np.ndarray:
@@ -168,18 +138,3 @@ def input_bit_matrix(
     negs = np.array([ch.weight < 0 for ch in channels], dtype=np.uint8)
     y = x ^ negs[:, None]
     return x, y
-
-
-def generate_inputs(
-    channels: list[InputChannel], rns: RnsState, pcc: PccKind, count: int
-) -> list[tuple[Bitstream, Bitstream]]:
-    """Draw `count` shared source words and produce (X_i, Y_i) per channel.
-
-    Every channel sees the same word each cycle (or its complement, per the
-    channel wiring); Y_i is X_i after the sign-inverter array.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    words = rns.take(count)
-    x, y = input_bit_matrix(channels, words, pcc, rns.spec.width)
-    return [(Bitstream(x[i]), Bitstream(y[i])) for i in range(len(channels))]

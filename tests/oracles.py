@@ -1,17 +1,27 @@
 """Independent oracles used by the test suite.
 
-Everything here is deliberately written as directly as possible (plain loops,
-exact rational arithmetic, integer arrays whose range is checked) and never
-calls into the production code paths it is used to check. The full-matrix
-adder run builds on the separately tested stream-generation primitives
-(sources, trees, scalar quantizer, channels) to check the O(N) run kernel.
+Everything here is written as directly as possible: plain loops, per-cycle
+stepping, exact rational arithmetic and integer arrays whose range is
+checked. The oracles take types and data from the package (PccKind,
+Bitstream, the LFSR tap table) but none of its algorithms, with one
+exception: the full-matrix adder run (full_matrix_run and its helpers)
+builds its M x N matrices from the production stream primitives (sources,
+quantizers, channels, input_bit_matrix, pcc_bits, the biased-selector tree),
+which the per-cycle oracles below check on their own, so that it can check
+the O(N) run kernel. Its hardwired owners come from level_ordered_blocks,
+not from the production owner map.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
+
+from scmux.bitstream import Bitstream
+from scmux.rns import LFSR_TAPS
+from scmux.sngen import PccKind
 
 
 def quantize_weights_transcription(weights, m):
@@ -58,18 +68,24 @@ def level_ordered_blocks(numerators, h):
     return blocks
 
 
-def full_tree_select(numerators, h, word):
+def level_ordered_owners(numerators, h):
+    """Input owning each select word, filled in from level_ordered_blocks."""
+    slots = np.empty(1 << h, dtype=np.int64)
+    for i, lvl, start in level_ordered_blocks(numerators, h):
+        slots[start : start + (1 << (h - lvl))] = i
+    return slots
+
+
+def full_tree_select(numerators, h, word, slots=None):
     """Route a select word through the full height-h tree, no mux elimination.
 
-    Slots are hardwired per level_ordered_blocks. Every level consumes one
-    select bit (MSB first), so the walk always descends h levels.
+    Slots are hardwired per level_ordered_blocks (pass level_ordered_owners
+    to route many words). Every level consumes one select bit (MSB first), so
+    the walk always descends h levels.
     """
-    size = 1 << h
-    slots = [None] * size
-    for i, lvl, start in level_ordered_blocks(numerators, h):
-        for s in range(start, start + (1 << (h - lvl))):
-            slots[s] = i
-    lo, hi = 0, size
+    if slots is None:
+        slots = level_ordered_owners(numerators, h)
+    lo, hi = 0, 1 << h
     for lvl in range(1, h + 1):
         bit = (word >> (h - lvl)) & 1
         mid = (lo + hi) // 2
@@ -78,12 +94,211 @@ def full_tree_select(numerators, h, word):
         else:
             hi = mid
     assert hi - lo == 1
-    return slots[lo]
+    return int(slots[lo])
+
+
+class PairingTree(NamedTuple):
+    """Hardwired tree as muxes. A child ref k >= 0 is mux k, ~i data input i;
+    node_level[k] is mux k's level (the root's is 1)."""
+
+    height: int
+    child0: list
+    child1: list
+    node_level: list
+    root: int
+
+    @property
+    def mux_count(self):
+        return len(self.child0)
+
+
+def pairing_tree(numerators, h):
+    """Build the redundancy-free hardwired tree by pairing slots bottom-up.
+
+    From level h up to level 1, the level's entries are its leaf inputs (in
+    input order) followed by the muxes built on the level below; they are
+    paired in order and each pair becomes one mux of that level. A numerator
+    of 2^h makes that input the root, with no muxes.
+    """
+    size = 1 << h
+    assert sum(numerators) == size
+    whole = [i for i, q in enumerate(numerators) if q == size]
+    if whole:
+        return PairingTree(h, [], [], [], ~whole[0])
+    child0, child1, node_level = [], [], []
+    current = []
+    for depth in range(h, 0, -1):
+        leaves = [~i for i, q in enumerate(numerators) if (q >> (h - depth)) & 1]
+        current = leaves + current
+        assert len(current) % 2 == 0, "pairing parity violated"
+        nxt = []
+        for k in range(0, len(current), 2):
+            child0.append(current[k])
+            child1.append(current[k + 1])
+            node_level.append(depth)
+            nxt.append(len(child0) - 1)
+        current = nxt
+    assert len(current) == 1
+    return PairingTree(h, child0, child1, node_level, current[0])
+
+
+def select_leaf_precise(tree, counter_word):
+    """Route one select word through a PairingTree; returns the selected input.
+
+    The level-l mux reads the word's l-th MSB; bit 0 takes the first child of
+    the pair, bit 1 the second.
+    """
+    if not 0 <= counter_word < (1 << tree.height):
+        raise ValueError("select word out of range")
+    ref = tree.root
+    while ref >= 0:
+        bit = (counter_word >> (tree.height - tree.node_level[ref])) & 1
+        ref = tree.child1[ref] if bit else tree.child0[ref]
+    return ~ref
+
+
+def select_leaf_noisy(tree, level_bits):
+    """Route independent per-level select bits (level_bits[l-1] drives level l)."""
+    bits = list(level_bits)
+    if len(bits) != tree.height:
+        raise ValueError("need one select bit per tree level")
+    word = 0
+    for lvl, b in enumerate(bits, start=1):
+        if b not in (0, 1):
+            raise ValueError("select bits must be 0 or 1")
+        word |= int(b) << (tree.height - lvl)
+    return select_leaf_precise(tree, word)
+
+
+def quantize_to_probability(p, n):
+    """Comparator threshold B in [0, 2^n] whose stream probability is closest to p.
+
+    floor(p * 2^n + 1/2) in exact rational arithmetic, so ties round up (half
+    away from zero in the probability domain). B needs n+1 bits so that
+    probability exactly 1 is representable.
+    """
+    return math.floor(Fraction(p) * (1 << n) + Fraction(1, 2))
 
 
 def bipolar_threshold(value, n):
     """Comparator threshold of a bipolar value: floor((v + 1) / 2 * 2^n + 1/2)."""
-    return math.floor((Fraction(value) + 1) / 2 * (1 << n) + Fraction(1, 2))
+    return quantize_to_probability((Fraction(value) + 1) / 2, n)
+
+
+def pcc_threshold(p, n, pcc):
+    """Threshold code a width-n PCC realizes for probability p.
+
+    The WBG has no all-ones code, so 2^n becomes 2^n - 1.
+    """
+    b = quantize_to_probability(p, n)
+    return min(b, (1 << n) - 1) if pcc is PccKind.WBG else b
+
+
+def comparator_bit(r, b):
+    """1 iff r < b. Over a full-period source this yields exactly b ones."""
+    return 1 if r < b else 0
+
+
+def wbg_bit(r, b, n):
+    """Weighted binary generator output bit.
+
+    The WBG decodes the position of r's leading one (a set of mutually
+    exclusive events with dyadic probabilities) and outputs the threshold bit
+    of matching significance, so a full period carries exactly b ones for
+    b in [0, 2^n - 1].
+    """
+    if not 0 <= b < (1 << n):
+        raise ValueError(f"WBG threshold {b} outside [0, 2^{n} - 1]")
+    if r == 0:
+        return 0
+    return (b >> (r.bit_length() - 1)) & 1
+
+
+class RnsState:
+    """A number source stepped one clock cycle at a time, as its register is.
+
+    Counters count up from the seed (the bit-reversed counter emits the
+    reversed register), the permutation source walks its seeded permutation
+    from the start, the LFSR shifts in the parity of its tapped bits from the
+    seed state (0 maps to 1), and lfsr_all0 steps through the all-0 word
+    between the state whose successor is the seed state and the seed state.
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.t = 0
+        size = 1 << spec.width
+        self._start = spec.seed % size
+        if spec.kind in ("lfsr", "lfsr_all0") and self._start == 0:
+            self._start = 1
+        if spec.kind == "permutation":
+            self._start = 0
+            self._perm = np.random.default_rng(spec.seed).permutation(size).tolist()
+        if spec.kind == "bernoulli":
+            self._rng = np.random.default_rng(spec.seed)
+        self._reg = self._start
+
+    @property
+    def register(self):
+        """The word that the next clock cycle will emit (cyclic kinds only)."""
+        if self.spec.kind == "bernoulli":
+            raise ValueError("bernoulli source has no inspectable register")
+        if self.spec.kind == "sobol_reversed_counter":
+            return _bit_reverse(self._reg, self.spec.width)
+        if self.spec.kind == "permutation":
+            return self._perm[self._reg]
+        return self._reg
+
+    def _step(self, reg):
+        size = 1 << self.spec.width
+        if self.spec.kind in ("counter", "sobol_reversed_counter", "permutation"):
+            return (reg + 1) % size
+        if reg == 0:  # lfsr_all0's inserted word
+            return self._start
+        feedback = sum((reg >> (t - 1)) & 1 for t in LFSR_TAPS[self.spec.width]) & 1
+        nxt = ((reg << 1) | feedback) % size
+        if self.spec.kind == "lfsr_all0" and nxt == self._start:
+            return 0
+        return nxt
+
+    def next_word(self):
+        """Emit the current word and advance one clock cycle."""
+        if self.spec.kind == "bernoulli":
+            word = int(self._rng.integers(0, 1 << self.spec.width))
+        else:
+            word = self.register
+            self._reg = self._step(self._reg)
+        self.t += 1
+        return word
+
+    def take(self, count):
+        """Emit the next `count` words as an array (same stream as next_word)."""
+        return np.array([self.next_word() for _ in range(count)], dtype=np.int64)
+
+
+def generate_inputs(channels, rns, pcc, count):
+    """Draw `count` shared source words and produce (X_i, Y_i) per channel.
+
+    Each cycle every channel sees the same word, or 2^n - 1 - word when it is
+    wired to the complemented source; its PCC emits one bit (X_i) and a
+    negative-weight channel's sign inverter flips it (Y_i).
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    n = rns.spec.width
+    if any(not 0 <= ch.threshold <= 1 << n for ch in channels):
+        raise ValueError("channel threshold exceeds source range")
+    words = [rns.next_word() for _ in range(count)]
+    out = []
+    for ch in channels:
+        seen = [(1 << n) - 1 - w if ch.uses_complemented_rns else w for w in words]
+        if pcc is PccKind.COMPARATOR:
+            x = [comparator_bit(r, ch.threshold) for r in seen]
+        else:
+            x = [wbg_bit(r, ch.threshold, n) for r in seen]
+        y = [b ^ int(ch.weight < 0) for b in x]
+        out.append((Bitstream(x), Bitstream(y)))
+    return out
 
 
 def threshold_law(n):
@@ -297,7 +512,7 @@ def spawned_seeds(master_seed, count=25):
 
 def full_matrix_owners(design, q, n, big_n, seeds):
     """Input sampled at each cycle, every mux's select bit generated first."""
-    from scmux.muxtree import build_biased_selector_tree, build_hardwired_tree
+    from scmux.muxtree import build_biased_selector_tree
     from scmux.rns import RnsSpec, rns_sequence
     from scmux.sngen import pcc_bits
 
@@ -305,13 +520,13 @@ def full_matrix_owners(design, q, n, big_n, seeds):
         return rns_sequence(RnsSpec(design.select_rns_kind, n, seeds[lvl]), big_n)
 
     if design.tree_type == "hardwired":
-        tree = build_hardwired_tree(q)
+        owner = level_ordered_owners(q.numerators, q.height)
         if design.precise_sampling:
-            return tree.owner[np.arange(big_n) % (1 << q.height)]
+            return owner[np.arange(big_n) % (1 << q.height)]
         words = np.zeros(big_n, dtype=np.int64)
         for lvl in range(1, q.height + 1):
             words |= (level_words(lvl) >> (n - 1)) << (q.height - lvl)
-        return tree.owner[words]
+        return owner[words]
 
     tree = build_biased_selector_tree(q, design.select_pcc, design.select_rns_kind, n)
     if tree.root < 0:
@@ -365,14 +580,13 @@ def full_matrix_run(design, values, big_n, seed):
 
 def full_matrix_apc(weights, values, big_n):
     """APC run with both M x N bit matrices: (estimate, target, error)."""
-    from scmux.bitstream import SnFormat, SnValue, quantize_to_probability
     from scmux.rns import RnsSpec, rns_sequence
 
     n = big_n.bit_length() - 1
     data_words = rns_sequence(RnsSpec("sobol_reversed_counter", n, 0), big_n)
     coeff_words = rns_sequence(RnsSpec("counter", n, 0), big_n)
-    bx = [quantize_to_probability(SnValue(float(v), SnFormat.BIPOLAR), n) for v in values]
-    bw = [quantize_to_probability(SnValue(abs(float(x)), SnFormat.BIPOLAR), n) for x in weights]
+    bx = [bipolar_threshold(float(v), n) for v in values]
+    bw = [bipolar_threshold(abs(float(x)), n) for x in weights]
     negs = np.array([float(x) < 0 for x in weights], dtype=np.uint8)
     x_bits = (data_words[None, :] < np.array(bx)[:, None]).astype(np.uint8)
     w_bits = (coeff_words[None, :] < np.array(bw)[:, None]).astype(np.uint8)

@@ -13,10 +13,14 @@ from pathlib import Path
 import numpy as np
 
 from oracles import (
+    RnsState,
     cemux_error_moments,
     enumerate_model_variance,
     full_tree_select,
+    generate_inputs,
+    pairing_tree,
     quantize_weights_transcription,
+    select_leaf_precise,
     threshold_law,
 )
 from scmux.adders import make_design, run_adder, structural_report
@@ -35,10 +39,9 @@ from scmux.muxtree import (
     build_hardwired_tree,
     dump_tree,
     quantize_weights,
-    select_leaf_precise,
 )
-from scmux.rns import RnsSpec, RnsState
-from scmux.sngen import PccKind, generate_inputs, make_channels
+from scmux.rns import RnsSpec
+from scmux.sngen import PccKind, make_channels
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -121,6 +124,9 @@ def test_criterion_04_ddg_structure_and_equivalence():
         tree = build_hardwired_tree(q)
         popcount = sum(bin(x).count("1") for x in q.numerators)
         assert tree.mux_count == popcount - 1
+        # the production count is popcount - 1 by definition; the oracle
+        # counts the muxes that pairing slots bottom-up actually builds
+        assert tree.mux_count == pairing_tree(q.numerators, h).mux_count
         assert tree.mux_count <= min(m_inputs * h - 1, (1 << h) - 1)
     mismatches = 0
     checked = 0
@@ -132,9 +138,11 @@ def test_criterion_04_ddg_structure_and_equivalence():
                     continue
                 q = QuantizedWeights(nums, h, (1,) * m_inputs, (0.0,) * m_inputs)
                 tree = build_hardwired_tree(q)
+                pairing = pairing_tree(nums, h)
                 for word in range(size):
                     checked += 1
-                    if select_leaf_precise(tree, word) != full_tree_select(nums, h, word):
+                    want = full_tree_select(nums, h, word)
+                    if tree.owner[word] != want or select_leaf_precise(pairing, word) != want:
                         mismatches += 1
     _check(
         4,

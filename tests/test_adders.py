@@ -28,7 +28,6 @@ from scmux.adders import (
     target_value,
 )
 from scmux.analysis import accuracy_stats
-from scmux.bitstream import SnFormat, SnValue, quantize_to_probability
 from scmux.filterapp import make_lowpass
 from scmux.muxtree import quantize_weights
 from scmux.sngen import PccKind, QuantizationWarning
@@ -82,7 +81,7 @@ def test_target_value_matches_exact_rational_oracle(w, data):
     q = quantize_weights(w, n)
     exact = Fraction(0)
     for wi, vi, num, s in zip(w, values, q.numerators, q.signs):
-        b = quantize_to_probability(SnValue(vi, SnFormat.BIPOLAR), n)
+        b = bipolar_threshold(vi, n)
         exact += s * Fraction(num, q.denominator) * (Fraction(2 * b, 1 << n) - 1)
     assert target_value(w, values, n) == pytest.approx(float(exact), abs=1e-14)
 
@@ -143,9 +142,10 @@ def _kernel_config(rng):
 
 
 def test_run_kernel_matches_full_matrix_oracle_exactly():
-    # the oracle generates every input's whole stream with the scalar
-    # quantizer and, for biased trees, every mux's select bits; the kernel
-    # generates one data bit and one select path per cycle
+    # the oracle generates every input's whole stream, takes hardwired owners
+    # from the level-ordered blocks and, for biased trees, generates every
+    # mux's select bits; the kernel generates one data bit and one select
+    # path per cycle
     rng = np.random.default_rng(4242)
     presets = DESIGN_NAMES + ABLATION_NAMES
     assert len(presets) == 10

@@ -1,15 +1,17 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bipolar_threshold, quantize_to_probability
 from scmux.bitstream import (
     Bitstream,
     SnFormat,
     SnValue,
     bipolar_thresholds,
     estimate_value,
-    quantize_to_probability,
     scc,
     threshold_to_value,
 )
@@ -75,21 +77,26 @@ def test_scc_symmetric_and_bounded(bits, rnd):
 
 
 def test_quantize_examples():
-    assert quantize_to_probability(SnValue(0.0, SnFormat.BIPOLAR), 10) == 512
-    assert quantize_to_probability(SnValue(3 / 8, SnFormat.UNIPOLAR), 3) == 3
-    assert quantize_to_probability(SnValue(-1.0, SnFormat.BIPOLAR), 8) == 0
-    assert quantize_to_probability(SnValue(1.0, SnFormat.UNIPOLAR), 4) == 16
+    assert bipolar_threshold(0.0, 10) == 512
+    assert quantize_to_probability(Fraction(3, 8), 3) == 3
+    assert bipolar_threshold(-1.0, 8) == 0
+    assert quantize_to_probability(1, 4) == 16
+    assert bipolar_thresholds([0.0], 10).tolist() == [512]
+    assert bipolar_thresholds([-1.0], 8).tolist() == [0]
+    assert bipolar_thresholds([1.0], 4).tolist() == [16]
 
 
 def test_quantize_ties_round_half_up_in_probability():
     # p = 5/32 at n=4 sits exactly on a half step: 2.5 -> 3
-    assert quantize_to_probability(SnValue(5 / 32, SnFormat.UNIPOLAR), 4) == 3
+    assert quantize_to_probability(Fraction(5, 32), 4) == 3
+    # bipolar 2 * 5/32 - 1 = -11/16 is the same tie
+    assert bipolar_thresholds([-11 / 16], 4).tolist() == [3]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.floats(-1.0, 1.0), st.integers(3, 12))
 def test_quantize_round_trip_error_bound(v, n):
-    b = quantize_to_probability(SnValue(v, SnFormat.BIPOLAR), n)
+    b = int(bipolar_thresholds([v], n)[0])
     assert 0 <= b <= (1 << n)
     assert abs(threshold_to_value(b, n, SnFormat.BIPOLAR) - v) <= 2 ** -n
 
@@ -98,7 +105,7 @@ def test_quantize_round_trip_error_bound(v, n):
 @given(st.floats(-1.0, 1.0), st.integers(3, 12))
 def test_bulk_thresholds_match_scalar(v, n):
     got = bipolar_thresholds(np.array([v]), n)[0]
-    assert got == quantize_to_probability(SnValue(v, SnFormat.BIPOLAR), n)
+    assert got == bipolar_threshold(v, n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 10, 16])
@@ -109,7 +116,7 @@ def test_bulk_thresholds_exact_at_every_tie_and_its_neighbours(n):
         (np.nextafter(ties, -2.0), ties, np.nextafter(ties, 2.0), [-1.0, -0.0, 0.0, 1.0])
     )
     got = bipolar_thresholds(values, n)
-    want = [quantize_to_probability(SnValue(float(v), SnFormat.BIPOLAR), n) for v in values]
+    want = [bipolar_threshold(float(v), n) for v in values]
     assert got.tolist() == want
     # a tie rounds up; one ulp below it does not
     assert bipolar_thresholds([-0.49902343750000006, -0.4990234375], 10).tolist() == [256, 257]

@@ -78,6 +78,17 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("m_list", ["2,x", "0"])
+def test_bad_m_list_is_usage_error(tmp_path, capsys, m_list):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--model", "bernoulli", "--sampling", "noisy",
+              "--m-list", m_list, "--runs", "2", "--out", str(out)])
+    assert exc.value.code == 1
+    assert "argument --m-list: expected comma-separated positive integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_design_is_runtime_error(capsys):
     code, _, err = run_cli(
         capsys, "sweep-m", "--designs", "nonsense", "--runs", "2", "--m-max", "3"

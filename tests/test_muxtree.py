@@ -1,23 +1,32 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import full_tree_select, quantize_weights_transcription
+from oracles import (
+    full_tree_select,
+    level_ordered_owners,
+    pairing_tree,
+    pcc_threshold,
+    quantize_to_probability,
+    quantize_weights_transcription,
+    select_leaf_noisy,
+    select_leaf_precise,
+)
 from scmux.muxtree import (
     BiasedSelectorTreeSpec,
+    QuantizedWeights,
     biased_leaf_path_products,
     build_biased_selector_tree,
     build_hardwired_tree,
     dump_tree,
     precise_sampling_counts,
     quantize_weights,
-    select_leaf_noisy,
-    select_leaf_precise,
 )
-from scmux.sngen import PccKind
+from scmux.sngen import PccKind, QuantizationWarning
 
 weight_lists = st.lists(
     st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-12), min_size=1, max_size=24
@@ -79,14 +88,17 @@ def test_single_input_tree_has_no_muxes():
     q = quantize_weights([0.7], 3)
     tree = build_hardwired_tree(q)
     assert tree.mux_count == 0
-    assert all(select_leaf_precise(tree, w) == 0 for w in range(8))
+    assert tree.owner.tolist() == [0] * 8
+    assert pairing_tree(q.numerators, 3).mux_count == 0
+    assert all(select_leaf_precise(pairing_tree(q.numerators, 3), w) == 0 for w in range(8))
 
 
 def test_equal_four_way_tree_counts():
     q = quantize_weights([1, 1, 1, 1], 2)
     tree = build_hardwired_tree(q)
-    owners = [select_leaf_precise(tree, w) for w in range(4)]
-    assert sorted(owners) == [0, 1, 2, 3]
+    assert sorted(tree.owner.tolist()) == [0, 1, 2, 3]
+    owners = [select_leaf_precise(pairing_tree(q.numerators, 2), w) for w in range(4)]
+    assert owners == tree.owner.tolist()
 
 
 def test_precise_counts_eq15():
@@ -117,27 +129,48 @@ def test_ddg_routing_fractions_exact(w, h):
     assert counts.tolist() == list(q.numerators)
 
 
+@st.composite
+def numerator_sets(draw):
+    # cut [0, 2^h] at random points: coinciding cuts give zero numerators and
+    # cuts only at the ends give one whole-weight numerator of 2^h
+    h = draw(st.integers(1, 12))
+    m_inputs = draw(st.integers(1, 24))
+    cuts = sorted(draw(st.lists(st.integers(0, 1 << h), min_size=m_inputs - 1,
+                                max_size=m_inputs - 1)))
+    return h, [b - a for a, b in zip([0, *cuts], [*cuts, 1 << h])]
+
+
 @settings(max_examples=150, deadline=None)
-@given(weight_lists, st.integers(1, 6), st.data())
-def test_select_matches_full_tree_oracle(w, h, data):
-    q = quantize_weights(w, h)
+@given(numerator_sets())
+@example((1, [0, 2, 0]))
+@example((12, [1 << 12]))
+@example((12, [0, (1 << 12) - 1, 0, 1]))
+@example((5, [0, 32, 0]))
+def test_select_matches_full_tree_oracle(case):
+    h, numerators = case
+    m_inputs = len(numerators)
+    q = QuantizedWeights(tuple(numerators), h, (1,) * m_inputs, (0.0,) * m_inputs)
     tree = build_hardwired_tree(q)
-    word = data.draw(st.integers(0, (1 << h) - 1))
-    assert select_leaf_precise(tree, word) == full_tree_select(q.numerators, h, word)
-    assert tree.owner[word] == select_leaf_precise(tree, word)
+    slots = level_ordered_owners(numerators, h)
+    want = [full_tree_select(numerators, h, word, slots) for word in range(1 << h)]
+    assert tree.owner.tolist() == want
+    pairing = pairing_tree(numerators, h)
+    assert [select_leaf_precise(pairing, word) for word in range(1 << h)] == want
+    assert tree.mux_count == pairing.mux_count
 
 
 def test_select_noisy_matches_word_traversal():
     q = quantize_weights([5 / 8, 1 / 4, 1 / 8], 3)
-    tree = build_hardwired_tree(q)
+    tree = pairing_tree(q.numerators, 3)
+    owner = build_hardwired_tree(q).owner
     for word in range(8):
         bits = [(word >> (3 - lvl)) & 1 for lvl in (1, 2, 3)]
-        assert select_leaf_noisy(tree, bits) == select_leaf_precise(tree, word)
+        assert select_leaf_noisy(tree, bits) == select_leaf_precise(tree, word) == owner[word]
 
 
 def test_select_noisy_binomial_mean():
     q = quantize_weights([0.5, 0.5], 1)
-    tree = build_hardwired_tree(q)
+    tree = pairing_tree(q.numerators, 1)
     rng = np.random.default_rng(3)
     n_cycles, reps = 64, 400
     counts = np.array(
@@ -217,3 +250,40 @@ def test_dump_tree_format():
         "level 4: 0 3",
         "muxes 5",
     ]
+
+
+def test_biased_thresholds_match_scalar_quantizer():
+    # each node's select code is the exact probability rounded to n bits,
+    # ties up, with the WBG's all-ones clamp
+    rng = np.random.default_rng(6060)
+    checked = clamped = 0
+    for _ in range(400):
+        m_inputs = int(rng.integers(2, 40))
+        w = rng.uniform(-1, 1, m_inputs) ** int(rng.integers(1, 6))
+        q = quantize_weights(w, int(rng.integers(1, 13)))
+        n = int(rng.integers(3, 17))
+        for pcc in PccKind:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", QuantizationWarning)
+                tree = build_biased_selector_tree(q, pcc, "lfsr", n)
+            want = [pcc_threshold(p, n, pcc) for p in tree.probabilities]
+            assert tree.thresholds.tolist() == want
+            checked += len(want)
+            clamped += pcc is PccKind.WBG and any(
+                quantize_to_probability(p, n) == 1 << n for p in tree.probabilities
+            )
+    assert checked > 5000 and clamped > 0
+
+
+def test_biased_thresholds_tie_and_wbg_clamp():
+    # p = 5/32 at n = 4 sits on a half step: 2.5 rounds up to 3
+    q = QuantizedWeights((5, 27), 5, (1, 1), (0.0, 0.0))
+    tree = build_biased_selector_tree(q, PccKind.COMPARATOR, "lfsr", 4)
+    assert tree.probabilities == (Fraction(5, 32),)
+    assert tree.thresholds.tolist() == [3]
+    # p = 31/32 rounds to probability 1 at n = 3; the WBG clamps it to 7/8
+    q = QuantizedWeights((31, 1), 5, (1, 1), (0.0, 0.0))
+    assert build_biased_selector_tree(q, PccKind.COMPARATOR, "lfsr", 3).thresholds.tolist() == [8]
+    with pytest.warns(QuantizationWarning):
+        tree = build_biased_selector_tree(q, PccKind.WBG, "lfsr", 3)
+    assert tree.thresholds.tolist() == [7]

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import RnsState
 from scmux.rns import (
     FULL_PERIOD_KINDS,
     LFSR_TAPS,
     RnsSpec,
-    RnsState,
     complement_output,
     rns_sequence,
 )
@@ -69,16 +69,19 @@ def test_van_der_corput_prefix_stratification():
 
 @pytest.mark.parametrize("kind", ["lfsr", "lfsr_all0", "counter", "sobol_reversed_counter", "permutation", "bernoulli"])
 def test_determinism_and_statefulness(kind):
-    spec = RnsSpec(kind, 5, seed=99)
-    seq = rns_sequence(spec, 50)
-    assert list(seq) == list(rns_sequence(spec, 50))
-    state = RnsState(spec)
-    stepped = [state.next_word() for _ in range(50)]
-    assert stepped == list(seq)
-    # take() continues the same stream
-    state2 = RnsState(spec)
-    mixed = list(state2.take(7)) + [state2.next_word()] + list(state2.take(42))
-    assert mixed == list(seq)
+    # the oracle steps the source's register one cycle at a time; seed 0
+    # checks the LFSR's remap of the all-0 state
+    for seed in (99, 0):
+        spec = RnsSpec(kind, 5, seed=seed)
+        seq = rns_sequence(spec, 50)
+        assert list(seq) == list(rns_sequence(spec, 50))
+        state = RnsState(spec)
+        stepped = [state.next_word() for _ in range(50)]
+        assert stepped == list(seq)
+        # take() continues the same stream
+        state2 = RnsState(spec)
+        mixed = list(state2.take(7)) + [state2.next_word()] + list(state2.take(42))
+        assert mixed == list(seq)
 
 
 def test_register_peeks_next_word():

@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import RnsState, comparator_bit, generate_inputs, pcc_threshold, wbg_bit
 from scmux.bitstream import Bitstream, SnFormat, SnValue, estimate_value, scc
-from scmux.rns import RnsSpec, RnsState, rns_sequence
+from scmux.rns import RnsSpec, rns_sequence
 from scmux.sngen import (
     PccKind,
     QuantizationWarning,
-    comparator_bit,
-    generate_inputs,
     input_bit_matrix,
     make_channels,
     pcc_bits,
-    pcc_threshold,
-    wbg_bit,
+    pcc_thresholds,
 )
 
 
@@ -50,8 +48,18 @@ def test_wbg_full_period_ones_count(n, data):
 
 def test_wbg_threshold_clamp_warns():
     with pytest.warns(QuantizationWarning):
-        b = pcc_threshold(SnValue(1.0, SnFormat.BIPOLAR), 4, PccKind.WBG)
-    assert b == 15
+        b = pcc_thresholds([1.0, 0.0], 4, PccKind.WBG)
+    assert b.tolist() == [15, 8] == [pcc_threshold(p, 4, PccKind.WBG) for p in (1, 0.5)]
+    with pytest.warns(QuantizationWarning):
+        (ch,) = make_channels([1.0], [1.0], 4, PccKind.WBG)
+    assert ch.threshold == 15
+
+
+def test_make_channels_takes_bipolar_values_only():
+    (ch,) = make_channels([SnValue(-0.5, SnFormat.BIPOLAR)], [1.0], 4)
+    assert ch.threshold == 4
+    with pytest.raises(ValueError, match="bipolar"):
+        make_channels([SnValue(0.25, SnFormat.UNIPOLAR)], [1.0], 4)
 
 
 def test_full_correlation_wiring_mixed_signs():
@@ -124,6 +132,8 @@ def test_generate_inputs_width_mismatch():
     state = RnsState(RnsSpec("sobol_reversed_counter", 4, 0))
     with pytest.raises(ValueError):
         generate_inputs(chans, state, PccKind.COMPARATOR, 16)
+    with pytest.raises(ValueError, match="exceeds source range"):
+        input_bit_matrix(chans, state.take(16), PccKind.COMPARATOR, 4)
 
 
 def test_input_bit_matrix_matches_generate_inputs():

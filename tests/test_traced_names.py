@@ -1,0 +1,35 @@
+"""The benchmark's tracer (perfbench/spans.py) wraps scmux functions by name.
+
+Tier-1 collects only tests/, so a rename that breaks `perfbench/run.py
+--trace 1` would otherwise pass here. This reads the tracer's target list and
+checks that every name still resolves.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _tracer_targets():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_every_traced_name_resolves():
+    targets = _tracer_targets()
+    assert targets
+    for modname, attr in targets:
+        assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
+    # also wrapped: the stream constructor, and make_channels wherever it is
+    # looked up
+    import scmux
+    import scmux.adders
+    import scmux.bitstream
+    import scmux.sngen
+
+    assert callable(scmux.bitstream.Bitstream.__init__)
+    assert scmux.make_channels is scmux.adders.make_channels is scmux.sngen.make_channels
