@@ -39,7 +39,6 @@ from .analysis import (
     closed_form_variance,
     decompose_variance,
     expected_closed_form,
-    monte_carlo_variance,
 )
 from .filterapp import (
     FilterSpec,

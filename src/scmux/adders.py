@@ -1,14 +1,18 @@
 """Assembled weighted-adder designs and their cycle-accurate simulation.
 
 Six named designs are provided. The feature matrix (tree style, data PCC,
-select source, select PCCs, full correlation, precise sampling):
+full correlation, precise sampling):
 
-    cemux            hardwired  comparators  counter  -     yes  yes
-    cemux_wbg        hardwired  WBGs         counter  -     no   yes
-    cemux_biased     biased     comparators  LFSRs    WBGs  yes  no
-    basic_hardwired  hardwired  WBGs         LFSRs    -     no   no
-    basic_biased     biased     WBGs         LFSRs    WBGs  no   no
+    cemux            hardwired  comparators  yes  yes
+    cemux_wbg        hardwired  WBGs         no   yes
+    cemux_biased     biased     comparators  yes  no
+    basic_hardwired  hardwired  WBGs         no   no
+    basic_biased     biased     WBGs         no   no
     apc              XNOR array + accumulative parallel counter
+
+The select wiring follows from the sampling mode: under precise sampling the
+mux select lines are the bits of one counter, otherwise each tree level has
+its own LFSR. A biased tree converts each select word through a WBG.
 
 All designs share one low-discrepancy source for the data inputs. Ablation
 variants of cemux (suffixes _nofc, _nops, _nofc_nops, _lfsr) remove full
@@ -46,6 +50,10 @@ DESIGN_NAMES = (
 )
 ABLATION_NAMES = ("cemux_nofc", "cemux_nops", "cemux_nofc_nops", "cemux_lfsr")
 
+# select wiring of the designs without precise sampling
+NOISY_SELECT_KIND = "lfsr"
+BIASED_SELECT_PCC = PccKind.WBG
+
 
 @dataclass(frozen=True)
 class AdderDesign:
@@ -55,8 +63,6 @@ class AdderDesign:
     tree_type: str  # hardwired | biased | apc
     data_pcc: PccKind
     data_rns_kind: str
-    select_rns_kind: str | None
-    select_pcc: PccKind | None
     full_correlation: bool
     precise_sampling: bool
 
@@ -66,8 +72,6 @@ _PRESETS = {
         tree_type="hardwired",
         data_pcc=PccKind.COMPARATOR,
         data_rns_kind="sobol_reversed_counter",
-        select_rns_kind="counter",
-        select_pcc=None,
         full_correlation=True,
         precise_sampling=True,
     ),
@@ -75,8 +79,6 @@ _PRESETS = {
         tree_type="hardwired",
         data_pcc=PccKind.WBG,
         data_rns_kind="sobol_reversed_counter",
-        select_rns_kind="counter",
-        select_pcc=None,
         full_correlation=False,
         precise_sampling=True,
     ),
@@ -84,8 +86,6 @@ _PRESETS = {
         tree_type="biased",
         data_pcc=PccKind.COMPARATOR,
         data_rns_kind="sobol_reversed_counter",
-        select_rns_kind="lfsr",
-        select_pcc=PccKind.WBG,
         full_correlation=True,
         precise_sampling=False,
     ),
@@ -93,8 +93,6 @@ _PRESETS = {
         tree_type="hardwired",
         data_pcc=PccKind.WBG,
         data_rns_kind="sobol_reversed_counter",
-        select_rns_kind="lfsr",
-        select_pcc=None,
         full_correlation=False,
         precise_sampling=False,
     ),
@@ -102,8 +100,6 @@ _PRESETS = {
         tree_type="biased",
         data_pcc=PccKind.WBG,
         data_rns_kind="sobol_reversed_counter",
-        select_rns_kind="lfsr",
-        select_pcc=PccKind.WBG,
         full_correlation=False,
         precise_sampling=False,
     ),
@@ -111,8 +107,6 @@ _PRESETS = {
         tree_type="apc",
         data_pcc=PccKind.COMPARATOR,
         data_rns_kind="sobol_reversed_counter",
-        select_rns_kind=None,
-        select_pcc=None,
         full_correlation=False,
         precise_sampling=False,
     ),
@@ -121,8 +115,6 @@ _PRESETS = {
         tree_type="hardwired",
         data_pcc=PccKind.COMPARATOR,
         data_rns_kind="sobol_reversed_counter",
-        select_rns_kind="counter",
-        select_pcc=None,
         full_correlation=False,
         precise_sampling=True,
     ),
@@ -130,8 +122,6 @@ _PRESETS = {
         tree_type="hardwired",
         data_pcc=PccKind.COMPARATOR,
         data_rns_kind="sobol_reversed_counter",
-        select_rns_kind="lfsr",
-        select_pcc=None,
         full_correlation=True,
         precise_sampling=False,
     ),
@@ -139,8 +129,6 @@ _PRESETS = {
         tree_type="hardwired",
         data_pcc=PccKind.COMPARATOR,
         data_rns_kind="sobol_reversed_counter",
-        select_rns_kind="lfsr",
-        select_pcc=None,
         full_correlation=False,
         precise_sampling=False,
     ),
@@ -148,8 +136,6 @@ _PRESETS = {
         tree_type="hardwired",
         data_pcc=PccKind.COMPARATOR,
         data_rns_kind="lfsr",
-        select_rns_kind="counter",
-        select_pcc=None,
         full_correlation=True,
         precise_sampling=True,
     ),
@@ -186,7 +172,6 @@ class SimulationReport:
     error: float
     output_bits: np.ndarray | None = field(repr=False)  # one uint8 per cycle
     sampling_counts: np.ndarray | None
-    quantized: QuantizedWeights | None
 
     @cached_property
     def output(self) -> Bitstream | None:
@@ -241,21 +226,17 @@ def _validate_values(values, weights) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _hardwired_tree_cached(numerators: tuple[int, ...], h: int) -> HardwiredTreeSpec:
-    q = QuantizedWeights(numerators, h, (1,) * len(numerators), (0.0,) * len(numerators))
-    return build_hardwired_tree(q)
+    return build_hardwired_tree(QuantizedWeights(numerators, h, (1,) * len(numerators)))
 
 
 @lru_cache(maxsize=128)
-def _biased_tree_cached(
-    numerators: tuple[int, ...], pcc: PccKind, rns_kind: str, n: int
-) -> BiasedSelectorTreeSpec:
-    q = QuantizedWeights(numerators, n, (1,) * len(numerators), (0.0,) * len(numerators))
-    return build_biased_selector_tree(q, pcc, rns_kind, n)
+def _biased_tree_cached(numerators: tuple[int, ...], n: int) -> BiasedSelectorTreeSpec:
+    q = QuantizedWeights(numerators, n, (1,) * len(numerators))
+    return build_biased_selector_tree(q, BIASED_SELECT_PCC)
 
 
-def _select_words(design: AdderDesign, n: int, big_n: int, seed: int, level: int):
-    spec = RnsSpec(design.select_rns_kind, n, _source_seed(seed, level))
-    return rns_sequence(spec, big_n)
+def _select_words(n: int, big_n: int, seed: int, level: int):
+    return rns_sequence(RnsSpec(NOISY_SELECT_KIND, n, _source_seed(seed, level)), big_n)
 
 
 def _owner_sequence(design: AdderDesign, q, n, big_n, seed) -> np.ndarray:
@@ -271,11 +252,11 @@ def _owner_sequence(design: AdderDesign, q, n, big_n, seed) -> np.ndarray:
             # one independent LFSR per level; its word's MSB is the select bit
             words = np.zeros(big_n, dtype=np.int64)
             for lvl in range(1, h + 1):
-                bits = _select_words(design, n, big_n, seed, lvl) >> (n - 1)
+                bits = _select_words(n, big_n, seed, lvl) >> (n - 1)
                 words |= bits << (h - lvl)
         return tree.owner[words]
 
-    tree = _biased_tree_cached(q.numerators, design.select_pcc, design.select_rns_kind, n)
+    tree = _biased_tree_cached(q.numerators, n)
     cur = np.full(big_n, tree.root, dtype=np.int64)
     # the tree is walked level by level: every cycle still at a mux sits on
     # the current level, and only those cycles' select bits are generated
@@ -283,7 +264,7 @@ def _owner_sequence(design: AdderDesign, q, n, big_n, seed) -> np.ndarray:
     level = 1
     while live.size:
         refs = cur[live]
-        words = _select_words(design, n, big_n, seed, level)[live]
+        words = _select_words(n, big_n, seed, level)[live]
         b = pcc_bits(tree.select_pcc, words, tree.thresholds[refs], n)
         # select bit 1 routes toward child0, whose mass fraction is p_node
         nxt = np.where(b == 1, tree.child0[refs], tree.child1[refs])
@@ -303,7 +284,7 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationR
     up-down counter accumulates the output. The APC runs its own datapath.
     """
     if design.tree_type == "apc":
-        return run_apc(design.weights, values, big_n, seed)
+        return run_apc(design.weights, values, big_n)
     n = design.n
     if big_n != (1 << n):
         raise ValueError(f"stream length must be 2^n = {1 << n} for design {design.name}")
@@ -331,11 +312,10 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationR
         error=estimate - target,
         output_bits=z,
         sampling_counts=np.bincount(owners, minlength=len(design.weights)),
-        quantized=q,
     )
 
 
-def run_apc(weights, values, big_n: int, seed: int = 0) -> SimulationReport:
+def run_apc(weights, values, big_n: int) -> SimulationReport:
     """Accumulative-parallel-counter adder with two shared sources.
 
     Data SNs share one low-discrepancy source and coefficient SNs (values
@@ -385,7 +365,6 @@ def run_apc(weights, values, big_n: int, seed: int = 0) -> SimulationReport:
         error=estimate - target,
         output_bits=None,
         sampling_counts=None,
-        quantized=None,
     )
 
 
@@ -437,9 +416,8 @@ def structural_report(design: AdderDesign) -> dict[str, int]:
         else:
             counts["rns_instances"] += tree.height  # one LFSR per level
     else:
-        tree = _biased_tree_cached(q.numerators, design.select_pcc, design.select_rns_kind, n)
+        tree = _biased_tree_cached(q.numerators, n)
         counts["muxes"] = tree.mux_count
         counts["rns_instances"] += tree.num_levels
-        key = "comparators" if design.select_pcc is PccKind.COMPARATOR else "wbgs"
-        counts[key] += tree.mux_count  # one select PCC per mux
+        counts["wbgs"] += tree.mux_count  # one select WBG per mux
     return counts

@@ -59,6 +59,16 @@ class AccuracyStats:
     mse: float
     runs: int
 
+    @classmethod
+    def from_errors(cls, errors) -> "AccuracyStats":
+        """Moments of a list of errors; an empty list gives all zeros."""
+        runs = len(errors)
+        mse = math.fsum(e * e for e in errors) / runs if runs else 0.0
+        bias = math.fsum(errors) / runs if runs else 0.0
+        return cls(
+            rmse=math.sqrt(mse), bias=bias, variance=mse - bias * bias, mse=mse, runs=runs
+        )
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -157,8 +167,8 @@ def _draw_streams(rt: _ModelRuntime, rng: np.random.Generator, bp: np.ndarray) -
     return (words < bp[:, None]).astype(np.int8)
 
 
-def _run_once(rt: _ModelRuntime, rng: np.random.Generator, want_pair: bool):
-    """Simulate one run; return per-run component statistics.
+def _run_once(rt: _ModelRuntime, rng: np.random.Generator):
+    """Simulate one run; return (total, noise, samp, corr, dc).
 
     Every returned statistic is an unbiased single-run estimate, so means
     and standard errors across runs follow directly.
@@ -185,8 +195,6 @@ def _run_once(rt: _ModelRuntime, rng: np.random.Generator, want_pair: bool):
     m_exact = float(rt.wt @ mup)
     total = (mu_hat - m_exact) ** 2
 
-    counts = np.bincount(owners, minlength=M).astype(np.int64)
-
     # noise: deviation of the first-E[C_i] prefix sums from their exact means
     cs = np.cumsum(u, axis=1)
     prefix_ones = np.where(rt.c > 0, cs[np.arange(M), np.maximum(rt.c, 1) - 1], 0)
@@ -200,7 +208,7 @@ def _run_once(rt: _ModelRuntime, rng: np.random.Generator, want_pair: bool):
         samp = 0.0
         dc = np.zeros(M, dtype=np.float64)
     else:
-        dc = counts - rt.c.astype(np.float64)
+        dc = np.bincount(owners, minlength=M) - rt.c.astype(np.float64)
         g = 2.0 * (dc @ ud) - dc.sum()  # +/-1 column sums weighted by dC
         samp = (float(dc @ s_pm) ** 2 - float(g @ g)) / (N * (N - 1)) / N**2
 
@@ -213,13 +221,7 @@ def _run_once(rt: _ModelRuntime, rng: np.random.Generator, want_pair: bool):
     mu_pair = float(cw @ mup) ** 2 - float((cw * mup) @ (cw * mup))
     corr = (pair_sum - mu_pair) / N**2
 
-    pair_cov = None
-    if want_pair:
-        y = (2.0 * ud - 1.0)
-        e_full = (np.outer(s_pm, s_pm) - y @ y.T) / (N * (N - 1.0))
-        pair_cov = e_full - np.outer(mup, mup)
-
-    return mu_hat, m_exact, total, noise, samp, corr, counts, dc, pair_cov, mup
+    return total, noise, samp, corr, dc
 
 
 @dataclass
@@ -237,7 +239,6 @@ class VarianceReport:
     se_total: float
     se_identity: float
     c_covariance: np.ndarray
-    bit_covariance: np.ndarray | None
 
     @property
     def components_sum(self) -> float:
@@ -255,22 +256,11 @@ def _mean_se(xs: np.ndarray) -> tuple[float, float]:
     return mean, float(xs.std(ddof=1) / math.sqrt(xs.size))
 
 
-def decompose_variance(
-    cfg: ModelConfig,
-    runs: int,
-    master_seed: int,
-    pair_stats: bool | None = None,
-) -> VarianceReport:
-    """Estimate the three variance components over seeded Monte Carlo runs.
-
-    pair_stats controls whether the per-pair sampled-bit covariance matrix is
-    accumulated (defaults to M <= 64; it costs O(M^2 N) per run).
-    """
+def decompose_variance(cfg: ModelConfig, runs: int, master_seed: int) -> VarianceReport:
+    """Estimate the three variance components over seeded Monte Carlo runs."""
     if runs < 2:
         raise ValueError("need at least 2 runs")
     rt = _ModelRuntime(cfg)
-    if pair_stats is None:
-        pair_stats = rt.M <= 64
     rng = np.random.default_rng(np.random.SeedSequence(master_seed))
 
     totals = np.empty(runs)
@@ -278,21 +268,10 @@ def decompose_variance(
     samps = np.empty(runs)
     corrs = np.empty(runs)
     c_cov = np.zeros((rt.M, rt.M))
-    bit_cov = np.zeros((rt.M, rt.M)) if pair_stats else None
     for r in range(runs):
-        _, _, total, noise, samp, corr, _, dc, pair_cov, _ = _run_once(
-            rt, rng, pair_stats
-        )
-        totals[r] = total
-        noises[r] = noise
-        samps[r] = samp
-        corrs[r] = corr
+        totals[r], noises[r], samps[r], corrs[r], dc = _run_once(rt, rng)
         c_cov += np.outer(dc, dc)
-        if pair_stats:
-            bit_cov += pair_cov
     c_cov /= runs
-    if pair_stats:
-        bit_cov /= runs
 
     eps_noise, se_noise = _mean_se(noises)
     eps_samp, se_samp = _mean_se(samps)
@@ -311,18 +290,7 @@ def decompose_variance(
         se_total=se_total,
         se_identity=se_identity,
         c_covariance=c_cov,
-        bit_covariance=bit_cov,
     )
-
-
-def monte_carlo_variance(cfg: ModelConfig, runs: int, master_seed: int) -> tuple[float, float]:
-    """Sample output variance (exact-mean centered) and its standard error."""
-    rt = _ModelRuntime(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed))
-    totals = np.empty(runs)
-    for r in range(runs):
-        totals[r] = _run_once(rt, rng, False)[2]
-    return _mean_se(totals)
 
 
 def _closed_form(model: str, sampling: str, scc, wt: np.ndarray, mup: np.ndarray, N: int) -> float:
@@ -412,11 +380,5 @@ def accuracy_stats(
             raise ValueError("weight_mode must be None, 'uniform' or 'pm'")
         v = rng.uniform(-1.0, 1.0, size=m) if values == "uniform" else values
         seed = int(rng.integers(0, 2**63))
-        rep = run_adder(d, v, stream_length, seed)
-        errors.append(rep.error)
-    mse = math.fsum(e * e for e in errors) / runs
-    bias = math.fsum(errors) / runs
-    variance = mse - bias * bias
-    return AccuracyStats(
-        rmse=math.sqrt(mse), bias=bias, variance=variance, mse=mse, runs=runs
-    )
+        errors.append(run_adder(d, v, stream_length, seed).error)
+    return AccuracyStats.from_errors(errors)

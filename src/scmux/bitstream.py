@@ -30,13 +30,6 @@ class SnValue:
         if not lo <= self.value <= 1.0:
             raise ValueError(f"{self.format.value} value {self.value} outside [{lo}, 1]")
 
-    def to_probability(self) -> Fraction:
-        """Exact unipolar (probability-domain) equivalent of this value."""
-        p = Fraction(self.value)
-        if self.format is SnFormat.BIPOLAR:
-            p = (p + 1) / 2
-        return p
-
 
 class Bitstream:
     """An immutable sequence of bits, one bit per clock cycle.

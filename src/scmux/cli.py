@@ -71,10 +71,20 @@ def _read_coefficients(path: str) -> list[float]:
 
 def read_signal_csv(path: str) -> Signal:
     """Signal CSV: one `index,value` header line, one sample per row."""
-    lines = [l for l in Path(path).read_text().splitlines() if l.strip() and not l.startswith("#")]
-    if not lines or lines[0].strip().lower() != "index,value":
+    lines = [
+        (k, l)
+        for k, l in enumerate(Path(path).read_text().splitlines(), start=1)
+        if l.strip() and not l.startswith("#")
+    ]
+    if not lines or lines[0][1].strip().lower() != "index,value":
         raise ValueError("signal CSV must start with an 'index,value' header line")
-    samples = [float(l.split(",")[1]) for l in lines[1:]]
+    samples = []
+    for k, l in lines[1:]:
+        try:
+            _, value = l.split(",")
+            samples.append(float(value))
+        except ValueError:
+            raise ValueError(f"{path} line {k}: expected 'index,value', got {l!r}") from None
     if not samples:
         raise ValueError(f"no samples found in {path}")
     return Signal(np.asarray(samples))
@@ -164,7 +174,7 @@ def cmd_decompose(args):
             values=values,
             N=1 << args.n,
         )
-        rep = decompose_variance(cfg, args.runs, args.seed + M, pair_stats=False)
+        rep = decompose_variance(cfg, args.runs, args.seed + M)
         try:
             closed = _fmt(expected_closed_form(cfg, min(args.runs, 2000), args.seed + M))
         except ValueError:
@@ -213,7 +223,7 @@ def cmd_filter(args):
 def cmd_report(args):
     if args.coeff_file:
         weights = _read_coefficients(args.coeff_file)
-    elif args.lowpass_taps:
+    elif args.lowpass_taps is not None:
         weights = list(make_lowpass(args.lowpass_taps, args.cutoff * math.pi).coefficients)
     else:
         rng = np.random.default_rng(args.seed)
@@ -223,6 +233,17 @@ def cmd_report(args):
     rows = ["component,count"]
     rows += [f"{key},{counts[key]}" for key in sorted(counts)]
     _emit(args, [], rows)
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _positive_ints(text: str) -> list[int]:
@@ -257,8 +278,12 @@ def build_parser() -> _Parser:
     )
     sm.add_argument("--designs", required=True, help="comma-separated design names")
     sm.add_argument("--n", type=int, default=10, help="precision; stream length 2^n")
-    sm.add_argument("--m-min", type=int, default=3, help="smallest input-count exponent")
-    sm.add_argument("--m-max", type=int, default=8, help="largest input-count exponent")
+    sm.add_argument(
+        "--m-min", type=_nonnegative_int, default=3, help="smallest input-count exponent"
+    )
+    sm.add_argument(
+        "--m-max", type=_nonnegative_int, default=8, help="largest input-count exponent"
+    )
     sm.add_argument("--runs", type=int, default=1000)
     sm.add_argument(
         "--weight-dist",

@@ -31,7 +31,7 @@ class Signal:
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("signal must be a non-empty 1-d sample array")
-        if np.any(np.abs(arr) > 1.0):
+        if np.any(~(np.abs(arr) <= 1.0)):  # NaN fails the comparison
             raise ValueError(
                 "samples must lie in [-1, 1]; normalize the signal first "
                 "(see normalize_signal)"
@@ -99,7 +99,6 @@ def stochastic_fir(
     signal: Signal,
     stream_length: int,
     master_seed: int,
-    runs_per_sample: int = 1,
 ) -> tuple[Signal, AccuracyStats]:
     """Filter a signal sample-by-sample through a stochastic adder.
 
@@ -107,9 +106,7 @@ def stochastic_fir(
     x_i, x_{i-1}, ..., x_{i-M+1} (zero-padded history) and the normalized
     estimate is rescaled by sum|h_j|. The returned statistics compare the
     stochastic output to the floating-point reference, excluding the M-1
-    zero-padded warm-up samples; with runs_per_sample > 1, repeated seeded
-    runs of every sample enter the statistics (the output signal keeps each
-    sample's first run).
+    zero-padded warm-up samples.
     """
     h = design.weights
     m = len(h)
@@ -127,27 +124,11 @@ def stochastic_fir(
         lo = max(0, i - m + 1)
         taken = x[lo : i + 1][::-1]
         window[: taken.size] = taken
-        for r in range(runs_per_sample):
-            seed = int(rng.integers(0, 2**63))
-            rep = run_adder(design, window, stream_length, seed)
-            y = rep.estimate * scale
-            if r == 0:
-                out[i] = y
-            if i >= warmup:
-                errors.append(y - ref[i])
-
-    if errors:
-        mse = math.fsum(e * e for e in errors) / len(errors)
-        bias = math.fsum(errors) / len(errors)
-    else:
-        mse = bias = 0.0
-    stats = AccuracyStats(
-        rmse=math.sqrt(mse),
-        bias=bias,
-        variance=mse - bias * bias,
-        mse=mse,
-        runs=len(errors),
-    )
+        seed = int(rng.integers(0, 2**63))
+        out[i] = run_adder(design, window, stream_length, seed).estimate * scale
+        if i >= warmup:
+            errors.append(out[i] - ref[i])
+    stats = AccuracyStats.from_errors(errors)
     return Signal(np.clip(out, -1.0, 1.0), signal.sample_rate), stats
 
 
@@ -157,15 +138,14 @@ def make_noisy_signal(
     seed: int,
     length: int,
     sample_rate: float = 360.0,
-    csv_samples=None,
 ) -> Signal:
     """Deterministic base waveform plus seeded white Gaussian noise.
 
-    Kinds: sine_mix (two in-band tones), chirp (linear frequency sweep), csv
-    (caller-provided samples via csv_samples). The noisy result is clamped
-    into [-1, 1]; base amplitudes leave headroom so clamping is rare.
+    Kinds: sine_mix (two in-band tones), chirp (linear frequency sweep). The
+    noisy result is clamped into [-1, 1]; base amplitudes leave headroom so
+    clamping is rare.
     """
-    if noise_sigma < 0:
+    if not noise_sigma >= 0:  # NaN fails too
         raise ValueError("noise_sigma must be >= 0")
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -176,14 +156,8 @@ def make_noisy_signal(
         f0, f1 = 1.0, 0.45 * sample_rate / 2
         phase = 2 * np.pi * (f0 * t + (f1 - f0) * t**2 / (2 * t[-1] if length > 1 else 1))
         base = 0.7 * np.sin(phase)
-    elif kind == "csv":
-        if csv_samples is None:
-            raise ValueError("csv kind needs csv_samples")
-        base = np.asarray(csv_samples, dtype=np.float64)
-        if base.size != length:
-            base = base[:length]
     else:
-        raise ValueError("kind must be sine_mix, chirp or csv")
+        raise ValueError("kind must be sine_mix or chirp")
     noise = np.random.default_rng(seed).normal(0.0, noise_sigma, size=base.size)
     return Signal(np.clip(base + noise, -1.0, 1.0), sample_rate)
 
@@ -220,7 +194,6 @@ def filter_rmse_vs_length(
     n_values,
     runs: int,
     master_seed: int,
-    signal: Signal | None = None,
 ) -> dict[str, dict[int, float]]:
     """Filter-output RMSE of each design at several stream lengths N = 2^n.
 
@@ -228,10 +201,8 @@ def filter_rmse_vs_length(
     filter output sample with the design, rescales by sum|h|, and compares
     against the floating-point dot product. Used for latency studies.
     """
-    if signal is None:
-        signal = pulse_train_signal(4096)
     m = spec.taps
-    x = signal.samples
+    x = pulse_train_signal(4096).samples
     if len(x) < m + 1:
         raise ValueError("probe signal shorter than the filter")
     h = np.asarray(spec.coefficients)

@@ -25,7 +25,6 @@ class QuantizedWeights:
     numerators: tuple[int, ...]
     height: int
     signs: tuple[int, ...]
-    original: tuple[float, ...]
 
     def __post_init__(self):
         if sum(self.numerators) != 1 << self.height:
@@ -34,12 +33,6 @@ class QuantizedWeights:
     @property
     def denominator(self) -> int:
         return 1 << self.height
-
-    def magnitudes(self) -> list[Fraction]:
-        return [Fraction(q, self.denominator) for q in self.numerators]
-
-    def signed_fractions(self) -> list[Fraction]:
-        return [s * Fraction(q, self.denominator) for q, s in zip(self.numerators, self.signs)]
 
 
 def quantize_weights(weights, m: int) -> QuantizedWeights:
@@ -83,7 +76,6 @@ def quantize_weights(weights, m: int) -> QuantizedWeights:
         numerators=tuple(q.astype(np.int64).tolist()),
         height=m,
         signs=tuple(np.where(w < 0, -1, 1).tolist()),
-        original=tuple(w.tolist()),
     )
 
 
@@ -104,7 +96,7 @@ class HardwiredTreeSpec:
     mux_count: int
 
 
-def build_hardwired_tree(q: QuantizedWeights, h: int | None = None) -> HardwiredTreeSpec:
+def build_hardwired_tree(q: QuantizedWeights) -> HardwiredTreeSpec:
     """Construct the redundancy-free hardwired tree for quantized weights.
 
     The owner map gives each set bit 2^(h-l) of a numerator one aligned block
@@ -112,10 +104,7 @@ def build_hardwired_tree(q: QuantizedWeights, h: int | None = None) -> Hardwired
     level and in input order within a level. Longest blocks first keeps every
     block aligned to its length, so it is one subtree of the full tree.
     """
-    if h is None:
-        h = q.height
-    if h != q.height:
-        raise ValueError("tree height must equal the quantization height")
+    h = q.height
     nums = np.array(q.numerators, dtype=np.int64)
     # row l holds the inputs' level-l bits, the 2^(h-l) place
     bits = (nums[None, :] >> np.arange(h, -1, -1)[:, None]) & 1
@@ -158,8 +147,6 @@ class BiasedSelectorTreeSpec:
     thresholds: np.ndarray = field(repr=False)
     root: int
     select_pcc: PccKind
-    select_rns_kind: str
-    select_width: int
 
     @property
     def mux_count(self) -> int:
@@ -173,14 +160,14 @@ class BiasedSelectorTreeSpec:
 def build_biased_selector_tree(
     q: QuantizedWeights,
     select_pcc: PccKind,
-    select_rns_kind: str = "lfsr",
     select_width: int | None = None,
 ) -> BiasedSelectorTreeSpec:
     """Balanced tree over the inputs with nonzero quantized weight.
 
     Node probability = mass(left subtree) / mass(both subtrees), quantized to
-    the select PCC's threshold code. Zero-weight inputs are dropped here and
-    reported with zero sampling counts downstream.
+    the threshold code of a select PCC select_width bits wide (default: the
+    quantization height). Zero-weight inputs are dropped here and reported
+    with zero sampling counts downstream.
     """
     n = q.height if select_width is None else select_width
     active = [i for i, num in enumerate(q.numerators) if num > 0]
@@ -242,8 +229,6 @@ def build_biased_selector_tree(
         thresholds=thresholds,
         root=root,
         select_pcc=select_pcc,
-        select_rns_kind=select_rns_kind,
-        select_width=n,
     )
 
 

@@ -3,8 +3,6 @@
 Kinds:
   lfsr                   maximal-length Fibonacci LFSR; never emits 0,
                          period 2^n - 1
-  lfsr_all0              the same LFSR made non-linear by inserting the all-0
-                         word once per period; period 2^n
   counter                plain modulo-2^n up counter
   sobol_reversed_counter first low-discrepancy (van der Corput) sequence,
                          the bit-reversed state of a counter
@@ -41,15 +39,8 @@ LFSR_TAPS = {
     16: (16, 15, 13, 4),
 }
 
-KINDS = (
-    "lfsr",
-    "lfsr_all0",
-    "counter",
-    "sobol_reversed_counter",
-    "permutation",
-    "bernoulli",
-)
-FULL_PERIOD_KINDS = ("lfsr_all0", "counter", "sobol_reversed_counter", "permutation")
+KINDS = ("lfsr", "counter", "sobol_reversed_counter", "permutation", "bernoulli")
+FULL_PERIOD_KINDS = ("counter", "sobol_reversed_counter", "permutation")
 
 
 @dataclass(frozen=True)
@@ -63,15 +54,6 @@ class RnsSpec:
             raise ValueError(f"unknown RNS kind {self.kind!r}; expected one of {KINDS}")
         if not 3 <= self.width <= 16:
             raise ValueError("RNS width must be in [3, 16]")
-
-    @property
-    def period(self) -> int:
-        """Words per period (bernoulli has no period; 0 is returned)."""
-        if self.kind == "bernoulli":
-            return 0
-        if self.kind == "lfsr":
-            return (1 << self.width) - 1
-        return 1 << self.width
 
 
 @lru_cache(maxsize=None)
@@ -124,18 +106,13 @@ def _one_period(spec: RnsSpec) -> np.ndarray:
         return _bit_reverse_table(n)[idx]
     if spec.kind == "permutation":
         return np.random.default_rng(spec.seed).permutation(size).astype(np.int64)
-    if spec.kind in ("lfsr", "lfsr_all0"):
+    if spec.kind == "lfsr":
         cycle = _lfsr_cycle(n)
         state0 = spec.seed % size
         if state0 == 0:
             state0 = 1
         i = int(_lfsr_position(n)[state0])
-        rolled = np.concatenate((cycle[i:], cycle[:i]))
-        if spec.kind == "lfsr":
-            return rolled
-        # the all-0 word goes after the state whose successor is the seed,
-        # i.e. at the end of one seed-rooted period
-        return np.concatenate((rolled, np.zeros(1, dtype=np.int64)))
+        return np.concatenate((cycle[i:], cycle[:i]))
     raise ValueError(f"{spec.kind} has no period")
 
 

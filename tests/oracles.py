@@ -220,8 +220,7 @@ class RnsState:
     Counters count up from the seed (the bit-reversed counter emits the
     reversed register), the permutation source walks its seeded permutation
     from the start, the LFSR shifts in the parity of its tapped bits from the
-    seed state (0 maps to 1), and lfsr_all0 steps through the all-0 word
-    between the state whose successor is the seed state and the seed state.
+    seed state (0 maps to 1).
     """
 
     def __init__(self, spec):
@@ -229,7 +228,7 @@ class RnsState:
         self.t = 0
         size = 1 << spec.width
         self._start = spec.seed % size
-        if spec.kind in ("lfsr", "lfsr_all0") and self._start == 0:
+        if spec.kind == "lfsr" and self._start == 0:
             self._start = 1
         if spec.kind == "permutation":
             self._start = 0
@@ -253,13 +252,8 @@ class RnsState:
         size = 1 << self.spec.width
         if self.spec.kind in ("counter", "sobol_reversed_counter", "permutation"):
             return (reg + 1) % size
-        if reg == 0:  # lfsr_all0's inserted word
-            return self._start
         feedback = sum((reg >> (t - 1)) & 1 for t in LFSR_TAPS[self.spec.width]) & 1
-        nxt = ((reg << 1) | feedback) % size
-        if self.spec.kind == "lfsr_all0" and nxt == self._start:
-            return 0
-        return nxt
+        return ((reg << 1) | feedback) % size
 
     def next_word(self):
         """Emit the current word and advance one clock cycle."""
@@ -511,13 +505,18 @@ def spawned_seeds(master_seed, count=25):
 
 
 def full_matrix_owners(design, q, n, big_n, seeds):
-    """Input sampled at each cycle, every mux's select bit generated first."""
+    """Input sampled at each cycle, every mux's select bit generated first.
+
+    Precise sampling drives the selects from one counter from reset; otherwise
+    each level has its own seeded LFSR, and a biased tree's select PCCs are
+    WBGs.
+    """
     from scmux.muxtree import build_biased_selector_tree
     from scmux.rns import RnsSpec, rns_sequence
     from scmux.sngen import pcc_bits
 
     def level_words(lvl):
-        return rns_sequence(RnsSpec(design.select_rns_kind, n, seeds[lvl]), big_n)
+        return rns_sequence(RnsSpec("lfsr", n, seeds[lvl]), big_n)
 
     if design.tree_type == "hardwired":
         owner = level_ordered_owners(q.numerators, q.height)
@@ -528,7 +527,7 @@ def full_matrix_owners(design, q, n, big_n, seeds):
             words |= (level_words(lvl) >> (n - 1)) << (q.height - lvl)
         return owner[words]
 
-    tree = build_biased_selector_tree(q, design.select_pcc, design.select_rns_kind, n)
+    tree = build_biased_selector_tree(q, PccKind.WBG, n)
     if tree.root < 0:
         return np.full(big_n, ~tree.root, dtype=np.int64)
     node_bits = np.empty((tree.mux_count, big_n), dtype=np.uint8)

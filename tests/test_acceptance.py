@@ -29,7 +29,6 @@ from scmux.analysis import (
     accuracy_stats,
     closed_form_variance,
     decompose_variance,
-    monte_carlo_variance,
 )
 from scmux.bitstream import bipolar_thresholds, scc
 from scmux.cli import main as cli_main
@@ -136,7 +135,7 @@ def test_criterion_04_ddg_structure_and_equivalence():
             for nums in itertools.product(range(size + 1), repeat=m_inputs):
                 if sum(nums) != size:
                     continue
-                q = QuantizedWeights(nums, h, (1,) * m_inputs, (0.0,) * m_inputs)
+                q = QuantizedWeights(nums, h, (1,) * m_inputs)
                 tree = build_hardwired_tree(q)
                 pairing = pairing_tree(nums, h)
                 for word in range(size):
@@ -172,7 +171,8 @@ def test_criterion_05_table3_closed_forms():
         v = rng.uniform(-1, 1, m_inputs)
         cfg = ModelConfig(model, sampling, scc_level, tuple(w), tuple(v), 1 << n)
         cf = closed_form_variance(cfg)
-        mc, se = monte_carlo_variance(cfg, 20_000, int(rng.integers(0, 2**63)))
+        rep = decompose_variance(cfg, 20_000, int(rng.integers(0, 2**63)))
+        mc, se = rep.total_variance, rep.se_total
         ok &= abs(cf - mc) <= 3 * se
         details.append(f"{model[:4]}/{sampling[:4]}/{scc_level}: |cf-mc|/se={abs(cf-mc)/max(se,1e-18):.2f}")
         # exact enumeration at M=2, N=4
@@ -201,7 +201,7 @@ def test_criterion_06_decomposition_identity():
         if not np.any(w):
             continue
         cfg = ModelConfig(model, sampling, scc_level, tuple(w), None, 1 << n)
-        rep = decompose_variance(cfg, 3000, int(rng.integers(0, 2**63)), pair_stats=False)
+        rep = decompose_variance(cfg, 3000, int(rng.integers(0, 2**63)))
         ratio = abs(rep.identity_gap) / max(3 * rep.se_identity, 1e-18)
         worst = max(worst, ratio)
     _check(
@@ -274,7 +274,7 @@ def test_criterion_08_fig6b_components():
     M = 256
     w = tuple(np.where(rng.random(M) < 0.5, -1.0, 1.0) / M)
     cfg = ModelConfig("hypergeometric", "precise", 1, w, None, 256)
-    rep = decompose_variance(cfg, 5000, 88, pair_stats=False)
+    rep = decompose_variance(cfg, 5000, 88)
     n_samp = 256 * rep.eps_samp
     n_corr = 256 * rep.eps_corr
     ok = n_samp == 0.0 and abs(n_corr - (-1.0 / 3.0)) <= 0.1

@@ -44,14 +44,35 @@ TABLE_FLAGS = {
 }
 
 
+def _select_wiring(d):
+    """Select source and select PCC kind of a two-input design, read off its
+    structural report: a select counter or one LFSR per level beside the data
+    source, and one select PCC per mux beyond the two data PCCs, if any."""
+    if d.tree_type == "apc":
+        return None, None
+    r = structural_report(d)
+    if r["select_counter_bits"]:
+        assert r["rns_instances"] == 1
+        source = "counter"
+    else:
+        assert r["rns_instances"] > 1
+        source = "lfsr"
+    pccs = {PccKind.COMPARATOR: r["comparators"], PccKind.WBG: r["wbgs"]}
+    pccs[d.data_pcc] -= 2
+    select_pccs = [k for k, count in pccs.items() if count]
+    assert len(select_pccs) <= 1
+    if select_pccs:
+        assert pccs[select_pccs[0]] == r["muxes"]  # one select PCC per mux
+    return source, select_pccs[0] if select_pccs else None
+
+
 @pytest.mark.parametrize("name", DESIGN_NAMES)
 def test_design_flags_match_feature_table(name):
     d = make_design(name, [0.5, -0.25], 8)
     assert (
         d.tree_type,
         d.data_pcc,
-        d.select_rns_kind,
-        d.select_pcc,
+        *_select_wiring(d),
         d.full_correlation,
         d.precise_sampling,
     ) == TABLE_FLAGS[name]

@@ -12,7 +12,6 @@ from scmux.analysis import (
     closed_form_variance,
     decompose_variance,
     expected_closed_form,
-    monte_carlo_variance,
 )
 from scmux.bitstream import bipolar_thresholds
 from scmux.muxtree import build_hardwired_tree, quantize_weights
@@ -61,8 +60,8 @@ def test_closed_forms_match_exact_enumeration(model, sampling, scc):
 )
 def test_closed_forms_match_monte_carlo(model, sampling, scc):
     cfg = ModelConfig(model, sampling, scc, (0.5, -0.3, 0.2), (0.25, -0.6, 0.8), 64)
-    mc, se = monte_carlo_variance(cfg, 6000, 31)
-    assert closed_form_variance(cfg) == pytest.approx(mc, abs=3 * se)
+    rep = decompose_variance(cfg, 6000, 31)
+    assert closed_form_variance(cfg) == pytest.approx(rep.total_variance, abs=3 * rep.se_total)
 
 
 def test_precise_sampling_kills_eps_samp_exactly():
@@ -193,8 +192,8 @@ def test_precise_vs_noisy_counterexample_at_scc0():
     precise = ModelConfig("hypergeometric", "precise", 0, w, v, 16)
     cf_noisy, cf_precise = closed_form_variance(noisy), closed_form_variance(precise)
     assert cf_precise == pytest.approx(cf_noisy * 16 / 15, rel=1e-12)
-    mc, se = monte_carlo_variance(precise, 8000, 2)
-    assert mc == pytest.approx(cf_precise, abs=3 * se)
+    rep = decompose_variance(precise, 8000, 2)
+    assert rep.total_variance == pytest.approx(cf_precise, abs=3 * rep.se_total)
 
 
 def test_eq14_weighted_count_covariance_instantiation():
@@ -207,16 +206,6 @@ def test_eq14_weighted_count_covariance_instantiation():
     mu_q = 2.0 * b / 16 - 1.0
     eq14 = float(mu_q @ rep.c_covariance @ mu_q) / 16**2
     assert rep.eps_samp == pytest.approx(eq14, abs=4 * rep.se_samp + 1e-4)
-
-
-def test_pair_stats_toggle():
-    cfg = ModelConfig("hypergeometric", "precise", 1, (0.6, -0.4), (0.3, 0.5), 16)
-    rep = decompose_variance(cfg, 500, 3, pair_stats=True)
-    assert rep.bit_covariance is not None
-    assert rep.bit_covariance.shape == (2, 2)
-    rep2 = decompose_variance(cfg, 500, 3, pair_stats=False)
-    assert rep2.bit_covariance is None
-    assert rep2.eps_corr == rep.eps_corr
 
 
 def test_closed_form_trivial_rows():
@@ -263,6 +252,8 @@ def test_accuracy_stats_zero_error_design():
     d = make_design("cemux", [1.0], 6)
     stats = accuracy_stats(d, 64, 50, 4, values=(0.25,))
     assert stats == AccuracyStats(rmse=0.0, bias=0.0, variance=0.0, mse=0.0, runs=50)
+    # a filter shorter than its warm-up leaves no errors to average
+    assert AccuracyStats.from_errors([]) == AccuracyStats(0.0, 0.0, 0.0, 0.0, 0)
 
 
 def test_accuracy_stats_identity_and_runs():

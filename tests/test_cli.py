@@ -1,5 +1,12 @@
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scmux.cli import main, read_signal_csv, write_signal_csv
 from scmux.filterapp import Signal
@@ -76,6 +83,33 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep-m"])  # missing required --designs
     assert exc.value.code == 1
+
+
+def test_negative_m_exponent_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-m", "--designs", "cemux", "--m-min", "-1", "--m-max", "1",
+              "--runs", "2", "--out", str(out)])
+    assert exc.value.code == 1
+    assert "argument --m-min: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_lowpass_taps_zero_is_rejected(capsys):
+    code, out, err = run_cli(capsys, "report", "--design", "cemux", "--n", "4",
+                             "--lowpass-taps", "0")
+    assert code == 2
+    assert "taps must be >= 1" in err
+    assert out == ""
+
+
+def test_malformed_signal_row_is_runtime_error(tmp_path, capsys):
+    sig = tmp_path / "s.csv"
+    sig.write_text("index,value\n0,0.1\n1\n")
+    code, out, err = run_cli(capsys, "filter", "--signal", str(sig), "--taps", "2", "--n", "4")
+    assert code == 2
+    assert err == f"scmux: error: {sig} line 3: expected 'index,value', got '1'\n"
+    assert out == ""
 
 
 @pytest.mark.parametrize("m_list", ["2,x", "0"])
@@ -265,3 +299,94 @@ def test_signal_csv_round_trip(tmp_path):
     bad.write_text("value\n0.1\n")
     with pytest.raises(ValueError, match="header"):
         read_signal_csv(str(bad))
+
+
+# Exit-code fuzzing: every invocation must exit 0 (success), return 2
+# (runtime error) or raise SystemExit(1) (usage error). Values are small,
+# boundary or malformed; "@name" stands for a file of FUZZ_FILES (or a
+# missing one), and the options that set a run's size are always passed with
+# small values so that each example takes milliseconds.
+FUZZ_FILES = {
+    "coeffs": "0.5\n-0.25\n0.125\n",
+    "coeffs_big": "2\n-3\n",
+    "coeffs_bad_row": "0.5\nx\n",
+    "coeffs_empty": "# none\n",
+    "coeffs_nan": "0.5\nnan\n",
+    "signal": "index,value\n0,0.1\n1,-0.2\n2,0.3\n",
+    "signal_bad_row": "index,value\n0,0.1\n1\n",
+    "signal_extra_column": "index,value\n0,0.1,2\n",
+    "signal_nan": "index,value\n0,nan\n",
+    "signal_no_header": "0,0.1\n",
+}
+COEFF_FILES = ["@coeffs", "@coeffs_big", "@coeffs_bad_row", "@coeffs_empty", "@coeffs_nan", "@missing"]
+SIGNAL_FILES = ["@signal", "@signal_bad_row", "@signal_extra_column", "@signal_nan",
+                "@signal_no_header", "@missing"]
+DESIGNS = ["cemux", "cemux_biased,basic_hardwired", "basic_biased", "apc", "nonsense", ""]
+NS = ["0", "3", "5", "-1", "x"]
+MS = ["0", "1", "3", "-1", "x"]
+RUNS = ["0", "1", "3", "-1", "x"]
+SIZES = ["0", "1", "16", "-1", "x"]  # signal length, taps
+CUTOFFS = ["0.1", "0", "1", "-0.5", "nan", "x"]
+# per subcommand: (options always passed, options passed or not)
+FUZZ_OPTIONS = {
+    "quantize": ({"--weights": COEFF_FILES, "--m": MS}, {}),
+    "sweep-m": (
+        {"--designs": DESIGNS, "--n": NS, "--m-max": MS, "--runs": RUNS},
+        {"--m-min": MS, "--weight-dist": ["uniform", "pm", "x"], "--normalize": [None]},
+    ),
+    "sweep-n": (
+        {"--designs": DESIGNS, "--taps": SIZES, "--n-min": NS, "--n-max": NS, "--runs": RUNS},
+        {"--cutoff": CUTOFFS, "--coeff-file": COEFF_FILES},
+    ),
+    "decompose": (
+        {"--model": ["bernoulli", "hypergeometric", "x"], "--sampling": ["noisy", "precise"],
+         "--m-list": ["1", "2,3", "0", "2,x", ""], "--n": NS, "--runs": RUNS},
+        {"--scc": ["0", "1", "none", "2"], "--weights-file": COEFF_FILES,
+         "--values-file": COEFF_FILES},
+    ),
+    "filter": (
+        {"--length": SIZES, "--taps": SIZES, "--n": NS},
+        {"--signal": SIGNAL_FILES, "--synthetic": ["sine_mix", "chirp", "pulse_train", "x"],
+         "--noise-sigma": ["0", "0.05", "-1", "nan"], "--coeff-file": COEFF_FILES,
+         "--cutoff": CUTOFFS, "--designs": DESIGNS},
+    ),
+    "report": (
+        {"--design": ["cemux", "cemux_biased", "basic_biased", "apc", "nonsense"], "--n": NS},
+        {"--coeff-file": COEFF_FILES, "--lowpass-taps": SIZES, "--cutoff": CUTOFFS,
+         "--pm": ["0", "1", "3", "-1", "x"]},
+    ),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    always, optional = FUZZ_OPTIONS[command]
+    argv = [command]
+    for opt, values in always.items():
+        argv += [opt, draw(st.sampled_from(values))]
+    for opt, values in {**optional, "--seed": ["0", "5", "-1", "x"]}.items():
+        if draw(st.booleans()):
+            value = draw(st.sampled_from(values))
+            argv += [opt] if value is None else [opt, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+@example(["filter", "--length", "4", "--taps", "2", "--n", "4", "--signal", "@signal_bad_row"])
+@example(["report", "--design", "cemux", "--n", "4", "--lowpass-taps", "0"])
+@example(["sweep-m", "--designs", "cemux", "--n", "4", "--m-max", "1", "--runs", "1",
+          "--m-min", "-1"])
+def test_cli_exit_code_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in FUZZ_FILES.items():
+            (Path(tmp) / name).write_text(text)
+        argv = [str(Path(tmp) / a[1:]) if a.startswith("@") else a for a in argv]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 1, argv
+            else:
+                assert code in (0, 2), argv

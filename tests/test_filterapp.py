@@ -21,6 +21,9 @@ from scmux.muxtree import quantize_weights
 def test_signal_validation_and_normalization():
     with pytest.raises(ValueError):
         Signal(np.array([0.0, 1.5]))
+    for bad in ([0.1, math.nan, 0.2], [math.nan]):
+        with pytest.raises(ValueError, match="must lie in"):
+            Signal(np.array(bad))
     sig = normalize_signal([3.0, -6.0, 1.5])
     assert sig.source_range == (-6.0, 6.0)
     assert np.allclose(sig.samples, [0.5, -1.0, 0.25])
@@ -81,13 +84,13 @@ def test_noisy_signal_determinism_and_moments():
 
 
 def test_noisy_signal_csv_kind_and_validation():
-    base = np.linspace(-0.5, 0.5, 64)
-    sig = make_noisy_signal("csv", 0.0, 3, 64, csv_samples=base)
-    assert np.allclose(sig.samples, base)
-    with pytest.raises(ValueError):
-        make_noisy_signal("square", 0.1, 3, 64)
-    with pytest.raises(ValueError):
-        make_noisy_signal("sine_mix", -0.1, 3, 64)
+    # caller-provided samples are a Signal, not a noisy-signal kind
+    for kind in ("csv", "square"):
+        with pytest.raises(ValueError, match="kind must be sine_mix or chirp"):
+            make_noisy_signal(kind, 0.1, 3, 64)
+    for sigma in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            make_noisy_signal("sine_mix", sigma, 3, 64)
 
 
 def test_stochastic_identity_filter_passthrough():

@@ -149,7 +149,7 @@ def numerator_sets(draw):
 def test_select_matches_full_tree_oracle(case):
     h, numerators = case
     m_inputs = len(numerators)
-    q = QuantizedWeights(tuple(numerators), h, (1,) * m_inputs, (0.0,) * m_inputs)
+    q = QuantizedWeights(tuple(numerators), h, (1,) * m_inputs)
     tree = build_hardwired_tree(q)
     slots = level_ordered_owners(numerators, h)
     want = [full_tree_select(numerators, h, word, slots) for word in range(1 << h)]
@@ -201,7 +201,7 @@ def test_mux_count_bound():
 
 def test_biased_tree_example_grouping():
     q = quantize_weights([1 / 2, 3 / 8, 1 / 8], 3)
-    tree = build_biased_selector_tree(q, PccKind.COMPARATOR, "lfsr", 8)
+    tree = build_biased_selector_tree(q, PccKind.COMPARATOR, 8)
     prods = biased_leaf_path_products(tree)
     assert prods == {0: Fraction(1, 2), 1: Fraction(3, 8), 2: Fraction(1, 8)}
     root = tree.root
@@ -212,7 +212,7 @@ def test_biased_tree_example_grouping():
 
 def test_biased_tree_equal_weights_all_half():
     q = quantize_weights([1, 1, 1, 1], 4)
-    tree = build_biased_selector_tree(q, PccKind.COMPARATOR, "lfsr", 8)
+    tree = build_biased_selector_tree(q, PccKind.COMPARATOR, 8)
     assert all(p == Fraction(1, 2) for p in tree.probabilities)
 
 
@@ -221,7 +221,7 @@ def test_biased_tree_equal_weights_all_half():
 def test_biased_path_products_recover_quantized_weights(w, h):
     q = quantize_weights(w, h)
     try:
-        tree = build_biased_selector_tree(q, PccKind.COMPARATOR, "lfsr", 8)
+        tree = build_biased_selector_tree(q, PccKind.COMPARATOR, 8)
     except ValueError:
         return
     prods = biased_leaf_path_products(tree)
@@ -234,7 +234,7 @@ def test_biased_path_products_recover_quantized_weights(w, h):
 def test_biased_zero_weight_inputs_dropped():
     q = quantize_weights([0.5, 1e-9, 0.5], 2)
     assert q.numerators == (2, 0, 2)
-    tree = build_biased_selector_tree(q, PccKind.COMPARATOR, "lfsr", 8)
+    tree = build_biased_selector_tree(q, PccKind.COMPARATOR, 8)
     assert 1 not in biased_leaf_path_products(tree)
 
 
@@ -265,7 +265,7 @@ def test_biased_thresholds_match_scalar_quantizer():
         for pcc in PccKind:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", QuantizationWarning)
-                tree = build_biased_selector_tree(q, pcc, "lfsr", n)
+                tree = build_biased_selector_tree(q, pcc, n)
             want = [pcc_threshold(p, n, pcc) for p in tree.probabilities]
             assert tree.thresholds.tolist() == want
             checked += len(want)
@@ -277,13 +277,13 @@ def test_biased_thresholds_match_scalar_quantizer():
 
 def test_biased_thresholds_tie_and_wbg_clamp():
     # p = 5/32 at n = 4 sits on a half step: 2.5 rounds up to 3
-    q = QuantizedWeights((5, 27), 5, (1, 1), (0.0, 0.0))
-    tree = build_biased_selector_tree(q, PccKind.COMPARATOR, "lfsr", 4)
+    q = QuantizedWeights((5, 27), 5, (1, 1))
+    tree = build_biased_selector_tree(q, PccKind.COMPARATOR, 4)
     assert tree.probabilities == (Fraction(5, 32),)
     assert tree.thresholds.tolist() == [3]
     # p = 31/32 rounds to probability 1 at n = 3; the WBG clamps it to 7/8
-    q = QuantizedWeights((31, 1), 5, (1, 1), (0.0, 0.0))
-    assert build_biased_selector_tree(q, PccKind.COMPARATOR, "lfsr", 3).thresholds.tolist() == [8]
+    q = QuantizedWeights((31, 1), 5, (1, 1))
+    assert build_biased_selector_tree(q, PccKind.COMPARATOR, 3).thresholds.tolist() == [8]
     with pytest.warns(QuantizationWarning):
-        tree = build_biased_selector_tree(q, PccKind.WBG, "lfsr", 3)
+        tree = build_biased_selector_tree(q, PccKind.WBG, 3)
     assert tree.thresholds.tolist() == [7]

@@ -38,14 +38,6 @@ def test_lfsr_maximal_period_all_widths(width):
     assert 0 not in seq
 
 
-def test_lfsr_all0_full_period():
-    spec = RnsSpec("lfsr_all0", 4, seed=5)
-    seq = rns_sequence(spec, 16)
-    assert sorted(seq) == list(range(16))
-    assert seq[0] == 5
-    assert seq[-1] == 0  # all-0 inserted just before the cycle repeats
-
-
 def test_lfsr_seed_zero_remaps_to_one():
     assert rns_sequence(RnsSpec("lfsr", 5, 0), 1)[0] == 1
 
@@ -67,7 +59,7 @@ def test_van_der_corput_prefix_stratification():
         assert sorted(buckets) == list(range(1 << k))
 
 
-@pytest.mark.parametrize("kind", ["lfsr", "lfsr_all0", "counter", "sobol_reversed_counter", "permutation", "bernoulli"])
+@pytest.mark.parametrize("kind", ["lfsr", "counter", "sobol_reversed_counter", "permutation", "bernoulli"])
 def test_determinism_and_statefulness(kind):
     # the oracle steps the source's register one cycle at a time; seed 0
     # checks the LFSR's remap of the all-0 state
