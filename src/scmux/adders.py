@@ -34,7 +34,7 @@ from .muxtree import (
     build_hardwired_tree,
     quantize_weights,
 )
-from .rns import RnsSpec, complement_output, rns_sequence
+from .rns import RnsSpec, complement_output, lfsr_words, rns_sequence
 
 # make_channels is not on the run path; it stays reachable as
 # scmux.adders.make_channels, where callers and perfbench's tracer look it up
@@ -50,8 +50,8 @@ DESIGN_NAMES = (
 )
 ABLATION_NAMES = ("cemux_nofc", "cemux_nops", "cemux_nofc_nops", "cemux_lfsr")
 
-# select wiring of the designs without precise sampling
-NOISY_SELECT_KIND = "lfsr"
+# select wiring of the designs without precise sampling: one LFSR per tree
+# level, whose words a biased tree's muxes convert through this PCC
 BIASED_SELECT_PCC = PccKind.WBG
 
 
@@ -184,15 +184,62 @@ class SimulationReport:
 _RESET_KINDS = ("sobol_reversed_counter", "counter")
 
 
-def _source_seed(master_seed: int, index: int) -> int:
-    """Seed of source `index` (0 the data source, l the level-l select source).
+@lru_cache(maxsize=None)
+def _reset_words(kind: str, n: int) -> np.ndarray:
+    # the 2^n words of a source run from reset are the same in every run
+    words = rns_sequence(RnsSpec(kind, n, 0), 1 << n)
+    words.setflags(write=False)
+    return words
 
-    Child `index` of SeedSequence(master_seed).spawn(k) for any k > index, so
-    the assignment is stable across designs; only the sources a design reads
-    are expanded.
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _source_seeds(master_seed: int, indices) -> list[int]:
+    """Seeds of sources `indices` (0 the data source, l the level-l select source).
+
+    Entry i is SeedSequence(master_seed, spawn_key=(indices[i],))
+    .generate_state(1, np.uint64)[0], child indices[i] of
+    SeedSequence(master_seed).spawn(k) for any k > indices[i], so the
+    assignment is stable across designs. numpy's entropy mixing is recomputed
+    in 32-bit integer arithmetic: the master seed's pool once, then each
+    spawn key. Master seeds lie in [0, 2^64).
     """
-    child = np.random.SeedSequence(master_seed, spawn_key=(index,))
-    return int(child.generate_state(1, np.uint64)[0])
+    hash_const = 0x43B0D7E5  # advances with every hashmix
+
+    def hashmix(v):
+        nonlocal hash_const
+        v ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        v = v * hash_const & _MASK32
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ (r >> 16)
+
+    # the seed's 32-bit words padded to the pool size of 4
+    pool = [hashmix(e) for e in (master_seed & _MASK32, master_seed >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # the spawn key is hashed afresh for each pool word; generate_state reads
+    # only words 0 and 1, so the hashes for words 2 and 3 are not needed
+    key_const = hash_const
+    seeds = []
+    for key in indices:
+        hash_const = key_const
+        words = mix(pool[0], hashmix(key)), mix(pool[1], hashmix(key))
+        # generate_state: the two words, hashed, are the uint64's halves
+        out_const, halves = 0x8B51F9DD, []
+        for v in words:
+            v ^= out_const
+            out_const = out_const * 0x58F38DED & _MASK32
+            v = v * out_const & _MASK32
+            halves.append(v ^ (v >> 16))
+        seeds.append(halves[0] | halves[1] << 32)
+    return seeds
 
 
 def target_value(weights, values, n: int, height: int | None = None) -> float:
@@ -235,10 +282,6 @@ def _biased_tree_cached(numerators: tuple[int, ...], n: int) -> BiasedSelectorTr
     return build_biased_selector_tree(q, BIASED_SELECT_PCC)
 
 
-def _select_words(n: int, big_n: int, seed: int, level: int):
-    return rns_sequence(RnsSpec(NOISY_SELECT_KIND, n, _source_seed(seed, level)), big_n)
-
-
 def _owner_sequence(design: AdderDesign, q, n, big_n, seed) -> np.ndarray:
     """Input index sampled at each clock cycle, per the design's select wiring."""
     if design.tree_type == "hardwired":
@@ -250,13 +293,12 @@ def _owner_sequence(design: AdderDesign, q, n, big_n, seed) -> np.ndarray:
             words = np.arange(big_n, dtype=np.int64) % (1 << h)
         else:
             # one independent LFSR per level; its word's MSB is the select bit
-            words = np.zeros(big_n, dtype=np.int64)
-            for lvl in range(1, h + 1):
-                bits = _select_words(n, big_n, seed, lvl) >> (n - 1)
-                words |= bits << (h - lvl)
+            msb = lfsr_words(n, _source_seeds(seed, range(1, h + 1)), big_n) >> (n - 1)
+            words = (1 << np.arange(h - 1, -1, -1)) @ msb
         return tree.owner[words]
 
     tree = _biased_tree_cached(q.numerators, n)
+    select = lfsr_words(n, _source_seeds(seed, range(1, tree.num_levels + 1)), big_n)
     cur = np.full(big_n, tree.root, dtype=np.int64)
     # the tree is walked level by level: every cycle still at a mux sits on
     # the current level, and only those cycles' select bits are generated
@@ -264,7 +306,7 @@ def _owner_sequence(design: AdderDesign, q, n, big_n, seed) -> np.ndarray:
     level = 1
     while live.size:
         refs = cur[live]
-        words = _select_words(n, big_n, seed, level)[live]
+        words = select[level - 1, live]
         b = pcc_bits(tree.select_pcc, words, tree.thresholds[refs], n)
         # select bit 1 routes toward child0, whose mass fraction is p_node
         nxt = np.where(b == 1, tree.child0[refs], tree.child1[refs])
@@ -294,8 +336,10 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationR
     thresholds = pcc_thresholds(v, n, design.data_pcc)
     negative = np.array(q.signs) < 0
 
-    data_seed = 0 if design.data_rns_kind in _RESET_KINDS else _source_seed(seed, 0)
-    words = rns_sequence(RnsSpec(design.data_rns_kind, n, data_seed), big_n)
+    if design.data_rns_kind in _RESET_KINDS:
+        words = _reset_words(design.data_rns_kind, n)
+    else:
+        words = rns_sequence(RnsSpec(design.data_rns_kind, n, _source_seeds(seed, [0])[0]), big_n)
     owners = _owner_sequence(design, q, n, big_n, seed)
     inverted = negative[owners]
     if design.full_correlation:

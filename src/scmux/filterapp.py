@@ -201,6 +201,8 @@ def filter_rmse_vs_length(
     filter output sample with the design, rescales by sum|h|, and compares
     against the floating-point dot product. Used for latency studies.
     """
+    if runs < 1:
+        raise ValueError("need at least 1 run")
     m = spec.taps
     x = pulse_train_signal(4096).samples
     if len(x) < m + 1:

@@ -41,7 +41,9 @@ def quantize_weights(weights, m: int) -> QuantizedWeights:
     Round-to-nearest on the scaled magnitudes, then walk the sum back to 2^m
     one unit at a time, always adjusting the entry whose rounding error is
     currently largest (ties broken by lowest index). Rounding is half away
-    from zero.
+    from zero. Magnitudes are summed sequentially, in input order, as the
+    quantization pseudocode does; a pairwise sum can differ in the last bit
+    and flip a near-tie adjustment.
     """
     if m < 1:
         raise ValueError("height must be >= 1")
@@ -52,7 +54,7 @@ def quantize_weights(weights, m: int) -> QuantizedWeights:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"weights must be finite, got {w[~np.isfinite(a)][0]}")
     with np.errstate(over="ignore"):
-        total = a.sum()
+        total = np.cumsum(a)[-1]
     if not np.isfinite(total):
         raise ValueError("weights must be finite: the sum of their magnitudes overflows")
     if total == 0.0:
@@ -61,7 +63,7 @@ def quantize_weights(weights, m: int) -> QuantizedWeights:
     shift = int(np.frexp(total)[1]) + m - 1000
     if shift > 0:
         a = np.ldexp(a, -shift)
-        total = a.sum()
+        total = np.cumsum(a)[-1]
     t = (1 << m) * a / total
     q = np.floor(t + 0.5)
     # every rounding error lies within one half, so once an entry is adjusted

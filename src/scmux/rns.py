@@ -106,13 +106,6 @@ def _one_period(spec: RnsSpec) -> np.ndarray:
         return _bit_reverse_table(n)[idx]
     if spec.kind == "permutation":
         return np.random.default_rng(spec.seed).permutation(size).astype(np.int64)
-    if spec.kind == "lfsr":
-        cycle = _lfsr_cycle(n)
-        state0 = spec.seed % size
-        if state0 == 0:
-            state0 = 1
-        i = int(_lfsr_position(n)[state0])
-        return np.concatenate((cycle[i:], cycle[:i]))
     raise ValueError(f"{spec.kind} has no period")
 
 
@@ -123,11 +116,26 @@ def rns_sequence(spec: RnsSpec, count: int) -> np.ndarray:
     if spec.kind == "bernoulli":
         rng = np.random.default_rng(spec.seed)
         return rng.integers(0, 1 << spec.width, size=count, dtype=np.int64)
+    if spec.kind == "lfsr":
+        return lfsr_words(spec.width, [spec.seed % (1 << spec.width)], count)[0]
     period = _one_period(spec)
     if count <= period.size:
         return period[:count].copy()
     reps = -(-count // period.size)
     return np.tile(period, reps)[:count]
+
+
+def lfsr_words(width: int, seeds, count: int) -> np.ndarray:
+    """First `count` words of one width-n LFSR per seed, shape (len(seeds), count).
+
+    The seed picks the start state (seed mod 2^n, 0 read as 1). Row r is read
+    off the LFSR's state cycle from that state's index onwards, wrapping
+    round the cycle, so no period is rebuilt per seed. Seeds lie in [0, 2^64).
+    """
+    cycle = _lfsr_cycle(width)
+    state0 = np.asarray(seeds, dtype=np.uint64) % np.uint64(1 << width)
+    start = _lfsr_position(width)[np.maximum(state0, 1).astype(np.intp)]
+    return cycle.take(start[:, None] + np.arange(count), mode="wrap")
 
 
 def complement_output(word, n: int):

@@ -196,10 +196,20 @@ def test_run_kernel_matches_full_matrix_oracle_exactly():
 
 
 def test_seed_expansion_matches_fixed_spawn():
-    from scmux.adders import _source_seed
+    from scmux.adders import _source_seeds
 
     for seed in (0, 1, 7, 2**32 + 5, 2**63 - 1):
-        assert [_source_seed(seed, i) for i in range(25)] == spawned_seeds(seed)
+        assert _source_seeds(seed, range(25)) == spawned_seeds(seed)
+    # over 10,000 more master seeds, against numpy's SeedSequence
+    rng = np.random.default_rng(6174)
+    seeds = [*range(50), 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1,
+             *rng.integers(0, 2**63, 9_000).tolist(), *rng.integers(0, 2**32, 1_000).tolist()]
+    for seed in seeds:
+        expected = [
+            int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1, np.uint64)[0])
+            for i in (0, 1, 5, 12)
+        ]
+        assert _source_seeds(seed, [0, 1, 5, 12]) == expected, seed
 
 
 def test_cemux_expected_error_ignores_sign_pattern():

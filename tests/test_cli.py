@@ -79,6 +79,18 @@ def test_empty_sweep_range_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep-m", "--designs", "cemux", "--m-min", "2", "--m-max", "2"],
+    ["sweep-n", "--designs", "cemux", "--n-min", "4", "--n-max", "4"],
+])
+def test_zero_runs_is_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, *argv, "--runs", "0", "--out", str(out))
+    assert code == 2
+    assert "need at least 1 run" in err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep-m"])  # missing required --designs

@@ -70,11 +70,29 @@ def test_quantize_rejects_non_finite_weights():
 
 @settings(max_examples=400, deadline=None)
 @given(weight_lists, st.integers(1, 12))
+# a pairwise sum of the magnitudes is 6.56, the sequential one
+# 6.5600000000000005, and the near-tie adjustment then picks another input
+@example(w=[1.0, 0.5, 0.9999999999999999, 0.06, 1.0, 1.0, 1.0, 1.0], m=1)
 def test_quantize_matches_transcription_and_sums(w, m):
     q = quantize_weights(w, m)
     assert sum(q.numerators) == 1 << m
     assert q.numerators == tuple(quantize_weights_transcription(w, m))
     assert all(n >= 0 for n in q.numerators)
+
+
+def test_quantize_matches_transcription_on_ties_and_near_ties():
+    rng = np.random.default_rng(5150)
+    for _ in range(1000):
+        m_inputs, m = int(rng.integers(1, 40)), int(rng.integers(1, 13))
+        w = rng.uniform(-1, 1, m_inputs)
+        kind = rng.integers(0, 3)
+        if kind == 1:  # equal magnitudes: every adjustment is a rounding tie
+            w = np.where(w < 0, -1.0, 1.0) * rng.integers(1, 4)
+        elif kind == 2:  # near ties: equal magnitudes one ulp apart
+            w = np.nextafter(np.ones_like(w), rng.choice([0.0, 2.0], w.shape))
+        w[rng.random(w.shape) < 0.1] = 0.0
+        w[0] = w[0] or 0.5
+        assert list(quantize_weights(w, m).numerators) == quantize_weights_transcription(w, m)
 
 
 def test_tree_level_assignment_matches_binary_expansions():

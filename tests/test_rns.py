@@ -9,6 +9,7 @@ from scmux.rns import (
     LFSR_TAPS,
     RnsSpec,
     complement_output,
+    lfsr_words,
     rns_sequence,
 )
 
@@ -74,6 +75,19 @@ def test_determinism_and_statefulness(kind):
         state2 = RnsState(spec)
         mixed = list(state2.take(7)) + [state2.next_word()] + list(state2.take(42))
         assert mixed == list(seq)
+
+
+@pytest.mark.parametrize("width", sorted(LFSR_TAPS))
+def test_lfsr_words_read_each_seeded_sequence_by_index(width):
+    # seed 0 and multiples of 2^n remap to state 1; seeds may exceed int64
+    rng = np.random.default_rng(width)
+    seeds = [0, 1 << width, 2**64 - 1, *rng.integers(0, 2**63, 5).tolist()]
+    for count in (1, 3 << width if width <= 10 else 5):
+        words = lfsr_words(width, np.array(seeds, dtype=np.uint64), count)
+        assert words.shape == (len(seeds), count)
+        for row, seed in zip(words, seeds):
+            state = RnsState(RnsSpec("lfsr", width, seed))
+            assert row.tolist() == [state.next_word() for _ in range(count)]
 
 
 def test_register_peeks_next_word():
