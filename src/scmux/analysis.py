@@ -120,6 +120,16 @@ class ModelConfig:
         return self.height if self.height is not None else int(round(math.log2(self.N)))
 
 
+# A chunk of runs fills its (R, M, N) bit block, or the closed forms' (R, M, M)
+# gap tensor, with at most this many elements (or holds one run, if that has
+# more), which keeps batching's rise in decompose's peak RSS under a megabyte.
+_CHUNK_ELEMENTS = 1 << 14
+
+
+def _chunk_runs(per_run: int) -> int:
+    return max(1, _CHUNK_ELEMENTS // per_run)
+
+
 class _ModelRuntime:
     """Precomputed, run-independent pieces of a ModelConfig simulation."""
 
@@ -132,8 +142,12 @@ class _ModelRuntime:
         q = quantize_weights(cfg.weights, self.h)
         self.q = q
         self.signs = np.array(q.signs, dtype=np.int64)
-        self.wt = np.array(q.numerators, dtype=np.float64) / q.denominator
-        self.c = np.array(q.numerators, dtype=np.int64) * (self.N >> self.h)
+        self.num = np.array(q.numerators, dtype=np.int64)
+        self.wt = self.num / q.denominator
+        self.c = self.num * (self.N >> self.h)
+        # first[i, t]: cycle t is among the first c_i, the cycles whose bits
+        # the noise component counts for input i
+        self.first = np.arange(self.N) < self.c[:, None]
         tree = build_hardwired_tree(q)
         period_owners = tree.owner
         self.owner = period_owners
@@ -150,78 +164,104 @@ class _ModelRuntime:
         return np.where(self.signs > 0, b, self.N - b)
 
 
-def _draw_streams(rt: _ModelRuntime, rng: np.random.Generator, bp: np.ndarray) -> np.ndarray:
-    """One run's post-sign stream bit matrix (M, N), entries 0/1."""
-    cfg = rt.cfg
-    if cfg.sn_model == "hypergeometric":
-        if cfg.input_scc == 1:
-            perm = rng.permutation(rt.N)
-            return (perm[None, :] < bp[:, None]).astype(np.int8)
-        perms = rng.permuted(np.tile(np.arange(rt.N), (rt.M, 1)), axis=1)
-        return (perms < bp[:, None]).astype(np.int8)
-    # bernoulli: with-replacement uniform words
-    if cfg.input_scc == 1:
-        words = rng.integers(0, rt.N, size=rt.N)
-        return (words[None, :] < bp[:, None]).astype(np.int8)
-    words = rng.integers(0, rt.N, size=(rt.M, rt.N))
-    return (words < bp[:, None]).astype(np.int8)
+def _draw_chunk(rt: _ModelRuntime, rng: np.random.Generator, runs: int):
+    """Draw `runs` runs in the per-run order: values, stream words, select words.
 
-
-def _run_once(rt: _ModelRuntime, rng: np.random.Generator):
-    """Simulate one run; return (total, noise, samp, corr, dc).
-
-    Every returned statistic is an unbiased single-run estimate, so means
-    and standard errors across runs follow directly.
+    Returns the post-sign thresholds (runs, M), the stream words (runs, K, N),
+    where K = 1 when all inputs share one source (SCC +1) and M otherwise,
+    and the input owning each cycle (runs, N). Input i's bit at cycle t is
+    words[r, i or 0, t] < B'_i.
     """
-    cfg = rt.cfg
-    N, M = rt.N, rt.M
-    if rt.fixed_thresholds is not None:
-        bp = rt.fixed_thresholds
-    else:
-        values = rng.uniform(-1.0, 1.0, size=M)
+    cfg, N, M = rt.cfg, rt.N, rt.M
+    hyper, shared = cfg.sn_model == "hypergeometric", cfg.input_scc == 1
+    noisy = cfg.sampling == "noisy"
+    values = np.empty((runs, M))
+    words = np.empty((runs, 1 if shared else M, N), dtype=np.int64)
+    sel = np.empty((runs, N), dtype=np.int64)
+    tile = np.broadcast_to(np.arange(N), (M, N))
+    for r in range(runs):
+        if rt.fixed_thresholds is None:
+            values[r] = rng.uniform(-1.0, 1.0, size=M)
+        if hyper and shared:
+            words[r, 0] = rng.permutation(N)
+        elif hyper:
+            rng.permuted(tile, axis=1, out=words[r])
+        else:  # bernoulli: with-replacement uniform words
+            words[r] = rng.integers(0, N, size=words.shape[1:])
+        if noisy:
+            sel[r] = rng.integers(0, 1 << rt.h, size=N)
+    if rt.fixed_thresholds is None:
         bp = rt._thresholds(values)
-    mup = 2.0 * bp / N - 1.0
-
-    u = _draw_streams(rt, rng, bp)
-
-    if cfg.sampling == "precise":
-        owners = rt.owners_precise
     else:
-        sel = rng.integers(0, 1 << rt.h, size=N)
-        owners = rt.owner[sel]
+        bp = np.broadcast_to(rt.fixed_thresholds, (runs, M))
+    owners = rt.owner[sel] if noisy else np.broadcast_to(rt.owners_precise, (runs, N))
+    return bp, words, owners
 
-    zu = u[owners, np.arange(N)]
-    mu_hat = 2.0 * int(zu.sum()) / N - 1.0
-    m_exact = float(rt.wt @ mup)
-    total = (mu_hat - m_exact) ** 2
 
-    # noise: deviation of the first-E[C_i] prefix sums from their exact means
-    cs = np.cumsum(u, axis=1)
-    prefix_ones = np.where(rt.c > 0, cs[np.arange(M), np.maximum(rt.c, 1) - 1], 0)
-    t_sum = 2.0 * prefix_ones - rt.c
-    noise = float(((t_sum - rt.c * mup) ** 2).sum()) / N**2
+def _chunk_stats(rt: _ModelRuntime, bp: np.ndarray, words: np.ndarray, owners: np.ndarray):
+    """Per-run (total, noise, samp, corr) as rows of a (4, R) array, and dc (R, M).
 
-    s_pm = 2.0 * u.sum(axis=1) - N  # per-stream +/-1 bit sums
-    ud = u.astype(np.float64)
+    dc is each run's sampling count minus its expectation, C_i - c_i.
 
-    if cfg.sampling == "precise":
-        samp = 0.0
-        dc = np.zeros(M, dtype=np.float64)
+    Every input is an integer over N or 2^h: the bits, the counts c_i and
+    C_i, and the post-sign thresholds. So each statistic is an exact
+    integer numerator over one divisor. Linear sums stay integers (int64,
+    or float64 BLAS products whose partial sums are integers of magnitude
+    at most 2N, hence exact); squares are taken in float64, where no
+    product can wrap. The numerators stay exact in float64 for n <= 10.
+    """
+    N, M, h = rt.N, rt.M, rt.h
+    R = bp.shape[0]
+    u = words < bp[:, :, None]  # (R, M, N) stream bits
+    uf = u.astype(np.float64)
+    a = 2 * bp - N  # mu'_i = a_i / N
+    scale = float(N << h) ** 2
+
+    # total: (mu_hat - sum w~ mu')^2 = D^2 / (2^h N)^2
+    ones = np.take_along_axis(u, owners[:, None, :], axis=1).sum(axis=(1, 2))
+    d = ((2 * ones - N) << h) - a @ rt.num
+    total = d.astype(np.float64) ** 2 / scale
+
+    # noise: deviation of the first-c_i prefix sums from their exact means
+    prefix = np.count_nonzero(u & rt.first, axis=2)
+    e = ((2 * prefix - rt.c) << h) - rt.num * a
+    noise = (e.astype(np.float64) ** 2).sum(axis=1) / scale
+
+    s = 2 * np.count_nonzero(u, axis=2) - N  # per-stream +/-1 bit sums
+    if rt.cfg.sampling == "precise":
+        samp = np.zeros(R)
+        dc = np.zeros((R, M))
     else:
-        dc = np.bincount(owners, minlength=M) - rt.c.astype(np.float64)
-        g = 2.0 * (dc @ ud) - dc.sum()  # +/-1 column sums weighted by dC
-        samp = (float(dc @ s_pm) ** 2 - float(g @ g)) / (N * (N - 1)) / N**2
+        counts = np.bincount((owners + M * np.arange(R)[:, None]).ravel(), minlength=R * M)
+        dc_int = counts.reshape(R, M) - rt.c
+        dc = dc_int.astype(np.float64)
+        g = 2.0 * (dc[:, None, :] @ uf)[:, 0] - dc.sum(axis=1)[:, None]
+        x = (dc_int * s).sum(axis=1).astype(np.float64)
+        samp = (x**2 - (g**2).sum(axis=1)) / (N * (N - 1)) / N**2
 
+    # corr = (N P - (N - 1) Q) / ((N - 1) N^4) with P the +/-1 pair sum of
+    # the bits and Q its mean, both integers
     cw = rt.c.astype(np.float64)
-    gc = 2.0 * (cw @ ud) - cw.sum()
-    e_ii = (s_pm**2 - N) / (N * (N - 1.0))
-    pair_sum = (float(cw @ s_pm) ** 2 - float(gc @ gc)) / (N * (N - 1)) - float(
-        (cw**2) @ e_ii
-    )
-    mu_pair = float(cw @ mup) ** 2 - float((cw * mup) @ (cw * mup))
-    corr = (pair_sum - mu_pair) / N**2
+    gc = 2.0 * (cw @ uf) - N  # +/-1 column sums weighted by c
+    xc = (s @ rt.c).astype(np.float64)
+    sf = s.astype(np.float64)
+    p = xc**2 - (gc**2).sum(axis=1) - (sf**2 - N) @ cw**2
+    ca = rt.c * a
+    q = ca.sum(axis=1).astype(np.float64) ** 2 - (ca.astype(np.float64) ** 2).sum(axis=1)
+    corr = (N * p - (N - 1) * q) / (N - 1) / float(N) ** 4
 
-    return total, noise, samp, corr, dc
+    return np.stack([total, noise, samp, corr]), dc
+
+
+def _model_runs(rt: _ModelRuntime, rng: np.random.Generator, runs: int):
+    """Simulate `runs` runs a chunk at a time; yield _chunk_stats per chunk.
+
+    Every statistic is an unbiased single-run estimate, so means and
+    standard errors across runs follow directly.
+    """
+    step = _chunk_runs(rt.M * rt.N)
+    for start in range(0, runs, step):
+        yield _chunk_stats(rt, *_draw_chunk(rt, rng, min(step, runs - start)))
 
 
 @dataclass
@@ -263,15 +303,13 @@ def decompose_variance(cfg: ModelConfig, runs: int, master_seed: int) -> Varianc
     rt = _ModelRuntime(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(master_seed))
 
-    totals = np.empty(runs)
-    noises = np.empty(runs)
-    samps = np.empty(runs)
-    corrs = np.empty(runs)
+    chunks = []
     c_cov = np.zeros((rt.M, rt.M))
-    for r in range(runs):
-        totals[r], noises[r], samps[r], corrs[r], dc = _run_once(rt, rng)
-        c_cov += np.outer(dc, dc)
+    for chunk, dc in _model_runs(rt, rng, runs):
+        chunks.append(chunk)
+        c_cov += np.einsum("ri,rj->ij", dc, dc)
     c_cov /= runs
+    totals, noises, samps, corrs = np.concatenate(chunks, axis=1)
 
     eps_noise, se_noise = _mean_se(noises)
     eps_samp, se_samp = _mean_se(samps)
@@ -293,13 +331,16 @@ def decompose_variance(cfg: ModelConfig, runs: int, master_seed: int) -> Varianc
     )
 
 
-def _closed_form(model: str, sampling: str, scc, wt: np.ndarray, mup: np.ndarray, N: int) -> float:
+def _closed_form(rt: _ModelRuntime, mup: np.ndarray) -> np.ndarray:
+    """Closed-form output variance for each row of post-sign means mup (R, M)."""
+    model, sampling, scc = rt.cfg.sn_model, rt.cfg.sampling, rt.cfg.input_scc
+    wt, N = rt.wt, rt.N
     if model == "bernoulli":
         # the bernoulli rows hold at any input correlation level
-        s = float(wt @ mup)
         if sampling == "noisy":
+            s = mup @ wt
             return (1.0 - s * s) / N
-        return (1.0 - float(wt @ (mup * mup))) / N
+        return (1.0 - (mup * mup) @ wt) / N
     if scc not in (0, 1):
         raise ValueError(
             f"no closed-form row for hypergeometric with SCC {scc!r}; "
@@ -307,14 +348,14 @@ def _closed_form(model: str, sampling: str, scc, wt: np.ndarray, mup: np.ndarray
         )
     if scc == 0:
         if sampling == "noisy":
-            s = float(wt @ mup)
-            return (1.0 - s * s - float((wt * wt) @ (1.0 - mup * mup))) / N
-        return float((wt * (1.0 - wt)) @ (1.0 - mup * mup)) / (N - 1)
-    gaps = np.abs(np.subtract.outer(mup, mup))
+            s = mup @ wt
+            return (1.0 - s * s - (1.0 - mup * mup) @ (wt * wt)) / N
+        return ((1.0 - mup * mup) @ (wt * (1.0 - wt))) / (N - 1)
+    gaps = np.abs(mup[:, :, None] - mup[:, None, :])
     ww = np.outer(wt, wt)
     if sampling == "noisy":
-        return float((ww * gaps).sum()) / N  # == sum_{i<j} 2 w_i w_j d_ij / N
-    return float((ww * gaps * (2.0 - gaps)).sum()) / (2.0 * (N - 1))
+        return (ww * gaps).sum(axis=(1, 2)) / N  # == sum_{i<j} 2 w_i w_j d_ij / N
+    return (ww * gaps * (2.0 - gaps)).sum(axis=(1, 2)) / (2.0 * (N - 1))
 
 
 def closed_form_variance(cfg: ModelConfig) -> float:
@@ -327,22 +368,28 @@ def closed_form_variance(cfg: ModelConfig) -> float:
         raise ValueError("closed_form_variance needs fixed input values")
     rt = _ModelRuntime(cfg)
     mup = 2.0 * rt.fixed_thresholds / rt.N - 1.0
-    return _closed_form(cfg.sn_model, cfg.sampling, cfg.input_scc, rt.wt, mup, cfg.N)
+    return float(_closed_form(rt, mup[None])[0])
 
 
 def expected_closed_form(cfg: ModelConfig, runs: int, master_seed: int) -> float:
-    """Average closed form over the per-run value draws (for values=None)."""
+    """Average closed form over the per-run value draws (for values=None).
+
+    The runs' values come from one draw, and their closed forms are
+    evaluated row-wise with the operations of one run's. The terms of each
+    sum are dyadic rationals (denominators up to 2^(2h+2n)) that float64
+    holds exactly for n <= 12, so their order does not matter and each row
+    equals its run's closed form; rows are summed in run order.
+    """
+    if runs < 1:
+        raise ValueError("need at least 1 run")
     rt = _ModelRuntime(cfg)
     if rt.fixed_thresholds is not None:
         return closed_form_variance(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(master_seed))
-    acc = 0.0
-    for _ in range(runs):
-        values = rng.uniform(-1.0, 1.0, size=rt.M)
-        bp = rt._thresholds(values)
-        mup = 2.0 * bp / rt.N - 1.0
-        acc += _closed_form(cfg.sn_model, cfg.sampling, cfg.input_scc, rt.wt, mup, cfg.N)
-    return acc / runs
+    mup = 2.0 * rt._thresholds(rng.uniform(-1.0, 1.0, size=(runs, rt.M))) / rt.N - 1.0
+    step = _chunk_runs(rt.M * rt.M)  # bounds the (R, M, M) gap tensor of the SCC +1 rows
+    per_run = np.concatenate([_closed_form(rt, mup[i : i + step]) for i in range(0, runs, step)])
+    return float(np.cumsum(per_run)[-1]) / runs
 
 
 def accuracy_stats(

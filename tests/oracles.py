@@ -9,7 +9,10 @@ builds its M x N matrices from the production stream primitives (sources,
 quantizers, channels, input_bit_matrix, pcc_bits, the biased-selector tree),
 which the per-cycle oracles below check on their own, so that it can check
 the O(N) run kernel. Its hardwired owners come from level_ordered_blocks,
-not from the production owner map.
+not from the production owner map. The model-path loop (model_run_once and
+its neighbours) likewise takes the quantizer, the owner map and the
+thresholds from the package, to check the batched decomposition's
+statistics run by run.
 """
 
 import itertools
@@ -19,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from scmux.analysis import _ModelRuntime
 from scmux.bitstream import Bitstream
 from scmux.rns import LFSR_TAPS
 from scmux.sngen import PccKind
@@ -496,6 +500,161 @@ def enumerate_model_variance(cfg, owner_period, thresholds_post_sign):
     e_ones = Fraction(sum_w_ones, denom)
     e2 = (4 * e_ones2 - 4 * n_len * e_ones + n_len * n_len) / Fraction(n_len * n_len)
     return e2 - e1 * e1
+
+
+# The model path as a per-run loop: draw_streams and model_run_once are the
+# decomposition's run before runs were batched, closed_form_once the closed
+# forms of one run's values. They take the quantized weights, the owner map
+# and the post-sign thresholds from scmux.analysis._ModelRuntime.
+
+
+def draw_streams(rt: _ModelRuntime, rng: np.random.Generator, bp: np.ndarray) -> np.ndarray:
+    """One run's post-sign stream bit matrix (M, N), entries 0/1."""
+    cfg = rt.cfg
+    if cfg.sn_model == "hypergeometric":
+        if cfg.input_scc == 1:
+            perm = rng.permutation(rt.N)
+            return (perm[None, :] < bp[:, None]).astype(np.int8)
+        perms = rng.permuted(np.tile(np.arange(rt.N), (rt.M, 1)), axis=1)
+        return (perms < bp[:, None]).astype(np.int8)
+    # bernoulli: with-replacement uniform words
+    if cfg.input_scc == 1:
+        words = rng.integers(0, rt.N, size=rt.N)
+        return (words[None, :] < bp[:, None]).astype(np.int8)
+    words = rng.integers(0, rt.N, size=(rt.M, rt.N))
+    return (words < bp[:, None]).astype(np.int8)
+
+
+def model_run_once(rt: _ModelRuntime, rng: np.random.Generator):
+    """Simulate one run; return (total, noise, samp, corr, dc).
+
+    Every returned statistic is an unbiased single-run estimate, so means
+    and standard errors across runs follow directly.
+    """
+    cfg = rt.cfg
+    N, M = rt.N, rt.M
+    if rt.fixed_thresholds is not None:
+        bp = rt.fixed_thresholds
+    else:
+        values = rng.uniform(-1.0, 1.0, size=M)
+        bp = rt._thresholds(values)
+    mup = 2.0 * bp / N - 1.0
+
+    u = draw_streams(rt, rng, bp)
+
+    if cfg.sampling == "precise":
+        owners = rt.owners_precise
+    else:
+        sel = rng.integers(0, 1 << rt.h, size=N)
+        owners = rt.owner[sel]
+
+    zu = u[owners, np.arange(N)]
+    mu_hat = 2.0 * int(zu.sum()) / N - 1.0
+    m_exact = float(rt.wt @ mup)
+    total = (mu_hat - m_exact) ** 2
+
+    # noise: deviation of the first-E[C_i] prefix sums from their exact means
+    cs = np.cumsum(u, axis=1)
+    prefix_ones = np.where(rt.c > 0, cs[np.arange(M), np.maximum(rt.c, 1) - 1], 0)
+    t_sum = 2.0 * prefix_ones - rt.c
+    noise = float(((t_sum - rt.c * mup) ** 2).sum()) / N**2
+
+    s_pm = 2.0 * u.sum(axis=1) - N  # per-stream +/-1 bit sums
+    ud = u.astype(np.float64)
+
+    if cfg.sampling == "precise":
+        samp = 0.0
+        dc = np.zeros(M, dtype=np.float64)
+    else:
+        dc = np.bincount(owners, minlength=M) - rt.c.astype(np.float64)
+        g = 2.0 * (dc @ ud) - dc.sum()  # +/-1 column sums weighted by dC
+        samp = (float(dc @ s_pm) ** 2 - float(g @ g)) / (N * (N - 1)) / N**2
+
+    cw = rt.c.astype(np.float64)
+    gc = 2.0 * (cw @ ud) - cw.sum()
+    e_ii = (s_pm**2 - N) / (N * (N - 1.0))
+    pair_sum = (float(cw @ s_pm) ** 2 - float(gc @ gc)) / (N * (N - 1)) - float(
+        (cw**2) @ e_ii
+    )
+    mu_pair = float(cw @ mup) ** 2 - float((cw * mup) @ (cw * mup))
+    corr = (pair_sum - mu_pair) / N**2
+
+    return total, noise, samp, corr, dc
+
+
+def model_run_exact(rt: _ModelRuntime, rng: np.random.Generator):
+    """One run drawn as model_run_once draws it; (total, noise, samp, corr) as Fractions.
+
+    A transcription of model_run_once's formulas in rational arithmetic:
+    linear sums of bits stay int64 (bounded by 2 N^2), squares are Python
+    ints.
+    """
+    N, M, h = rt.N, rt.M, rt.h
+    if rt.fixed_thresholds is not None:
+        bp = rt.fixed_thresholds
+    else:
+        bp = rt._thresholds(rng.uniform(-1.0, 1.0, size=M))
+    u = draw_streams(rt, rng, bp).astype(np.int64)
+    if rt.cfg.sampling == "precise":
+        owners = rt.owners_precise
+    else:
+        owners = rt.owner[rng.integers(0, 1 << h, size=N)]
+    c = [int(x) for x in rt.c]
+    mup = [Fraction(2 * int(b) - N, N) for b in bp]
+    wt = [Fraction(int(x), 1 << h) for x in rt.q.numerators]
+    pm = 2 * u - 1
+    s = pm.sum(axis=1)
+
+    def pair_sum(k):
+        """sum_{i, j} k_i k_j sum_{t != t'} pm_i[t] pm_j[t'] / (N (N - 1))."""
+        k = np.asarray(k, dtype=np.int64)
+        col = k @ pm
+        return Fraction(int(k @ s) ** 2 - sum(int(x) ** 2 for x in col), N * (N - 1))
+
+    ones = int(u[owners, np.arange(N)].sum())
+    total = (Fraction(2 * ones - N, N) - sum(w * m for w, m in zip(wt, mup))) ** 2
+    noise = sum(
+        (2 * int(u[i, : c[i]].sum()) - c[i] - c[i] * mup[i]) ** 2 for i in range(M)
+    ) / N**2
+    counts = np.bincount(owners, minlength=M)
+    samp = pair_sum([int(counts[i]) - c[i] for i in range(M)]) / N**2
+    diag = sum(Fraction(c[i] ** 2 * (int(s[i]) ** 2 - N), N * (N - 1)) for i in range(M))
+    cm = [c[i] * mup[i] for i in range(M)]
+    mu_pair = sum(cm) ** 2 - sum(x * x for x in cm)
+    corr = (pair_sum(c) - diag - mu_pair) / N**2
+    return total, noise, samp, corr
+
+
+def closed_form_once(model, sampling, scc, wt: np.ndarray, mup: np.ndarray, N: int) -> float:
+    if model == "bernoulli":
+        # the bernoulli rows hold at any input correlation level
+        s = float(wt @ mup)
+        if sampling == "noisy":
+            return (1.0 - s * s) / N
+        return (1.0 - float(wt @ (mup * mup))) / N
+    if scc == 0:
+        if sampling == "noisy":
+            s = float(wt @ mup)
+            return (1.0 - s * s - float((wt * wt) @ (1.0 - mup * mup))) / N
+        return float((wt * (1.0 - wt)) @ (1.0 - mup * mup)) / (N - 1)
+    gaps = np.abs(np.subtract.outer(mup, mup))
+    ww = np.outer(wt, wt)
+    if sampling == "noisy":
+        return float((ww * gaps).sum()) / N  # == sum_{i<j} 2 w_i w_j d_ij / N
+    return float((ww * gaps * (2.0 - gaps)).sum()) / (2.0 * (N - 1))
+
+
+def expected_closed_form_per_run(cfg, runs, master_seed):
+    """expected_closed_form as a per-run loop over value draws (values=None)."""
+    rt = _ModelRuntime(cfg)
+    rng = np.random.default_rng(np.random.SeedSequence(master_seed))
+    acc = 0.0
+    for _ in range(runs):
+        values = rng.uniform(-1.0, 1.0, size=rt.M)
+        bp = rt._thresholds(values)
+        mup = 2.0 * bp / rt.N - 1.0
+        acc += closed_form_once(cfg.sn_model, cfg.sampling, cfg.input_scc, rt.wt, mup, cfg.N)
+    return acc / runs
 
 
 def spawned_seeds(master_seed, count=25):

@@ -1,13 +1,23 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import enumerate_model_variance
+from oracles import (
+    enumerate_model_variance,
+    expected_closed_form_per_run,
+    model_run_exact,
+    model_run_once,
+)
 from scmux.adders import make_design
 from scmux.analysis import (
+    _CHUNK_ELEMENTS,
     AccuracyStats,
     ModelConfig,
+    _chunk_runs,
+    _model_runs,
+    _ModelRuntime,
     accuracy_stats,
     closed_form_variance,
     decompose_variance,
@@ -246,6 +256,129 @@ def test_expected_closed_form_averages_value_draws():
     gaps = np.abs(np.diff(np.random.default_rng(0).uniform(-1, 1, (20000, 2)), axis=1))
     expected = float(np.mean(gaps * (2 - gaps))) / 4 / 63
     assert avg == pytest.approx(expected, rel=0.05)
+
+
+def test_expected_closed_form_rejects_no_runs():
+    cfg = ModelConfig("hypergeometric", "noisy", 0, (0.5, -0.5), None, 64)
+    for runs in (0, -3):
+        with pytest.raises(ValueError, match="need at least 1 run"):
+            expected_closed_form(cfg, runs, 21)
+
+
+# every model x sampling x SCC row, and bernoulli without an SCC level
+_MODEL_ROWS = [
+    (model, sampling, scc)
+    for model in ("bernoulli", "hypergeometric")
+    for sampling in ("noisy", "precise")
+    for scc in (0, 1)
+] + [("bernoulli", "noisy", None), ("bernoulli", "precise", None)]
+
+
+def _model_case(rng, row, kind, fixed, low_height):
+    """A random ModelConfig of a row, and a run count of the given kind.
+
+    kind 0: fewer runs than one chunk; 1: several chunks and a partial
+    last one; 2: M * N above the chunk budget, so chunks of one run.
+    """
+    if kind == 0:
+        n, m_inputs = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+    elif kind == 1:
+        n, m_inputs = int(rng.integers(8, 10)), int(rng.integers(3, 9))
+    else:
+        n, m_inputs = 9, int(rng.integers(33, 41))
+    w = rng.uniform(-1, 1, m_inputs)
+    w[rng.random(m_inputs) < 0.3] = 0.0  # zero weights quantize to c_i = 0
+    w[int(rng.integers(m_inputs))] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
+    values = tuple(rng.uniform(-1, 1, m_inputs)) if fixed else None
+    height = int(rng.integers(1, n)) if low_height else None
+    cfg = ModelConfig(*row, tuple(w), values, 1 << n, height=height)
+    step = _chunk_runs(m_inputs << n)
+    if kind == 0:
+        runs = int(rng.integers(1, min(step - 1, 40) + 1))
+    elif kind == 1:
+        runs = 2 * step + int(rng.integers(1, step))
+    else:
+        assert step == 1 and (m_inputs << n) > _CHUNK_ELEMENTS
+        runs = int(rng.integers(2, 5))
+    return cfg, runs
+
+
+def test_batched_model_runs_match_per_run_oracle():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for row in _MODEL_ROWS:
+        # j % 3 picks the chunk shape, j % 4 fixed values and a height below
+        # log2 N, so that every row meets each combination once
+        for j in range(12):
+            cfg, runs = _model_case(rng, row, j % 3, j % 4 in (1, 3), j % 4 in (2, 3))
+            seed = int(rng.integers(2**32))
+            rt = _ModelRuntime(cfg)
+            chunks = list(_model_runs(rt, np.random.default_rng(seed), runs))
+            stats = np.concatenate([st for st, _ in chunks], axis=1)
+            dcs = np.concatenate([dc for _, dc in chunks])
+            assert stats.shape == (4, runs) and dcs.shape == (runs, rt.M)
+            rng_once, rng_exact = np.random.default_rng(seed), np.random.default_rng(seed)
+            c_cov = np.zeros((rt.M, rt.M))
+            for r in range(runs):
+                *ref, ref_dc = model_run_once(rt, rng_once)
+                exact = model_run_exact(rt, rng_exact)
+                # total, noise and samp are exact dyadic values or one rounding
+                # of an exact integer ratio, in the oracle and here alike
+                assert stats[:3, r].tolist() == ref[:3] == [float(x) for x in exact[:3]]
+                assert np.array_equal(dcs[r], ref_dc)
+                # the oracle rounds corr term by term; here it is one division
+                corr = Fraction(float(stats[3, r]))
+                assert abs(corr - exact[3]) <= abs(exact[3]) * Fraction(1, 2**52)
+                c_cov += np.outer(ref_dc, ref_dc)
+            if runs >= 2:
+                rep = decompose_variance(cfg, runs, seed)
+                assert np.array_equal(rep.c_covariance, c_cov / runs)
+                assert rep.total_variance == float(stats[0].mean())
+            checked += 1
+    assert checked >= 120
+
+
+def test_model_runs_do_not_wrap_at_n16():
+    # At N = 2^16 the squares pass 2^53, so neither path is exact. total,
+    # noise and samp still agree with the oracle to 1e-12. corr is N^-4
+    # (N - 1)^-1 times a difference of float64 terms up to about 2 N^5, so
+    # both paths err from its exact value by some multiples of 2^-53 in
+    # absolute terms (the oracle by 3e-15, a relative 6e-8, at seed 16).
+    for row in (("hypergeometric", "noisy", 0), ("bernoulli", "noisy", 1),
+                ("hypergeometric", "precise", 1)):
+        cfg = ModelConfig(*row, (0.6, -0.4), None, 1 << 16)
+        rt = _ModelRuntime(cfg)
+        chunks = list(_model_runs(rt, np.random.default_rng(16), 3))
+        assert [dc.shape[0] for _, dc in chunks] == [1, 1, 1]
+        stats = np.concatenate([st for st, _ in chunks], axis=1)
+        assert np.all(np.isfinite(stats)) and np.all(stats[:2] >= 0.0)
+        rng_once, rng_exact = np.random.default_rng(16), np.random.default_rng(16)
+        for r in range(3):
+            ref = model_run_once(rt, rng_once)[:4]
+            exact = model_run_exact(rt, rng_exact)
+            for got, want in zip(stats[:3, r], ref[:3]):
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+            assert abs(Fraction(float(stats[3, r])) - exact[3]) <= 1e-13
+            assert abs(stats[3, r] - ref[3]) <= 1e-13
+
+
+def test_expected_closed_form_matches_per_run_oracle():
+    rng = np.random.default_rng(77)
+    for i in range(240):
+        row = _MODEL_ROWS[i % len(_MODEL_ROWS)]
+        n = int(rng.integers(2, 11))
+        # M up to 40 makes the SCC +1 gap tensor span several chunks
+        m_inputs = int(rng.integers(1, 10)) if i % 3 else int(rng.integers(20, 41))
+        w = rng.uniform(-1, 1, m_inputs)
+        w[rng.random(m_inputs) < 0.2] = 0.0
+        w[0] = 0.5
+        height = int(rng.integers(1, n + 1)) if i % 2 else None
+        cfg = ModelConfig(*row, tuple(w), None, 1 << n, height=height)
+        runs = int(rng.integers(1, 300))
+        seed = int(rng.integers(2**32))
+        assert expected_closed_form(cfg, runs, seed) == expected_closed_form_per_run(
+            cfg, runs, seed
+        )
 
 
 def test_accuracy_stats_zero_error_design():
