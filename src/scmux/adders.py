@@ -298,22 +298,16 @@ def _owner_sequence(design: AdderDesign, q, n, big_n, seed) -> np.ndarray:
         return tree.owner[words]
 
     tree = _biased_tree_cached(q.numerators, n)
-    select = lfsr_words(n, _source_seeds(seed, range(1, tree.num_levels + 1)), big_n)
-    cur = np.full(big_n, tree.root, dtype=np.int64)
-    # the tree is walked level by level: every cycle still at a mux sits on
-    # the current level, and only those cycles' select bits are generated
-    live = np.flatnonzero(cur >= 0)
-    level = 1
-    while live.size:
-        refs = cur[live]
-        words = select[level - 1, live]
-        b = pcc_bits(tree.select_pcc, words, tree.thresholds[refs], n)
-        # select bit 1 routes toward child0, whose mass fraction is p_node
-        nxt = np.where(b == 1, tree.child0[refs], tree.child1[refs])
-        cur[live] = nxt
-        live = live[nxt >= 0]
-        level += 1
-    return ~cur
+    depth = tree.num_levels
+    select = lfsr_words(n, _source_seeds(seed, range(1, depth + 1)), big_n)
+    # every cycle walks the heap from the root, one level per select source:
+    # select bit 1 routes to child0 (slot 2 idx + 1), whose mass fraction is
+    # p_node, bit 0 to child1 (slot 2 idx + 2). A leaf above the last level
+    # sits over padding muxes of threshold 0, whose bit is always 0
+    idx = np.zeros(big_n, dtype=np.int64)
+    for words in select:
+        idx = 2 * idx + 2 - pcc_bits(tree.select_pcc, words, tree.heap_thresholds[idx], n)
+    return tree.leaf_owner[idx - ((1 << depth) - 1)]
 
 
 def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationReport:

@@ -7,11 +7,16 @@ a level-l mux input. This is the discrete-distribution-generating tree of
 Knuth and Yao (1976), so it is kept as its owner map (select word -> input)
 and its redundancy-free mux count is one less than the total number of 1s
 across the expansions. The biased-selector tree is a balanced binary tree
-whose per-node select probabilities encode the weights instead.
+whose per-node select probabilities encode the weights instead. Its shape
+depends only on the number k of active inputs and is built once per k; a
+build from numerators then reads each mux's two subtree masses off the prefix
+sums of the active numerators, and lays the thresholds out as a complete heap
+of depth num_levels, so a cycle's path is a fixed-depth index walk.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,6 +58,18 @@ def quantize_weights(weights, m: int) -> QuantizedWeights:
     a = np.abs(w)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"weights must be finite, got {w[~np.isfinite(a)][0]}")
+    return QuantizedWeights(
+        numerators=_quantized_magnitudes(a.tobytes(), m),
+        height=m,
+        signs=tuple(np.where(w < 0, -1, 1).tolist()),
+    )
+
+
+@lru_cache(maxsize=256)
+def _quantized_magnitudes(magnitudes: bytes, m: int) -> tuple[int, ...]:
+    # the numerators depend on the magnitudes alone, so weights that differ
+    # only in sign (pm weights, fixed filter taps) are quantized once
+    a = np.frombuffer(magnitudes, dtype=np.float64)
     with np.errstate(over="ignore"):
         total = np.cumsum(a)[-1]
     if not np.isfinite(total):
@@ -74,11 +91,7 @@ def quantize_weights(weights, m: int) -> QuantizedWeights:
         q[np.argsort(t - q, kind="stable")[:excess]] -= 1
     elif excess < 0:
         q[np.argsort(q - t, kind="stable")[:-excess]] += 1
-    return QuantizedWeights(
-        numerators=tuple(q.astype(np.int64).tolist()),
-        height=m,
-        signs=tuple(np.where(w < 0, -1, 1).tolist()),
-    )
+    return tuple(q.astype(np.int64).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +106,14 @@ class HardwiredTreeSpec:
 
     height: int
     num_inputs: int
-    level_inputs: tuple[tuple[int, ...], ...]  # entry l-1 lists inputs on level l
+    bit_planes: np.ndarray = field(repr=False)  # row l: the inputs' 2^(h-l) bits
     owner: np.ndarray = field(repr=False)  # select word -> input index, 2^h entries
     mux_count: int
+
+    @cached_property
+    def level_inputs(self) -> tuple[tuple[int, ...], ...]:
+        """Entry l-1 lists the inputs with a leaf on level l."""
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.bit_planes[1:])
 
 
 def build_hardwired_tree(q: QuantizedWeights) -> HardwiredTreeSpec:
@@ -112,11 +130,12 @@ def build_hardwired_tree(q: QuantizedWeights) -> HardwiredTreeSpec:
     bits = (nums[None, :] >> np.arange(h, -1, -1)[:, None]) & 1
     levels, inputs = np.nonzero(bits)  # level order, input order within a level
     owner = np.repeat(inputs.astype(np.int64), 1 << (h - levels))
-    owner.setflags(write=False)
+    for arr in (bits, owner):
+        arr.setflags(write=False)
     return HardwiredTreeSpec(
         height=h,
         num_inputs=len(q.numerators),
-        level_inputs=tuple(tuple(np.flatnonzero(row).tolist()) for row in bits[1:]),
+        bit_planes=bits,
         owner=owner,
         mux_count=len(levels) - 1,
     )
@@ -132,31 +151,112 @@ def dump_tree(tree: HardwiredTreeSpec) -> str:
 
 
 @dataclass(frozen=True, eq=False)
+class _BalancedShape:
+    """The balanced split of k active inputs, independent of their masses.
+
+    Muxes are numbered in post-order. Mux j covers active positions
+    [lo_j, hi_j) and splits them at mid_j; a child ref >= 0 is a mux, ~p is
+    active position p. In the heap layout of depth D = num_levels, mux j sits
+    at slot heap_slot[j], and heap leaf s (slot 2^D - 1 + s) reaches active
+    position heap_leaf[s]. A leaf d < D deep owns the 2^(D-d) heap leaves
+    below its slot: padding muxes of threshold 0 route every cycle to the
+    last of them.
+    """
+
+    lo: np.ndarray
+    mid: np.ndarray
+    hi: np.ndarray
+    child0: np.ndarray
+    child1: np.ndarray
+    node_level: np.ndarray  # root is level 1
+    root: int
+    heap_slot: np.ndarray
+    heap_leaf: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def _balanced_shape(k: int) -> _BalancedShape:
+    rows: list[tuple[int, ...]] = []  # (lo, mid, hi, child0, child1, level, slot)
+    leaves: list[tuple[int, int, int]] = []  # (slot, depth, position)
+
+    def build(lo, hi, depth, slot):
+        if hi - lo == 1:
+            leaves.append((slot, depth, lo))
+            return ~lo
+        mid = lo + (hi - lo) // 2
+        c0 = build(lo, mid, depth + 1, 2 * slot + 1)
+        c1 = build(mid, hi, depth + 1, 2 * slot + 2)
+        rows.append((lo, mid, hi, c0, c1, depth + 1, slot))
+        return len(rows) - 1
+
+    root = build(0, k, 0, 0)
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 7).T.copy()
+    depth = int(cols[5].max()) if rows else 0
+    heap_leaf = np.empty(1 << depth, dtype=np.int64)
+    for slot, d, pos in leaves:
+        span = 1 << (depth - d)
+        first = (slot + 1) * span - (1 << depth)
+        heap_leaf[first:first + span] = pos
+    shape = _BalancedShape(*cols[:6], root, cols[6], heap_leaf)
+    for arr in (*cols, heap_leaf):
+        arr.setflags(write=False)
+    return shape
+
+
+@dataclass(frozen=True, eq=False)
 class BiasedSelectorTreeSpec:
     """Balanced mux tree whose node select probabilities encode the weights.
 
     Select bit 1 routes to child0 (the left/lower-index subtree), whose mass
     fraction is the node probability. Each node's threshold is the
     select-SNG code for its probability; nodes on the same level share one
-    select source.
+    select source. The heap table holds the same thresholds at their heap
+    slots (padding slots 0), and leaf_owner maps each heap leaf to the input
+    it routes, so a cycle walks idx -> 2 idx + 2 - bit once per level.
     """
 
     num_inputs: int
-    child0: np.ndarray = field(repr=False)
-    child1: np.ndarray = field(repr=False)
-    node_level: np.ndarray = field(repr=False)  # root is level 1
-    probabilities: tuple[Fraction, ...]
+    active: np.ndarray = field(repr=False)  # inputs with nonzero numerators
+    shape: _BalancedShape = field(repr=False)
+    left_mass: np.ndarray = field(repr=False)  # per mux: mass of child0's inputs
+    mass: np.ndarray = field(repr=False)  # per mux: mass of both subtrees
     thresholds: np.ndarray = field(repr=False)
-    root: int
+    heap_thresholds: np.ndarray = field(repr=False)
+    leaf_owner: np.ndarray = field(repr=False)
     select_pcc: PccKind
+
+    @cached_property
+    def child0(self) -> np.ndarray:
+        return self._input_refs(self.shape.child0)
+
+    @cached_property
+    def child1(self) -> np.ndarray:
+        return self._input_refs(self.shape.child1)
+
+    def _input_refs(self, refs):
+        # leaf refs ~p name active position p; report them as ~input
+        return np.where(refs >= 0, refs, ~self.active[~refs])
+
+    @property
+    def node_level(self) -> np.ndarray:
+        return self.shape.node_level
+
+    @property
+    def root(self) -> int:
+        r = self.shape.root
+        return r if r >= 0 else ~int(self.active[~r])
+
+    @cached_property
+    def probabilities(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.left_mass.tolist(), self.mass.tolist()))
 
     @property
     def mux_count(self) -> int:
-        return int(self.child0.size)
+        return int(self.shape.lo.size)
 
     @property
     def num_levels(self) -> int:
-        return int(self.node_level.max()) if self.node_level.size else 0
+        return self.leaf_owner.size.bit_length() - 1
 
 
 def build_biased_selector_tree(
@@ -172,64 +272,31 @@ def build_biased_selector_tree(
     with zero sampling counts downstream.
     """
     n = q.height if select_width is None else select_width
-    active = [i for i, num in enumerate(q.numerators) if num > 0]
-    if not active:
+    nums = np.array(q.numerators, dtype=np.int64)
+    active = np.flatnonzero(nums)
+    if not active.size:
         raise ValueError("no inputs with nonzero quantized weight")
-
-    child0_l: list[int] = []
-    child1_l: list[int] = []
-    prob_l: list[Fraction] = []
-
-    def mass(indices):
-        return sum(q.numerators[i] for i in indices)
-
-    def build(indices):
-        if len(indices) == 1:
-            return ~indices[0]
-        mid = len(indices) // 2
-        left, right = indices[:mid], indices[mid:]
-        c0 = build(left)
-        c1 = build(right)
-        child0_l.append(c0)
-        child1_l.append(c1)
-        prob_l.append(Fraction(mass(left), mass(left) + mass(right)))
-        return len(child0_l) - 1
-
-    root = build(active)
-    child0 = np.array(child0_l, dtype=np.int64)
-    child1 = np.array(child1_l, dtype=np.int64)
-
-    # depth-first levels: root level 1, children one deeper
-    node_level = np.zeros(child0.size, dtype=np.int64)
-    if root >= 0:
-        stack = [(root, 1)]
-        while stack:
-            ref, lvl = stack.pop()
-            node_level[ref] = lvl
-            for c in (int(child0[ref]), int(child1[ref])):
-                if c >= 0:
-                    stack.append((c, lvl + 1))
-
-    # code floor(p 2^n + 1/2), exact in integers; ties round up, as in
-    # bipolar_thresholds
-    thresholds = _clamp_for_pcc(
-        np.array(
-            [((2 * p.numerator << n) + p.denominator) // (2 * p.denominator) for p in prob_l],
-            dtype=np.int64,
-        ),
-        n,
-        select_pcc,
-    )
-    for arr in (child0, child1, node_level, thresholds):
+    shape = _balanced_shape(int(active.size))
+    prefix = np.concatenate(([0], np.cumsum(nums[active])))
+    left = prefix[shape.mid] - prefix[shape.lo]
+    mass = prefix[shape.hi] - prefix[shape.lo]
+    # code floor(p 2^n + 1/2) for p = left / mass, exact in integers; ties
+    # round up, as in bipolar_thresholds
+    thresholds = _clamp_for_pcc(((2 * left << n) + mass) // (2 * mass), n, select_pcc)
+    heap = np.zeros(shape.heap_leaf.size - 1, dtype=np.int64)
+    heap[shape.heap_slot] = thresholds
+    leaf_owner = active[shape.heap_leaf]
+    for arr in (active, left, mass, thresholds, heap, leaf_owner):
         arr.setflags(write=False)
     return BiasedSelectorTreeSpec(
         num_inputs=len(q.numerators),
-        child0=child0,
-        child1=child1,
-        node_level=node_level,
-        probabilities=tuple(prob_l),
+        active=active,
+        shape=shape,
+        left_mass=left,
+        mass=mass,
         thresholds=thresholds,
-        root=root,
+        heap_thresholds=heap,
+        leaf_owner=leaf_owner,
         select_pcc=select_pcc,
     )
 

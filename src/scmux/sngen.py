@@ -105,7 +105,8 @@ def pcc_bits(pcc: PccKind, words: np.ndarray, b, n: int) -> np.ndarray:
     """
     if pcc is PccKind.COMPARATOR:
         return (words < b).astype(np.uint8)
-    if np.any((b < 0) | (b >= (1 << n))):
+    # b >> n is nonzero exactly when b lies outside [0, 2^n)
+    if (np.asarray(b) >> n).any():
         raise ValueError(f"WBG threshold outside [0, 2^{n} - 1]: {b}")
     return ((b >> _wbg_shift_table(n)[words]) & 1).astype(np.uint8)
 

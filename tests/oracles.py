@@ -6,10 +6,11 @@ checked. The oracles take types and data from the package (PccKind,
 Bitstream, the LFSR tap table) but none of its algorithms, with one
 exception: the full-matrix adder run (full_matrix_run and its helpers)
 builds its M x N matrices from the production stream primitives (sources,
-quantizers, channels, input_bit_matrix, pcc_bits, the biased-selector tree),
-which the per-cycle oracles below check on their own, so that it can check
-the O(N) run kernel. Its hardwired owners come from level_ordered_blocks,
-not from the production owner map. The model-path loop (model_run_once and
+quantizers, channels, input_bit_matrix, pcc_bits), which the per-cycle
+oracles below check on their own, so that it can check the O(N) run kernel.
+Its hardwired owners come from level_ordered_blocks, not from the production
+owner map, and its biased trees from biased_tree_reference, not from the
+production heap build. The model-path loop (model_run_once and
 its neighbours) likewise takes the quantizer, the owner map and the
 thresholds from the package, to check the batched decomposition's
 statistics run by run.
@@ -196,6 +197,54 @@ def pcc_threshold(p, n, pcc):
     """
     b = quantize_to_probability(p, n)
     return min(b, (1 << n) - 1) if pcc is PccKind.WBG else b
+
+
+class BiasedTreeReference(NamedTuple):
+    root: int  # a mux index, or ~input for a one-input tree
+    child0: list  # per mux, in post-order: a mux index, or ~input for a leaf
+    child1: list
+    node_level: list  # root is level 1
+    probabilities: list  # Fraction per mux: mass(child0) / mass(both)
+    thresholds: list
+    select_pcc: PccKind
+
+    @property
+    def mux_count(self):
+        return len(self.child0)
+
+
+def biased_tree_reference(q, select_pcc, select_width=None):
+    """Balanced biased-selector tree by recursive halving of the active inputs.
+
+    Each mux's probability is the exact Fraction mass(left) / mass(both), and
+    its threshold the select PCC's code for it at select_width bits (default
+    the quantization height).
+    """
+    n = q.height if select_width is None else select_width
+    active = [i for i, num in enumerate(q.numerators) if num > 0]
+    if not active:
+        raise ValueError("no inputs with nonzero quantized weight")
+    child0, child1, levels, probs = [], [], [], []
+
+    def mass(indices):
+        return sum(q.numerators[i] for i in indices)
+
+    def build(indices, level):
+        if len(indices) == 1:
+            return ~indices[0]
+        mid = len(indices) // 2
+        left, right = indices[:mid], indices[mid:]
+        c0 = build(left, level + 1)
+        c1 = build(right, level + 1)
+        child0.append(c0)
+        child1.append(c1)
+        levels.append(level)
+        probs.append(Fraction(mass(left), mass(left) + mass(right)))
+        return len(child0) - 1
+
+    root = build(active, 1)
+    thresholds = [pcc_threshold(p, n, select_pcc) for p in probs]
+    return BiasedTreeReference(root, child0, child1, levels, probs, thresholds, select_pcc)
 
 
 def comparator_bit(r, b):
@@ -670,7 +719,6 @@ def full_matrix_owners(design, q, n, big_n, seeds):
     each level has its own seeded LFSR, and a biased tree's select PCCs are
     WBGs.
     """
-    from scmux.muxtree import build_biased_selector_tree
     from scmux.rns import RnsSpec, rns_sequence
     from scmux.sngen import pcc_bits
 
@@ -686,19 +734,19 @@ def full_matrix_owners(design, q, n, big_n, seeds):
             words |= (level_words(lvl) >> (n - 1)) << (q.height - lvl)
         return owner[words]
 
-    tree = build_biased_selector_tree(q, PccKind.WBG, n)
+    tree = biased_tree_reference(q, PccKind.WBG, n)
     if tree.root < 0:
         return np.full(big_n, ~tree.root, dtype=np.int64)
     node_bits = np.empty((tree.mux_count, big_n), dtype=np.uint8)
     for k in range(tree.mux_count):
         node_bits[k] = pcc_bits(
-            tree.select_pcc, level_words(int(tree.node_level[k])), int(tree.thresholds[k]), n
+            tree.select_pcc, level_words(tree.node_level[k]), tree.thresholds[k], n
         )
     owners = []
     for t in range(big_n):
         ref = tree.root
         while ref >= 0:
-            ref = int(tree.child0[ref] if node_bits[ref, t] else tree.child1[ref])
+            ref = tree.child0[ref] if node_bits[ref, t] else tree.child1[ref]
         owners.append(~ref)
     return np.array(owners, dtype=np.int64)
 

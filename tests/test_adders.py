@@ -195,6 +195,36 @@ def test_run_kernel_matches_full_matrix_oracle_exactly():
     assert checked == {"wbg clamp", "complemented wiring"}
 
 
+def test_run_kernel_matches_full_matrix_oracle_on_filter_size_biased_trees():
+    # 100-150 taps, as in the filter study: depth-7 and depth-8 heaps whose
+    # shallower leaves sit over padding muxes
+    rng = np.random.default_rng(1618)
+    depths, checked = set(), 0
+    for _ in range(20):
+        m_inputs = int(rng.integers(100, 151))
+        n = int(rng.integers(8, 11))
+        w = rng.uniform(-1, 1, m_inputs)
+        w[rng.random(m_inputs) < 0.05] = 0.0
+        v = rng.uniform(-1, 1, m_inputs)
+        seed = int(rng.integers(0, 2**63))
+        for name in ("cemux_biased", "basic_biased"):
+            d = make_design(name, w, n)
+            q = quantize_weights(w, n)
+            active = sum(num > 0 for num in q.numerators)
+            if active & (active - 1) == 0:
+                continue  # no padding below a power-of-two count
+            depths.add(int(active - 1).bit_length())
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", QuantizationWarning)
+                rep = run_adder(d, v, 1 << n, seed)
+                z, counts, estimate, target, error = full_matrix_run(d, v, 1 << n, seed)
+            assert np.array_equal(rep.output.unpacked, z), name
+            assert np.array_equal(rep.sampling_counts, counts), name
+            assert (rep.estimate, rep.target, rep.error) == (estimate, target, error), name
+            checked += 1
+    assert depths == {7, 8} and checked > 30
+
+
 def test_seed_expansion_matches_fixed_spawn():
     from scmux.adders import _source_seeds
 

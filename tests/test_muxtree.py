@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    biased_tree_reference,
     full_tree_select,
     level_ordered_owners,
     pairing_tree,
@@ -66,6 +67,20 @@ def test_quantize_rejects_non_finite_weights():
         # finite weights whose 2^m multiples overflow are rescaled exactly
         assert quantize_weights([1e308], 4).numerators == (16,)
         assert quantize_weights([1e308, -5e307], 3).numerators == (5, 3)
+
+
+def test_quantize_repeats_sign_and_error_checks_per_call():
+    # the numerators of a magnitude vector are memoized; signs and the checks
+    # on bad weights are not
+    a = quantize_weights([0.5, -0.25, 0.25], 3)
+    b = quantize_weights([-0.5, 0.25, -0.25], 3)
+    assert a.numerators == b.numerators == (4, 2, 2)
+    assert (a.signs, b.signs) == ((1, -1, 1), (-1, 1, -1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="zero weight mass"):
+            quantize_weights([0.0, -0.0], 3)
+        with pytest.raises(ValueError, match="overflows"):
+            quantize_weights([1e308, -1e308], 3)
 
 
 @settings(max_examples=400, deadline=None)
@@ -305,3 +320,67 @@ def test_biased_thresholds_tie_and_wbg_clamp():
     with pytest.warns(QuantizationWarning):
         tree = build_biased_selector_tree(q, PccKind.WBG, 3)
     assert tree.thresholds.tolist() == [7]
+
+
+def test_biased_tree_matches_recursive_reference_node_for_node():
+    # the heap build reads each mux's masses off prefix sums over a shape
+    # cached per active count; the reference halves the active inputs
+    # recursively with one Fraction per mux
+    rng = np.random.default_rng(8128)
+    seen = set()
+    for case in range(2400):
+        h = int(rng.integers(1, 13))
+        m_inputs = int(rng.integers(1, 151 if case % 8 == 0 else 41))
+        # random cuts of [0, 2^h]: coinciding cuts give zero numerators
+        cuts = np.sort(rng.integers(0, (1 << h) + 1, m_inputs - 1))
+        nums = np.diff(np.concatenate(([0], cuts, [1 << h])))
+        q = QuantizedWeights(tuple(nums.tolist()), h, (1,) * m_inputs)
+        width = None if case % 3 == 0 else int(rng.integers(3, 17))
+        pcc = (PccKind.WBG, PccKind.COMPARATOR)[case % 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuantizationWarning)
+            tree = build_biased_selector_tree(q, pcc, width)
+        want = biased_tree_reference(q, pcc, width)
+        assert tree.root == want.root
+        assert tree.child0.tolist() == want.child0
+        assert tree.child1.tolist() == want.child1
+        assert tree.node_level.tolist() == want.node_level
+        assert tree.thresholds.tolist() == want.thresholds
+        assert list(tree.probabilities) == want.probabilities
+        assert tree.mux_count == want.mux_count
+        assert tree.num_levels == max(want.node_level, default=0)
+        n = h if width is None else width
+        seen.add("zero weight" if 0 in q.numerators else "all active")
+        seen.add("one active" if tree.root < 0 else "muxes")
+        seen.add("width = height" if n == h else "width != height")
+        if pcc is PccKind.WBG and any(quantize_to_probability(p, n) == 1 << n
+                                      for p in want.probabilities):
+            seen.add("wbg clamp")
+    assert seen == {"zero weight", "all active", "one active", "muxes",
+                    "width = height", "width != height", "wbg clamp"}
+
+
+def test_biased_heap_walk_reaches_each_input_by_its_tree_path():
+    # walking the heap with one select bit per level lands every cycle on the
+    # input the mux-by-mux walk reaches, padding levels included
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        m_inputs = int(rng.integers(1, 40))
+        w = rng.uniform(-1, 1, m_inputs)
+        w[rng.random(m_inputs) < 0.2] = 0.0
+        w[0] = w[0] or 0.5
+        q = quantize_weights(w, int(rng.integers(4, 11)))
+        tree = build_biased_selector_tree(q, PccKind.COMPARATOR)
+        depth = tree.num_levels
+        for path in range(1 << depth):
+            bits = [(path >> (depth - lvl)) & 1 for lvl in range(1, depth + 1)]
+            ref, idx = tree.root, 0
+            for b in bits:
+                if ref >= 0:
+                    assert tree.heap_thresholds[idx] == tree.thresholds[ref]
+                    ref = int(tree.child0[ref] if b else tree.child1[ref])
+                else:
+                    assert tree.heap_thresholds[idx] == 0  # padding
+                    b = 0
+                idx = 2 * idx + 2 - b
+            assert tree.leaf_owner[idx - ((1 << depth) - 1)] == ~ref

@@ -37,6 +37,14 @@ def test_wbg_trivial_thresholds():
     assert out.tolist() == [(int(r) >> 3) & 1 for r in words]
 
 
+def test_wbg_rejects_thresholds_outside_its_code_range():
+    words = np.array([8, 1, 2])
+    for bad in (-1, 16, np.array([3, 16, 0]), np.array([0, -2, 5])):
+        with pytest.raises(ValueError, match="WBG threshold outside"):
+            pcc_bits(PccKind.WBG, words, bad, 4)
+    assert pcc_bits(PccKind.WBG, words, np.array([15, 0, 7]), 4).tolist() == [1, 0, 1]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(3, 10), st.data())
 def test_wbg_full_period_ones_count(n, data):
