@@ -15,11 +15,9 @@ from .muxtree import (
     BiasedSelectorTreeSpec,
     HardwiredTreeSpec,
     QuantizedWeights,
-    biased_leaf_path_products,
     build_biased_selector_tree,
     build_hardwired_tree,
     dump_tree,
-    precise_sampling_counts,
     quantize_weights,
 )
 from .adders import (

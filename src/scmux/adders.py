@@ -21,11 +21,11 @@ correlation, precise sampling, or swap the data source for an LFSR.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .bitstream import Bitstream, bipolar_thresholds
+from .bitstream import bipolar_thresholds
 from .muxtree import (
     BiasedSelectorTreeSpec,
     HardwiredTreeSpec,
@@ -170,14 +170,9 @@ class SimulationReport:
     estimate: float
     target: float
     error: float
-    output_bits: np.ndarray | None = field(repr=False)  # one uint8 per cycle
+    # one uint8 per cycle; None for the APC, whose output is multi-bit
+    output_bits: np.ndarray | None = field(repr=False)
     sampling_counts: np.ndarray | None
-
-    @cached_property
-    def output(self) -> Bitstream | None:
-        """The output stream, packed on first read; None for the APC, whose
-        output is multi-bit."""
-        return None if self.output_bits is None else Bitstream(self.output_bits)
 
 
 # seeds only drive pseudo-random source kinds; these run from reset, as in hardware
@@ -279,7 +274,7 @@ def _hardwired_tree_cached(numerators: tuple[int, ...], h: int) -> HardwiredTree
 @lru_cache(maxsize=128)
 def _biased_tree_cached(numerators: tuple[int, ...], n: int) -> BiasedSelectorTreeSpec:
     q = QuantizedWeights(numerators, n, (1,) * len(numerators))
-    return build_biased_selector_tree(q, BIASED_SELECT_PCC)
+    return build_biased_selector_tree(q)
 
 
 def _owner_sequence(design: AdderDesign, q, n, big_n, seed) -> np.ndarray:
@@ -306,7 +301,7 @@ def _owner_sequence(design: AdderDesign, q, n, big_n, seed) -> np.ndarray:
     # sits over padding muxes of threshold 0, whose bit is always 0
     idx = np.zeros(big_n, dtype=np.int64)
     for words in select:
-        idx = 2 * idx + 2 - pcc_bits(tree.select_pcc, words, tree.heap_thresholds[idx], n)
+        idx = 2 * idx + 2 - pcc_bits(BIASED_SELECT_PCC, words, tree.heap_thresholds[idx], n)
     return tree.leaf_owner[idx - ((1 << depth) - 1)]
 
 

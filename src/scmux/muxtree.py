@@ -7,20 +7,17 @@ a level-l mux input. This is the discrete-distribution-generating tree of
 Knuth and Yao (1976), so it is kept as its owner map (select word -> input)
 and its redundancy-free mux count is one less than the total number of 1s
 across the expansions. The biased-selector tree is a balanced binary tree
-whose per-node select probabilities encode the weights instead. Its shape
-depends only on the number k of active inputs and is built once per k; a
-build from numerators then reads each mux's two subtree masses off the prefix
-sums of the active numerators, and lays the thresholds out as a complete heap
-of depth num_levels, so a cycle's path is a fixed-depth index walk.
+whose per-node select probabilities encode the weights instead, held as its
+heap table. The slot ranges depend only on the number k of active inputs and
+are built once per k; a build from numerators then reads every slot's two
+subtree masses off the prefix sums of the active numerators, so a cycle's
+path is a fixed-depth index walk.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-
-from .sngen import PccKind, _clamp_for_pcc
 
 
 @dataclass(frozen=True)
@@ -150,174 +147,77 @@ def dump_tree(tree: HardwiredTreeSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True, eq=False)
-class _BalancedShape:
+@lru_cache(maxsize=256)
+def _heap_ranges(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The balanced split of k active inputs, independent of their masses.
 
-    Muxes are numbered in post-order. Mux j covers active positions
-    [lo_j, hi_j) and splits them at mid_j; a child ref >= 0 is a mux, ~p is
-    active position p. In the heap layout of depth D = num_levels, mux j sits
-    at slot heap_slot[j], and heap leaf s (slot 2^D - 1 + s) reaches active
-    position heap_leaf[s]. A leaf d < D deep owns the 2^(D-d) heap leaves
-    below its slot: padding muxes of threshold 0 route every cycle to the
-    last of them.
+    Returns each heap slot's active-position range as rows lo, mid, hi, level
+    by level, and each heap leaf's active position. Slot s splits [lo, hi) at
+    mid = lo + (hi - lo) // 2 into slots 2s + 1 and 2s + 2, so a one-input
+    range above the last level splits at mid = lo: a padding mux whose left
+    half is empty.
     """
-
-    lo: np.ndarray
-    mid: np.ndarray
-    hi: np.ndarray
-    child0: np.ndarray
-    child1: np.ndarray
-    node_level: np.ndarray  # root is level 1
-    root: int
-    heap_slot: np.ndarray
-    heap_leaf: np.ndarray
-
-
-@lru_cache(maxsize=256)
-def _balanced_shape(k: int) -> _BalancedShape:
-    rows: list[tuple[int, ...]] = []  # (lo, mid, hi, child0, child1, level, slot)
-    leaves: list[tuple[int, int, int]] = []  # (slot, depth, position)
-
-    def build(lo, hi, depth, slot):
-        if hi - lo == 1:
-            leaves.append((slot, depth, lo))
-            return ~lo
+    lo, hi = np.zeros(1, dtype=np.int64), np.full(1, k, dtype=np.int64)
+    levels = [np.empty((3, 0), dtype=np.int64)]
+    for _ in range((k - 1).bit_length()):
         mid = lo + (hi - lo) // 2
-        c0 = build(lo, mid, depth + 1, 2 * slot + 1)
-        c1 = build(mid, hi, depth + 1, 2 * slot + 2)
-        rows.append((lo, mid, hi, c0, c1, depth + 1, slot))
-        return len(rows) - 1
-
-    root = build(0, k, 0, 0)
-    cols = np.array(rows, dtype=np.int64).reshape(-1, 7).T.copy()
-    depth = int(cols[5].max()) if rows else 0
-    heap_leaf = np.empty(1 << depth, dtype=np.int64)
-    for slot, d, pos in leaves:
-        span = 1 << (depth - d)
-        first = (slot + 1) * span - (1 << depth)
-        heap_leaf[first:first + span] = pos
-    shape = _BalancedShape(*cols[:6], root, cols[6], heap_leaf)
-    for arr in (*cols, heap_leaf):
+        levels.append(np.stack((lo, mid, hi)))
+        lo, hi = np.stack((lo, mid), axis=1).ravel(), np.stack((mid, hi), axis=1).ravel()
+    ranges = np.hstack(levels)
+    for arr in (ranges, lo):
         arr.setflags(write=False)
-    return shape
+    return ranges, lo
 
 
 @dataclass(frozen=True, eq=False)
 class BiasedSelectorTreeSpec:
     """Balanced mux tree whose node select probabilities encode the weights.
 
-    Select bit 1 routes to child0 (the left/lower-index subtree), whose mass
-    fraction is the node probability. Each node's threshold is the
-    select-SNG code for its probability; nodes on the same level share one
-    select source. The heap table holds the same thresholds at their heap
-    slots (padding slots 0), and leaf_owner maps each heap leaf to the input
-    it routes, so a cycle walks idx -> 2 idx + 2 - bit once per level.
+    The tree is a complete heap of depth num_levels. Select bit 1 at slot s
+    routes to slot 2s + 1 (the left, lower-index half), whose mass fraction
+    is the node probability, and bit 0 to slot 2s + 2; a cycle walks
+    idx -> 2 idx + 2 - bit once per level, and the muxes of one level share
+    one select source. heap_thresholds holds each slot's select code. A leaf
+    above the last level sits over padding muxes of code 0, whose bit is
+    always 0, and leaf_owner maps each heap leaf to the input it routes.
     """
 
     num_inputs: int
-    active: np.ndarray = field(repr=False)  # inputs with nonzero numerators
-    shape: _BalancedShape = field(repr=False)
-    left_mass: np.ndarray = field(repr=False)  # per mux: mass of child0's inputs
-    mass: np.ndarray = field(repr=False)  # per mux: mass of both subtrees
-    thresholds: np.ndarray = field(repr=False)
     heap_thresholds: np.ndarray = field(repr=False)
     leaf_owner: np.ndarray = field(repr=False)
-    select_pcc: PccKind
-
-    @cached_property
-    def child0(self) -> np.ndarray:
-        return self._input_refs(self.shape.child0)
-
-    @cached_property
-    def child1(self) -> np.ndarray:
-        return self._input_refs(self.shape.child1)
-
-    def _input_refs(self, refs):
-        # leaf refs ~p name active position p; report them as ~input
-        return np.where(refs >= 0, refs, ~self.active[~refs])
-
-    @property
-    def node_level(self) -> np.ndarray:
-        return self.shape.node_level
-
-    @property
-    def root(self) -> int:
-        r = self.shape.root
-        return r if r >= 0 else ~int(self.active[~r])
-
-    @cached_property
-    def probabilities(self) -> tuple[Fraction, ...]:
-        return tuple(map(Fraction, self.left_mass.tolist(), self.mass.tolist()))
-
-    @property
-    def mux_count(self) -> int:
-        return int(self.shape.lo.size)
+    mux_count: int
 
     @property
     def num_levels(self) -> int:
         return self.leaf_owner.size.bit_length() - 1
 
 
-def build_biased_selector_tree(
-    q: QuantizedWeights,
-    select_pcc: PccKind,
-    select_width: int | None = None,
-) -> BiasedSelectorTreeSpec:
+def build_biased_selector_tree(q: QuantizedWeights) -> BiasedSelectorTreeSpec:
     """Balanced tree over the inputs with nonzero quantized weight.
 
-    Node probability = mass(left subtree) / mass(both subtrees), quantized to
-    the threshold code of a select PCC select_width bits wide (default: the
-    quantization height). Zero-weight inputs are dropped here and reported
-    with zero sampling counts downstream.
+    Node probability = mass(left half) / mass(both halves), quantized to an
+    h-bit select code, h the quantization height. Zero-weight inputs are
+    dropped here and reported with zero sampling counts downstream.
     """
-    n = q.height if select_width is None else select_width
+    h = q.height
     nums = np.array(q.numerators, dtype=np.int64)
     active = np.flatnonzero(nums)
     if not active.size:
         raise ValueError("no inputs with nonzero quantized weight")
-    shape = _balanced_shape(int(active.size))
-    prefix = np.concatenate(([0], np.cumsum(nums[active])))
-    left = prefix[shape.mid] - prefix[shape.lo]
-    mass = prefix[shape.hi] - prefix[shape.lo]
-    # code floor(p 2^n + 1/2) for p = left / mass, exact in integers; ties
-    # round up, as in bipolar_thresholds
-    thresholds = _clamp_for_pcc(((2 * left << n) + mass) // (2 * mass), n, select_pcc)
-    heap = np.zeros(shape.heap_leaf.size - 1, dtype=np.int64)
-    heap[shape.heap_slot] = thresholds
-    leaf_owner = active[shape.heap_leaf]
-    for arr in (active, left, mass, thresholds, heap, leaf_owner):
+    ranges, leaf = _heap_ranges(int(active.size))
+    at_lo, at_mid, at_hi = np.concatenate(([0], np.cumsum(nums[active])))[ranges]
+    left, mass = at_mid - at_lo, at_hi - at_lo
+    # code floor(p 2^h + 1/2) for p = left / mass, exact in integers. With
+    # mass <= 2^h no p is a rounding tie, and a mux's right half has positive
+    # mass, so no code reaches 2^h. A padding mux's left mass is 0, so its code
+    # is 0; the empty ranges below it get divisor 1
+    heap = ((2 * left << h) + mass) // np.maximum(2 * mass, 1)
+    leaf_owner = active[leaf]
+    for arr in (heap, leaf_owner):
         arr.setflags(write=False)
     return BiasedSelectorTreeSpec(
         num_inputs=len(q.numerators),
-        active=active,
-        shape=shape,
-        left_mass=left,
-        mass=mass,
-        thresholds=thresholds,
         heap_thresholds=heap,
         leaf_owner=leaf_owner,
-        select_pcc=select_pcc,
+        mux_count=int(active.size) - 1,
     )
-
-
-def biased_leaf_path_products(tree: BiasedSelectorTreeSpec) -> dict[int, Fraction]:
-    """Exact (pre-quantization) sampling probability of each input."""
-    out: dict[int, Fraction] = {}
-    stack = [(tree.root, Fraction(1))]
-    while stack:
-        ref, p = stack.pop()
-        if ref < 0:
-            out[~ref] = p
-        else:
-            pnode = tree.probabilities[ref]
-            stack.append((int(tree.child0[ref]), p * pnode))
-            stack.append((int(tree.child1[ref]), p * (1 - pnode)))
-    return out
-
-
-def precise_sampling_counts(q: QuantizedWeights, length: int) -> np.ndarray:
-    """Expected (and, under precise sampling, exact) per-input sampling counts."""
-    if length % (1 << q.height):
-        raise ValueError("stream length must be a multiple of 2^height")
-    return np.array(q.numerators, dtype=np.int64) * (length >> q.height)

@@ -6,13 +6,9 @@ Kinds:
   counter                plain modulo-2^n up counter
   sobol_reversed_counter first low-discrepancy (van der Corput) sequence,
                          the bit-reversed state of a counter
-  permutation            a seed-determined uniform random permutation of
-                         [0, 2^n - 1], repeated each period
-  bernoulli              i.i.d. uniform words from a seeded 64-bit generator
 
-All full-period kinds emit every word in [0, 2^n - 1] exactly once per
-period. The seed selects the starting phase for the cyclic kinds and the
-permutation/bit-generator state for the random kinds.
+Both counters emit every word in [0, 2^n - 1] exactly once per period. The
+seed selects the starting phase.
 """
 
 from dataclasses import dataclass
@@ -39,8 +35,7 @@ LFSR_TAPS = {
     16: (16, 15, 13, 4),
 }
 
-KINDS = ("lfsr", "counter", "sobol_reversed_counter", "permutation", "bernoulli")
-FULL_PERIOD_KINDS = ("counter", "sobol_reversed_counter", "permutation")
+KINDS = ("lfsr", "counter", "sobol_reversed_counter")
 
 
 @dataclass(frozen=True)
@@ -95,27 +90,18 @@ def _bit_reverse_table(width: int) -> np.ndarray:
 
 
 def _one_period(spec: RnsSpec) -> np.ndarray:
-    n = spec.width
-    size = 1 << n
-    if spec.kind == "counter":
-        start = spec.seed % size
-        return (start + np.arange(size, dtype=np.int64)) % size
+    # one period of a counter from its seeded phase
+    size = 1 << spec.width
+    idx = (spec.seed % size + np.arange(size, dtype=np.int64)) % size
     if spec.kind == "sobol_reversed_counter":
-        start = spec.seed % size
-        idx = (start + np.arange(size, dtype=np.int64)) % size
-        return _bit_reverse_table(n)[idx]
-    if spec.kind == "permutation":
-        return np.random.default_rng(spec.seed).permutation(size).astype(np.int64)
-    raise ValueError(f"{spec.kind} has no period")
+        return _bit_reverse_table(spec.width)[idx]
+    return idx
 
 
 def rns_sequence(spec: RnsSpec, count: int) -> np.ndarray:
     """First `count` output words of the source, as an int64 array."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    if spec.kind == "bernoulli":
-        rng = np.random.default_rng(spec.seed)
-        return rng.integers(0, 1 << spec.width, size=count, dtype=np.int64)
     if spec.kind == "lfsr":
         return lfsr_words(spec.width, [spec.seed % (1 << spec.width)], count)[0]
     period = _one_period(spec)

@@ -38,25 +38,21 @@ class InputChannel:
     uses_complemented_rns: bool
 
 
-def _clamp_for_pcc(b, n: int, pcc: PccKind):
-    # the WBG has no all-ones code
-    if pcc is PccKind.WBG and np.any(b == 1 << n):
-        warnings.warn(
-            f"WBG cannot represent probability 1; clamping threshold to {(1 << n) - 1}",
-            QuantizationWarning,
-            stacklevel=3,
-        )
-        b = np.minimum(b, (1 << n) - 1)
-    return b
-
-
 def pcc_thresholds(values, n: int, pcc: PccKind) -> np.ndarray:
     """Threshold codes a PCC of width n realizes for bipolar values (int64).
 
     The WBG has no all-ones code, so probability 1 is clamped to
     (2^n - 1)/2^n with a warning.
     """
-    return _clamp_for_pcc(bipolar_thresholds(values, n), n, pcc)
+    b = bipolar_thresholds(values, n)
+    if pcc is PccKind.WBG and np.any(b == 1 << n):
+        warnings.warn(
+            f"WBG cannot represent probability 1; clamping threshold to {(1 << n) - 1}",
+            QuantizationWarning,
+            stacklevel=2,
+        )
+        b = np.minimum(b, (1 << n) - 1)
+    return b
 
 
 def make_channels(

@@ -213,14 +213,12 @@ class BiasedTreeReference(NamedTuple):
         return len(self.child0)
 
 
-def biased_tree_reference(q, select_pcc, select_width=None):
+def biased_tree_reference(q, select_pcc):
     """Balanced biased-selector tree by recursive halving of the active inputs.
 
     Each mux's probability is the exact Fraction mass(left) / mass(both), and
-    its threshold the select PCC's code for it at select_width bits (default
-    the quantization height).
+    its threshold the select PCC's code for it at the quantization height.
     """
-    n = q.height if select_width is None else select_width
     active = [i for i, num in enumerate(q.numerators) if num > 0]
     if not active:
         raise ValueError("no inputs with nonzero quantized weight")
@@ -243,8 +241,50 @@ def biased_tree_reference(q, select_pcc, select_width=None):
         return len(child0) - 1
 
     root = build(active, 1)
-    thresholds = [pcc_threshold(p, n, select_pcc) for p in probs]
+    thresholds = [pcc_threshold(p, q.height, select_pcc) for p in probs]
     return BiasedTreeReference(root, child0, child1, levels, probs, thresholds, select_pcc)
+
+
+def biased_leaf_path_products(tree):
+    """Exact (pre-quantization) sampling probability of each input of a
+    reference tree: the product of the node probabilities along its path."""
+    out = {}
+    stack = [(tree.root, Fraction(1))]
+    while stack:
+        ref, p = stack.pop()
+        if ref < 0:
+            out[~ref] = p
+        else:
+            pnode = tree.probabilities[ref]
+            stack.append((tree.child0[ref], p * pnode))
+            stack.append((tree.child1[ref], p * (1 - pnode)))
+    return out
+
+
+def biased_heap_layout(tree):
+    """A reference tree laid out as a complete heap of depth D, its deepest level.
+
+    The root sits at slot 0 and the children of slot s at 2s + 1 (child0) and
+    2s + 2 (child1). A leaf d < D levels deep sits over padding slots of
+    threshold 0, whose bit 0 routes to child1, so it owns all 2^(D-d) heap
+    leaves below its slot. Returns (heap thresholds, heap-leaf owners).
+    """
+    depth = max(tree.node_level, default=0)
+    heap = [0] * ((1 << depth) - 1)
+    owners = [None] * (1 << depth)
+
+    def place(ref, slot, level):
+        if ref >= 0:
+            heap[slot] = tree.thresholds[ref]
+            place(tree.child0[ref], 2 * slot + 1, level + 1)
+            place(tree.child1[ref], 2 * slot + 2, level + 1)
+        else:
+            span = 1 << (depth - level)
+            first = (slot + 1) * span - (1 << depth)  # leftmost heap leaf below
+            owners[first:first + span] = [~ref] * span
+
+    place(tree.root, 0, 0)
+    return heap, owners
 
 
 def comparator_bit(r, b):
@@ -271,9 +311,8 @@ class RnsState:
     """A number source stepped one clock cycle at a time, as its register is.
 
     Counters count up from the seed (the bit-reversed counter emits the
-    reversed register), the permutation source walks its seeded permutation
-    from the start, the LFSR shifts in the parity of its tapped bits from the
-    seed state (0 maps to 1).
+    reversed register), the LFSR shifts in the parity of its tapped bits from
+    the seed state (0 maps to 1).
     """
 
     def __init__(self, spec):
@@ -283,38 +322,26 @@ class RnsState:
         self._start = spec.seed % size
         if spec.kind == "lfsr" and self._start == 0:
             self._start = 1
-        if spec.kind == "permutation":
-            self._start = 0
-            self._perm = np.random.default_rng(spec.seed).permutation(size).tolist()
-        if spec.kind == "bernoulli":
-            self._rng = np.random.default_rng(spec.seed)
         self._reg = self._start
 
     @property
     def register(self):
-        """The word that the next clock cycle will emit (cyclic kinds only)."""
-        if self.spec.kind == "bernoulli":
-            raise ValueError("bernoulli source has no inspectable register")
+        """The word that the next clock cycle will emit."""
         if self.spec.kind == "sobol_reversed_counter":
             return _bit_reverse(self._reg, self.spec.width)
-        if self.spec.kind == "permutation":
-            return self._perm[self._reg]
         return self._reg
 
     def _step(self, reg):
         size = 1 << self.spec.width
-        if self.spec.kind in ("counter", "sobol_reversed_counter", "permutation"):
+        if self.spec.kind in ("counter", "sobol_reversed_counter"):
             return (reg + 1) % size
         feedback = sum((reg >> (t - 1)) & 1 for t in LFSR_TAPS[self.spec.width]) & 1
         return ((reg << 1) | feedback) % size
 
     def next_word(self):
         """Emit the current word and advance one clock cycle."""
-        if self.spec.kind == "bernoulli":
-            word = int(self._rng.integers(0, 1 << self.spec.width))
-        else:
-            word = self.register
-            self._reg = self._step(self._reg)
+        word = self.register
+        self._reg = self._step(self._reg)
         self.t += 1
         return word
 
@@ -734,7 +761,7 @@ def full_matrix_owners(design, q, n, big_n, seeds):
             words |= (level_words(lvl) >> (n - 1)) << (q.height - lvl)
         return owner[words]
 
-    tree = biased_tree_reference(q, PccKind.WBG, n)
+    tree = biased_tree_reference(q, PccKind.WBG)
     if tree.root < 0:
         return np.full(big_n, ~tree.root, dtype=np.int64)
     node_bits = np.empty((tree.mux_count, big_n), dtype=np.uint8)

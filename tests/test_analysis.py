@@ -25,7 +25,6 @@ from scmux.analysis import (
 )
 from scmux.bitstream import bipolar_thresholds
 from scmux.muxtree import build_hardwired_tree, quantize_weights
-from scmux.rns import RnsSpec, rns_sequence
 
 
 def _enum_setup(cfg):
@@ -404,8 +403,8 @@ def test_bernoulli_xnor_multiplier_matches_combinational_variance():
     rng = np.random.default_rng(14)
     ests = np.empty(runs)
     for r in range(runs):
-        xw = rns_sequence(RnsSpec("bernoulli", n, int(rng.integers(2**63))), big_n)
-        ww = rns_sequence(RnsSpec("bernoulli", n, int(rng.integers(2**63))), big_n)
+        xw = np.random.default_rng(int(rng.integers(2**63))).integers(0, 1 << n, big_n)
+        ww = np.random.default_rng(int(rng.integers(2**63))).integers(0, 1 << n, big_n)
         prod = 1 - ((xw < bx).astype(int) ^ (ww < bw).astype(int))
         ests[r] = 2.0 * prod.sum() / big_n - 1.0
     var = ests.var(ddof=1)

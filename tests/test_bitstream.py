@@ -15,7 +15,6 @@ from scmux.bitstream import (
     scc,
     threshold_to_value,
 )
-from scmux.rns import RnsSpec, rns_sequence
 
 
 def test_estimate_examples():
@@ -134,7 +133,7 @@ def test_comparator_round_trip_over_permutation(n, b_raw, seed):
     # generating value B/2^n with a comparator over a full-period permutation
     # source and re-estimating returns exactly B/2^n
     b = b_raw % ((1 << n) + 1)
-    words = rns_sequence(RnsSpec("permutation", n, seed), 1 << n)
+    words = np.random.default_rng(seed).permutation(1 << n)
     stream = Bitstream((words < b).astype(np.uint8))
     assert estimate_value(stream, SnFormat.UNIPOLAR).value == b / (1 << n)
 

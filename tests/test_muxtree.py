@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,27 +6,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    biased_heap_layout,
+    biased_leaf_path_products,
     biased_tree_reference,
     full_tree_select,
     level_ordered_owners,
     pairing_tree,
-    pcc_threshold,
     quantize_to_probability,
     quantize_weights_transcription,
     select_leaf_noisy,
     select_leaf_precise,
 )
 from scmux.muxtree import (
-    BiasedSelectorTreeSpec,
     QuantizedWeights,
-    biased_leaf_path_products,
     build_biased_selector_tree,
     build_hardwired_tree,
     dump_tree,
-    precise_sampling_counts,
     quantize_weights,
 )
-from scmux.sngen import PccKind, QuantizationWarning
+from scmux.sngen import PccKind
 
 weight_lists = st.lists(
     st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-12), min_size=1, max_size=24
@@ -138,8 +135,7 @@ def test_precise_counts_eq15():
     q = quantize_weights([7 / 16, 1 / 4, 1 / 4, 1 / 16], 4)
     tree = build_hardwired_tree(q)
     counts = np.bincount(tree.owner, minlength=4)
-    assert counts.tolist() == [7, 4, 4, 1]
-    assert precise_sampling_counts(q, 16).tolist() == [7, 4, 4, 1]
+    assert counts.tolist() == [7, 4, 4, 1] == list(q.numerators)
 
 
 @settings(max_examples=200, deadline=None)
@@ -150,7 +146,7 @@ def test_precise_sampling_exact_any_phase(w, h, phase):
     n_cycles = 4 << h
     words = (phase + np.arange(n_cycles)) % (1 << h)
     counts = np.bincount(tree.owner[words], minlength=len(w))
-    assert counts.tolist() == list(precise_sampling_counts(q, n_cycles))
+    assert counts.tolist() == [num * (n_cycles >> h) for num in q.numerators]
 
 
 @settings(max_examples=200, deadline=None)
@@ -234,19 +230,25 @@ def test_mux_count_bound():
 
 def test_biased_tree_example_grouping():
     q = quantize_weights([1 / 2, 3 / 8, 1 / 8], 3)
-    tree = build_biased_selector_tree(q, PccKind.COMPARATOR, 8)
-    prods = biased_leaf_path_products(tree)
+    ref = biased_tree_reference(q, PccKind.WBG)
+    prods = biased_leaf_path_products(ref)
     assert prods == {0: Fraction(1, 2), 1: Fraction(3, 8), 2: Fraction(1, 8)}
-    root = tree.root
-    assert tree.probabilities[root] == Fraction(4, 8)  # toward input 0
-    inner = int(tree.child1[root])
-    assert tree.probabilities[inner] == Fraction(3, 4)  # toward input 1
+    assert ref.probabilities[ref.root] == Fraction(4, 8)  # toward input 0
+    assert ref.probabilities[ref.child1[ref.root]] == Fraction(3, 4)  # toward input 1
+    # input 0's leaf sits one level up, over a padding mux of code 0
+    tree = build_biased_selector_tree(q)
+    assert tree.heap_thresholds.tolist() == [4, 0, 6]
+    assert tree.leaf_owner.tolist() == [0, 0, 1, 2]
+    assert (tree.mux_count, tree.num_levels) == (2, 2)
 
 
 def test_biased_tree_equal_weights_all_half():
     q = quantize_weights([1, 1, 1, 1], 4)
-    tree = build_biased_selector_tree(q, PccKind.COMPARATOR, 8)
-    assert all(p == Fraction(1, 2) for p in tree.probabilities)
+    ref = biased_tree_reference(q, PccKind.WBG)
+    assert all(p == Fraction(1, 2) for p in ref.probabilities)
+    tree = build_biased_selector_tree(q)
+    assert tree.heap_thresholds.tolist() == [8, 8, 8]
+    assert tree.leaf_owner.tolist() == [0, 1, 2, 3]
 
 
 @settings(max_examples=200, deadline=None)
@@ -254,21 +256,26 @@ def test_biased_tree_equal_weights_all_half():
 def test_biased_path_products_recover_quantized_weights(w, h):
     q = quantize_weights(w, h)
     try:
-        tree = build_biased_selector_tree(q, PccKind.COMPARATOR, 8)
+        ref = biased_tree_reference(q, PccKind.WBG)
     except ValueError:
         return
-    prods = biased_leaf_path_products(tree)
+    prods = biased_leaf_path_products(ref)
     assert sum(prods.values()) == 1
     for i, num in enumerate(q.numerators):
         if num > 0:
             assert prods[i] == Fraction(num, q.denominator)
+    tree = build_biased_selector_tree(q)
+    assert tree.heap_thresholds.tolist() == biased_heap_layout(ref)[0]
+    assert set(tree.leaf_owner.tolist()) == set(prods)
 
 
 def test_biased_zero_weight_inputs_dropped():
     q = quantize_weights([0.5, 1e-9, 0.5], 2)
     assert q.numerators == (2, 0, 2)
-    tree = build_biased_selector_tree(q, PccKind.COMPARATOR, 8)
-    assert 1 not in biased_leaf_path_products(tree)
+    assert 1 not in biased_leaf_path_products(biased_tree_reference(q, PccKind.WBG))
+    tree = build_biased_selector_tree(q)
+    assert tree.heap_thresholds.tolist() == [2]
+    assert tree.leaf_owner.tolist() == [0, 2]
 
 
 def test_dump_tree_format():
@@ -286,83 +293,75 @@ def test_dump_tree_format():
 
 
 def test_biased_thresholds_match_scalar_quantizer():
-    # each node's select code is the exact probability rounded to n bits,
-    # ties up, with the WBG's all-ones clamp
+    # each mux's select code is its exact probability rounded to h bits, ties
+    # up; at width = height the WBG's all-ones clamp never applies, so both
+    # PCCs give the same codes
     rng = np.random.default_rng(6060)
-    checked = clamped = 0
+    checked = 0
     for _ in range(400):
         m_inputs = int(rng.integers(2, 40))
         w = rng.uniform(-1, 1, m_inputs) ** int(rng.integers(1, 6))
         q = quantize_weights(w, int(rng.integers(1, 13)))
-        n = int(rng.integers(3, 17))
+        tree = build_biased_selector_tree(q)
         for pcc in PccKind:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", QuantizationWarning)
-                tree = build_biased_selector_tree(q, pcc, n)
-            want = [pcc_threshold(p, n, pcc) for p in tree.probabilities]
-            assert tree.thresholds.tolist() == want
-            checked += len(want)
-            clamped += pcc is PccKind.WBG and any(
-                quantize_to_probability(p, n) == 1 << n for p in tree.probabilities
-            )
-    assert checked > 5000 and clamped > 0
+            ref = biased_tree_reference(q, pcc)
+            codes = [quantize_to_probability(p, q.height) for p in ref.probabilities]
+            assert ref.thresholds == codes
+            assert tree.heap_thresholds.tolist() == biased_heap_layout(ref)[0]
+            checked += ref.mux_count
+    assert checked > 5000
 
 
-def test_biased_thresholds_tie_and_wbg_clamp():
-    # p = 5/32 at n = 4 sits on a half step: 2.5 rounds up to 3
-    q = QuantizedWeights((5, 27), 5, (1, 1))
-    tree = build_biased_selector_tree(q, PccKind.COMPARATOR, 4)
-    assert tree.probabilities == (Fraction(5, 32),)
-    assert tree.thresholds.tolist() == [3]
-    # p = 31/32 rounds to probability 1 at n = 3; the WBG clamps it to 7/8
-    q = QuantizedWeights((31, 1), 5, (1, 1))
-    assert build_biased_selector_tree(q, PccKind.COMPARATOR, 3).thresholds.tolist() == [8]
-    with pytest.warns(QuantizationWarning):
-        tree = build_biased_selector_tree(q, PccKind.WBG, 3)
-    assert tree.thresholds.tolist() == [7]
-
-
-def test_biased_tree_matches_recursive_reference_node_for_node():
-    # the heap build reads each mux's masses off prefix sums over a shape
-    # cached per active count; the reference halves the active inputs
-    # recursively with one Fraction per mux
+def _cut_configs():
+    # 2,400 random cuts of [0, 2^h]: coinciding cuts give zero numerators, and
+    # cuts only at the ends one whole-weight input; every eighth case has up
+    # to 150 inputs
     rng = np.random.default_rng(8128)
-    seen = set()
     for case in range(2400):
         h = int(rng.integers(1, 13))
         m_inputs = int(rng.integers(1, 151 if case % 8 == 0 else 41))
-        # random cuts of [0, 2^h]: coinciding cuts give zero numerators
         cuts = np.sort(rng.integers(0, (1 << h) + 1, m_inputs - 1))
         nums = np.diff(np.concatenate(([0], cuts, [1 << h])))
-        q = QuantizedWeights(tuple(nums.tolist()), h, (1,) * m_inputs)
-        width = None if case % 3 == 0 else int(rng.integers(3, 17))
-        pcc = (PccKind.WBG, PccKind.COMPARATOR)[case % 2]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", QuantizationWarning)
-            tree = build_biased_selector_tree(q, pcc, width)
-        want = biased_tree_reference(q, pcc, width)
-        assert tree.root == want.root
-        assert tree.child0.tolist() == want.child0
-        assert tree.child1.tolist() == want.child1
-        assert tree.node_level.tolist() == want.node_level
-        assert tree.thresholds.tolist() == want.thresholds
-        assert list(tree.probabilities) == want.probabilities
-        assert tree.mux_count == want.mux_count
-        assert tree.num_levels == max(want.node_level, default=0)
-        n = h if width is None else width
+        yield QuantizedWeights(tuple(nums.tolist()), h, (1,) * m_inputs)
+
+
+def test_biased_tree_matches_recursive_reference_node_for_node():
+    # the heap build reads every slot's masses off prefix sums over ranges
+    # cached per active count; the reference halves the active inputs
+    # recursively with one Fraction per mux, laid out as a heap
+    seen = set()
+    for q in _cut_configs():
+        tree = build_biased_selector_tree(q)
+        ref = biased_tree_reference(q, PccKind.WBG)
+        heap, owners = biased_heap_layout(ref)
+        assert tree.heap_thresholds.tolist() == heap
+        assert tree.leaf_owner.tolist() == owners
+        assert tree.mux_count == ref.mux_count
+        assert tree.num_levels == max(ref.node_level, default=0)
         seen.add("zero weight" if 0 in q.numerators else "all active")
-        seen.add("one active" if tree.root < 0 else "muxes")
-        seen.add("width = height" if n == h else "width != height")
-        if pcc is PccKind.WBG and any(quantize_to_probability(p, n) == 1 << n
-                                      for p in want.probabilities):
-            seen.add("wbg clamp")
-    assert seen == {"zero weight", "all active", "one active", "muxes",
-                    "width = height", "width != height", "wbg clamp"}
+        seen.add("one active" if ref.root < 0 else "muxes")
+    assert seen == {"zero weight", "all active", "one active", "muxes"}
+
+
+def test_biased_node_probabilities_never_tie_or_round_to_one():
+    # at select width = quantization height a mass T <= 2^h makes no node
+    # probability L/T a rounding tie (that needs 2^(h+1) | T), and none
+    # rounds to 2^h (that needs T - L < 1, an empty right half)
+    nodes = 0
+    for q in _cut_configs():
+        if sum(1 for num in q.numerators if num) < 2:
+            continue
+        one = 1 << q.height
+        for p in biased_tree_reference(q, PccKind.COMPARATOR).probabilities:
+            assert (p * one).denominator != 2
+            assert quantize_to_probability(p, q.height) < one
+            nodes += 1
+    assert nodes > 20000
 
 
 def test_biased_heap_walk_reaches_each_input_by_its_tree_path():
     # walking the heap with one select bit per level lands every cycle on the
-    # input the mux-by-mux walk reaches, padding levels included
+    # input the reference's mux-by-mux walk reaches, padding levels included
     rng = np.random.default_rng(31)
     for _ in range(200):
         m_inputs = int(rng.integers(1, 40))
@@ -370,17 +369,18 @@ def test_biased_heap_walk_reaches_each_input_by_its_tree_path():
         w[rng.random(m_inputs) < 0.2] = 0.0
         w[0] = w[0] or 0.5
         q = quantize_weights(w, int(rng.integers(4, 11)))
-        tree = build_biased_selector_tree(q, PccKind.COMPARATOR)
+        tree = build_biased_selector_tree(q)
+        ref = biased_tree_reference(q, PccKind.WBG)
         depth = tree.num_levels
         for path in range(1 << depth):
             bits = [(path >> (depth - lvl)) & 1 for lvl in range(1, depth + 1)]
-            ref, idx = tree.root, 0
+            node, idx = ref.root, 0
             for b in bits:
-                if ref >= 0:
-                    assert tree.heap_thresholds[idx] == tree.thresholds[ref]
-                    ref = int(tree.child0[ref] if b else tree.child1[ref])
+                if node >= 0:
+                    assert tree.heap_thresholds[idx] == ref.thresholds[node]
+                    node = ref.child0[node] if b else ref.child1[node]
                 else:
                     assert tree.heap_thresholds[idx] == 0  # padding
                     b = 0
                 idx = 2 * idx + 2 - b
-            assert tree.leaf_owner[idx - ((1 << depth) - 1)] == ~ref
+            assert tree.leaf_owner[idx - ((1 << depth) - 1)] == ~node

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from oracles import RnsState
 from scmux.rns import (
-    FULL_PERIOD_KINDS,
     LFSR_TAPS,
     RnsSpec,
     complement_output,
@@ -43,7 +42,7 @@ def test_lfsr_seed_zero_remaps_to_one():
     assert rns_sequence(RnsSpec("lfsr", 5, 0), 1)[0] == 1
 
 
-@pytest.mark.parametrize("kind", FULL_PERIOD_KINDS)
+@pytest.mark.parametrize("kind", ["counter", "sobol_reversed_counter"])
 def test_full_period_histogram_flat(kind):
     spec = RnsSpec(kind, 6, seed=123)
     seq = rns_sequence(spec, 64)
@@ -60,7 +59,7 @@ def test_van_der_corput_prefix_stratification():
         assert sorted(buckets) == list(range(1 << k))
 
 
-@pytest.mark.parametrize("kind", ["lfsr", "counter", "sobol_reversed_counter", "permutation", "bernoulli"])
+@pytest.mark.parametrize("kind", ["lfsr", "counter", "sobol_reversed_counter"])
 def test_determinism_and_statefulness(kind):
     # the oracle steps the source's register one cycle at a time; seed 0
     # checks the LFSR's remap of the all-0 state
@@ -95,8 +94,6 @@ def test_register_peeks_next_word():
     assert state.register == 9
     state.next_word()
     assert state.register == 10
-    with pytest.raises(ValueError):
-        RnsState(RnsSpec("bernoulli", 4, 1)).register
 
 
 def test_complement_output_examples():
@@ -107,8 +104,9 @@ def test_complement_output_examples():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        RnsSpec("xorshift", 8, 0)
+    for kind in ("xorshift", "permutation", "bernoulli"):
+        with pytest.raises(ValueError, match="unknown RNS kind"):
+            RnsSpec(kind, 8, 0)
     with pytest.raises(ValueError):
         RnsSpec("lfsr", 2, 0)
     with pytest.raises(ValueError):
@@ -116,8 +114,14 @@ def test_spec_validation():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(3, 10), st.integers(0, 2**63 - 1), st.integers(1, 200))
-def test_sequence_extension_consistency(width, seed, count):
-    spec = RnsSpec("permutation", width, seed)
+@given(
+    st.sampled_from(["lfsr", "counter", "sobol_reversed_counter"]),
+    st.integers(3, 10),
+    st.integers(0, 2**63 - 1),
+    st.integers(1, 2100),
+)
+def test_sequence_extension_consistency(kind, width, seed, count):
+    # a longer request extends the same stream, across period wraps too
+    spec = RnsSpec(kind, width, seed)
     long = rns_sequence(spec, count + 10)
     assert list(long[:count]) == list(rns_sequence(spec, count))

@@ -104,10 +104,9 @@ def test_identical_positive_channels_identical_streams():
 @given(st.integers(3, 10), st.floats(-1.0, 1.0), st.integers(0, 2**31))
 def test_comparator_generation_is_exact(n, v, seed):
     # ones-count equals the threshold exactly over any full-period source
-    chans = make_channels([v], [1.0], n, PccKind.COMPARATOR)
-    state = RnsState(RnsSpec("permutation", n, seed))
-    (x, _), = generate_inputs(chans, state, PccKind.COMPARATOR, 1 << n)
-    assert x.count_ones() == chans[0].threshold
+    (ch,) = make_channels([v], [1.0], n, PccKind.COMPARATOR)
+    words = np.random.default_rng(seed).permutation(1 << n)
+    assert sum(comparator_bit(int(r), ch.threshold) for r in words) == ch.threshold
 
 
 @settings(max_examples=100, deadline=None)
