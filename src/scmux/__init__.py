@@ -12,8 +12,6 @@ from .bitstream import (
 from .rns import RnsSpec, complement_output, rns_sequence
 from .sngen import InputChannel, PccKind, QuantizationWarning, make_channels
 from .muxtree import (
-    BiasedSelectorTreeSpec,
-    HardwiredTreeSpec,
     QuantizedWeights,
     build_biased_selector_tree,
     build_hardwired_tree,

@@ -27,12 +27,11 @@ import numpy as np
 
 from .bitstream import bipolar_thresholds
 from .muxtree import (
-    BiasedSelectorTreeSpec,
-    HardwiredTreeSpec,
     QuantizedWeights,
     build_biased_selector_tree,
     build_hardwired_tree,
     quantize_weights,
+    tree_size,
 )
 from .rns import RnsSpec, complement_output, lfsr_words, rns_sequence
 
@@ -267,42 +266,38 @@ def _validate_values(values, weights) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _hardwired_tree_cached(numerators: tuple[int, ...], h: int) -> HardwiredTreeSpec:
+def _hardwired_tree_cached(numerators: tuple[int, ...], h: int) -> np.ndarray:
     return build_hardwired_tree(QuantizedWeights(numerators, h, (1,) * len(numerators)))
 
 
 @lru_cache(maxsize=128)
-def _biased_tree_cached(numerators: tuple[int, ...], n: int) -> BiasedSelectorTreeSpec:
-    q = QuantizedWeights(numerators, n, (1,) * len(numerators))
-    return build_biased_selector_tree(q)
+def _biased_tree_cached(numerators: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    return build_biased_selector_tree(QuantizedWeights(numerators, n, (1,) * len(numerators)))
 
 
 def _owner_sequence(design: AdderDesign, q, n, big_n, seed) -> np.ndarray:
     """Input index sampled at each clock cycle, per the design's select wiring."""
     if design.tree_type == "hardwired":
-        tree = _hardwired_tree_cached(q.numerators, q.height)
-        h = tree.height
+        owner = _hardwired_tree_cached(q.numerators, q.height)
         if design.precise_sampling:
-            # the counter starts from its reset state so its dyadic blocks stay
-            # aligned with the low-discrepancy data source
-            words = np.arange(big_n, dtype=np.int64) % (1 << h)
-        else:
-            # one independent LFSR per level; its word's MSB is the select bit
-            msb = lfsr_words(n, _source_seeds(seed, range(1, h + 1)), big_n) >> (n - 1)
-            words = (1 << np.arange(h - 1, -1, -1)) @ msb
-        return tree.owner[words]
+            # the counter runs from its reset state over its 2^h = 2^n words,
+            # so its dyadic blocks stay aligned with the low-discrepancy data
+            # source: cycle t samples owner[t]
+            return owner
+        # one independent LFSR per level; its word's MSB is the select bit
+        h = q.height
+        msb = lfsr_words(n, _source_seeds(seed, range(1, h + 1)), big_n) >> (n - 1)
+        return owner[(1 << np.arange(h - 1, -1, -1)) @ msb]
 
-    tree = _biased_tree_cached(q.numerators, n)
-    depth = tree.num_levels
+    heap, leaf_owner = _biased_tree_cached(q.numerators, n)
+    depth = leaf_owner.size.bit_length() - 1
     select = lfsr_words(n, _source_seeds(seed, range(1, depth + 1)), big_n)
-    # every cycle walks the heap from the root, one level per select source:
-    # select bit 1 routes to child0 (slot 2 idx + 1), whose mass fraction is
-    # p_node, bit 0 to child1 (slot 2 idx + 2). A leaf above the last level
-    # sits over padding muxes of threshold 0, whose bit is always 0
+    # every cycle walks the heap from the root, one level per select source
+    # (see build_biased_selector_tree)
     idx = np.zeros(big_n, dtype=np.int64)
     for words in select:
-        idx = 2 * idx + 2 - pcc_bits(BIASED_SELECT_PCC, words, tree.heap_thresholds[idx], n)
-    return tree.leaf_owner[idx - ((1 << depth) - 1)]
+        idx = 2 * idx + 2 - pcc_bits(BIASED_SELECT_PCC, words, heap[idx], n)
+    return leaf_owner[idx - ((1 << depth) - 1)]
 
 
 def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationReport:
@@ -367,9 +362,9 @@ def run_apc(weights, values, big_n: int) -> SimulationReport:
     if not np.all(np.abs(w) <= 1.0):  # NaN fails too
         raise ValueError("APC coefficient values |w_i| must lie in [0, 1]")
 
-    # both sources run from canonical phase; the design is fully deterministic
-    data_words = rns_sequence(RnsSpec("sobol_reversed_counter", n, 0), big_n)
-    coeff_words = rns_sequence(RnsSpec("counter", n, 0), big_n)
+    # both sources run from reset; the design is fully deterministic
+    data_words = _reset_words("sobol_reversed_counter", n)
+    coeff_words = _reset_words("counter", n)
 
     bx = bipolar_thresholds(x, n)
     bw = bipolar_thresholds(np.abs(w), n)
@@ -441,16 +436,11 @@ def structural_report(design: AdderDesign) -> dict[str, int]:
         n if design.full_correlation and negatives else 0
     )
     counts["rns_instances"] = 1  # shared data source
-    if design.tree_type == "hardwired":
-        tree = _hardwired_tree_cached(q.numerators, q.height)
-        counts["muxes"] = tree.mux_count
-        if design.precise_sampling:
-            counts["select_counter_bits"] = tree.height
-        else:
-            counts["rns_instances"] += tree.height  # one LFSR per level
+    counts["muxes"], levels = tree_size(q, design.tree_type)
+    if design.precise_sampling:
+        counts["select_counter_bits"] = levels
     else:
-        tree = _biased_tree_cached(q.numerators, n)
-        counts["muxes"] = tree.mux_count
-        counts["rns_instances"] += tree.num_levels
-        counts["wbgs"] += tree.mux_count  # one select WBG per mux
+        counts["rns_instances"] += levels  # one LFSR per level
+    if design.tree_type == "biased":
+        counts["wbgs"] += counts["muxes"]  # one select WBG per mux
     return counts

@@ -105,8 +105,8 @@ class ModelConfig:
                 f"supported rows: {', '.join(_ROWS)}"
             )
         n = int(round(math.log2(self.N)))
-        if (1 << n) != self.N or n < 2:
-            raise ValueError("N must be a power of two >= 4")
+        if (1 << n) != self.N or not 2 <= n <= 16:
+            raise ValueError("N must be a power of two in [4, 2^16]")
         h = self.effective_height
         if not 1 <= h <= n:
             raise ValueError("tree height must be in [1, log2 N]")
@@ -148,11 +148,8 @@ class _ModelRuntime:
         # first[i, t]: cycle t is among the first c_i, the cycles whose bits
         # the noise component counts for input i
         self.first = np.arange(self.N) < self.c[:, None]
-        tree = build_hardwired_tree(q)
-        period_owners = tree.owner
-        self.owner = period_owners
-        reps = self.N >> self.h
-        self.owners_precise = np.tile(period_owners, reps)
+        self.owner = build_hardwired_tree(q)
+        self.owners_precise = np.tile(self.owner, self.N >> self.h)
         if cfg.values is not None:
             self.fixed_thresholds = self._thresholds(np.asarray(cfg.values, float))
         else:
@@ -341,11 +338,6 @@ def _closed_form(rt: _ModelRuntime, mup: np.ndarray) -> np.ndarray:
             s = mup @ wt
             return (1.0 - s * s) / N
         return (1.0 - (mup * mup) @ wt) / N
-    if scc not in (0, 1):
-        raise ValueError(
-            f"no closed-form row for hypergeometric with SCC {scc!r}; "
-            f"supported rows: {', '.join(_ROWS)}"
-        )
     if scc == 0:
         if sampling == "noisy":
             s = mup @ wt

@@ -14,8 +14,8 @@ subtree masses off the prefix sums of the active numerators, so a cycle's
 path is a fixed-depth index walk.
 """
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,35 +91,15 @@ def _quantized_magnitudes(magnitudes: bytes, m: int) -> tuple[int, ...]:
     return tuple(q.astype(np.int64).tolist())
 
 
-@dataclass(frozen=True, eq=False)
-class HardwiredTreeSpec:
-    """A redundancy-free hardwired mux tree, held as its owner map.
+def build_hardwired_tree(q: QuantizedWeights) -> np.ndarray:
+    """Owner map of the redundancy-free hardwired tree: select word -> input.
 
     A level-l mux is driven by the l-th MSB of the h-bit select word, so the
-    whole tree is the map from select word to the input it routes. Each set
-    bit of a numerator is one leaf of the redundancy-free tree, so its mux
-    count is one less than the total number of set bits.
-    """
-
-    height: int
-    num_inputs: int
-    bit_planes: np.ndarray = field(repr=False)  # row l: the inputs' 2^(h-l) bits
-    owner: np.ndarray = field(repr=False)  # select word -> input index, 2^h entries
-    mux_count: int
-
-    @cached_property
-    def level_inputs(self) -> tuple[tuple[int, ...], ...]:
-        """Entry l-1 lists the inputs with a leaf on level l."""
-        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.bit_planes[1:])
-
-
-def build_hardwired_tree(q: QuantizedWeights) -> HardwiredTreeSpec:
-    """Construct the redundancy-free hardwired tree for quantized weights.
-
-    The owner map gives each set bit 2^(h-l) of a numerator one aligned block
-    of 2^(h-l) select words, level 0 (a numerator of 2^h) first, then level by
-    level and in input order within a level. Longest blocks first keeps every
-    block aligned to its length, so it is one subtree of the full tree.
+    map (read-only, 2^h int64 entries) is the whole tree. Each set bit 2^(h-l)
+    of a numerator owns one aligned block of 2^(h-l) select words, level 0 (a
+    numerator of 2^h) first, then level by level and in input order within a
+    level. Longest blocks first keeps every block aligned to its length, so it
+    is one subtree of the full tree.
     """
     h = q.height
     nums = np.array(q.numerators, dtype=np.int64)
@@ -127,23 +107,33 @@ def build_hardwired_tree(q: QuantizedWeights) -> HardwiredTreeSpec:
     bits = (nums[None, :] >> np.arange(h, -1, -1)[:, None]) & 1
     levels, inputs = np.nonzero(bits)  # level order, input order within a level
     owner = np.repeat(inputs.astype(np.int64), 1 << (h - levels))
-    for arr in (bits, owner):
-        arr.setflags(write=False)
-    return HardwiredTreeSpec(
-        height=h,
-        num_inputs=len(q.numerators),
-        bit_planes=bits,
-        owner=owner,
-        mux_count=len(levels) - 1,
-    )
+    owner.setflags(write=False)
+    return owner
 
 
-def dump_tree(tree: HardwiredTreeSpec) -> str:
-    """Plain-text dump (one `level l: inputs` line per level) for golden tests."""
-    lines = [f"height {tree.height}", f"inputs {tree.num_inputs}"]
-    for lvl, inputs in enumerate(tree.level_inputs, start=1):
-        lines.append(f"level {lvl}: {' '.join(map(str, inputs))}".rstrip())
-    lines.append(f"muxes {tree.mux_count}")
+def tree_size(q: QuantizedWeights, tree_type: str) -> tuple[int, int]:
+    """Mux count and select levels of the "hardwired" or "biased" tree over q.
+
+    Each set numerator bit is one leaf of the redundancy-free hardwired tree,
+    so it has one mux fewer than set bits, on h levels. The balanced biased
+    tree over the k inputs of nonzero weight has k - 1 muxes on
+    ceil(log2 k) levels.
+    """
+    if tree_type == "hardwired":
+        return sum(num.bit_count() for num in q.numerators) - 1, q.height
+    k = sum(1 for num in q.numerators if num)
+    return k - 1, (k - 1).bit_length()
+
+
+def dump_tree(q: QuantizedWeights) -> str:
+    """Plain-text dump of the hardwired tree (one `level l: inputs` line per
+    level) for golden tests."""
+    h = q.height
+    lines = [f"height {h}", f"inputs {len(q.numerators)}"]
+    for lvl in range(1, h + 1):
+        inputs = [str(i) for i, num in enumerate(q.numerators) if num >> (h - lvl) & 1]
+        lines.append(f"level {lvl}: {' '.join(inputs)}".rstrip())
+    lines.append(f"muxes {tree_size(q, 'hardwired')[0]}")
     return "\n".join(lines) + "\n"
 
 
@@ -169,34 +159,18 @@ def _heap_ranges(k: int) -> tuple[np.ndarray, np.ndarray]:
     return ranges, lo
 
 
-@dataclass(frozen=True, eq=False)
-class BiasedSelectorTreeSpec:
-    """Balanced mux tree whose node select probabilities encode the weights.
-
-    The tree is a complete heap of depth num_levels. Select bit 1 at slot s
-    routes to slot 2s + 1 (the left, lower-index half), whose mass fraction
-    is the node probability, and bit 0 to slot 2s + 2; a cycle walks
-    idx -> 2 idx + 2 - bit once per level, and the muxes of one level share
-    one select source. heap_thresholds holds each slot's select code. A leaf
-    above the last level sits over padding muxes of code 0, whose bit is
-    always 0, and leaf_owner maps each heap leaf to the input it routes.
-    """
-
-    num_inputs: int
-    heap_thresholds: np.ndarray = field(repr=False)
-    leaf_owner: np.ndarray = field(repr=False)
-    mux_count: int
-
-    @property
-    def num_levels(self) -> int:
-        return self.leaf_owner.size.bit_length() - 1
-
-
-def build_biased_selector_tree(q: QuantizedWeights) -> BiasedSelectorTreeSpec:
+def build_biased_selector_tree(q: QuantizedWeights) -> tuple[np.ndarray, np.ndarray]:
     """Balanced tree over the inputs with nonzero quantized weight.
 
-    Node probability = mass(left half) / mass(both halves), quantized to an
-    h-bit select code, h the quantization height. Zero-weight inputs are
+    Returns (heap_thresholds, leaf_owner), both read-only: the tree as a
+    complete heap of depth D = log2(leaf_owner.size). heap_thresholds holds
+    each slot's h-bit select code, h the quantization height, for the node
+    probability mass(left half) / mass(both halves). Select bit 1 at slot s
+    routes to slot 2s + 1 (the left, lower-index half) and bit 0 to slot
+    2s + 2; a cycle walks idx -> 2 idx + 2 - bit once per level, the muxes of
+    one level sharing one select source, and ends on input
+    leaf_owner[idx - (2^D - 1)]. A leaf above the last level sits over
+    padding muxes of code 0, whose bit is always 0. Zero-weight inputs are
     dropped here and reported with zero sampling counts downstream.
     """
     h = q.height
@@ -215,9 +189,4 @@ def build_biased_selector_tree(q: QuantizedWeights) -> BiasedSelectorTreeSpec:
     leaf_owner = active[leaf]
     for arr in (heap, leaf_owner):
         arr.setflags(write=False)
-    return BiasedSelectorTreeSpec(
-        num_inputs=len(q.numerators),
-        heap_thresholds=heap,
-        leaf_owner=leaf_owner,
-        mux_count=int(active.size) - 1,
-    )
+    return heap, leaf_owner

@@ -38,6 +38,7 @@ from scmux.muxtree import (
     build_hardwired_tree,
     dump_tree,
     quantize_weights,
+    tree_size,
 )
 from scmux.rns import RnsSpec
 from scmux.sngen import PccKind, make_channels
@@ -120,13 +121,13 @@ def test_criterion_04_ddg_structure_and_equivalence():
         if not np.any(w):
             continue
         q = quantize_weights(w, h)
-        tree = build_hardwired_tree(q)
+        muxes, _ = tree_size(q, "hardwired")
         popcount = sum(bin(x).count("1") for x in q.numerators)
-        assert tree.mux_count == popcount - 1
+        assert muxes == popcount - 1
         # the production count is popcount - 1 by definition; the oracle
         # counts the muxes that pairing slots bottom-up actually builds
-        assert tree.mux_count == pairing_tree(q.numerators, h).mux_count
-        assert tree.mux_count <= min(m_inputs * h - 1, (1 << h) - 1)
+        assert muxes == pairing_tree(q.numerators, h).mux_count
+        assert muxes <= min(m_inputs * h - 1, (1 << h) - 1)
     mismatches = 0
     checked = 0
     for h in range(1, 5):
@@ -136,12 +137,12 @@ def test_criterion_04_ddg_structure_and_equivalence():
                 if sum(nums) != size:
                     continue
                 q = QuantizedWeights(nums, h, (1,) * m_inputs)
-                tree = build_hardwired_tree(q)
+                owner = build_hardwired_tree(q)
                 pairing = pairing_tree(nums, h)
                 for word in range(size):
                     checked += 1
                     want = full_tree_select(nums, h, word)
-                    if tree.owner[word] != want or select_leaf_precise(pairing, word) != want:
+                    if owner[word] != want or select_leaf_precise(pairing, word) != want:
                         mismatches += 1
     _check(
         4,
@@ -178,10 +179,10 @@ def test_criterion_05_table3_closed_forms():
         # exact enumeration at M=2, N=4
         cfg2 = ModelConfig(model, sampling, scc_level, (0.7, -0.3), (0.4, 0.6), 4)
         q = quantize_weights(cfg2.weights, cfg2.effective_height)
-        tree = build_hardwired_tree(q)
+        owner = build_hardwired_tree(q)
         b = bipolar_thresholds(np.asarray(cfg2.values), 2)
         bp = [int(x) if s > 0 else 4 - int(x) for x, s in zip(b, q.signs)]
-        exact = float(enumerate_model_variance(cfg2, [int(x) for x in tree.owner], bp))
+        exact = float(enumerate_model_variance(cfg2, owner.tolist(), bp))
         ok &= abs(closed_form_variance(cfg2) - exact) <= 1e-12 * max(exact, 1e-30)
     elapsed = time.monotonic() - t0
     ok &= elapsed < 300.0
@@ -377,7 +378,7 @@ def test_criterion_11_structural_goldens_and_filter_ordering(tmp_path, capsys):
     # structural component-count regression against golden files
     golden_ok = True
     q15 = make_design("cemux", [7 / 16, 1 / 4, 1 / 4, 1 / 16], 4)
-    tree_text = dump_tree(build_hardwired_tree(quantize_weights(q15.weights, 4)))
+    tree_text = dump_tree(quantize_weights(q15.weights, 4))
     golden_ok &= tree_text == (GOLDEN / "tree_eq15.txt").read_text()
     for name in ("cemux", "cemux_biased", "basic_hardwired", "apc"):
         design = make_design(name, [0.5, -0.25, 0.125, -0.125], 6)

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    biased_tree_reference,
     bipolar_threshold,
     cemux_block_error,
     cemux_expected_mse,
     full_matrix_apc,
     full_matrix_run,
+    pairing_tree,
     quantize_weights_transcription,
     spawned_seeds,
 )
@@ -413,6 +415,48 @@ def test_structural_report_inverters_and_bound():
             n = int(rng.integers(3, 9))
             counts = structural_report(make_design(name, w, n))
             assert counts["muxes"] <= min(m_inputs * n - 1, (1 << n) - 1)
+
+
+def test_structural_counts_match_oracle_trees():
+    # structural_report derives its counts from the numerators; the oracles
+    # build each tree mux by mux: pairing slots bottom-up for the hardwired
+    # tree, recursive halving of the active inputs for the biased one
+    names = [name for name in (*DESIGN_NAMES, *ABLATION_NAMES) if name != "apc"]
+    rng = np.random.default_rng(1111)
+    seen = set()
+    for case in range(400):
+        m_inputs = int(rng.integers(1, 40))
+        w = rng.uniform(-1, 1, m_inputs)
+        w[rng.random(m_inputs) < 0.2] = 0.0
+        if case % 10 == 0:  # one active input
+            w[:] = 0.0
+        w[int(rng.integers(0, m_inputs))] = rng.choice([-0.5, 0.5])
+        n = int(rng.integers(3, 11))
+        design = make_design(names[case % len(names)], w, n)
+        q = quantize_weights(w, n)
+        active = sum(1 for num in q.numerators if num)
+        wbgs = active if design.data_pcc is PccKind.WBG else 0
+        if design.tree_type == "hardwired":
+            pairing = pairing_tree(q.numerators, n)
+            muxes, levels = pairing.mux_count, pairing.height
+        else:
+            ref = biased_tree_reference(q, PccKind.WBG)
+            muxes, levels = ref.mux_count, max(ref.node_level, default=0)
+            wbgs += muxes  # one select WBG per mux
+        counts = structural_report(design)
+        assert counts["muxes"] == muxes
+        assert counts["wbgs"] == wbgs
+        if design.precise_sampling:
+            assert (counts["rns_instances"], counts["select_counter_bits"]) == (1, levels)
+        else:
+            assert (counts["rns_instances"], counts["select_counter_bits"]) == (1 + levels, 0)
+        seen.add((design.tree_type, "zero weight" if 0 in q.numerators else "all active"))
+        seen.add((design.tree_type, "one active" if active == 1 else
+                  "power of two" if active & (active - 1) == 0 else "other count"))
+    assert seen == {
+        (tree, kind) for tree in ("hardwired", "biased")
+        for kind in ("zero weight", "all active", "one active", "power of two", "other count")
+    }
 
 
 def test_structural_report_single_input_and_apc():

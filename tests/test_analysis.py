@@ -29,10 +29,9 @@ from scmux.muxtree import build_hardwired_tree, quantize_weights
 
 def _enum_setup(cfg):
     q = quantize_weights(cfg.weights, cfg.effective_height)
-    tree = build_hardwired_tree(q)
     b = bipolar_thresholds(np.asarray(cfg.values), int(math.log2(cfg.N)))
     bp = [int(x) if s > 0 else cfg.N - int(x) for x, s in zip(b, q.signs)]
-    return [int(v) for v in tree.owner], bp
+    return build_hardwired_tree(q).tolist(), bp
 
 
 MICRO_W = (0.7, -0.3)
@@ -244,6 +243,9 @@ def test_model_config_validation():
         ModelConfig("hypergeometric", "noisy", None, (1.0,), None, 16)
     with pytest.raises(ValueError):
         ModelConfig("bernoulli", "noisy", 0, (1.0,), None, 24)
+    for big_n in (2, 1 << 17, 1 << 40):  # outside [4, 2^16], as make_design's n in [3, 16]
+        with pytest.raises(ValueError, match="power of two in"):
+            ModelConfig("bernoulli", "noisy", None, (1.0,), None, big_n)
     with pytest.raises(ValueError):
         closed_form_variance(ModelConfig("bernoulli", "noisy", 0, (1.0,), None, 16))
 

@@ -107,6 +107,15 @@ def test_negative_m_exponent_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["40", "-1", "1"])
+def test_decompose_out_of_range_n_is_rejected(capsys, n):
+    code, out, err = run_cli(capsys, "decompose", "--model", "bernoulli", "--sampling", "noisy",
+                             "--n", n, "--runs", "2", "--m-list", "2")
+    assert code == 2
+    assert f"--n must be in [2, 16], got {n}" in err
+    assert out == ""
+
+
 def test_report_lowpass_taps_zero_is_rejected(capsys):
     code, out, err = run_cli(capsys, "report", "--design", "cemux", "--n", "4",
                              "--lowpass-taps", "0")
@@ -390,6 +399,8 @@ def cli_argv(draw):
 @example(["report", "--design", "cemux", "--n", "4", "--lowpass-taps", "0"])
 @example(["sweep-m", "--designs", "cemux", "--n", "4", "--m-max", "1", "--runs", "1",
           "--m-min", "-1"])
+@example(["decompose", "--model", "bernoulli", "--sampling", "noisy", "--n", "40", "--runs", "2",
+          "--m-list", "2"])
 def test_cli_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in FUZZ_FILES.items():

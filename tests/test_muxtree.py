@@ -23,6 +23,7 @@ from scmux.muxtree import (
     build_hardwired_tree,
     dump_tree,
     quantize_weights,
+    tree_size,
 )
 from scmux.sngen import PccKind
 
@@ -109,32 +110,32 @@ def test_quantize_matches_transcription_on_ties_and_near_ties():
 
 def test_tree_level_assignment_matches_binary_expansions():
     q = quantize_weights([7 / 16, 1 / 4, 1 / 4, 1 / 16], 4)
-    tree = build_hardwired_tree(q)
-    assert tree.level_inputs == ((), (0, 1, 2), (0,), (0, 3))
-    assert tree.mux_count == 5  # six 1-bits total, minus one
+    # level 1 is empty, level 2 holds inputs 0, 1, 2, level 3 input 0 and
+    # level 4 inputs 0 and 3: blocks of 4, 4, 4, 2, 1, 1 select words
+    assert build_hardwired_tree(q).tolist() == [0] * 4 + [1] * 4 + [2] * 4 + [0] * 2 + [0, 3]
+    assert tree_size(q, "hardwired") == (5, 4)  # six 1-bits total, minus one
 
 
 def test_single_input_tree_has_no_muxes():
     q = quantize_weights([0.7], 3)
-    tree = build_hardwired_tree(q)
-    assert tree.mux_count == 0
-    assert tree.owner.tolist() == [0] * 8
+    assert tree_size(q, "hardwired") == (0, 3)
+    assert tree_size(q, "biased") == (0, 0)
+    assert build_hardwired_tree(q).tolist() == [0] * 8
     assert pairing_tree(q.numerators, 3).mux_count == 0
     assert all(select_leaf_precise(pairing_tree(q.numerators, 3), w) == 0 for w in range(8))
 
 
 def test_equal_four_way_tree_counts():
     q = quantize_weights([1, 1, 1, 1], 2)
-    tree = build_hardwired_tree(q)
-    assert sorted(tree.owner.tolist()) == [0, 1, 2, 3]
+    owner = build_hardwired_tree(q)
+    assert sorted(owner.tolist()) == [0, 1, 2, 3]
     owners = [select_leaf_precise(pairing_tree(q.numerators, 2), w) for w in range(4)]
-    assert owners == tree.owner.tolist()
+    assert owners == owner.tolist()
 
 
 def test_precise_counts_eq15():
     q = quantize_weights([7 / 16, 1 / 4, 1 / 4, 1 / 16], 4)
-    tree = build_hardwired_tree(q)
-    counts = np.bincount(tree.owner, minlength=4)
+    counts = np.bincount(build_hardwired_tree(q), minlength=4)
     assert counts.tolist() == [7, 4, 4, 1] == list(q.numerators)
 
 
@@ -142,10 +143,9 @@ def test_precise_counts_eq15():
 @given(weight_lists, st.integers(1, 8), st.integers(0, 2**16))
 def test_precise_sampling_exact_any_phase(w, h, phase):
     q = quantize_weights(w, h)
-    tree = build_hardwired_tree(q)
     n_cycles = 4 << h
     words = (phase + np.arange(n_cycles)) % (1 << h)
-    counts = np.bincount(tree.owner[words], minlength=len(w))
+    counts = np.bincount(build_hardwired_tree(q)[words], minlength=len(w))
     assert counts.tolist() == [num * (n_cycles >> h) for num in q.numerators]
 
 
@@ -153,8 +153,7 @@ def test_precise_sampling_exact_any_phase(w, h, phase):
 @given(weight_lists, st.integers(1, 8))
 def test_ddg_routing_fractions_exact(w, h):
     q = quantize_weights(w, h)
-    tree = build_hardwired_tree(q)
-    counts = np.bincount(tree.owner, minlength=len(w))
+    counts = np.bincount(build_hardwired_tree(q), minlength=len(w))
     assert counts.tolist() == list(q.numerators)
 
 
@@ -179,19 +178,18 @@ def test_select_matches_full_tree_oracle(case):
     h, numerators = case
     m_inputs = len(numerators)
     q = QuantizedWeights(tuple(numerators), h, (1,) * m_inputs)
-    tree = build_hardwired_tree(q)
     slots = level_ordered_owners(numerators, h)
     want = [full_tree_select(numerators, h, word, slots) for word in range(1 << h)]
-    assert tree.owner.tolist() == want
+    assert build_hardwired_tree(q).tolist() == want
     pairing = pairing_tree(numerators, h)
     assert [select_leaf_precise(pairing, word) for word in range(1 << h)] == want
-    assert tree.mux_count == pairing.mux_count
+    assert tree_size(q, "hardwired") == (pairing.mux_count, h)
 
 
 def test_select_noisy_matches_word_traversal():
     q = quantize_weights([5 / 8, 1 / 4, 1 / 8], 3)
     tree = pairing_tree(q.numerators, 3)
-    owner = build_hardwired_tree(q).owner
+    owner = build_hardwired_tree(q)
     for word in range(8):
         bits = [(word >> (3 - lvl)) & 1 for lvl in (1, 2, 3)]
         assert select_leaf_noisy(tree, bits) == select_leaf_precise(tree, word) == owner[word]
@@ -222,10 +220,10 @@ def test_mux_count_bound():
         if not np.any(w):
             continue
         q = quantize_weights(w, h)
-        tree = build_hardwired_tree(q)
+        muxes, _ = tree_size(q, "hardwired")
         popcount = sum(bin(x).count("1") for x in q.numerators)
-        assert tree.mux_count == popcount - 1
-        assert tree.mux_count <= min(m_inputs * h - 1, (1 << h) - 1)
+        assert muxes == popcount - 1
+        assert muxes <= min(m_inputs * h - 1, (1 << h) - 1)
 
 
 def test_biased_tree_example_grouping():
@@ -236,19 +234,19 @@ def test_biased_tree_example_grouping():
     assert ref.probabilities[ref.root] == Fraction(4, 8)  # toward input 0
     assert ref.probabilities[ref.child1[ref.root]] == Fraction(3, 4)  # toward input 1
     # input 0's leaf sits one level up, over a padding mux of code 0
-    tree = build_biased_selector_tree(q)
-    assert tree.heap_thresholds.tolist() == [4, 0, 6]
-    assert tree.leaf_owner.tolist() == [0, 0, 1, 2]
-    assert (tree.mux_count, tree.num_levels) == (2, 2)
+    heap, leaf_owner = build_biased_selector_tree(q)
+    assert heap.tolist() == [4, 0, 6]
+    assert leaf_owner.tolist() == [0, 0, 1, 2]
+    assert tree_size(q, "biased") == (2, 2)
 
 
 def test_biased_tree_equal_weights_all_half():
     q = quantize_weights([1, 1, 1, 1], 4)
     ref = biased_tree_reference(q, PccKind.WBG)
     assert all(p == Fraction(1, 2) for p in ref.probabilities)
-    tree = build_biased_selector_tree(q)
-    assert tree.heap_thresholds.tolist() == [8, 8, 8]
-    assert tree.leaf_owner.tolist() == [0, 1, 2, 3]
+    heap, leaf_owner = build_biased_selector_tree(q)
+    assert heap.tolist() == [8, 8, 8]
+    assert leaf_owner.tolist() == [0, 1, 2, 3]
 
 
 @settings(max_examples=200, deadline=None)
@@ -264,23 +262,23 @@ def test_biased_path_products_recover_quantized_weights(w, h):
     for i, num in enumerate(q.numerators):
         if num > 0:
             assert prods[i] == Fraction(num, q.denominator)
-    tree = build_biased_selector_tree(q)
-    assert tree.heap_thresholds.tolist() == biased_heap_layout(ref)[0]
-    assert set(tree.leaf_owner.tolist()) == set(prods)
+    heap, leaf_owner = build_biased_selector_tree(q)
+    assert heap.tolist() == biased_heap_layout(ref)[0]
+    assert set(leaf_owner.tolist()) == set(prods)
 
 
 def test_biased_zero_weight_inputs_dropped():
     q = quantize_weights([0.5, 1e-9, 0.5], 2)
     assert q.numerators == (2, 0, 2)
     assert 1 not in biased_leaf_path_products(biased_tree_reference(q, PccKind.WBG))
-    tree = build_biased_selector_tree(q)
-    assert tree.heap_thresholds.tolist() == [2]
-    assert tree.leaf_owner.tolist() == [0, 2]
+    heap, leaf_owner = build_biased_selector_tree(q)
+    assert heap.tolist() == [2]
+    assert leaf_owner.tolist() == [0, 2]
 
 
 def test_dump_tree_format():
     q = quantize_weights([7 / 16, 1 / 4, 1 / 4, 1 / 16], 4)
-    text = dump_tree(build_hardwired_tree(q))
+    text = dump_tree(q)
     assert text.splitlines() == [
         "height 4",
         "inputs 4",
@@ -302,12 +300,12 @@ def test_biased_thresholds_match_scalar_quantizer():
         m_inputs = int(rng.integers(2, 40))
         w = rng.uniform(-1, 1, m_inputs) ** int(rng.integers(1, 6))
         q = quantize_weights(w, int(rng.integers(1, 13)))
-        tree = build_biased_selector_tree(q)
+        heap, _ = build_biased_selector_tree(q)
         for pcc in PccKind:
             ref = biased_tree_reference(q, pcc)
             codes = [quantize_to_probability(p, q.height) for p in ref.probabilities]
             assert ref.thresholds == codes
-            assert tree.heap_thresholds.tolist() == biased_heap_layout(ref)[0]
+            assert heap.tolist() == biased_heap_layout(ref)[0]
             checked += ref.mux_count
     assert checked > 5000
 
@@ -331,13 +329,10 @@ def test_biased_tree_matches_recursive_reference_node_for_node():
     # recursively with one Fraction per mux, laid out as a heap
     seen = set()
     for q in _cut_configs():
-        tree = build_biased_selector_tree(q)
+        heap, leaf_owner = build_biased_selector_tree(q)
         ref = biased_tree_reference(q, PccKind.WBG)
-        heap, owners = biased_heap_layout(ref)
-        assert tree.heap_thresholds.tolist() == heap
-        assert tree.leaf_owner.tolist() == owners
-        assert tree.mux_count == ref.mux_count
-        assert tree.num_levels == max(ref.node_level, default=0)
+        assert (heap.tolist(), leaf_owner.tolist()) == biased_heap_layout(ref)
+        assert tree_size(q, "biased") == (ref.mux_count, max(ref.node_level, default=0))
         seen.add("zero weight" if 0 in q.numerators else "all active")
         seen.add("one active" if ref.root < 0 else "muxes")
     assert seen == {"zero weight", "all active", "one active", "muxes"}
@@ -369,18 +364,18 @@ def test_biased_heap_walk_reaches_each_input_by_its_tree_path():
         w[rng.random(m_inputs) < 0.2] = 0.0
         w[0] = w[0] or 0.5
         q = quantize_weights(w, int(rng.integers(4, 11)))
-        tree = build_biased_selector_tree(q)
+        heap, leaf_owner = build_biased_selector_tree(q)
         ref = biased_tree_reference(q, PccKind.WBG)
-        depth = tree.num_levels
+        depth = leaf_owner.size.bit_length() - 1
         for path in range(1 << depth):
             bits = [(path >> (depth - lvl)) & 1 for lvl in range(1, depth + 1)]
             node, idx = ref.root, 0
             for b in bits:
                 if node >= 0:
-                    assert tree.heap_thresholds[idx] == ref.thresholds[node]
+                    assert heap[idx] == ref.thresholds[node]
                     node = ref.child0[node] if b else ref.child1[node]
                 else:
-                    assert tree.heap_thresholds[idx] == 0  # padding
+                    assert heap[idx] == 0  # padding
                     b = 0
                 idx = 2 * idx + 2 - b
-            assert tree.leaf_owner[idx - ((1 << depth) - 1)] == ~node
+            assert leaf_owner[idx - ((1 << depth) - 1)] == ~node

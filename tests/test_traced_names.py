@@ -33,3 +33,29 @@ def test_every_traced_name_resolves():
 
     assert callable(scmux.bitstream.Bitstream.__init__)
     assert scmux.make_channels is scmux.adders.make_channels is scmux.sngen.make_channels
+
+
+def test_traced_arguments_keep_their_positions():
+    # perfbench/spans.py's NOTES hooks read these arguments by position, or
+    # by name when passed as keywords; a drifting signature would make
+    # `perfbench/run.py --trace 1` miscount without failing here otherwise
+    import inspect
+
+    import scmux.adders
+    import scmux.analysis
+    import scmux.muxtree
+    import scmux.rns
+    import scmux.sngen
+
+    read = {
+        scmux.adders.run_adder: {"design": 0, "big_n": 2},
+        scmux.muxtree.quantize_weights: {"weights": 0, "m": 1},
+        scmux.rns.rns_sequence: {"count": 1},
+        scmux.analysis.decompose_variance: {"cfg": 0, "runs": 1},
+        scmux.sngen.make_channels: {"values": 0},
+        scmux.sngen.input_bit_matrix: {"channels": 0, "words": 1},
+    }
+    for func, positions in read.items():
+        params = list(inspect.signature(func).parameters)
+        for name, pos in positions.items():
+            assert name in params and params.index(name) == pos, (func.__name__, name, params)
