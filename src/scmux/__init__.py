@@ -1,21 +1,13 @@
 """Bit-accurate simulation and accuracy analysis of stochastic-computing
 mux-based weighted adders."""
 
-from .bitstream import (
-    Bitstream,
-    SnFormat,
-    SnValue,
-    estimate_value,
-    scc,
-    threshold_to_value,
-)
+from .bitstream import Bitstream
 from .rns import RnsSpec, complement_output, rns_sequence
 from .sngen import InputChannel, PccKind, QuantizationWarning, make_channels
 from .muxtree import (
     QuantizedWeights,
     build_biased_selector_tree,
     build_hardwired_tree,
-    dump_tree,
     quantize_weights,
 )
 from .adders import (
@@ -25,7 +17,6 @@ from .adders import (
     run_adder,
     run_apc,
     structural_report,
-    target_value,
 )
 from .analysis import (
     AccuracyStats,
@@ -42,7 +33,6 @@ from .filterapp import (
     filter_rmse_vs_length,
     make_lowpass,
     make_noisy_signal,
-    normalize_signal,
     pulse_train_signal,
     reference_fir,
     stochastic_fir,

@@ -236,16 +236,6 @@ def _source_seeds(master_seed: int, indices) -> list[int]:
     return seeds
 
 
-def target_value(weights, values, n: int, height: int | None = None) -> float:
-    """Weighted mean of the inputs with weights and values quantized to the
-    circuit precision: sum_i sign_i * (q_i / 2^m) * quantized(value_i)."""
-    w = tuple(float(x) for x in weights)
-    if len(w) != len(values):
-        raise ValueError("weights and values must have equal length")
-    q = quantize_weights(w, height if height is not None else n)
-    return _target_from_thresholds(q, bipolar_thresholds(values, n), n)
-
-
 def _target_from_thresholds(q: QuantizedWeights, thresholds: np.ndarray, n: int) -> float:
     # sum_i s_i (q_i / 2^h)(2 B_i / 2^n - 1) is the integer below over
     # 2^(h+n); one correctly rounded division gives the same double as the

@@ -1,34 +1,13 @@
-"""Stochastic number (SN) bit-streams, value estimators, and cross correlation.
+"""Stochastic number (SN) bit-streams and bipolar comparator thresholds.
 
 A stochastic number is a fixed-length stream of bits whose value is encoded
 by the frequency of 1s: unipolar value = P(bit = 1), bipolar value =
 2 P(bit = 1) - 1.
 """
 
-from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-
-class SnFormat(Enum):
-    UNIPOLAR = "unipolar"
-    BIPOLAR = "bipolar"
-
-
-@dataclass(frozen=True)
-class SnValue:
-    """A stochastic number's numeric value together with its encoding format."""
-
-    value: float
-    format: SnFormat
-
-    def __post_init__(self):
-        lo = 0.0 if self.format is SnFormat.UNIPOLAR else -1.0
-        if not lo <= self.value <= 1.0:
-            raise ValueError(f"{self.format.value} value {self.value} outside [{lo}, 1]")
 
 
 class Bitstream:
@@ -36,8 +15,7 @@ class Bitstream:
 
     Bits are stored packed, eight cycles per byte, in clock-cycle order.
     Simulation streams always have power-of-two length; arbitrary lengths are
-    accepted so that the correlation metric can be applied to hand-written
-    streams.
+    accepted so that hand-written streams can be compared.
     """
 
     __slots__ = ("_packed", "_n")
@@ -95,51 +73,6 @@ class Bitstream:
         return f"Bitstream({bits}{tail}, len={self._n})"
 
 
-def estimate_value(stream: Bitstream, fmt: SnFormat) -> SnValue:
-    """Counter-based value estimate of a stream.
-
-    The count of 1s is exact; for power-of-two lengths the returned float is
-    the exact dyadic rational count/N (bipolar: 2*count/N - 1).
-    """
-    ones = stream.count_ones()
-    n = len(stream)
-    if fmt is SnFormat.UNIPOLAR:
-        return SnValue(ones / n, fmt)
-    return SnValue(2.0 * ones / n - 1.0, fmt)
-
-
-def scc(x: Bitstream, y: Bitstream) -> float:
-    """Stochastic cross correlation between two equal-length streams.
-
-    Measures how far the observed 1-overlap sits between the maximum and the
-    minimum overlap attainable at the streams' fixed 1-densities:
-
-        delta = p_xy - p_x p_y
-        scc   = delta / (min(p_x, p_y) - p_x p_y)            if delta > 0
-              = delta / (p_x p_y - max(p_x + p_y - 1, 0))    if delta < 0
-              = 0                                            otherwise
-
-    Degenerate denominators (constant streams) yield 0. Computed in exact
-    rational arithmetic, so maximal/minimal overlap returns exactly +/-1.0.
-    """
-    if len(x) != len(y):
-        raise ValueError("scc requires equal-length streams")
-    n = len(x)
-    px = Fraction(x.count_ones(), n)
-    py = Fraction(y.count_ones(), n)
-    pxy = Fraction(x.overlap_ones(y), n)
-    delta = pxy - px * py
-    if delta == 0:
-        return 0.0
-    if delta > 0:
-        denom = min(px, py) - px * py
-    else:
-        denom = px * py - max(px + py - 1, Fraction(0))
-    if denom == 0:
-        return 0.0
-    return float(delta / denom)
-
-
 @lru_cache(maxsize=None)
 def _bipolar_midpoints(n: int) -> np.ndarray:
     # midpoint k = (2k + 1)/2^n - 1 is the least value whose code exceeds k;
@@ -165,12 +98,3 @@ def bipolar_thresholds(values, n: int) -> np.ndarray:
     if not np.all((v >= -1.0) & (v <= 1.0)):  # also rejects NaN
         raise ValueError("bipolar values must lie in [-1, 1]")
     return np.searchsorted(_bipolar_midpoints(n), v, side="right").astype(np.int64)
-
-
-def threshold_to_value(b: int, n: int, fmt: SnFormat) -> float:
-    """Exact value of the SN generated by threshold b over a full-period source."""
-    if not 0 <= b <= (1 << n):
-        raise ValueError(f"threshold {b} outside [0, 2^{n}]")
-    if fmt is SnFormat.UNIPOLAR:
-        return b / (1 << n)
-    return 2.0 * b / (1 << n) - 1.0

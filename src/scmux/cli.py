@@ -59,11 +59,14 @@ def _emit(args, header_lines, rows):
 def _read_coefficients(path: str) -> list[float]:
     """One coefficient per line; blank lines and # comments are skipped."""
     vals = []
-    for line in Path(path).read_text().splitlines():
+    for k, line in enumerate(Path(path).read_text().splitlines(), start=1):
         s = line.strip()
         if not s or s.startswith("#"):
             continue
-        vals.append(float(s))
+        try:
+            vals.append(float(s))
+        except ValueError:
+            raise ValueError(f"{path} line {k}: expected a number, got {s!r}") from None
     if not vals:
         raise ValueError(f"no coefficients found in {path}")
     return vals
@@ -88,12 +91,6 @@ def read_signal_csv(path: str) -> Signal:
     if not samples:
         raise ValueError(f"no samples found in {path}")
     return Signal(np.asarray(samples))
-
-
-def write_signal_csv(path: str, signal: Signal) -> None:
-    rows = ["index,value"]
-    rows += [f"{i},{_fmt(v)}" for i, v in enumerate(signal.samples)]
-    Path(path).write_text("\n".join(rows) + "\n")
 
 
 def _design_list(raw: str) -> list[str]:

@@ -15,44 +15,26 @@ from .adders import AdderDesign, make_design, run_adder
 from .analysis import AccuracyStats
 
 
+# every signal is sampled at the MIT-BIH ECG rate
+SAMPLE_RATE_HZ = 360.0
+
+
 @dataclass(frozen=True)
 class Signal:
-    """A sampled signal with all samples normalized into [-1, 1].
-
-    source_range records the affine full-scale mapping applied during
-    normalization, if any; sample_rate is informational.
-    """
+    """A sampled signal with all samples normalized into [-1, 1]."""
 
     samples: np.ndarray = field(repr=False)
-    sample_rate: float = 360.0
-    source_range: tuple[float, float] | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("signal must be a non-empty 1-d sample array")
         if np.any(~(np.abs(arr) <= 1.0)):  # NaN fails the comparison
-            raise ValueError(
-                "samples must lie in [-1, 1]; normalize the signal first "
-                "(see normalize_signal)"
-            )
+            raise ValueError("samples must lie in [-1, 1]; normalize the signal first")
         object.__setattr__(self, "samples", arr)
 
     def __len__(self):
         return int(self.samples.size)
-
-
-def normalize_signal(samples, sample_rate: float = 360.0, full_scale: float | None = None) -> Signal:
-    """Affinely map raw samples into [-1, 1] using a declared full-scale range.
-
-    full_scale defaults to the peak magnitude of the data.
-    """
-    arr = np.asarray(samples, dtype=np.float64)
-    peak = float(np.max(np.abs(arr))) if arr.size else 1.0
-    scale = full_scale if full_scale is not None else (peak or 1.0)
-    if scale <= 0:
-        raise ValueError("full_scale must be positive")
-    return Signal(arr / scale, sample_rate, source_range=(-scale, scale))
 
 
 @dataclass(frozen=True)
@@ -87,7 +69,7 @@ def reference_fir(spec: FilterSpec, signal: Signal) -> Signal:
     stage; all internal accuracy statistics use the unsaturated values.
     """
     out = _reference_raw(spec, signal)
-    return Signal(np.clip(out, -1.0, 1.0), signal.sample_rate)
+    return Signal(np.clip(out, -1.0, 1.0))
 
 
 def _reference_raw(spec: FilterSpec, signal: Signal) -> np.ndarray:
@@ -129,7 +111,7 @@ def stochastic_fir(
         if i >= warmup:
             errors.append(out[i] - ref[i])
     stats = AccuracyStats.from_errors(errors)
-    return Signal(np.clip(out, -1.0, 1.0), signal.sample_rate), stats
+    return Signal(np.clip(out, -1.0, 1.0)), stats
 
 
 def make_noisy_signal(
@@ -137,7 +119,6 @@ def make_noisy_signal(
     noise_sigma: float,
     seed: int,
     length: int,
-    sample_rate: float = 360.0,
 ) -> Signal:
     """Deterministic base waveform plus seeded white Gaussian noise.
 
@@ -149,22 +130,21 @@ def make_noisy_signal(
         raise ValueError("noise_sigma must be >= 0")
     if length < 1:
         raise ValueError("length must be >= 1")
-    t = np.arange(length) / sample_rate
+    t = np.arange(length) / SAMPLE_RATE_HZ
     if kind == "sine_mix":
         base = 0.55 * np.sin(2 * np.pi * 4.0 * t) + 0.25 * np.sin(2 * np.pi * 9.0 * t)
     elif kind == "chirp":
-        f0, f1 = 1.0, 0.45 * sample_rate / 2
+        f0, f1 = 1.0, 0.45 * SAMPLE_RATE_HZ / 2
         phase = 2 * np.pi * (f0 * t + (f1 - f0) * t**2 / (2 * t[-1] if length > 1 else 1))
         base = 0.7 * np.sin(phase)
     else:
         raise ValueError("kind must be sine_mix or chirp")
     noise = np.random.default_rng(seed).normal(0.0, noise_sigma, size=base.size)
-    return Signal(np.clip(base + noise, -1.0, 1.0), sample_rate)
+    return Signal(np.clip(base + noise, -1.0, 1.0))
 
 
 def pulse_train_signal(
     length: int,
-    sample_rate: float = 360.0,
     seed: int = 20210,
     noise_sigma: float = 0.05,
 ) -> Signal:
@@ -175,9 +155,9 @@ def pulse_train_signal(
     lowpass is typically asked to denoise, and the default probe for the
     filter latency sweeps.
     """
-    t = np.arange(length) / sample_rate
+    t = np.arange(length) / SAMPLE_RATE_HZ
     x = 0.06 * np.sin(2 * np.pi * 0.33 * t)  # baseline wander
-    period = max(1, int(sample_rate / 1.2))
+    period = max(1, int(SAMPLE_RATE_HZ / 1.2))
     idx = np.arange(length, dtype=np.float64)
     for k in range(0, length, period):
         tt = idx - (k + 90)
@@ -185,7 +165,7 @@ def pulse_train_signal(
         x += -0.12 * np.exp(-0.5 * ((tt - 12) / 6.0) ** 2)
         x += 0.16 * np.exp(-0.5 * ((tt - 60) / 18.0) ** 2)
     x += np.random.default_rng(seed).normal(0.0, noise_sigma, length)
-    return Signal(np.clip(x, -1.0, 1.0), sample_rate)
+    return Signal(np.clip(x, -1.0, 1.0))
 
 
 def filter_rmse_vs_length(

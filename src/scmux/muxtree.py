@@ -47,8 +47,11 @@ def quantize_weights(weights, m: int) -> QuantizedWeights:
     quantization pseudocode does; a pairwise sum can differ in the last bit
     and flip a near-tie adjustment.
     """
-    if m < 1:
-        raise ValueError("height must be >= 1")
+    if not 1 <= m <= 52:
+        raise ValueError(
+            f"height m must be in [1, 52] (float64 holds 2^m * |w| / sum|w| "
+            f"to the unit only below 2^53), got {m}"
+        )
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-d sequence")
@@ -123,18 +126,6 @@ def tree_size(q: QuantizedWeights, tree_type: str) -> tuple[int, int]:
         return sum(num.bit_count() for num in q.numerators) - 1, q.height
     k = sum(1 for num in q.numerators if num)
     return k - 1, (k - 1).bit_length()
-
-
-def dump_tree(q: QuantizedWeights) -> str:
-    """Plain-text dump of the hardwired tree (one `level l: inputs` line per
-    level) for golden tests."""
-    h = q.height
-    lines = [f"height {h}", f"inputs {len(q.numerators)}"]
-    for lvl in range(1, h + 1):
-        inputs = [str(i) for i, num in enumerate(q.numerators) if num >> (h - lvl) & 1]
-        lines.append(f"level {lvl}: {' '.join(inputs)}".rstrip())
-    lines.append(f"muxes {tree_size(q, 'hardwired')[0]}")
-    return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=256)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitstream import SnFormat, SnValue, bipolar_thresholds
+from .bitstream import bipolar_thresholds
 from .rns import complement_output
 
 
@@ -32,7 +32,7 @@ class QuantizationWarning(UserWarning):
 class InputChannel:
     """One data input: its value, weight, threshold and source wiring."""
 
-    value: SnValue
+    value: float
     weight: float
     threshold: int
     uses_complemented_rns: bool
@@ -62,23 +62,19 @@ def make_channels(
     pcc: PccKind = PccKind.COMPARATOR,
     correlated_wiring: bool = True,
 ) -> list[InputChannel]:
-    """Build input channels for bipolar values (bare floats, as in the adder
-    designs, or bipolar SnValues); negative-weight channels get the
-    complemented source word when correlated wiring is enabled."""
+    """Build input channels for bipolar values; negative-weight channels get
+    the complemented source word when correlated wiring is enabled."""
     if len(values) != len(weights):
         raise ValueError("values and weights must have equal length")
-    svs = [v if isinstance(v, SnValue) else SnValue(float(v), SnFormat.BIPOLAR) for v in values]
-    if any(sv.format is not SnFormat.BIPOLAR for sv in svs):
-        raise ValueError("channel values must be bipolar")
-    thresholds = pcc_thresholds([sv.value for sv in svs], n, pcc).tolist()
+    thresholds = pcc_thresholds(values, n, pcc).tolist()
     return [
         InputChannel(
-            value=sv,
+            value=float(v),
             weight=float(w),
             threshold=b,
             uses_complemented_rns=bool(correlated_wiring and w < 0),
         )
-        for sv, w, b in zip(svs, weights, thresholds)
+        for v, w, b in zip(values, weights, thresholds)
     ]
 
 
@@ -119,19 +115,8 @@ def input_bit_matrix(
     if np.any(thresholds > (1 << n)):
         raise ValueError("channel threshold exceeds source range")
     complemented = np.array([ch.uses_complemented_rns for ch in channels], dtype=bool)
-    if complemented.any():
-        word_rows = np.where(
-            complemented[:, None], complement_output(words, n)[None, :], words[None, :]
-        )
-    else:
-        word_rows = np.broadcast_to(words, (len(channels), words.size))
-    if pcc is PccKind.COMPARATOR:
-        x = (word_rows < thresholds[:, None]).astype(np.uint8)
-    else:
-        if np.any(thresholds >= (1 << n)):
-            raise ValueError(f"WBG threshold outside [0, 2^{n} - 1]")
-        shifts = _wbg_shift_table(n)[word_rows]
-        x = ((thresholds[:, None] >> shifts) & 1).astype(np.uint8)
+    word_rows = np.where(complemented[:, None], complement_output(words, n), words)
+    x = pcc_bits(pcc, word_rows, thresholds[:, None], n)
     negs = np.array([ch.weight < 0 for ch in channels], dtype=np.uint8)
     y = x ^ negs[:, None]
     return x, y

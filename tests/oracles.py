@@ -2,18 +2,20 @@
 
 Everything here is written as directly as possible: plain loops, per-cycle
 stepping, exact rational arithmetic and integer arrays whose range is
-checked. The oracles take types and data from the package (PccKind,
-Bitstream, the LFSR tap table) but none of its algorithms, with one
-exception: the full-matrix adder run (full_matrix_run and its helpers)
-builds its M x N matrices from the production stream primitives (sources,
-quantizers, channels, input_bit_matrix, pcc_bits), which the per-cycle
-oracles below check on their own, so that it can check the O(N) run kernel.
-Its hardwired owners come from level_ordered_blocks, not from the production
-owner map, and its biased trees from biased_tree_reference, not from the
-production heap build. The model-path loop (model_run_once and
-its neighbours) likewise takes the quantizer, the owner map and the
-thresholds from the package, to check the batched decomposition's
-statistics run by run.
+checked. Two helpers live only here: the stochastic cross correlation (scc),
+the metric that measures full correlation, and the plain-text tree dump
+(dump_tree) that the golden file pins. The oracles take types and data from
+the package (PccKind, Bitstream, the LFSR tap table) but none of its
+algorithms, with one exception: the full-matrix adder run (full_matrix_run
+and its helpers) builds its M x N matrices from the production stream
+primitives (sources, quantizers, channels, input_bit_matrix, pcc_bits),
+which the per-cycle oracles below check on their own, so that it can check
+the O(N) run kernel. Its hardwired owners come from level_ordered_blocks,
+not from the production owner map, and its biased trees from
+biased_tree_reference, not from the production heap build. The model-path
+loop (model_run_once and its neighbours) likewise takes the quantizer, the
+owner map and the thresholds from the package, to check the batched
+decomposition's statistics run by run.
 """
 
 import itertools
@@ -79,6 +81,21 @@ def level_ordered_owners(numerators, h):
     for i, lvl, start in level_ordered_blocks(numerators, h):
         slots[start : start + (1 << (h - lvl))] = i
     return slots
+
+
+def dump_tree(q):
+    """Plain-text dump of the hardwired tree over quantized weights q.
+
+    One `level l: inputs` line per level lists the inputs with a leaf there
+    (bit 2^(h-l) of the numerator set); each leaf but one costs a mux.
+    """
+    h = q.height
+    lines = [f"height {h}", f"inputs {len(q.numerators)}"]
+    for lvl in range(1, h + 1):
+        inputs = [str(i) for i, num in enumerate(q.numerators) if num >> (h - lvl) & 1]
+        lines.append(f"level {lvl}: {' '.join(inputs)}".rstrip())
+    lines.append(f"muxes {sum(num.bit_count() for num in q.numerators) - 1}")
+    return "\n".join(lines) + "\n"
 
 
 def full_tree_select(numerators, h, word, slots=None):
@@ -373,6 +390,38 @@ def generate_inputs(channels, rns, pcc, count):
         y = [b ^ int(ch.weight < 0) for b in x]
         out.append((Bitstream(x), Bitstream(y)))
     return out
+
+
+def scc(x, y):
+    """Stochastic cross correlation between two equal-length Bitstreams.
+
+    Measures how far the observed 1-overlap sits between the maximum and the
+    minimum overlap attainable at the streams' fixed 1-densities:
+
+        delta = p_xy - p_x p_y
+        scc   = delta / (min(p_x, p_y) - p_x p_y)            if delta > 0
+              = delta / (p_x p_y - max(p_x + p_y - 1, 0))    if delta < 0
+              = 0                                            otherwise
+
+    Degenerate denominators (constant streams) yield 0. Computed in exact
+    rational arithmetic, so maximal/minimal overlap returns exactly +/-1.0.
+    """
+    if len(x) != len(y):
+        raise ValueError("scc requires equal-length streams")
+    n = len(x)
+    px = Fraction(x.count_ones(), n)
+    py = Fraction(y.count_ones(), n)
+    pxy = Fraction(x.overlap_ones(y), n)
+    delta = pxy - px * py
+    if delta == 0:
+        return 0.0
+    if delta > 0:
+        denom = min(px, py) - px * py
+    else:
+        denom = px * py - max(px + py - 1, Fraction(0))
+    if denom == 0:
+        return 0.0
+    return float(delta / denom)
 
 
 def threshold_law(n):

@@ -15,11 +15,13 @@ import numpy as np
 from oracles import (
     RnsState,
     cemux_error_moments,
+    dump_tree,
     enumerate_model_variance,
     full_tree_select,
     generate_inputs,
     pairing_tree,
     quantize_weights_transcription,
+    scc,
     select_leaf_precise,
     threshold_law,
 )
@@ -30,13 +32,12 @@ from scmux.analysis import (
     closed_form_variance,
     decompose_variance,
 )
-from scmux.bitstream import bipolar_thresholds, scc
+from scmux.bitstream import bipolar_thresholds
 from scmux.cli import main as cli_main
 from scmux.filterapp import make_lowpass, filter_rmse_vs_length
 from scmux.muxtree import (
     QuantizedWeights,
     build_hardwired_tree,
-    dump_tree,
     quantize_weights,
     tree_size,
 )

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -27,7 +27,6 @@ from scmux.adders import (
     run_adder,
     run_apc,
     structural_report,
-    target_value,
 )
 from scmux.analysis import accuracy_stats
 from scmux.filterapp import make_lowpass
@@ -86,27 +85,38 @@ def test_design_name_normalization():
         normalize_design_name("mystery_adder")
 
 
+@st.composite
+def _weights_values_n(draw):
+    w = draw(st.lists(st.floats(-1, 1).filter(lambda x: abs(x) > 1e-9), min_size=1, max_size=6))
+    values = draw(st.lists(st.floats(-1, 1), min_size=len(w), max_size=len(w)))
+    return w, values, draw(st.integers(3, 10))
+
+
 def test_target_value_examples():
-    assert target_value([1.0, 1.0], [1.0, -1.0], 8) == 0.0
-    mus = [0.5, -0.25, 0.75]
-    got = target_value([1 / 2, 3 / 8, 1 / 8], mus, 4, height=3)
-    assert got == pytest.approx(0.5 * 0.5 + 0.375 * -0.25 + 0.125 * 0.75, abs=1e-12)
+    for name in ("cemux", "cemux_biased"):
+
+        def target(w, values, n):
+            return run_adder(make_design(name, w, n), values, 1 << n, 0).target
+
+        assert target([1.0, 1.0], [1.0, -1.0], 8) == 0.0
+        # weights 4/8, 3/8, 1/8 and bipolar values 0.5, -0.25, 0.75 are exact
+        # at n = 3, so the target is the exact weighted sum
+        exact = 0.5 * 0.5 + 0.375 * -0.25 + 0.125 * 0.75
+        assert target([1 / 2, 3 / 8, 1 / 8], [0.5, -0.25, 0.75], 3) == exact
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.floats(-1, 1).filter(lambda x: abs(x) > 1e-9), min_size=1, max_size=6),
-    st.data(),
-)
-def test_target_value_matches_exact_rational_oracle(w, data):
-    values = [data.draw(st.floats(-1, 1)) for _ in w]
-    n = data.draw(st.integers(3, 10))
-    q = quantize_weights(w, n)
+@given(st.sampled_from(["cemux", "cemux_biased"]), _weights_values_n(), st.integers(0, 2**64 - 1))
+@example("cemux", ([1.0, 1.0], [1.0, -1.0], 8), 0)
+def test_target_value_matches_exact_rational_oracle(name, case, seed):
+    # the target is one correctly rounded division of an exact integer sum,
+    # so it equals the rounded rational exactly
+    w, values, n = case
     exact = Fraction(0)
-    for wi, vi, num, s in zip(w, values, q.numerators, q.signs):
+    for wi, vi, num in zip(w, values, quantize_weights_transcription(w, n)):
         b = bipolar_threshold(vi, n)
-        exact += s * Fraction(num, q.denominator) * (Fraction(2 * b, 1 << n) - 1)
-    assert target_value(w, values, n) == pytest.approx(float(exact), abs=1e-14)
+        exact += (-1 if wi < 0 else 1) * Fraction(num, 1 << n) * (Fraction(2 * b, 1 << n) - 1)
+    assert run_adder(make_design(name, w, n), values, 1 << n, seed).target == float(exact)
 
 
 def test_fig8b_equal_correlated_inputs_exact():

@@ -5,22 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bipolar_threshold, quantize_to_probability
-from scmux.bitstream import (
-    Bitstream,
-    SnFormat,
-    SnValue,
-    bipolar_thresholds,
-    estimate_value,
-    scc,
-    threshold_to_value,
-)
-
-
-def test_estimate_examples():
-    assert estimate_value(Bitstream.from_string("00000000"), SnFormat.UNIPOLAR).value == 0.0
-    assert estimate_value(Bitstream.from_string("010110"), SnFormat.UNIPOLAR).value == 0.5
-    assert estimate_value(Bitstream.from_string("11111111"), SnFormat.BIPOLAR).value == 1.0
+from oracles import bipolar_threshold, quantize_to_probability, scc
+from scmux.bitstream import Bitstream, bipolar_thresholds
 
 
 def test_bitstream_validation():
@@ -97,7 +83,7 @@ def test_quantize_ties_round_half_up_in_probability():
 def test_quantize_round_trip_error_bound(v, n):
     b = int(bipolar_thresholds([v], n)[0])
     assert 0 <= b <= (1 << n)
-    assert abs(threshold_to_value(b, n, SnFormat.BIPOLAR) - v) <= 2 ** -n
+    assert abs(2 * b / (1 << n) - 1 - v) <= 2 ** -n
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,11 +121,5 @@ def test_comparator_round_trip_over_permutation(n, b_raw, seed):
     b = b_raw % ((1 << n) + 1)
     words = np.random.default_rng(seed).permutation(1 << n)
     stream = Bitstream((words < b).astype(np.uint8))
-    assert estimate_value(stream, SnFormat.UNIPOLAR).value == b / (1 << n)
+    assert stream.count_ones() == b
 
-
-def test_sn_value_range_checks():
-    with pytest.raises(ValueError):
-        SnValue(1.5, SnFormat.BIPOLAR)
-    with pytest.raises(ValueError):
-        SnValue(-0.1, SnFormat.UNIPOLAR)

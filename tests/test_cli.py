@@ -1,5 +1,6 @@
 import io
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scmux.cli import main, read_signal_csv, write_signal_csv
+from scmux.cli import main, read_signal_csv
 from scmux.filterapp import Signal
 
 
@@ -51,6 +52,36 @@ def test_quantize_zero_mass_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "quantize", "--weights", str(wf), "--m", "3")
     assert code == 2
     assert "zero weight mass" in err
+
+
+def test_quantize_height_limit(tmp_path, capsys):
+    wf = tmp_path / "w.txt"
+    wf.write_text("0.1\n0.2\n0.7\n")
+    code, out, _ = run_cli(capsys, "quantize", "--weights", str(wf), "--m", "52")
+    assert code == 0
+    assert sum(int(r.split(",")[1]) for r in data_rows(out)[1:]) == 1 << 52
+    for m in ("53", "64"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "quantize", "--weights", str(wf), "--m", m)
+        assert code == 2
+        assert "height m must be in [1, 52]" in err and f"got {m}" in err
+        assert out == ""
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantize", "--m", "3", "--weights"],
+    ["report", "--design", "cemux", "--n", "4", "--coeff-file"],
+    ["filter", "--length", "4", "--n", "4", "--coeff-file"],
+], ids=["quantize", "report", "filter"])
+def test_bad_coefficient_line_names_file_and_line(tmp_path, capsys, argv):
+    wf = tmp_path / "w.txt"
+    wf.write_text("0.5\n# comment\n\n abc \n0.25\n")
+    code, out, err = run_cli(capsys, *argv, str(wf))
+    assert code == 2
+    assert err == f"scmux: error: {wf} line 4: expected a number, got 'abc'\n"
+    assert out == ""
 
 
 @pytest.mark.parametrize("text", ["0.5\nnan\n", "inf\n0.25\n", "1e308\n1e308\n"])
@@ -310,6 +341,11 @@ def test_report_counts_csv(capsys):
     assert int(counts["muxes"]) <= min(8 * 6 - 1, 63)
 
 
+def write_signal_csv(path, signal):
+    rows = ["index,value"] + [f"{i},{v:.10g}" for i, v in enumerate(signal.samples)]
+    Path(path).write_text("\n".join(rows) + "\n")
+
+
 def test_signal_csv_round_trip(tmp_path):
     path = tmp_path / "sig.csv"
     sig = Signal(np.array([0.25, -0.5, 1.0]))
@@ -401,6 +437,7 @@ def cli_argv(draw):
           "--m-min", "-1"])
 @example(["decompose", "--model", "bernoulli", "--sampling", "noisy", "--n", "40", "--runs", "2",
           "--m-list", "2"])
+@example(["quantize", "--weights", "@coeffs", "--m", "53"])
 def test_cli_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in FUZZ_FILES.items():

@@ -10,7 +10,6 @@ from scmux.filterapp import (
     filter_rmse_vs_length,
     make_lowpass,
     make_noisy_signal,
-    normalize_signal,
     pulse_train_signal,
     reference_fir,
     stochastic_fir,
@@ -19,14 +18,12 @@ from scmux.muxtree import quantize_weights
 
 
 def test_signal_validation_and_normalization():
+    # a Signal holds samples already normalized into [-1, 1]
     with pytest.raises(ValueError):
         Signal(np.array([0.0, 1.5]))
     for bad in ([0.1, math.nan, 0.2], [math.nan]):
         with pytest.raises(ValueError, match="must lie in"):
             Signal(np.array(bad))
-    sig = normalize_signal([3.0, -6.0, 1.5])
-    assert sig.source_range == (-6.0, 6.0)
-    assert np.allclose(sig.samples, [0.5, -1.0, 0.25])
 
 
 def test_reference_identity_filter():

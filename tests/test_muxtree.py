@@ -9,6 +9,7 @@ from oracles import (
     biased_heap_layout,
     biased_leaf_path_products,
     biased_tree_reference,
+    dump_tree,
     full_tree_select,
     level_ordered_owners,
     pairing_tree,
@@ -21,7 +22,6 @@ from scmux.muxtree import (
     QuantizedWeights,
     build_biased_selector_tree,
     build_hardwired_tree,
-    dump_tree,
     quantize_weights,
     tree_size,
 )

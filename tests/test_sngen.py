@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RnsState, comparator_bit, generate_inputs, pcc_threshold, wbg_bit
-from scmux.bitstream import Bitstream, SnFormat, SnValue, estimate_value, scc
+from oracles import RnsState, comparator_bit, generate_inputs, pcc_threshold, scc, wbg_bit
+from scmux.bitstream import Bitstream
 from scmux.rns import RnsSpec, rns_sequence
 from scmux.sngen import (
     PccKind,
@@ -64,10 +64,11 @@ def test_wbg_threshold_clamp_warns():
 
 
 def test_make_channels_takes_bipolar_values_only():
-    (ch,) = make_channels([SnValue(-0.5, SnFormat.BIPOLAR)], [1.0], 4)
-    assert ch.threshold == 4
-    with pytest.raises(ValueError, match="bipolar"):
-        make_channels([SnValue(0.25, SnFormat.UNIPOLAR)], [1.0], 4)
+    (ch,) = make_channels([-0.5], [1.0], 4)
+    assert (ch.value, ch.threshold) == (-0.5, 4)
+    for bad in (1.5, -1.0000000000000002, float("nan")):
+        with pytest.raises(ValueError, match=r"bipolar values must lie in \[-1, 1\]"):
+            make_channels([0.0, bad], [1.0, 1.0], 4)
 
 
 def test_full_correlation_wiring_mixed_signs():
@@ -115,8 +116,7 @@ def test_sign_inversion_negates_bipolar_value(n, v):
     chans = make_channels([v, v], [1.0, -1.0], n, PccKind.COMPARATOR)
     state = RnsState(RnsSpec("sobol_reversed_counter", n, 0))
     pairs = generate_inputs(chans, state, PccKind.COMPARATOR, 1 << n)
-    pos = estimate_value(pairs[0][1], SnFormat.BIPOLAR).value
-    neg = estimate_value(pairs[1][1], SnFormat.BIPOLAR).value
+    pos, neg = (2 * y.count_ones() / len(y) - 1 for _, y in pairs)
     assert neg == -pos
 
 
@@ -144,12 +144,14 @@ def test_generate_inputs_width_mismatch():
 
 
 def test_input_bit_matrix_matches_generate_inputs():
-    values = [0.3, -0.7]
-    weights = [0.25, -0.75]
-    chans = make_channels(values, weights, 5, PccKind.COMPARATOR)
+    values = [0.3, -0.7, 0.9]
+    weights = [0.25, -0.75, -0.5]
     words = rns_sequence(RnsSpec("sobol_reversed_counter", 5, 0), 32)
-    x, y = input_bit_matrix(chans, words, PccKind.COMPARATOR, 5)
-    pairs = generate_inputs(chans, RnsState(RnsSpec("sobol_reversed_counter", 5, 0)), PccKind.COMPARATOR, 32)
-    for i, (xs, ys) in enumerate(pairs):
-        assert np.array_equal(x[i], xs.unpacked)
-        assert np.array_equal(y[i], ys.unpacked)
+    for pcc in PccKind:
+        for wiring in (True, False):
+            chans = make_channels(values, weights, 5, pcc, correlated_wiring=wiring)
+            x, y = input_bit_matrix(chans, words, pcc, 5)
+            state = RnsState(RnsSpec("sobol_reversed_counter", 5, 0))
+            for i, (xs, ys) in enumerate(generate_inputs(chans, state, pcc, 32)):
+                assert np.array_equal(x[i], xs.unpacked)
+                assert np.array_equal(y[i], ys.unpacked)
