@@ -165,7 +165,6 @@ def make_design(name: str, weights, n: int) -> AdderDesign:
 class SimulationReport:
     """One simulation run: output stream, estimate, target and error."""
 
-    design: str
     estimate: float
     target: float
     error: float
@@ -299,11 +298,11 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationR
     correlation) with its threshold, and its sign inverter follows. The
     up-down counter accumulates the output. The APC runs its own datapath.
     """
-    if design.tree_type == "apc":
-        return run_apc(design.weights, values, big_n)
     n = design.n
     if big_n != (1 << n):
         raise ValueError(f"stream length must be 2^n = {1 << n} for design {design.name}")
+    if design.tree_type == "apc":
+        return run_apc(design.weights, values, big_n)
     v = _validate_values(values, design.weights)
 
     q = quantize_weights(design.weights, n)
@@ -324,7 +323,6 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationR
     estimate = min(1.0, max(-1.0, 2.0 * ones / big_n - 1.0))
     target = _target_from_thresholds(q, thresholds, n)
     return SimulationReport(
-        design=design.name,
         estimate=estimate,
         target=target,
         error=estimate - target,
@@ -377,7 +375,6 @@ def run_apc(weights, values, big_n: int) -> SimulationReport:
     signs = np.where(negs, -1.0, 1.0)
     target = math.fsum(signs * w_hat * mu_hat) / denom
     return SimulationReport(
-        design="apc",
         estimate=estimate,
         target=target,
         error=estimate - target,

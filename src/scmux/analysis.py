@@ -55,7 +55,6 @@ _ROWS = (
 class AccuracyStats:
     rmse: float
     bias: float
-    variance: float
     mse: float
     runs: int
 
@@ -65,17 +64,15 @@ class AccuracyStats:
         runs = len(errors)
         mse = math.fsum(e * e for e in errors) / runs if runs else 0.0
         bias = math.fsum(errors) / runs if runs else 0.0
-        return cls(
-            rmse=math.sqrt(mse), bias=bias, variance=mse - bias * bias, mse=mse, runs=runs
-        )
+        return cls(rmse=math.sqrt(mse), bias=bias, mse=mse, runs=runs)
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     """One Monte Carlo model setting for decomposition and closed forms.
 
-    values None draws fresh uniform bipolar inputs each run. height is the
-    mux tree height (defaults to log2 N).
+    values None draws fresh uniform bipolar inputs each run. The mux tree
+    has height log2 N, as in every adder design.
     """
 
     sn_model: str
@@ -84,7 +81,6 @@ class ModelConfig:
     weights: tuple[float, ...]
     values: tuple[float, ...] | None
     N: int
-    height: int | None = None
 
     def __post_init__(self):
         if self.sn_model not in _MODELS:
@@ -107,17 +103,8 @@ class ModelConfig:
         n = int(round(math.log2(self.N)))
         if (1 << n) != self.N or not 2 <= n <= 16:
             raise ValueError("N must be a power of two in [4, 2^16]")
-        h = self.effective_height
-        if not 1 <= h <= n:
-            raise ValueError("tree height must be in [1, log2 N]")
-        if self.sampling == "precise" and self.N % (1 << h):
-            raise ValueError("precise sampling needs N to be a multiple of 2^height")
         if self.values is not None and len(self.values) != len(self.weights):
             raise ValueError("values and weights must have equal length")
-
-    @property
-    def effective_height(self) -> int:
-        return self.height if self.height is not None else int(round(math.log2(self.N)))
 
 
 # A chunk of runs fills its (R, M, N) bit block, or the closed forms' (R, M, M)
@@ -137,19 +124,18 @@ class _ModelRuntime:
         self.cfg = cfg
         self.N = cfg.N
         self.n = int(round(math.log2(cfg.N)))
-        self.h = cfg.effective_height
         self.M = len(cfg.weights)
-        q = quantize_weights(cfg.weights, self.h)
+        q = quantize_weights(cfg.weights, self.n)
         self.q = q
         self.signs = np.array(q.signs, dtype=np.int64)
-        self.num = np.array(q.numerators, dtype=np.int64)
-        self.wt = self.num / q.denominator
-        self.c = self.num * (self.N >> self.h)
+        # over N = 2^n cycles input i is expected to be sampled c_i times, its
+        # numerator over 2^n
+        self.c = np.array(q.numerators, dtype=np.int64)
+        self.wt = self.c / q.denominator
         # first[i, t]: cycle t is among the first c_i, the cycles whose bits
         # the noise component counts for input i
         self.first = np.arange(self.N) < self.c[:, None]
         self.owner = build_hardwired_tree(q)
-        self.owners_precise = np.tile(self.owner, self.N >> self.h)
         if cfg.values is not None:
             self.fixed_thresholds = self._thresholds(np.asarray(cfg.values, float))
         else:
@@ -186,12 +172,12 @@ def _draw_chunk(rt: _ModelRuntime, rng: np.random.Generator, runs: int):
         else:  # bernoulli: with-replacement uniform words
             words[r] = rng.integers(0, N, size=words.shape[1:])
         if noisy:
-            sel[r] = rng.integers(0, 1 << rt.h, size=N)
+            sel[r] = rng.integers(0, N, size=N)
     if rt.fixed_thresholds is None:
         bp = rt._thresholds(values)
     else:
         bp = np.broadcast_to(rt.fixed_thresholds, (runs, M))
-    owners = rt.owner[sel] if noisy else np.broadcast_to(rt.owners_precise, (runs, N))
+    owners = rt.owner[sel] if noisy else np.broadcast_to(rt.owner, (runs, N))
     return bp, words, owners
 
 
@@ -200,28 +186,28 @@ def _chunk_stats(rt: _ModelRuntime, bp: np.ndarray, words: np.ndarray, owners: n
 
     dc is each run's sampling count minus its expectation, C_i - c_i.
 
-    Every input is an integer over N or 2^h: the bits, the counts c_i and
+    Every input is an integer over N: the bits, the counts c_i and
     C_i, and the post-sign thresholds. So each statistic is an exact
     integer numerator over one divisor. Linear sums stay integers (int64,
     or float64 BLAS products whose partial sums are integers of magnitude
     at most 2N, hence exact); squares are taken in float64, where no
     product can wrap. The numerators stay exact in float64 for n <= 10.
     """
-    N, M, h = rt.N, rt.M, rt.h
+    N, M, n = rt.N, rt.M, rt.n
     R = bp.shape[0]
     u = words < bp[:, :, None]  # (R, M, N) stream bits
     uf = u.astype(np.float64)
     a = 2 * bp - N  # mu'_i = a_i / N
-    scale = float(N << h) ** 2
+    scale = float(N << n) ** 2
 
-    # total: (mu_hat - sum w~ mu')^2 = D^2 / (2^h N)^2
+    # total: (mu_hat - sum w~ mu')^2 = D^2 / (2^n N)^2
     ones = np.take_along_axis(u, owners[:, None, :], axis=1).sum(axis=(1, 2))
-    d = ((2 * ones - N) << h) - a @ rt.num
+    d = ((2 * ones - N) << n) - a @ rt.c
     total = d.astype(np.float64) ** 2 / scale
 
     # noise: deviation of the first-c_i prefix sums from their exact means
     prefix = np.count_nonzero(u & rt.first, axis=2)
-    e = ((2 * prefix - rt.c) << h) - rt.num * a
+    e = ((2 * prefix - rt.c) << n) - rt.c * a
     noise = (e.astype(np.float64) ** 2).sum(axis=1) / scale
 
     s = 2 * np.count_nonzero(u, axis=2) - N  # per-stream +/-1 bit sums
@@ -269,7 +255,6 @@ class VarianceReport:
     eps_samp: float
     eps_corr: float
     total_variance: float
-    runs: int
     se_noise: float
     se_samp: float
     se_corr: float
@@ -318,7 +303,6 @@ def decompose_variance(cfg: ModelConfig, runs: int, master_seed: int) -> Varianc
         eps_samp=eps_samp,
         eps_corr=eps_corr,
         total_variance=total_variance,
-        runs=runs,
         se_noise=se_noise,
         se_samp=se_samp,
         se_corr=se_corr,
@@ -368,7 +352,7 @@ def expected_closed_form(cfg: ModelConfig, runs: int, master_seed: int) -> float
 
     The runs' values come from one draw, and their closed forms are
     evaluated row-wise with the operations of one run's. The terms of each
-    sum are dyadic rationals (denominators up to 2^(2h+2n)) that float64
+    sum are dyadic rationals (denominators up to 2^(4n)) that float64
     holds exactly for n <= 12, so their order does not matter and each row
     equals its run's closed form; rows are summed in run order.
     """
@@ -386,19 +370,16 @@ def expected_closed_form(cfg: ModelConfig, runs: int, master_seed: int) -> float
 
 def accuracy_stats(
     design: AdderDesign,
-    stream_length: int,
     runs: int,
     master_seed: int,
-    values="uniform",
     weight_mode: str | None = None,
 ) -> AccuracyStats:
-    """RMSE/bias/variance/MSE of a design over seeded simulation runs.
+    """RMSE/bias/MSE of a design over seeded runs of 2^n cycles each.
 
-    values is either "uniform" (fresh bipolar U[-1, 1] inputs each run) or a
-    fixed tuple. weight_mode redraws weights each run: "uniform" for
-    U[-1, 1], "pm" for random signs at magnitude 1/M. Errors are measured
-    against each run's own quantized target, so bias^2 + variance = MSE holds
-    exactly in the sample moments.
+    Every run draws fresh bipolar U[-1, 1] input values. weight_mode redraws
+    weights each run: "uniform" for U[-1, 1], "pm" for random signs at
+    magnitude 1/M. Errors are measured against each run's own quantized
+    target.
     """
     if runs < 1:
         raise ValueError("need at least 1 run")
@@ -417,7 +398,7 @@ def accuracy_stats(
             d = replace(design, weights=tuple(signs / m))
         elif weight_mode is not None:
             raise ValueError("weight_mode must be None, 'uniform' or 'pm'")
-        v = rng.uniform(-1.0, 1.0, size=m) if values == "uniform" else values
+        v = rng.uniform(-1.0, 1.0, size=m)
         seed = int(rng.integers(0, 2**63))
-        errors.append(run_adder(d, v, stream_length, seed).error)
+        errors.append(run_adder(d, v, 1 << design.n, seed).error)
     return AccuracyStats.from_errors(errors)

@@ -43,11 +43,10 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _emit(args, header_lines, rows):
+def _emit(args, rows):
     lines = [f"# invocation: {args._invocation}"]
     if hasattr(args, "seed"):
         lines.append(f"# seed: {args.seed}")
-    lines.extend(header_lines)
     lines.extend(rows)
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -97,6 +96,13 @@ def _design_list(raw: str) -> list[str]:
     return [normalize_design_name(s) for s in raw.split(",") if s.strip()]
 
 
+def _filter_spec(args) -> FilterSpec:
+    """The --coeff-file coefficients, else the --taps/--cutoff lowpass."""
+    if args.coeff_file:
+        return FilterSpec(tuple(_read_coefficients(args.coeff_file)))
+    return make_lowpass(args.taps, args.cutoff * math.pi)
+
+
 # ----- subcommands -----
 
 
@@ -108,36 +114,25 @@ def cmd_quantize(args):
         f"{i},{num},{q.denominator},{s:+d}"
         for i, (num, s) in enumerate(zip(q.numerators, q.signs))
     ]
-    _emit(args, [], rows)
+    _emit(args, rows)
 
 
 def cmd_sweep_m(args):
     designs = _design_list(args.designs)
-    big_n = 1 << args.n
-    norm = math.sqrt(big_n) if args.normalize else 1.0
     rows = ["design,M,rmse"]
     for name in sorted(designs):
         for m in range(args.m_min, args.m_max + 1):
             M = 1 << m
             design = make_design(name, [1.0 / M] * M, args.n)
-            stats = accuracy_stats(
-                design,
-                big_n,
-                args.runs,
-                args.seed + m,
-                values="uniform",
-                weight_mode="pm" if args.weight_dist == "pm" else "uniform",
-            )
+            stats = accuracy_stats(design, args.runs, args.seed + m, weight_mode=args.weight_dist)
+            norm = math.sqrt(1 << design.n) if args.normalize else 1.0
             rows.append(f"{name},{M},{_fmt(stats.rmse * norm)}")
-    _emit(args, [], rows)
+    _emit(args, rows)
 
 
 def cmd_sweep_n(args):
     designs = _design_list(args.designs)
-    if args.coeff_file:
-        spec = FilterSpec(tuple(_read_coefficients(args.coeff_file)))
-    else:
-        spec = make_lowpass(args.taps, args.cutoff * math.pi)
+    spec = _filter_spec(args)
     result = filter_rmse_vs_length(
         designs, spec, range(args.n_min, args.n_max + 1), args.runs, args.seed
     )
@@ -145,7 +140,7 @@ def cmd_sweep_n(args):
     for name in sorted(result):
         for n in sorted(result[name]):
             rows.append(f"{name},{1 << n},{_fmt(result[name][n])}")
-    _emit(args, [], rows)
+    _emit(args, rows)
 
 
 def cmd_decompose(args):
@@ -179,7 +174,7 @@ def cmd_decompose(args):
             f"{M},{_fmt(rep.eps_noise)},{_fmt(rep.eps_samp)},{_fmt(rep.eps_corr)},"
             f"{_fmt(rep.total_variance)},{closed}"
         )
-    _emit(args, [], rows)
+    _emit(args, rows)
 
 
 def cmd_filter(args):
@@ -189,10 +184,7 @@ def cmd_filter(args):
         sig = pulse_train_signal(args.length, seed=args.seed, noise_sigma=args.noise_sigma)
     else:
         sig = make_noisy_signal(args.synthetic, args.noise_sigma, args.seed, args.length)
-    if args.coeff_file:
-        spec = FilterSpec(tuple(_read_coefficients(args.coeff_file)))
-    else:
-        spec = make_lowpass(args.taps, args.cutoff * math.pi)
+    spec = _filter_spec(args)
     designs = _design_list(args.designs)
     ref = reference_fir(spec, sig)
 
@@ -200,7 +192,7 @@ def cmd_filter(args):
     footer = []
     for name in designs:
         design = make_design(name, spec.coefficients, args.n)
-        filtered, stats = stochastic_fir(design, sig, 1 << args.n, args.seed)
+        filtered, stats = stochastic_fir(design, sig, args.seed)
         outputs[name] = filtered.samples
         footer.append(
             f"# stats design={name} rmse={_fmt(stats.rmse)} bias={_fmt(stats.bias)} "
@@ -213,7 +205,7 @@ def cmd_filter(args):
         cells += [_fmt(outputs[name][i]) for name in designs]
         rows.append(",".join(cells))
     rows.extend(footer)
-    _emit(args, [], rows)
+    _emit(args, rows)
 
 
 def cmd_report(args):
@@ -228,7 +220,7 @@ def cmd_report(args):
     counts = structural_report(design)
     rows = ["component,count"]
     rows += [f"{key},{counts[key]}" for key in sorted(counts)]
-    _emit(args, [], rows)
+    _emit(args, rows)
 
 
 def _nonnegative_int(text: str) -> int:

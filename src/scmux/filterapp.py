@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .adders import AdderDesign, make_design, run_adder
 from .analysis import AccuracyStats
@@ -79,10 +80,9 @@ def _reference_raw(spec: FilterSpec, signal: Signal) -> np.ndarray:
 def stochastic_fir(
     design: AdderDesign,
     signal: Signal,
-    stream_length: int,
     master_seed: int,
 ) -> tuple[Signal, AccuracyStats]:
-    """Filter a signal sample-by-sample through a stochastic adder.
+    """Filter a signal sample-by-sample through a stochastic adder of 2^n cycles.
 
     For output sample i the adder's value channels hold the samples
     x_i, x_{i-1}, ..., x_{i-M+1} (zero-padded history) and the normalized
@@ -101,13 +101,11 @@ def stochastic_fir(
     out = np.empty(len(x))
     errors = []
     warmup = min(m - 1, len(x))
-    for i in range(len(x)):
-        window = np.zeros(m)
-        lo = max(0, i - m + 1)
-        taken = x[lo : i + 1][::-1]
-        window[: taken.size] = taken
+    # row i: x_i, x_{i-1}, ..., x_{i-M+1}, zeros before the signal starts
+    windows = sliding_window_view(np.concatenate([np.zeros(m - 1), x]), m)[:, ::-1]
+    for i, window in enumerate(windows):
         seed = int(rng.integers(0, 2**63))
-        out[i] = run_adder(design, window, stream_length, seed).estimate * scale
+        out[i] = run_adder(design, window, 1 << design.n, seed).estimate * scale
         if i >= warmup:
             errors.append(out[i] - ref[i])
     stats = AccuracyStats.from_errors(errors)
@@ -193,16 +191,16 @@ def filter_rmse_vs_length(
     for name in design_names:
         per_n: dict[int, float] = {}
         for n in n_values:
-            rng = np.random.default_rng(np.random.SeedSequence((master_seed, n)))
             design = make_design(name, spec.coefficients, n)
-            errs = np.empty(runs)
-            for r in range(runs):
+            rng = np.random.default_rng(np.random.SeedSequence((master_seed, n)))
+            errs = []
+            for _ in range(runs):
                 start = int(rng.integers(0, len(x) - m))
                 window = x[start : start + m][::-1]
                 seed = int(rng.integers(0, 2**63))
-                rep = run_adder(design, window, 1 << n, seed)
-                errs[r] = rep.estimate * scale - float(h @ window)
-            per_n[n] = float(np.sqrt(np.mean(errs**2)))
+                rep = run_adder(design, window, 1 << design.n, seed)
+                errs.append(rep.estimate * scale - float(h @ window))
+            per_n[n] = AccuracyStats.from_errors(errs).rmse
         out[name] = per_n
     return out
 

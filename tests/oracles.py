@@ -534,18 +534,17 @@ def cemux_expected_mse(numerators, signs, n, full_correlation=True):
     return cemux_error_moments(numerators, signs, n, full_correlation)[0]
 
 
-def enumerate_model_variance(cfg, owner_period, thresholds_post_sign):
+def enumerate_model_variance(cfg, owner, thresholds_post_sign):
     """Exact output variance of a model configuration by full enumeration.
 
     Enumerates every stream outcome and every select outcome. Outcome
     probabilities are integer weights over a common denominator, so the
     whole computation stays in integer arithmetic until the final division.
-    Only feasible for tiny M and N.
+    Only feasible for tiny M and N. owner is the tree's owner map: select
+    word w (one of N) picks input owner[w].
     """
     n_len = cfg.N
-    h = cfg.effective_height
     m_inputs = len(cfg.weights)
-    reps = n_len >> h
     bp = list(thresholds_post_sign)
 
     # (weight, bits) outcomes with a common probability denominator
@@ -600,11 +599,11 @@ def enumerate_model_variance(cfg, owner_period, thresholds_post_sign):
     selects = []
     if cfg.sampling == "precise":
         select_denom = 1
-        selects.append(list(owner_period) * reps)
+        selects.append(list(owner))
     else:
-        select_denom = (1 << h) ** n_len
-        for words in itertools.product(range(1 << h), repeat=n_len):
-            selects.append([owner_period[w] for w in words])
+        select_denom = n_len**n_len
+        for words in itertools.product(range(n_len), repeat=n_len):
+            selects.append([owner[w] for w in words])
 
     sum_w = 0
     sum_w_ones = 0
@@ -668,9 +667,9 @@ def model_run_once(rt: _ModelRuntime, rng: np.random.Generator):
     u = draw_streams(rt, rng, bp)
 
     if cfg.sampling == "precise":
-        owners = rt.owners_precise
+        owners = rt.owner
     else:
-        sel = rng.integers(0, 1 << rt.h, size=N)
+        sel = rng.integers(0, N, size=N)
         owners = rt.owner[sel]
 
     zu = u[owners, np.arange(N)]
@@ -714,19 +713,19 @@ def model_run_exact(rt: _ModelRuntime, rng: np.random.Generator):
     linear sums of bits stay int64 (bounded by 2 N^2), squares are Python
     ints.
     """
-    N, M, h = rt.N, rt.M, rt.h
+    N, M, n = rt.N, rt.M, rt.n
     if rt.fixed_thresholds is not None:
         bp = rt.fixed_thresholds
     else:
         bp = rt._thresholds(rng.uniform(-1.0, 1.0, size=M))
     u = draw_streams(rt, rng, bp).astype(np.int64)
     if rt.cfg.sampling == "precise":
-        owners = rt.owners_precise
+        owners = rt.owner
     else:
-        owners = rt.owner[rng.integers(0, 1 << h, size=N)]
+        owners = rt.owner[rng.integers(0, N, size=N)]
     c = [int(x) for x in rt.c]
     mup = [Fraction(2 * int(b) - N, N) for b in bp]
-    wt = [Fraction(int(x), 1 << h) for x in rt.q.numerators]
+    wt = [Fraction(int(x), 1 << n) for x in rt.q.numerators]
     pm = 2 * u - 1
     s = pm.sum(axis=1)
 

@@ -179,7 +179,7 @@ def test_criterion_05_table3_closed_forms():
         details.append(f"{model[:4]}/{sampling[:4]}/{scc_level}: |cf-mc|/se={abs(cf-mc)/max(se,1e-18):.2f}")
         # exact enumeration at M=2, N=4
         cfg2 = ModelConfig(model, sampling, scc_level, (0.7, -0.3), (0.4, 0.6), 4)
-        q = quantize_weights(cfg2.weights, cfg2.effective_height)
+        q = quantize_weights(cfg2.weights, 2)
         owner = build_hardwired_tree(q)
         b = bipolar_thresholds(np.asarray(cfg2.values), 2)
         bp = [int(x) if s > 0 else 4 - int(x) for x, s in zip(b, q.signs)]
@@ -238,9 +238,7 @@ def test_criterion_07_error_ratio_vs_basic():
         stats = {}
         for name in ("cemux", "basic_hardwired"):
             design = make_design(name, [1.0 / M] * M, n)
-            stats[name] = accuracy_stats(
-                design, big_n, runs, 700 + m, values="uniform", weight_mode="pm"
-            )
+            stats[name] = accuracy_stats(design, runs, 700 + m, weight_mode="pm")
         ratio = stats["basic_hardwired"].rmse / stats["cemux"].rmse
         # pm weights quantize to N/M each; under full correlation the error
         # law does not depend on the signs, so one sign pattern serves
@@ -327,9 +325,7 @@ def test_criterion_09_ablation_bands():
         M = 1 << m
         for name in names:
             design = make_design(name, [1.0 / M] * M, n)
-            stats[name][M] = accuracy_stats(
-                design, 1 << n, runs, 900 + m, values="uniform", weight_mode="uniform"
-            )
+            stats[name][M] = accuracy_stats(design, runs, 900 + m, weight_mode="uniform")
     ok = True
     details = []
     for M in sorted(stats["cemux"]):

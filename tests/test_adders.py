@@ -330,9 +330,13 @@ def test_estimates_always_in_range():
 
 
 def test_run_adder_validation():
+    # every preset runs exactly 2^n cycles, the APC included
+    for name in DESIGN_NAMES + ABLATION_NAMES:
+        d = make_design(name, [0.5, -0.5], 5)
+        for big_n in (16, 64):
+            with pytest.raises(ValueError, match=r"stream length must be 2\^n = 32"):
+                run_adder(d, [0.5, 0.5], big_n, 0)
     d = make_design("cemux", [1.0, 1.0], 5)
-    with pytest.raises(ValueError):
-        run_adder(d, [0.5, 0.5], 16, 0)  # wrong stream length
     with pytest.raises(ValueError):
         run_adder(d, [1.5, 0.0], 32, 0)
     with pytest.raises(ValueError):
@@ -380,9 +384,7 @@ def test_basic_hardwired_strictly_worse_at_large_m():
     rmse = {}
     for name in ("cemux", "basic_hardwired"):
         d = make_design(name, [1.0 / 64] * 64, 9)
-        rmse[name] = accuracy_stats(
-            d, 512, 300, 123, values="uniform", weight_mode="uniform"
-        ).rmse
+        rmse[name] = accuracy_stats(d, 300, 123, weight_mode="uniform").rmse
     assert rmse["basic_hardwired"] > rmse["cemux"]
 
 
@@ -392,7 +394,7 @@ def test_desk_scale_accuracy_ordering():
     out = {}
     for name in ("cemux", "cemux_wbg", "cemux_biased", "basic_biased"):
         d = make_design(name, h, 10)
-        out[name] = accuracy_stats(d, 1024, 1000, 2024, values="uniform").rmse
+        out[name] = accuracy_stats(d, 1000, 2024).rmse
     assert out["cemux"] < out["cemux_wbg"]
     assert out["cemux"] < out["cemux_biased"] < out["basic_biased"]
 

@@ -28,8 +28,9 @@ from scmux.muxtree import build_hardwired_tree, quantize_weights
 
 
 def _enum_setup(cfg):
-    q = quantize_weights(cfg.weights, cfg.effective_height)
-    b = bipolar_thresholds(np.asarray(cfg.values), int(math.log2(cfg.N)))
+    n = int(math.log2(cfg.N))
+    q = quantize_weights(cfg.weights, n)
+    b = bipolar_thresholds(np.asarray(cfg.values), n)
     bp = [int(x) if s > 0 else cfg.N - int(x) for x, s in zip(b, q.signs)]
     return build_hardwired_tree(q).tolist(), bp
 
@@ -205,14 +206,14 @@ def test_precise_vs_noisy_counterexample_at_scc0():
 
 
 def test_eq14_weighted_count_covariance_instantiation():
-    # height-3 tree over weights (4, 3, 1)/8 at N=16: the sampling component
+    # height-3 tree over weights (4, 3, 1)/8 at N=8: the sampling component
     # equals the mu-weighted covariance of the sampling counts
     w, v = (0.5, 0.375, 0.125), (0.5, -0.25, 0.75)
-    cfg = ModelConfig("bernoulli", "noisy", 0, w, v, 16, height=3)
+    cfg = ModelConfig("bernoulli", "noisy", 0, w, v, 8)
     rep = decompose_variance(cfg, 30000, 12)
-    b = bipolar_thresholds(np.asarray(v), 4)
-    mu_q = 2.0 * b / 16 - 1.0
-    eq14 = float(mu_q @ rep.c_covariance @ mu_q) / 16**2
+    b = bipolar_thresholds(np.asarray(v), 3)
+    mu_q = 2.0 * b / 8 - 1.0
+    eq14 = float(mu_q @ rep.c_covariance @ mu_q) / 8**2
     assert rep.eps_samp == pytest.approx(eq14, abs=4 * rep.se_samp + 1e-4)
 
 
@@ -229,9 +230,9 @@ def test_closed_form_trivial_rows():
 
 def test_single_run_rmse_is_absolute_error():
     d = make_design("basic_hardwired", [0.5, -0.5], 6)
-    stats = accuracy_stats(d, 64, 1, 17, values="uniform")
+    stats = accuracy_stats(d, 1, 17)
     assert stats.rmse == abs(stats.bias)
-    assert stats.variance == pytest.approx(0.0, abs=1e-15)
+    assert stats.mse == pytest.approx(stats.bias**2, abs=1e-15)
 
 
 def test_model_config_validation():
@@ -275,7 +276,7 @@ _MODEL_ROWS = [
 ] + [("bernoulli", "noisy", None), ("bernoulli", "precise", None)]
 
 
-def _model_case(rng, row, kind, fixed, low_height):
+def _model_case(rng, row, kind, fixed):
     """A random ModelConfig of a row, and a run count of the given kind.
 
     kind 0: fewer runs than one chunk; 1: several chunks and a partial
@@ -291,8 +292,7 @@ def _model_case(rng, row, kind, fixed, low_height):
     w[rng.random(m_inputs) < 0.3] = 0.0  # zero weights quantize to c_i = 0
     w[int(rng.integers(m_inputs))] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
     values = tuple(rng.uniform(-1, 1, m_inputs)) if fixed else None
-    height = int(rng.integers(1, n)) if low_height else None
-    cfg = ModelConfig(*row, tuple(w), values, 1 << n, height=height)
+    cfg = ModelConfig(*row, tuple(w), values, 1 << n)
     step = _chunk_runs(m_inputs << n)
     if kind == 0:
         runs = int(rng.integers(1, min(step - 1, 40) + 1))
@@ -308,10 +308,10 @@ def test_batched_model_runs_match_per_run_oracle():
     rng = np.random.default_rng(2024)
     checked = 0
     for row in _MODEL_ROWS:
-        # j % 3 picks the chunk shape, j % 4 fixed values and a height below
-        # log2 N, so that every row meets each combination once
+        # j % 3 picks the chunk shape and j % 2 fixed values, so that every
+        # row meets each combination twice
         for j in range(12):
-            cfg, runs = _model_case(rng, row, j % 3, j % 4 in (1, 3), j % 4 in (2, 3))
+            cfg, runs = _model_case(rng, row, j % 3, j % 2 == 1)
             seed = int(rng.integers(2**32))
             rt = _ModelRuntime(cfg)
             chunks = list(_model_runs(rt, np.random.default_rng(seed), runs))
@@ -373,8 +373,7 @@ def test_expected_closed_form_matches_per_run_oracle():
         w = rng.uniform(-1, 1, m_inputs)
         w[rng.random(m_inputs) < 0.2] = 0.0
         w[0] = 0.5
-        height = int(rng.integers(1, n + 1)) if i % 2 else None
-        cfg = ModelConfig(*row, tuple(w), None, 1 << n, height=height)
+        cfg = ModelConfig(*row, tuple(w), None, 1 << n)
         runs = int(rng.integers(1, 300))
         seed = int(rng.integers(2**32))
         assert expected_closed_form(cfg, runs, seed) == expected_closed_form_per_run(
@@ -383,17 +382,20 @@ def test_expected_closed_form_matches_per_run_oracle():
 
 
 def test_accuracy_stats_zero_error_design():
+    # one input's output stream is its own full-period input stream, so
+    # every uniform draw is estimated exactly
     d = make_design("cemux", [1.0], 6)
-    stats = accuracy_stats(d, 64, 50, 4, values=(0.25,))
-    assert stats == AccuracyStats(rmse=0.0, bias=0.0, variance=0.0, mse=0.0, runs=50)
+    stats = accuracy_stats(d, 50, 4)
+    assert stats == AccuracyStats(rmse=0.0, bias=0.0, mse=0.0, runs=50)
     # a filter shorter than its warm-up leaves no errors to average
-    assert AccuracyStats.from_errors([]) == AccuracyStats(0.0, 0.0, 0.0, 0.0, 0)
+    assert AccuracyStats.from_errors([]) == AccuracyStats(0.0, 0.0, 0.0, 0)
 
 
 def test_accuracy_stats_identity_and_runs():
     d = make_design("basic_hardwired", [0.5, -0.5], 6)
-    stats = accuracy_stats(d, 64, 200, 10, values="uniform")
-    assert stats.mse == pytest.approx(stats.bias**2 + stats.variance, abs=1e-15)
+    stats = accuracy_stats(d, 200, 10)
+    assert stats.rmse == math.sqrt(stats.mse)
+    assert stats.mse >= stats.bias**2
     assert stats.runs == 200
 
 

@@ -147,6 +147,17 @@ def test_decompose_out_of_range_n_is_rejected(capsys, n):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep-m", "--designs", "cemux", "--n", "-1"],
+    ["sweep-n", "--designs", "cemux", "--n-min", "-1"],
+])
+def test_negative_precision_is_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--runs", "1")
+    assert code == 2
+    assert "precision n must be in [3, 16]" in err
+    assert out == ""
+
+
 def test_report_lowpass_taps_zero_is_rejected(capsys):
     code, out, err = run_cli(capsys, "report", "--design", "cemux", "--n", "4",
                              "--lowpass-taps", "0")
@@ -438,6 +449,8 @@ def cli_argv(draw):
 @example(["decompose", "--model", "bernoulli", "--sampling", "noisy", "--n", "40", "--runs", "2",
           "--m-list", "2"])
 @example(["quantize", "--weights", "@coeffs", "--m", "53"])
+@example(["sweep-m", "--designs", "cemux", "--n", "-1"])
+@example(["sweep-n", "--designs", "cemux", "--n-min", "-1"])
 def test_cli_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in FUZZ_FILES.items():

@@ -93,7 +93,7 @@ def test_noisy_signal_csv_kind_and_validation():
 def test_stochastic_identity_filter_passthrough():
     sig = make_noisy_signal("sine_mix", 0.05, 11, 40)
     d = make_design("cemux", [1.0], 10)
-    out, stats = stochastic_fir(d, sig, 1024, 5)
+    out, stats = stochastic_fir(d, sig, 5)
     assert np.max(np.abs(out.samples - sig.samples)) <= 2 ** -9
     assert stats.rmse <= 2 ** -9
 
@@ -109,7 +109,7 @@ def test_scaling_consistency_on_constant_input():
     h = (0.25, 0.5, 0.25)
     d = make_design("cemux", h, 8)
     sig = Signal(np.full(8, 0.3125))  # exactly representable at n=8
-    out, stats = stochastic_fir(d, sig, 256, 1)
+    out, stats = stochastic_fir(d, sig, 1)
     assert stats.rmse <= 2 ** -7
 
 
