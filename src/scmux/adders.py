@@ -37,7 +37,7 @@ from .rns import RnsSpec, complement_output, lfsr_words, rns_sequence
 
 # make_channels is not on the run path; it stays reachable as
 # scmux.adders.make_channels, where callers and perfbench's tracer look it up
-from .sngen import PccKind, make_channels, pcc_bits, pcc_thresholds  # noqa: F401
+from .sngen import PccKind, make_channels, pcc_bits, pcc_thresholds, wbg_bit_index  # noqa: F401
 
 DESIGN_NAMES = (
     "cemux",
@@ -48,10 +48,6 @@ DESIGN_NAMES = (
     "apc",
 )
 ABLATION_NAMES = ("cemux_nofc", "cemux_nops", "cemux_nofc_nops", "cemux_lfsr")
-
-# select wiring of the designs without precise sampling: one LFSR per tree
-# level, whose words a biased tree's muxes convert through this PCC
-BIASED_SELECT_PCC = PccKind.WBG
 
 
 @dataclass(frozen=True)
@@ -156,6 +152,9 @@ def make_design(name: str, weights, n: int) -> AdderDesign:
     if not 3 <= n <= 16:
         raise ValueError("precision n must be in [3, 16]")
     w = tuple(float(x) for x in weights)
+    bad = [x for x in w if not math.isfinite(x)]
+    if bad:
+        raise ValueError(f"weights must be finite, got {bad[0]}")
     if not w or all(x == 0.0 for x in w):
         raise ValueError("zero weight mass")
     return AdderDesign(name=key, n=n, weights=w, **_PRESETS[key])
@@ -188,6 +187,43 @@ def _reset_words(kind: str, n: int) -> np.ndarray:
 _MASK32 = 0xFFFFFFFF
 
 
+def _hash_constants(const: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
+    # a SeedSequence hash xors its value with the running constant, advances
+    # the constant by one multiply and multiplies by the new one, so hash i of
+    # the fixed sequence uses the pair (constant i, constant i + 1)
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return tuple(zip(consts, consts[1:]))
+
+
+# entropy hashes: 4 for the pool words, 12 to mix them, 2 for a spawn key
+_ENTROPY_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 18)
+# generate_state's hashes of the two words that make one uint64
+_OUTPUT_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 2)
+# ((source pool word, mixed pool word), hash constants) of the pool mixing
+_POOL_MIXES = tuple(zip(
+    [(src, dst) for src in range(4) for dst in range(4) if src != dst], _ENTROPY_HASHES[4:16]
+))
+
+
+def _hash(v: int, pair: tuple[int, int]) -> int:
+    v = (v ^ pair[0]) * pair[1] & _MASK32
+    return v ^ (v >> 16)
+
+
+def _mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+@lru_cache(maxsize=None)
+def _spawn_key_hashes(key: int) -> tuple[int, int]:
+    # the key is hashed afresh for each pool word; generate_state reads only
+    # words 0 and 1, so the hashes for words 2 and 3 are not needed
+    return _hash(key, _ENTROPY_HASHES[16]), _hash(key, _ENTROPY_HASHES[17])
+
+
 def _source_seeds(master_seed: int, indices) -> list[int]:
     """Seeds of sources `indices` (0 the data source, l the level-l select source).
 
@@ -198,50 +234,27 @@ def _source_seeds(master_seed: int, indices) -> list[int]:
     in 32-bit integer arithmetic: the master seed's pool once, then each
     spawn key. Master seeds lie in [0, 2^64).
     """
-    hash_const = 0x43B0D7E5  # advances with every hashmix
-
-    def hashmix(v):
-        nonlocal hash_const
-        v ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _MASK32
-        v = v * hash_const & _MASK32
-        return v ^ (v >> 16)
-
-    def mix(x, y):
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return r ^ (r >> 16)
-
     # the seed's 32-bit words padded to the pool size of 4
-    pool = [hashmix(e) for e in (master_seed & _MASK32, master_seed >> 32, 0, 0)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    # the spawn key is hashed afresh for each pool word; generate_state reads
-    # only words 0 and 1, so the hashes for words 2 and 3 are not needed
-    key_const = hash_const
+    words = (master_seed & _MASK32, master_seed >> 32, 0, 0)
+    pool = [_hash(v, pair) for v, pair in zip(words, _ENTROPY_HASHES)]
+    for (src, dst), pair in _POOL_MIXES:
+        pool[dst] = _mix(pool[dst], _hash(pool[src], pair))
+    low, high = _OUTPUT_HASHES
     seeds = []
     for key in indices:
-        hash_const = key_const
-        words = mix(pool[0], hashmix(key)), mix(pool[1], hashmix(key))
+        key0, key1 = _spawn_key_hashes(key)
         # generate_state: the two words, hashed, are the uint64's halves
-        out_const, halves = 0x8B51F9DD, []
-        for v in words:
-            v ^= out_const
-            out_const = out_const * 0x58F38DED & _MASK32
-            v = v * out_const & _MASK32
-            halves.append(v ^ (v >> 16))
-        seeds.append(halves[0] | halves[1] << 32)
+        seeds.append(_hash(_mix(pool[0], key0), low) | _hash(_mix(pool[1], key1), high) << 32)
     return seeds
 
 
-def _target_from_thresholds(q: QuantizedWeights, thresholds: np.ndarray, n: int) -> float:
-    # sum_i s_i (q_i / 2^h)(2 B_i / 2^n - 1) is the integer below over
-    # 2^(h+n); one correctly rounded division gives the same double as the
-    # fsum of the exact terms
+@lru_cache(maxsize=256)
+def _signed_numerators(q: QuantizedWeights) -> np.ndarray:
+    # s_i q_i (read-only), built once per quantization: runs with fixed
+    # weights share one
     signed = np.array(q.signs, dtype=np.int64) * np.array(q.numerators, dtype=np.int64)
-    total = int(signed @ (2 * thresholds - (1 << n)))
-    return total / (1 << (q.height + n))
+    signed.setflags(write=False)
+    return signed
 
 
 def _validate_values(values, weights) -> np.ndarray:
@@ -261,7 +274,33 @@ def _hardwired_tree_cached(numerators: tuple[int, ...], h: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _biased_tree_cached(numerators: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    return build_biased_selector_tree(QuantizedWeights(numerators, n, (1,) * len(numerators)))
+    """The biased tree as a step table of its walk, and its leaf owners.
+
+    step[s (n + 1) + k] is the heap slot that follows slot s when the select
+    word's WBG output is threshold bit k (see wbg_bit_index). It is built
+    through pcc_bits, each slot's code against one word of each class.
+    """
+    heap, leaf_owner = build_biased_selector_tree(
+        QuantizedWeights(numerators, n, (1,) * len(numerators))
+    )
+    class_words = np.array([*(1 << k for k in range(n)), 0], dtype=np.int64)
+    bits = pcc_bits(PccKind.WBG, class_words, heap[:, None], n)
+    step = (2 * np.arange(heap.size)[:, None] + 2 - bits).ravel()
+    step.setflags(write=False)
+    return step, leaf_owner
+
+
+def _biased_walk(step: np.ndarray, leaf_owner: np.ndarray, select: np.ndarray, n: int):
+    """Input a biased tree samples at each cycle; select row l holds the level-l words.
+
+    Every cycle walks the heap from the root, one level per select source,
+    each mux converting its source's word through a WBG (see
+    build_biased_selector_tree and _biased_tree_cached).
+    """
+    idx = np.zeros(select.shape[1], dtype=np.int64)
+    for bit_index in wbg_bit_index(select, n):
+        idx = step[idx * (n + 1) + bit_index]
+    return leaf_owner[idx - (leaf_owner.size - 1)]
 
 
 def _owner_sequence(design: AdderDesign, q, n, big_n, seed) -> np.ndarray:
@@ -278,15 +317,10 @@ def _owner_sequence(design: AdderDesign, q, n, big_n, seed) -> np.ndarray:
         msb = lfsr_words(n, _source_seeds(seed, range(1, h + 1)), big_n) >> (n - 1)
         return owner[(1 << np.arange(h - 1, -1, -1)) @ msb]
 
-    heap, leaf_owner = _biased_tree_cached(q.numerators, n)
+    step, leaf_owner = _biased_tree_cached(q.numerators, n)
     depth = leaf_owner.size.bit_length() - 1
     select = lfsr_words(n, _source_seeds(seed, range(1, depth + 1)), big_n)
-    # every cycle walks the heap from the root, one level per select source
-    # (see build_biased_selector_tree)
-    idx = np.zeros(big_n, dtype=np.int64)
-    for words in select:
-        idx = 2 * idx + 2 - pcc_bits(BIASED_SELECT_PCC, words, heap[idx], n)
-    return leaf_owner[idx - ((1 << depth) - 1)]
+    return _biased_walk(step, leaf_owner, select, n)
 
 
 def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationReport:
@@ -301,27 +335,33 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationR
     n = design.n
     if big_n != (1 << n):
         raise ValueError(f"stream length must be 2^n = {1 << n} for design {design.name}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     if design.tree_type == "apc":
         return run_apc(design.weights, values, big_n)
     v = _validate_values(values, design.weights)
 
     q = quantize_weights(design.weights, n)
     thresholds = pcc_thresholds(v, n, design.data_pcc)
-    negative = np.array(q.signs) < 0
 
     if design.data_rns_kind in _RESET_KINDS:
         words = _reset_words(design.data_rns_kind, n)
     else:
         words = rns_sequence(RnsSpec(design.data_rns_kind, n, _source_seeds(seed, [0])[0]), big_n)
     owners = _owner_sequence(design, q, n, big_n, seed)
-    inverted = negative[owners]
+    signed = _signed_numerators(q)
+    # an input of numerator 0 is never sampled, so s_i q_i has the sign of
+    # every input read here
+    inverted = signed[owners] < 0
     if design.full_correlation:
         words = np.where(inverted, complement_output(words, n), words)
     z = pcc_bits(design.data_pcc, words, thresholds[owners], n) ^ inverted
 
     ones = int(np.count_nonzero(z))
     estimate = min(1.0, max(-1.0, 2.0 * ones / big_n - 1.0))
-    target = _target_from_thresholds(q, thresholds, n)
+    # sum_i s_i (q_i / 2^n)(2 B_i / 2^n - 1) is the integer below over 2^2n,
+    # so one correctly rounded division gives the double nearest it
+    target = int(signed @ (2 * thresholds - big_n)) / (big_n * big_n)
     return SimulationReport(
         estimate=estimate,
         target=target,
@@ -329,6 +369,30 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationR
         output_bits=z,
         sampling_counts=np.bincount(owners, minlength=len(design.weights)),
     )
+
+
+# the stream lengths an APC runs at, with their bit-widths
+_APC_WIDTHS = {1 << n: n for n in range(3, 17)}
+
+
+@lru_cache(maxsize=128)
+def _apc_coefficients(weights: bytes, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The coefficient side of an APC run, the same for every run of the weights.
+
+    Returns two read-only arrays, the coefficient bit of each input and cycle
+    with the input's sign inverter folded in and the signed codes
+    s_i (2 B_i - 2^n) of the |w_i|, then the codes' unsigned sum: 2^n times
+    the sum of the quantized coefficients.
+    """
+    w = np.frombuffer(weights, dtype=np.float64)
+    bw = bipolar_thresholds(np.abs(w), n)
+    negs = w < 0
+    w_bits = _reset_words("counter", n)[None, :] < bw[:, None]
+    codes = 2 * bw - (1 << n)
+    out = (w_bits ^ negs[:, None], np.where(negs, -codes, codes))
+    for arr in out:
+        arr.setflags(write=False)
+    return *out, int(codes.sum())
 
 
 def run_apc(weights, values, big_n: int) -> SimulationReport:
@@ -341,39 +405,36 @@ def run_apc(weights, values, big_n: int) -> SimulationReport:
     product bits each cycle; the accumulator's mean is rescaled so the report
     targets the same normalized weighted mean as the mux designs.
     """
-    n = int(round(math.log2(big_n)))
-    if (1 << n) != big_n or not 3 <= n <= 16:
+    n = _APC_WIDTHS.get(big_n)
+    if n is None:
         raise ValueError("stream length must be a power of two with 3 <= log2(N) <= 16")
     w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("weights must be a non-empty 1-d sequence")
     x = _validate_values(values, w)
-    m = len(w)
+    m = w.size
     if not np.all(np.abs(w) <= 1.0):  # NaN fails too
         raise ValueError("APC coefficient values |w_i| must lie in [0, 1]")
+    coeff_bits, signed, denom_num = _apc_coefficients(w.tobytes(), n)
+    if denom_num <= 0:
+        raise ValueError("zero weight mass after quantization")
 
-    # both sources run from reset; the design is fully deterministic
-    data_words = _reset_words("sobol_reversed_counter", n)
-    coeff_words = _reset_words("counter", n)
-
+    # the data source runs from reset like the coefficient one; the design is
+    # fully deterministic
     bx = bipolar_thresholds(x, n)
-    bw = bipolar_thresholds(np.abs(w), n)
-    negs = w < 0
-
-    x_bits = data_words[None, :] < bx[:, None]
-    w_bits = coeff_words[None, :] < bw[:, None]
+    x_bits = _reset_words("sobol_reversed_counter", n)[None, :] < bx[:, None]
     # product bit = XNOR(x, w), inverted for a negative coefficient; the
     # accumulator adds every product bit of every cycle
-    acc = m * big_n - int(np.count_nonzero(x_bits ^ w_bits ^ negs[:, None]))
+    acc = m * big_n - int(np.count_nonzero(x_bits ^ coeff_bits))
     raw = 2.0 * acc / (big_n * m) - 1.0
 
-    w_hat = 2.0 * bw / big_n - 1.0
-    denom = math.fsum(w_hat)
-    if denom <= 0.0:
-        raise ValueError("zero weight mass after quantization")
+    # the quantized coefficients and values are their codes over 2^n, so the
+    # sum of the coefficients and the signed sum of their products with the
+    # values are integers over 2^n and 2^2n; one correctly rounded division
+    # gives the double nearest each
+    denom = denom_num / big_n
     estimate = min(1.0, max(-1.0, raw * m / denom))
-
-    mu_hat = 2.0 * bx / big_n - 1.0
-    signs = np.where(negs, -1.0, 1.0)
-    target = math.fsum(signs * w_hat * mu_hat) / denom
+    target = int(signed @ (2 * bx - big_n)) / (big_n * big_n) / denom
     return SimulationReport(
         estimate=estimate,
         target=target,

@@ -100,7 +100,17 @@ def pcc_bits(pcc: PccKind, words: np.ndarray, b, n: int) -> np.ndarray:
     # b >> n is nonzero exactly when b lies outside [0, 2^n)
     if (np.asarray(b) >> n).any():
         raise ValueError(f"WBG threshold outside [0, 2^{n} - 1]: {b}")
-    return ((b >> _wbg_shift_table(n)[words]) & 1).astype(np.uint8)
+    return ((b >> wbg_bit_index(words, n)) & 1).astype(np.uint8)
+
+
+def wbg_bit_index(words, n: int) -> np.ndarray:
+    """Threshold bit a WBG of width n outputs for each source word.
+
+    It is the index of the word's leading one, counted from the LSB, or n for
+    the word 0, whose output is always 0; the word 1 << k (k < n) or 0 stands
+    for each of the n + 1 classes.
+    """
+    return _wbg_shift_table(n)[words]
 
 
 def input_bit_matrix(

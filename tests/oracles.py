@@ -12,7 +12,9 @@ primitives (sources, quantizers, channels, input_bit_matrix, pcc_bits),
 which the per-cycle oracles below check on their own, so that it can check
 the O(N) run kernel. Its hardwired owners come from level_ordered_blocks,
 not from the production owner map, and its biased trees from
-biased_tree_reference, not from the production heap build. The model-path
+biased_tree_reference, not from the production heap build. The per-level
+biased walk (biased_walk_per_level) takes the production heap and pcc_bits,
+to check the step table the run kernel walks instead. The model-path
 loop (model_run_once and its neighbours) likewise takes the quantizer, the
 owner map and the thresholds from the package, to check the batched
 decomposition's statistics run by run.
@@ -785,6 +787,21 @@ def spawned_seeds(master_seed, count=25):
     """Per-source seeds as a fixed-size spawn: entry 0 data, entry l level l."""
     children = np.random.SeedSequence(master_seed).spawn(count)
     return [int(c.generate_state(2, np.uint64)[0]) for c in children]
+
+
+def biased_walk_per_level(heap, leaf_owner, select, n):
+    """Input a biased tree samples at each cycle, one WBG conversion per level.
+
+    select row l holds the level-l select words. Each level converts its words
+    through pcc_bits against the codes of the heap slots the cycles have
+    reached, and bit 1 at slot s moves to slot 2s + 1, bit 0 to 2s + 2.
+    """
+    from scmux.sngen import pcc_bits
+
+    idx = np.zeros(select.shape[1], dtype=np.int64)
+    for words in select:
+        idx = 2 * idx + 2 - pcc_bits(PccKind.WBG, words, heap[idx], n)
+    return leaf_owner[idx - (leaf_owner.size - 1)]
 
 
 def full_matrix_owners(design, q, n, big_n, seeds):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     biased_tree_reference,
+    biased_walk_per_level,
     bipolar_threshold,
     cemux_block_error,
     cemux_expected_mse,
@@ -30,7 +31,8 @@ from scmux.adders import (
 )
 from scmux.analysis import accuracy_stats
 from scmux.filterapp import make_lowpass
-from scmux.muxtree import quantize_weights
+from scmux.muxtree import build_biased_selector_tree, quantize_weights
+from scmux.rns import lfsr_words
 from scmux.sngen import PccKind, QuantizationWarning
 
 # feature matrix rows: tree type, data pcc, select source, select pcc,
@@ -237,6 +239,43 @@ def test_run_kernel_matches_full_matrix_oracle_on_filter_size_biased_trees():
     assert depths == {7, 8} and checked > 30
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 16),
+    st.lists(st.sampled_from([0.0, 1e-6, 0.01, 0.3, 1.0, 7.0]), min_size=1, max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+@example(3, [0.0, 1.0, 0.0], 0)  # depth 0: one active input
+@example(16, [0.0, 1.0, 7.0, 0.3], 1)  # padded heap: a code-0 mux above a leaf
+def test_step_table_walk_matches_per_level_walk(n, weights, words_seed):
+    from scmux.adders import _biased_tree_cached, _biased_walk
+
+    if not any(weights):
+        return
+    q = quantize_weights(weights, n)
+    heap, leaf_owner = build_biased_selector_tree(q)
+    step, cached_owner = _biased_tree_cached(q.numerators, n)
+    assert np.array_equal(cached_owner, leaf_owner)
+    depth = leaf_owner.size.bit_length() - 1
+    # uniform words plus a word of every WBG class (the word 0 among them) at
+    # every level
+    rng = np.random.default_rng(words_seed)
+    classes = np.array([*(1 << k for k in range(n)), 0])
+    select = np.hstack((
+        rng.integers(0, 1 << n, (depth, 64)),
+        np.tile(classes, (depth, 1)),
+        rng.permuted(np.tile(classes, (depth, 4)), axis=1),
+    ))
+    expected = biased_walk_per_level(heap, leaf_owner, select, n)
+    assert np.array_equal(_biased_walk(step, leaf_owner, select, n), expected)
+    # and on the LFSR words a run reads
+    select = lfsr_words(n, rng.integers(0, 2**63, depth).tolist(), 1 << n)
+    assert np.array_equal(
+        _biased_walk(step, leaf_owner, select, n),
+        biased_walk_per_level(heap, leaf_owner, select, n),
+    )
+
+
 def test_seed_expansion_matches_fixed_spawn():
     from scmux.adders import _source_seeds
 
@@ -252,6 +291,22 @@ def test_seed_expansion_matches_fixed_spawn():
             for i in (0, 1, 5, 12)
         ]
         assert _source_seeds(seed, [0, 1, 5, 12]) == expected, seed
+
+
+def test_run_adder_rejects_seeds_outside_64_bits():
+    for name in ("cemux", "basic_biased", "apc"):
+        d = make_design(name, [0.5, -0.25, 0.125], 5)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError) as exc:
+                run_adder(d, [0.1, 0.2, -0.3], 32, seed)
+            assert str(exc.value) == f"seed must lie in [0, 2^64), got {seed}"
+        run_adder(d, [0.1, 0.2, -0.3], 32, 2**64 - 1)
+    # the largest seed still expands as SeedSequence does
+    d = make_design("basic_biased", [0.5, -0.25, 0.125], 5)
+    rep = run_adder(d, [0.1, 0.2, -0.3], 32, 2**64 - 1)
+    z, counts, *_ = full_matrix_run(d, [0.1, 0.2, -0.3], 32, 2**64 - 1)
+    assert np.array_equal(rep.output_bits, z)
+    assert np.array_equal(rep.sampling_counts, counts)
 
 
 def test_cemux_expected_error_ignores_sign_pattern():
@@ -329,6 +384,14 @@ def test_estimates_always_in_range():
             assert -1.0 <= rep.estimate <= 1.0
 
 
+def test_make_design_rejects_non_finite_weights():
+    for name in ("cemux", "basic_biased", "apc"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError) as exc:
+                make_design(name, [0.5, bad], 5)
+            assert str(exc.value) == f"weights must be finite, got {bad}"
+
+
 def test_run_adder_validation():
     # every preset runs exactly 2^n cycles, the APC included
     for name in DESIGN_NAMES + ABLATION_NAMES:
@@ -360,6 +423,48 @@ def test_apc_trivials():
     assert rep.estimate == 1.0
     rep1 = run_apc([0.5], [0.5], 1024)
     assert rep1.error == pytest.approx(0.0, abs=0.02)  # single XNOR multiplier
+
+
+@pytest.mark.parametrize("weights, values, big_n, message", [
+    ([0.5, 0.25], [0.1, 0.2], 0,
+     "stream length must be a power of two with 3 <= log2(N) <= 16"),
+    ([0.5, 0.25], [0.1, 0.2], 48,
+     "stream length must be a power of two with 3 <= log2(N) <= 16"),
+    ([0.5, 0.25], [0.1, 0.2], 1 << 17,
+     "stream length must be a power of two with 3 <= log2(N) <= 16"),
+    ([], [], 16, "weights must be a non-empty 1-d sequence"),
+    ([[0.5], [0.25]], [0.1, 0.2], 16, "weights must be a non-empty 1-d sequence"),
+    (([0.5, 0.25], [0.1, 0.2]), [0.1, 0.2], 16, "weights must be a non-empty 1-d sequence"),
+    ([0.5, 0.25], [0.1], 16, "values and weights must have equal length"),
+    ([1e-3, -1e-3], [0.1, 0.2], 16, "zero weight mass after quantization"),
+])
+def test_apc_input_errors(weights, values, big_n, message):
+    with pytest.raises(ValueError) as exc:
+        run_apc(weights, values, big_n)
+    assert str(exc.value) == message
+
+
+def test_apc_matches_full_matrix_oracle_at_filter_size():
+    rng = np.random.default_rng(31)
+    for taps in (100, 150):
+        h = np.array(make_lowpass(taps, 0.1 * math.pi).coefficients)
+        h *= np.where(rng.random(taps) < 0.3, -1.0, 1.0)
+        h[rng.random(taps) < 0.1] = 0.0
+        for n in range(4, 11):
+            w = h.copy()
+            # taps below 2^-n quantize to code 2^(n-1), a coefficient of 0
+            tiny = rng.random(taps) < 0.2
+            w[tiny] = rng.uniform(-1, 1, int(tiny.sum())) / (1 << n)
+            assert all(bipolar_threshold(abs(x), n) == 1 << (n - 1) for x in w[tiny])
+            d = make_design("apc", w, n)
+            for _ in range(3):
+                v = rng.uniform(-1, 1, taps)
+                seed = int(rng.integers(0, 2**63))
+                rep = run_adder(d, v, 1 << n, seed)
+                assert (rep.estimate, rep.target, rep.error) == full_matrix_apc(w, v, 1 << n)
+                again = run_adder(d, v, 1 << n, seed)
+                assert (again.estimate, again.target, again.error) == (
+                    rep.estimate, rep.target, rep.error)
 
 
 def test_apc_rejects_out_of_range_coefficients():
