@@ -27,7 +27,6 @@ import numpy as np
 
 from .bitstream import bipolar_thresholds
 from .muxtree import (
-    QuantizedWeights,
     build_biased_selector_tree,
     build_hardwired_tree,
     quantize_weights,
@@ -248,15 +247,6 @@ def _source_seeds(master_seed: int, indices) -> list[int]:
     return seeds
 
 
-@lru_cache(maxsize=256)
-def _signed_numerators(q: QuantizedWeights) -> np.ndarray:
-    # s_i q_i (read-only), built once per quantization: runs with fixed
-    # weights share one
-    signed = np.array(q.signs, dtype=np.int64) * np.array(q.numerators, dtype=np.int64)
-    signed.setflags(write=False)
-    return signed
-
-
 def _validate_values(values, weights) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.shape != (len(weights),):
@@ -268,26 +258,27 @@ def _validate_values(values, weights) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _hardwired_tree_cached(numerators: tuple[int, ...], h: int) -> np.ndarray:
-    return build_hardwired_tree(QuantizedWeights(numerators, h, (1,) * len(numerators)))
+def _tree_tables(magnitudes: bytes, n: int, tree_type: str):
+    """The read-only numerators of the |w_i| at height n, and the tree over them.
 
-
-@lru_cache(maxsize=128)
-def _biased_tree_cached(numerators: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The biased tree as a step table of its walk, and its leaf owners.
-
-    step[s (n + 1) + k] is the heap slot that follows slot s when the select
-    word's WBG output is threshold bit k (see wbg_bit_index). It is built
-    through pcc_bits, each slot's code against one word of each class.
+    The tree depends on the magnitudes alone; the signs act after it, so
+    weights that differ only in sign share one entry. A "hardwired" tree is
+    its owner map. A "biased" tree is (step, leaf_owner): step[s (n + 1) + k]
+    is the heap slot that follows slot s when the select word's WBG output is
+    threshold bit k (see wbg_bit_index), built through pcc_bits, each slot's
+    code against one word of each class.
     """
-    heap, leaf_owner = build_biased_selector_tree(
-        QuantizedWeights(numerators, n, (1,) * len(numerators))
-    )
+    q = quantize_weights(np.frombuffer(magnitudes, dtype=np.float64), n)
+    nums = np.array(q.numerators, dtype=np.int64)
+    nums.setflags(write=False)
+    if tree_type == "hardwired":
+        return nums, build_hardwired_tree(q)
+    heap, leaf_owner = build_biased_selector_tree(q)
     class_words = np.array([*(1 << k for k in range(n)), 0], dtype=np.int64)
     bits = pcc_bits(PccKind.WBG, class_words, heap[:, None], n)
     step = (2 * np.arange(heap.size)[:, None] + 2 - bits).ravel()
     step.setflags(write=False)
-    return step, leaf_owner
+    return nums, (step, leaf_owner)
 
 
 def _biased_walk(step: np.ndarray, leaf_owner: np.ndarray, select: np.ndarray, n: int):
@@ -295,7 +286,7 @@ def _biased_walk(step: np.ndarray, leaf_owner: np.ndarray, select: np.ndarray, n
 
     Every cycle walks the heap from the root, one level per select source,
     each mux converting its source's word through a WBG (see
-    build_biased_selector_tree and _biased_tree_cached).
+    build_biased_selector_tree and _tree_tables).
     """
     idx = np.zeros(select.shape[1], dtype=np.int64)
     for bit_index in wbg_bit_index(select, n):
@@ -303,21 +294,20 @@ def _biased_walk(step: np.ndarray, leaf_owner: np.ndarray, select: np.ndarray, n
     return leaf_owner[idx - (leaf_owner.size - 1)]
 
 
-def _owner_sequence(design: AdderDesign, q, n, big_n, seed) -> np.ndarray:
+def _owner_sequence(design: AdderDesign, tree, big_n, seed) -> np.ndarray:
     """Input index sampled at each clock cycle, per the design's select wiring."""
+    n = design.n
     if design.tree_type == "hardwired":
-        owner = _hardwired_tree_cached(q.numerators, q.height)
         if design.precise_sampling:
-            # the counter runs from its reset state over its 2^h = 2^n words,
-            # so its dyadic blocks stay aligned with the low-discrepancy data
-            # source: cycle t samples owner[t]
-            return owner
+            # the counter runs from its reset state over its 2^n words, so its
+            # dyadic blocks stay aligned with the low-discrepancy data source:
+            # cycle t samples owner[t]
+            return tree
         # one independent LFSR per level; its word's MSB is the select bit
-        h = q.height
-        msb = lfsr_words(n, _source_seeds(seed, range(1, h + 1)), big_n) >> (n - 1)
-        return owner[(1 << np.arange(h - 1, -1, -1)) @ msb]
+        msb = lfsr_words(n, _source_seeds(seed, range(1, n + 1)), big_n) >> (n - 1)
+        return tree[(1 << np.arange(n - 1, -1, -1)) @ msb]
 
-    step, leaf_owner = _biased_tree_cached(q.numerators, n)
+    step, leaf_owner = tree
     depth = leaf_owner.size.bit_length() - 1
     select = lfsr_words(n, _source_seeds(seed, range(1, depth + 1)), big_n)
     return _biased_walk(step, leaf_owner, select, n)
@@ -341,15 +331,16 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationR
         return run_apc(design.weights, values, big_n)
     v = _validate_values(values, design.weights)
 
-    q = quantize_weights(design.weights, n)
+    w = np.asarray(design.weights, dtype=np.float64)
+    nums, tree = _tree_tables(np.abs(w).tobytes(), n, design.tree_type)
     thresholds = pcc_thresholds(v, n, design.data_pcc)
 
     if design.data_rns_kind in _RESET_KINDS:
         words = _reset_words(design.data_rns_kind, n)
     else:
         words = rns_sequence(RnsSpec(design.data_rns_kind, n, _source_seeds(seed, [0])[0]), big_n)
-    owners = _owner_sequence(design, q, n, big_n, seed)
-    signed = _signed_numerators(q)
+    owners = _owner_sequence(design, tree, big_n, seed)
+    signed = np.where(w < 0, -nums, nums)
     # an input of numerator 0 is never sampled, so s_i q_i has the sign of
     # every input read here
     inverted = signed[owners] < 0

@@ -93,7 +93,13 @@ def read_signal_csv(path: str) -> Signal:
 
 
 def _design_list(raw: str) -> list[str]:
-    return [normalize_design_name(s) for s in raw.split(",") if s.strip()]
+    designs = [normalize_design_name(s) for s in raw.split(",") if s.strip()]
+    if not designs:
+        raise ValueError("--designs must name at least one design")
+    twice = sorted({d for d in designs if designs.count(d) > 1})
+    if twice:
+        raise ValueError(f"--designs names {', '.join(twice)} more than once")
+    return designs
 
 
 def _filter_spec(args) -> FilterSpec:

@@ -153,6 +153,8 @@ def pulse_train_signal(
     lowpass is typically asked to denoise, and the default probe for the
     filter latency sweeps.
     """
+    if not noise_sigma >= 0:  # NaN fails too
+        raise ValueError("noise_sigma must be >= 0")
     t = np.arange(length) / SAMPLE_RATE_HZ
     x = 0.06 * np.sin(2 * np.pi * 0.33 * t)  # baseline wander
     period = max(1, int(SAMPLE_RATE_HZ / 1.2))

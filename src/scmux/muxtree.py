@@ -58,18 +58,6 @@ def quantize_weights(weights, m: int) -> QuantizedWeights:
     a = np.abs(w)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"weights must be finite, got {w[~np.isfinite(a)][0]}")
-    return QuantizedWeights(
-        numerators=_quantized_magnitudes(a.tobytes(), m),
-        height=m,
-        signs=tuple(np.where(w < 0, -1, 1).tolist()),
-    )
-
-
-@lru_cache(maxsize=256)
-def _quantized_magnitudes(magnitudes: bytes, m: int) -> tuple[int, ...]:
-    # the numerators depend on the magnitudes alone, so weights that differ
-    # only in sign (pm weights, fixed filter taps) are quantized once
-    a = np.frombuffer(magnitudes, dtype=np.float64)
     with np.errstate(over="ignore"):
         total = np.cumsum(a)[-1]
     if not np.isfinite(total):
@@ -91,7 +79,11 @@ def _quantized_magnitudes(magnitudes: bytes, m: int) -> tuple[int, ...]:
         q[np.argsort(t - q, kind="stable")[:excess]] -= 1
     elif excess < 0:
         q[np.argsort(q - t, kind="stable")[:-excess]] += 1
-    return tuple(q.astype(np.int64).tolist())
+    return QuantizedWeights(
+        numerators=tuple(q.astype(np.int64).tolist()),
+        height=m,
+        signs=tuple(np.where(w < 0, -1, 1).tolist()),
+    )
 
 
 def build_hardwired_tree(q: QuantizedWeights) -> np.ndarray:

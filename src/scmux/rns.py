@@ -104,24 +104,29 @@ def rns_sequence(spec: RnsSpec, count: int) -> np.ndarray:
         raise ValueError("count must be >= 0")
     if spec.kind == "lfsr":
         return lfsr_words(spec.width, [spec.seed % (1 << spec.width)], count)[0]
-    period = _one_period(spec)
-    if count <= period.size:
-        return period[:count].copy()
-    reps = -(-count // period.size)
-    return np.tile(period, reps)[:count]
+    return np.resize(_one_period(spec), count)
+
+
+@lru_cache(maxsize=16)
+def _lfsr_laid_out(width: int, size: int) -> np.ndarray:
+    """The width-n LFSR's state cycle laid out end to end over `size` words."""
+    out = np.resize(_lfsr_cycle(width), size)
+    out.setflags(write=False)
+    return out
 
 
 def lfsr_words(width: int, seeds, count: int) -> np.ndarray:
     """First `count` words of one width-n LFSR per seed, shape (len(seeds), count).
 
-    The seed picks the start state (seed mod 2^n, 0 read as 1). Row r is read
-    off the LFSR's state cycle from that state's index onwards, wrapping
-    round the cycle, so no period is rebuilt per seed. Seeds lie in [0, 2^64).
+    The seed picks the start state (seed mod 2^n, 0 read as 1). Row r is the
+    slice of the state cycle, laid out end to end, that starts at that
+    state's index, so no period is rebuilt per seed. Seeds lie in [0, 2^64).
     """
-    cycle = _lfsr_cycle(width)
-    state0 = np.asarray(seeds, dtype=np.uint64) % np.uint64(1 << width)
-    start = _lfsr_position(width)[np.maximum(state0, 1).astype(np.intp)]
-    return cycle.take(start[:, None] + np.arange(count), mode="wrap")
+    # a row starts at most 2^n - 2 words in
+    laid = _lfsr_laid_out(width, (1 << width) - 2 + count)
+    pos = _lfsr_position(width)
+    rows = [laid[pos[max(int(s) % (1 << width), 1)]:][:count] for s in seeds]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), count)
 
 
 def complement_output(word, n: int):

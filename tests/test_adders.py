@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -248,13 +249,14 @@ def test_run_kernel_matches_full_matrix_oracle_on_filter_size_biased_trees():
 @example(3, [0.0, 1.0, 0.0], 0)  # depth 0: one active input
 @example(16, [0.0, 1.0, 7.0, 0.3], 1)  # padded heap: a code-0 mux above a leaf
 def test_step_table_walk_matches_per_level_walk(n, weights, words_seed):
-    from scmux.adders import _biased_tree_cached, _biased_walk
+    from scmux.adders import _biased_walk, _tree_tables
 
     if not any(weights):
         return
     q = quantize_weights(weights, n)
     heap, leaf_owner = build_biased_selector_tree(q)
-    step, cached_owner = _biased_tree_cached(q.numerators, n)
+    nums, (step, cached_owner) = _tree_tables(np.array(weights).tobytes(), n, "biased")
+    assert nums.tolist() == list(q.numerators)
     assert np.array_equal(cached_owner, leaf_owner)
     depth = leaf_owner.size.bit_length() - 1
     # uniform words plus a word of every WBG class (the word 0 among them) at
@@ -416,6 +418,37 @@ def test_nan_inputs_rejected_before_quantization():
         run_apc([0.5, nan], [0.25, 0.25], 32)
     with pytest.raises(ValueError, match="must be finite"):
         run_adder(make_design("cemux", [0.5, nan], 5), [0.25, 0.25], 32, 0)
+
+
+@pytest.mark.parametrize("name", ["cemux", "cemux_biased"])
+def test_weights_differing_in_sign_share_one_tree_entry(name):
+    from scmux.adders import _tree_tables
+
+    w = [0.4, -0.25, 0.2, -0.1, 0.05]
+    d = make_design(name, w, 6)
+    values = [0.5, -0.25, 0.75, 0.0, -1.0]
+    first = run_adder(d, values, 64, 3)
+    hits = _tree_tables.cache_info().hits
+    flipped = make_design(name, [-x for x in w], 6)
+    rep = run_adder(flipped, values, 64, 3)
+    assert _tree_tables.cache_info().hits == hits + 1
+    # the same tree, with every sign inverter flipped
+    assert rep.target == -first.target
+    assert np.array_equal(rep.sampling_counts, first.sampling_counts)
+
+
+def test_non_finite_weights_bypassing_make_design_are_rejected_uncached():
+    from scmux.adders import _tree_tables
+
+    for name in ("cemux", "basic_biased"):
+        for bad in (math.nan, math.inf, -math.inf):
+            d = dataclasses.replace(make_design(name, [0.5, 0.5], 5), weights=(0.5, bad))
+            hits = _tree_tables.cache_info().hits
+            # a cached entry would let the second call through as a hit
+            for _ in range(2):
+                with pytest.raises(ValueError, match="weights must be finite"):
+                    run_adder(d, [0.25, 0.25], 32, 0)
+            assert _tree_tables.cache_info().hits == hits
 
 
 def test_apc_trivials():

@@ -186,6 +186,35 @@ def test_bad_m_list_is_usage_error(tmp_path, capsys, m_list):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("designs, message", [
+    pytest.param(",", "--designs must name at least one design", id="comma"),
+    pytest.param("", "--designs must name at least one design", id="empty"),
+    pytest.param("cemux,CeMux", "--designs names cemux more than once", id="twice"),
+    pytest.param("apc,cemux-wbg,cemux_wbg,apc", "--designs names apc, cemux_wbg more than once",
+                 id="two-twice"),
+])
+@pytest.mark.parametrize("command", [
+    pytest.param(["sweep-m", "--m-max", "3", "--runs", "1"], id="sweep-m"),
+    pytest.param(["sweep-n", "--taps", "4", "--n-min", "4", "--n-max", "4", "--runs", "1"],
+                 id="sweep-n"),
+    pytest.param(["filter", "--length", "8", "--taps", "2", "--n", "4"], id="filter"),
+])
+def test_empty_or_duplicate_design_lists_are_rejected(capsys, command, designs, message):
+    code, out, err = run_cli(capsys, *command, "--designs", designs)
+    assert code == 2
+    assert err == f"scmux: error: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan"])
+def test_pulse_train_noise_sigma_is_checked(capsys, sigma):
+    code, out, err = run_cli(capsys, "filter", "--length", "8", "--taps", "2", "--n", "4",
+                             "--noise-sigma", sigma)
+    assert code == 2
+    assert err == "scmux: error: noise_sigma must be >= 0\n"
+    assert out == ""
+
+
 def test_unknown_design_is_runtime_error(capsys):
     code, _, err = run_cli(
         capsys, "sweep-m", "--designs", "nonsense", "--runs", "2", "--m-max", "3"
@@ -451,6 +480,13 @@ def cli_argv(draw):
 @example(["quantize", "--weights", "@coeffs", "--m", "53"])
 @example(["sweep-m", "--designs", "cemux", "--n", "-1"])
 @example(["sweep-n", "--designs", "cemux", "--n-min", "-1"])
+@example(["sweep-m", "--designs", ",", "--n", "4", "--m-max", "3", "--runs", "1"])
+@example(["sweep-n", "--designs", ",", "--taps", "4", "--n-min", "4", "--n-max", "4",
+          "--runs", "1"])
+@example(["filter", "--length", "8", "--taps", "2", "--n", "4", "--designs", ","])
+@example(["sweep-m", "--designs", "cemux,cemux", "--n", "4", "--m-max", "3", "--runs", "1"])
+@example(["filter", "--length", "8", "--taps", "2", "--n", "4", "--designs", "cemux,cemux"])
+@example(["filter", "--length", "8", "--taps", "2", "--n", "4", "--noise-sigma", "-1"])
 def test_cli_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in FUZZ_FILES.items():

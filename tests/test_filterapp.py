@@ -131,6 +131,10 @@ def test_pulse_train_probe_properties():
     assert np.abs(sig.samples).max() <= 1.0
     again = pulse_train_signal(2048)
     assert np.array_equal(sig.samples, again.samples)
+    for sigma in (-1.0, math.nan):
+        with pytest.raises(ValueError) as exc:
+            pulse_train_signal(64, noise_sigma=sigma)
+        assert str(exc.value) == "noise_sigma must be >= 0"
 
 
 def test_filter_rmse_vs_length_shape_and_monotonicity():
