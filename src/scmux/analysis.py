@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adders import AdderDesign, run_adder
+from .adders import _TABLE_ENTRIES, AdderDesign, _fill_tables, run_adder
 from .bitstream import bipolar_thresholds
 from .muxtree import build_hardwired_tree, quantize_weights
 
@@ -60,11 +60,12 @@ class AccuracyStats:
 
     @classmethod
     def from_errors(cls, errors) -> "AccuracyStats":
-        """Moments of a list of errors; an empty list gives all zeros."""
+        """Moments of a list of errors; an empty list has none, so they are NaN."""
         runs = len(errors)
-        mse = math.fsum(e * e for e in errors) / runs if runs else 0.0
-        bias = math.fsum(errors) / runs if runs else 0.0
-        return cls(rmse=math.sqrt(mse), bias=bias, mse=mse, runs=runs)
+        if not runs:
+            return cls(rmse=math.nan, bias=math.nan, mse=math.nan, runs=0)
+        mse = math.fsum(e * e for e in errors) / runs
+        return cls(rmse=math.sqrt(mse), bias=math.fsum(errors) / runs, mse=mse, runs=runs)
 
 
 @dataclass(frozen=True)
@@ -379,26 +380,35 @@ def accuracy_stats(
     Every run draws fresh bipolar U[-1, 1] input values. weight_mode redraws
     weights each run: "uniform" for U[-1, 1], "pm" for random signs at
     magnitude 1/M. Errors are measured against each run's own quantized
-    target.
+    target. Runs are drawn a chunk at a time, and each chunk's weight tables
+    are built in one _fill_tables pass before its runs, one run_adder call each.
     """
     if runs < 1:
         raise ValueError("need at least 1 run")
+    if weight_mode not in (None, "uniform", "pm"):
+        raise ValueError("weight_mode must be None, 'uniform' or 'pm'")
     rng = np.random.default_rng(np.random.SeedSequence(master_seed))
     m = len(design.weights)
+    big_n = 1 << design.n
+    # a chunk's draws and weight tables stay near _CHUNK_ELEMENTS elements,
+    # and its weight tables fit the table cache's entries
+    step = min(_chunk_runs(max(big_n, m)), _TABLE_ENTRIES)
     errors = []
-    for _ in range(runs):
-        d = design
-        if weight_mode == "uniform":
-            w = rng.uniform(-1.0, 1.0, size=m)
-            while not np.any(w):
+    for start in range(0, runs, step):
+        # each run draws its weights, values and seed in turn; run_adder draws
+        # nothing, so drawing a chunk ahead leaves every run's draws unchanged
+        draws = []
+        for _ in range(min(step, runs - start)):
+            w = None
+            if weight_mode == "uniform":
                 w = rng.uniform(-1.0, 1.0, size=m)
-            d = replace(design, weights=tuple(w))
-        elif weight_mode == "pm":
-            signs = np.where(rng.random(m) < 0.5, -1.0, 1.0)
-            d = replace(design, weights=tuple(signs / m))
-        elif weight_mode is not None:
-            raise ValueError("weight_mode must be None, 'uniform' or 'pm'")
-        v = rng.uniform(-1.0, 1.0, size=m)
-        seed = int(rng.integers(0, 2**63))
-        errors.append(run_adder(d, v, 1 << design.n, seed).error)
+                while not np.any(w):
+                    w = rng.uniform(-1.0, 1.0, size=m)
+            elif weight_mode == "pm":
+                w = np.where(rng.random(m) < 0.5, -1.0, 1.0) / m
+            draws.append((w, rng.uniform(-1.0, 1.0, size=m), int(rng.integers(0, 2**63))))
+        _fill_tables(design, [design.weights] if weight_mode is None else [w for w, _, _ in draws])
+        for w, v, seed in draws:
+            d = design if w is None else replace(design, weights=tuple(w))
+            errors.append(run_adder(d, v, big_n, seed).error)
     return AccuracyStats.from_errors(errors)

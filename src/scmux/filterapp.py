@@ -88,7 +88,8 @@ def stochastic_fir(
     x_i, x_{i-1}, ..., x_{i-M+1} (zero-padded history) and the normalized
     estimate is rescaled by sum|h_j|. The returned statistics compare the
     stochastic output to the floating-point reference, excluding the M-1
-    zero-padded warm-up samples.
+    zero-padded warm-up samples; over a signal no longer than those they are
+    NaN.
     """
     h = design.weights
     m = len(h)
@@ -124,8 +125,8 @@ def make_noisy_signal(
     noisy result is clamped into [-1, 1]; base amplitudes leave headroom so
     clamping is rare.
     """
-    if not noise_sigma >= 0:  # NaN fails too
-        raise ValueError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < math.inf:  # NaN fails too
+        raise ValueError("noise_sigma must be finite and >= 0")
     if length < 1:
         raise ValueError("length must be >= 1")
     t = np.arange(length) / SAMPLE_RATE_HZ
@@ -153,8 +154,8 @@ def pulse_train_signal(
     lowpass is typically asked to denoise, and the default probe for the
     filter latency sweeps.
     """
-    if not noise_sigma >= 0:  # NaN fails too
-        raise ValueError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < math.inf:  # NaN fails too
+        raise ValueError("noise_sigma must be finite and >= 0")
     t = np.arange(length) / SAMPLE_RATE_HZ
     x = 0.06 * np.sin(2 * np.pi * 0.33 * t)  # baseline wander
     period = max(1, int(SAMPLE_RATE_HZ / 1.2))

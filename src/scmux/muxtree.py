@@ -12,6 +12,10 @@ heap table. The slot ranges depend only on the number k of active inputs and
 are built once per k; a build from numerators then reads every slot's two
 subtree masses off the prefix sums of the active numerators, so a cycle's
 path is a fixed-depth index walk.
+
+The quantizer and both tree builds work on blocks of rows, one weight or
+numerator vector per row (_quantize_rows, _hardwired_rows, _biased_rows); the
+per-vector functions are their one-row calls.
 """
 
 from dataclasses import dataclass
@@ -37,6 +41,50 @@ class QuantizedWeights:
         return 1 << self.height
 
 
+def _quantize_rows(weights, m: int) -> np.ndarray:
+    """Numerators (R, M) int64 of each row of an (R, M) weight block, see quantize_weights.
+
+    A block with a bad row (non-finite, overflowing or zero magnitudes)
+    raises the first such row's message.
+    """
+    if not 1 <= m <= 52:
+        raise ValueError(
+            f"height m must be in [1, 52] (float64 holds 2^m * |w| / sum|w| "
+            f"to the unit only below 2^53), got {m}"
+        )
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 2 or not w.shape[1]:
+        raise ValueError("weights must be a non-empty 1-d sequence")
+    a = np.abs(w)
+    finite = np.isfinite(a)
+    with np.errstate(over="ignore"):
+        total = np.cumsum(a, axis=1)[:, -1]
+    bad = ~finite.all(axis=1) | ~np.isfinite(total) | (total == 0.0)
+    if bad.any():
+        r = int(np.argmax(bad))
+        if not finite[r].all():
+            raise ValueError(f"weights must be finite, got {w[r][~finite[r]][0]}")
+        if not np.isfinite(total[r]):
+            raise ValueError("weights must be finite: the sum of their magnitudes overflows")
+        raise ValueError("zero weight mass")
+    # an exact power-of-two rescale keeps 2^m * a finite for huge weights
+    shift = np.frexp(total)[1] + m - 1000
+    if shift.max() > 0:
+        a = np.ldexp(a, -np.maximum(shift, 0)[:, None])
+        total = np.cumsum(a, axis=1)[:, -1]
+    t = (1 << m) * a / total[:, None]
+    q = np.floor(t + 0.5)
+    # every rounding error lies within one half, so once an entry is adjusted
+    # its error is the smallest: the one-unit steps hit distinct entries in
+    # order of error, ties by lowest index, which a stable sort reproduces
+    excess = q.sum(axis=1).astype(np.int64) - (1 << m)
+    if excess.any():
+        order = np.argsort(np.where(excess[:, None] > 0, t - q, q - t), axis=1, kind="stable")
+        adjust = np.sign(excess)[:, None] * (np.arange(w.shape[1]) < np.abs(excess)[:, None])
+        q[np.arange(len(q))[:, None], order] -= adjust
+    return q.astype(np.int64)
+
+
 def quantize_weights(weights, m: int) -> QuantizedWeights:
     """Reduce signed weights to numerators q_i with sum(q) = 2^m exactly.
 
@@ -47,43 +95,21 @@ def quantize_weights(weights, m: int) -> QuantizedWeights:
     quantization pseudocode does; a pairwise sum can differ in the last bit
     and flip a near-tie adjustment.
     """
-    if not 1 <= m <= 52:
-        raise ValueError(
-            f"height m must be in [1, 52] (float64 holds 2^m * |w| / sum|w| "
-            f"to the unit only below 2^53), got {m}"
-        )
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-d sequence")
-    a = np.abs(w)
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"weights must be finite, got {w[~np.isfinite(a)][0]}")
-    with np.errstate(over="ignore"):
-        total = np.cumsum(a)[-1]
-    if not np.isfinite(total):
-        raise ValueError("weights must be finite: the sum of their magnitudes overflows")
-    if total == 0.0:
-        raise ValueError("zero weight mass")
-    # an exact power-of-two rescale keeps 2^m * a finite for huge weights
-    shift = int(np.frexp(total)[1]) + m - 1000
-    if shift > 0:
-        a = np.ldexp(a, -shift)
-        total = np.cumsum(a)[-1]
-    t = (1 << m) * a / total
-    q = np.floor(t + 0.5)
-    # every rounding error lies within one half, so once an entry is adjusted
-    # its error is the smallest: the one-unit steps hit distinct entries in
-    # order of error, ties by lowest index, which a stable sort reproduces
-    excess = int(q.sum()) - (1 << m)
-    if excess > 0:
-        q[np.argsort(t - q, kind="stable")[:excess]] -= 1
-    elif excess < 0:
-        q[np.argsort(q - t, kind="stable")[:-excess]] += 1
+    q = _quantize_rows([weights], m)[0]
     return QuantizedWeights(
-        numerators=tuple(q.astype(np.int64).tolist()),
+        numerators=tuple(q.tolist()),
         height=m,
-        signs=tuple(np.where(w < 0, -1, 1).tolist()),
+        signs=tuple(np.where(np.asarray(weights, dtype=np.float64) < 0, -1, 1).tolist()),
     )
+
+
+def _hardwired_rows(nums: np.ndarray, h: int) -> np.ndarray:
+    """Owner maps (R, 2^h) of the rows of an (R, M) numerator block, see build_hardwired_tree."""
+    # [r, l] holds row r's level-l bits, the 2^(h-l) place
+    bits = (nums[:, None, :] >> np.arange(h, -1, -1)[:, None]) & 1
+    _, levels, inputs = np.nonzero(bits)  # row, level and input order
+    # every row's blocks sum to 2^h
+    return np.repeat(inputs.astype(np.int64), 1 << (h - levels)).reshape(len(nums), 1 << h)
 
 
 def build_hardwired_tree(q: QuantizedWeights) -> np.ndarray:
@@ -96,12 +122,7 @@ def build_hardwired_tree(q: QuantizedWeights) -> np.ndarray:
     level. Longest blocks first keeps every block aligned to its length, so it
     is one subtree of the full tree.
     """
-    h = q.height
-    nums = np.array(q.numerators, dtype=np.int64)
-    # row l holds the inputs' level-l bits, the 2^(h-l) place
-    bits = (nums[None, :] >> np.arange(h, -1, -1)[:, None]) & 1
-    levels, inputs = np.nonzero(bits)  # level order, input order within a level
-    owner = np.repeat(inputs.astype(np.int64), 1 << (h - levels))
+    owner = _hardwired_rows(np.array([q.numerators], dtype=np.int64), q.height)[0]
     owner.setflags(write=False)
     return owner
 
@@ -142,6 +163,28 @@ def _heap_ranges(k: int) -> tuple[np.ndarray, np.ndarray]:
     return ranges, lo
 
 
+def _biased_rows(nums: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Heaps (R, 2^D - 1) and leaf owners (R, 2^D) of an (R, M) numerator block.
+
+    Every row has the same number k of nonzero numerators, since the heap
+    layout depends on k (see build_biased_selector_tree).
+    """
+    active = np.nonzero(nums)[1].reshape(len(nums), -1)
+    if not active.shape[1]:
+        raise ValueError("no inputs with nonzero quantized weight")
+    ranges, leaf = _heap_ranges(active.shape[1])
+    prefix = np.cumsum(np.take_along_axis(nums, active, axis=1), axis=1)
+    prefix = np.concatenate((np.zeros((len(nums), 1), dtype=np.int64), prefix), axis=1)
+    at_lo, at_mid, at_hi = (prefix[:, r] for r in ranges)
+    left, mass = at_mid - at_lo, at_hi - at_lo
+    # code floor(p 2^h + 1/2) for p = left / mass, exact in integers. With
+    # mass <= 2^h no p is a rounding tie, and a mux's right half has positive
+    # mass, so no code reaches 2^h. A padding mux's left mass is 0, so its code
+    # is 0; the empty ranges below it get divisor 1
+    heap = ((2 * left << h) + mass) // np.maximum(2 * mass, 1)
+    return heap, active[:, leaf]
+
+
 def build_biased_selector_tree(q: QuantizedWeights) -> tuple[np.ndarray, np.ndarray]:
     """Balanced tree over the inputs with nonzero quantized weight.
 
@@ -156,20 +199,8 @@ def build_biased_selector_tree(q: QuantizedWeights) -> tuple[np.ndarray, np.ndar
     padding muxes of code 0, whose bit is always 0. Zero-weight inputs are
     dropped here and reported with zero sampling counts downstream.
     """
-    h = q.height
-    nums = np.array(q.numerators, dtype=np.int64)
-    active = np.flatnonzero(nums)
-    if not active.size:
-        raise ValueError("no inputs with nonzero quantized weight")
-    ranges, leaf = _heap_ranges(int(active.size))
-    at_lo, at_mid, at_hi = np.concatenate(([0], np.cumsum(nums[active])))[ranges]
-    left, mass = at_mid - at_lo, at_hi - at_lo
-    # code floor(p 2^h + 1/2) for p = left / mass, exact in integers. With
-    # mass <= 2^h no p is a rounding tie, and a mux's right half has positive
-    # mass, so no code reaches 2^h. A padding mux's left mass is 0, so its code
-    # is 0; the empty ranges below it get divisor 1
-    heap = ((2 * left << h) + mass) // np.maximum(2 * mass, 1)
-    leaf_owner = active[leaf]
+    heaps, leaf_owners = _biased_rows(np.array([q.numerators], dtype=np.int64), q.height)
+    heap, leaf_owner = heaps[0], leaf_owners[0]
     for arr in (heap, leaf_owner):
         arr.setflags(write=False)
     return heap, leaf_owner

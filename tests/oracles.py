@@ -17,16 +17,21 @@ biased walk (biased_walk_per_level) takes the production heap and pcc_bits,
 to check the step table the run kernel walks instead. The model-path
 loop (model_run_once and its neighbours) likewise takes the quantizer, the
 owner map and the thresholds from the package, to check the batched
-decomposition's statistics run by run.
+decomposition's statistics run by run. The accuracy loop
+(accuracy_errors_per_run) calls the package's run_adder once per run, to check
+that accuracy_stats's chunked draws and weight-table fills leave every run
+unchanged.
 """
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
+from scmux.adders import run_adder
 from scmux.analysis import _ModelRuntime
 from scmux.bitstream import Bitstream
 from scmux.rns import LFSR_TAPS
@@ -899,3 +904,26 @@ def full_matrix_apc(weights, values, big_n):
         (-1.0 if ng else 1.0) * wh * mh for ng, wh, mh in zip(negs, w_hat, mu_hat)
     ) / denom
     return estimate, target, estimate - target
+
+
+def accuracy_errors_per_run(design, runs, master_seed, weight_mode=None):
+    """accuracy_stats's run errors from one loop: each run draws its weights,
+    values and seed, then calls run_adder, which builds its weight tables on a
+    cache miss. The first r errors are those of r runs at the same seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(master_seed))
+    m = len(design.weights)
+    errors = []
+    for _ in range(runs):
+        d = design
+        if weight_mode == "uniform":
+            w = rng.uniform(-1.0, 1.0, size=m)
+            while not np.any(w):
+                w = rng.uniform(-1.0, 1.0, size=m)
+            d = replace(design, weights=tuple(w))
+        elif weight_mode == "pm":
+            signs = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+            d = replace(design, weights=tuple(signs / m))
+        v = rng.uniform(-1.0, 1.0, size=m)
+        seed = int(rng.integers(0, 2**63))
+        errors.append(run_adder(d, v, 1 << design.n, seed).error)
+    return errors

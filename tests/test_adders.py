@@ -249,13 +249,14 @@ def test_run_kernel_matches_full_matrix_oracle_on_filter_size_biased_trees():
 @example(3, [0.0, 1.0, 0.0], 0)  # depth 0: one active input
 @example(16, [0.0, 1.0, 7.0, 0.3], 1)  # padded heap: a code-0 mux above a leaf
 def test_step_table_walk_matches_per_level_walk(n, weights, words_seed):
-    from scmux.adders import _biased_walk, _tree_tables
+    from scmux.adders import _biased_walk, _fill_tables, _tables
 
     if not any(weights):
         return
     q = quantize_weights(weights, n)
     heap, leaf_owner = build_biased_selector_tree(q)
-    nums, (step, cached_owner) = _tree_tables(np.array(weights).tobytes(), n, "biased")
+    _fill_tables(make_design("cemux_biased", weights, n), [weights])
+    nums, (step, cached_owner) = _tables[(np.array(weights).tobytes(), n, "biased")]
     assert nums.tolist() == list(q.numerators)
     assert np.array_equal(cached_owner, leaf_owner)
     depth = leaf_owner.size.bit_length() - 1
@@ -421,34 +422,61 @@ def test_nan_inputs_rejected_before_quantization():
 
 
 @pytest.mark.parametrize("name", ["cemux", "cemux_biased"])
-def test_weights_differing_in_sign_share_one_tree_entry(name):
-    from scmux.adders import _tree_tables
+def test_weights_differing_in_sign_share_one_tree_entry(name, monkeypatch):
+    import scmux.adders
 
     w = [0.4, -0.25, 0.2, -0.1, 0.05]
     d = make_design(name, w, 6)
     values = [0.5, -0.25, 0.75, 0.0, -1.0]
     first = run_adder(d, values, 64, 3)
-    hits = _tree_tables.cache_info().hits
+    entry = scmux.adders._tables[(np.abs(w).tobytes(), 6, d.tree_type)]
     flipped = make_design(name, [-x for x in w], 6)
+
+    def miss(*args):
+        raise AssertionError("the flipped weights missed the cache")
+
+    monkeypatch.setattr(scmux.adders, "_fill_tables", miss)
     rep = run_adder(flipped, values, 64, 3)
-    assert _tree_tables.cache_info().hits == hits + 1
+    assert scmux.adders._tables[(np.abs(w).tobytes(), 6, d.tree_type)] is entry
     # the same tree, with every sign inverter flipped
     assert rep.target == -first.target
     assert np.array_equal(rep.sampling_counts, first.sampling_counts)
 
 
 def test_non_finite_weights_bypassing_make_design_are_rejected_uncached():
-    from scmux.adders import _tree_tables
+    from scmux.adders import _tables
 
     for name in ("cemux", "basic_biased"):
         for bad in (math.nan, math.inf, -math.inf):
             d = dataclasses.replace(make_design(name, [0.5, 0.5], 5), weights=(0.5, bad))
-            hits = _tree_tables.cache_info().hits
+            key = (np.abs([0.5, bad]).tobytes(), 5, d.tree_type)
             # a cached entry would let the second call through as a hit
             for _ in range(2):
                 with pytest.raises(ValueError, match="weights must be finite"):
                     run_adder(d, [0.25, 0.25], 32, 0)
-            assert _tree_tables.cache_info().hits == hits
+                assert key not in _tables
+
+
+@pytest.mark.parametrize("name", ["cemux", "cemux_biased"])
+def test_a_bad_row_fails_its_whole_fill_and_leaves_no_entry(name):
+    from scmux.adders import _fill_tables, _tables
+
+    d = make_design(name, [0.5, 0.5], 7)
+    good = [[0.0625, 0.9375 + 2**-40], [0.3 + 2**-40, -0.7]]
+    # the fill keys and quantizes magnitudes, so -inf is reported as inf
+    for bad, message in (
+        ([0.5, math.nan], "weights must be finite, got nan"),
+        ([-math.inf, 0.5], "weights must be finite, got inf"),
+        ([1e308, -1e308], "weights must be finite: the sum of their magnitudes overflows"),
+        ([0.0, -0.0], "zero weight mass"),
+    ):
+        block = np.array([good[0], bad, good[1]])
+        with pytest.raises(ValueError) as exc:
+            _fill_tables(d, block)
+        assert str(exc.value) == message
+        assert not any((row.tobytes(), 7, d.tree_type) in _tables for row in np.abs(block))
+    _fill_tables(d, good)
+    assert all((row.tobytes(), 7, d.tree_type) in _tables for row in np.abs(good))
 
 
 def test_apc_trivials():

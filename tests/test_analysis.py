@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from oracles import (
+    accuracy_errors_per_run,
     enumerate_model_variance,
     expected_closed_form_per_run,
     model_run_exact,
     model_run_once,
 )
-from scmux.adders import make_design
+from scmux.adders import ABLATION_NAMES, DESIGN_NAMES, make_design
 from scmux.analysis import (
     _CHUNK_ELEMENTS,
     AccuracyStats,
@@ -387,8 +388,57 @@ def test_accuracy_stats_zero_error_design():
     d = make_design("cemux", [1.0], 6)
     stats = accuracy_stats(d, 50, 4)
     assert stats == AccuracyStats(rmse=0.0, bias=0.0, mse=0.0, runs=50)
-    # a filter shorter than its warm-up leaves no errors to average
-    assert AccuracyStats.from_errors([]) == AccuracyStats(0.0, 0.0, 0.0, 0)
+    # a filter shorter than its warm-up leaves no errors to average, so its
+    # moments are undefined, not a perfect 0
+    empty = AccuracyStats.from_errors([])
+    assert empty.runs == 0 and all(map(math.isnan, (empty.rmse, empty.bias, empty.mse)))
+
+
+@pytest.mark.parametrize("weight_mode", [None, "uniform", "pm"])
+def test_accuracy_stats_matches_per_run_loop(weight_mode, monkeypatch):
+    import scmux.analysis
+
+    # chunks of 3 runs at n = 4, so that 1, 2, 3, 4 and 1,000 runs cross every
+    # chunk edge cheaply
+    monkeypatch.setattr(scmux.analysis, "_CHUNK_ELEMENTS", 3 << 4)
+    assert _chunk_runs(1 << 4) == 3
+    for name in (*DESIGN_NAMES, *ABLATION_NAMES):
+        d = make_design(name, [0.4, -0.3, 0.2, 0.1], 4)
+        errors = accuracy_errors_per_run(d, 1000, 23, weight_mode)
+        for runs in (1, 2, 3, 4, 1000):
+            expected = AccuracyStats.from_errors(errors[:runs])
+            assert accuracy_stats(d, runs, 23, weight_mode) == expected, (name, runs)
+
+
+def test_accuracy_stats_fills_each_chunks_tables_before_its_runs(monkeypatch):
+    import scmux.adders
+    import scmux.analysis
+
+    fills, misses = [], []
+    fill = scmux.analysis._fill_tables
+    monkeypatch.setattr(
+        scmux.analysis, "_fill_tables", lambda d, w: (fills.append(len(w)), fill(d, w))
+    )
+    # run_adder's own fill runs only on a miss of the table cache
+    monkeypatch.setattr(
+        scmux.adders, "_fill_tables", lambda d, w: (misses.append(d.name), fill(d, w))
+    )
+    for name in ("cemux_wbg", "cemux_biased"):
+        # chunks of 2^14 owner-map elements, and of at most 128 runs, one per
+        # table cache entry
+        for n, runs, chunk in ((10, 40, 16), (16, 3, 1), (4, 130, 128)):
+            fills.clear()
+            d = make_design(name, [0.25] * 16, n)
+            stats = accuracy_stats(d, runs, 8, "uniform")
+            assert fills == [min(chunk, runs - i) for i in range(0, runs, chunk)]
+            assert not misses, "a run missed the tables its chunk's fill entered"
+            if n == 10:
+                expected = accuracy_errors_per_run(d, runs, 8, "uniform")
+                assert stats == AccuracyStats.from_errors(expected)
+    # fixed weights fill one row per chunk
+    fills.clear()
+    accuracy_stats(make_design("cemux", [0.5, 0.25], 10), 20, 1)
+    assert fills == [1, 1]
 
 
 def test_accuracy_stats_identity_and_runs():

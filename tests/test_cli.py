@@ -206,13 +206,23 @@ def test_empty_or_duplicate_design_lists_are_rejected(capsys, command, designs, 
     assert out == ""
 
 
-@pytest.mark.parametrize("sigma", ["-1", "nan"])
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
 def test_pulse_train_noise_sigma_is_checked(capsys, sigma):
-    code, out, err = run_cli(capsys, "filter", "--length", "8", "--taps", "2", "--n", "4",
-                             "--noise-sigma", sigma)
-    assert code == 2
-    assert err == "scmux: error: noise_sigma must be >= 0\n"
-    assert out == ""
+    for synthetic in ("pulse_train", "sine_mix"):
+        code, out, err = run_cli(capsys, "filter", "--length", "8", "--taps", "2", "--n", "4",
+                                 "--noise-sigma", sigma, "--synthetic", synthetic)
+        assert code == 2
+        assert err == "scmux: error: noise_sigma must be finite and >= 0\n"
+        assert out == ""
+
+
+def test_filter_no_longer_than_its_warm_up_reports_undefined_stats(capsys):
+    # every output sample is a warm-up sample, so no error is averaged: the
+    # stats are NaN over 0 runs, not a perfect score
+    code, out, err = run_cli(capsys, "filter", "--length", "3", "--taps", "4", "--n", "4")
+    assert code == 0 and err == ""
+    assert len(data_rows(out)) == 1 + 3
+    assert out.splitlines()[-1] == "# stats design=cemux rmse=nan bias=nan runs=0 warmup=3"
 
 
 def test_unknown_design_is_runtime_error(capsys):
@@ -487,6 +497,8 @@ def cli_argv(draw):
 @example(["sweep-m", "--designs", "cemux,cemux", "--n", "4", "--m-max", "3", "--runs", "1"])
 @example(["filter", "--length", "8", "--taps", "2", "--n", "4", "--designs", "cemux,cemux"])
 @example(["filter", "--length", "8", "--taps", "2", "--n", "4", "--noise-sigma", "-1"])
+@example(["filter", "--length", "8", "--taps", "2", "--n", "4", "--noise-sigma", "inf"])
+@example(["filter", "--length", "1", "--taps", "4", "--n", "4"])
 def test_cli_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in FUZZ_FILES.items():

@@ -85,9 +85,10 @@ def test_noisy_signal_csv_kind_and_validation():
     for kind in ("csv", "square"):
         with pytest.raises(ValueError, match="kind must be sine_mix or chirp"):
             make_noisy_signal(kind, 0.1, 3, 64)
-    for sigma in (-0.1, math.nan):
-        with pytest.raises(ValueError, match="noise_sigma"):
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError) as exc:
             make_noisy_signal("sine_mix", sigma, 3, 64)
+        assert str(exc.value) == "noise_sigma must be finite and >= 0"
 
 
 def test_stochastic_identity_filter_passthrough():
@@ -131,10 +132,10 @@ def test_pulse_train_probe_properties():
     assert np.abs(sig.samples).max() <= 1.0
     again = pulse_train_signal(2048)
     assert np.array_equal(sig.samples, again.samples)
-    for sigma in (-1.0, math.nan):
+    for sigma in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError) as exc:
             pulse_train_signal(64, noise_sigma=sigma)
-        assert str(exc.value) == "noise_sigma must be >= 0"
+        assert str(exc.value) == "noise_sigma must be finite and >= 0"
 
 
 def test_filter_rmse_vs_length_shape_and_monotonicity():

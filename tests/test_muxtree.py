@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,9 @@ from oracles import (
 )
 from scmux.muxtree import (
     QuantizedWeights,
+    _biased_rows,
+    _hardwired_rows,
+    _quantize_rows,
     build_biased_selector_tree,
     build_hardwired_tree,
     quantize_weights,
@@ -79,6 +83,65 @@ def test_quantize_repeats_sign_and_error_checks_per_call():
             quantize_weights([0.0, -0.0], 3)
         with pytest.raises(ValueError, match="overflows"):
             quantize_weights([1e308, -1e308], 3)
+
+
+# rows of zeros, ties, tiny and huge magnitudes; 1e308 needs the exact rescale
+_block_values = st.sampled_from([0.0, -0.0, 1e-300, 0.01, -0.25, 0.5, 1.0, -3.0, 1e300, -1e308])
+
+
+@st.composite
+def weight_blocks(draw):
+    m = draw(st.integers(1, 10))
+    row = st.lists(_block_values, min_size=m, max_size=m).filter(
+        lambda r: 0 < sum(abs(x) for x in r) < math.inf
+    )
+    return draw(st.lists(row, min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_blocks(), st.integers(1, 12))
+@example([[0.0, 1.0, 0.0], [0.5, 0.5, 0.25], [1e308, 1.0, 0.0], [0.0, 0.0, -3.0]], 4)
+@example([[1.0], [1e-300], [-1e308]], 1)
+def test_row_wise_cores_match_per_vector_builds_and_oracles(rows, h):
+    # one block of rows gives each row what it gives alone, and what the
+    # transcription, the level-ordered blocks and the recursive biased tree give
+    nums = _quantize_rows(rows, h)
+    assert nums.shape == (len(rows), len(rows[0])) and nums.dtype == np.int64
+    for row, row_nums in zip(rows, nums):
+        assert tuple(row_nums.tolist()) == quantize_weights(row, h).numerators
+        if sum(abs(x) for x in row) < 1e200:  # the transcription overflows beyond
+            assert row_nums.tolist() == quantize_weights_transcription(row, h)
+    for row_nums, owner in zip(nums, _hardwired_rows(nums, h)):
+        q = QuantizedWeights(tuple(row_nums.tolist()), h, (1,) * len(row_nums))
+        assert owner.tolist() == level_ordered_owners(q.numerators, h).tolist()
+        assert np.array_equal(owner, build_hardwired_tree(q))
+    active = np.count_nonzero(nums, axis=1)
+    for k in set(active.tolist()):
+        group = nums[active == k]
+        for row_nums, heap, leaf_owner in zip(group, *_biased_rows(group, h)):
+            q = QuantizedWeights(tuple(row_nums.tolist()), h, (1,) * len(row_nums))
+            expected = biased_heap_layout(biased_tree_reference(q, PccKind.WBG))
+            assert (heap.tolist(), leaf_owner.tolist()) == expected
+            assert all(map(np.array_equal, (heap, leaf_owner), build_biased_selector_tree(q)))
+
+
+def test_quantize_rows_raises_the_first_bad_rows_message():
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        ([[0.5, 0.5], [0.25, nan]], "weights must be finite, got nan"),
+        ([[0.5, 0.5], [-inf, 1.0], [nan, 1.0]], "weights must be finite, got -inf"),
+        ([[1.0, 0.0], [1e308, -1e308]],
+         "weights must be finite: the sum of their magnitudes overflows"),
+        ([[1.0, 0.0], [0.0, -0.0], [nan, 1.0]], "zero weight mass"),
+        ([[]], "weights must be a non-empty 1-d sequence"),
+        ([0.5, 0.5], "weights must be a non-empty 1-d sequence"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(ValueError) as exc:
+            _quantize_rows(rows, 4)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match="height m must be in"):
+        _quantize_rows([[1.0]], 53)
 
 
 @settings(max_examples=400, deadline=None)

@@ -59,3 +59,32 @@ def test_traced_arguments_keep_their_positions():
         params = list(inspect.signature(func).parameters)
         for name, pos in positions.items():
             assert name in params and params.index(name) == pos, (func.__name__, name, params)
+
+
+def test_each_run_is_one_adder_call_of_2_to_the_n_cycles(monkeypatch):
+    # spans.py's _note_adder counts a run's cycles, and whether it ran a
+    # hardwired tree, once per traced run_adder call: batching the runs'
+    # set-up must leave one call per run, at big_n = 2^n
+    import numpy as np
+
+    import scmux.analysis
+    import scmux.filterapp
+    from scmux.adders import make_design
+    from scmux.filterapp import Signal
+
+    calls = []
+    for module in (scmux.analysis, scmux.filterapp):
+        def counted(design, values, big_n, seed, run=module.run_adder):
+            calls.append((design.n, big_n))
+            return run(design, values, big_n, seed)
+
+        monkeypatch.setattr(module, "run_adder", counted)
+    for name in ("cemux", "cemux_biased", "basic_hardwired", "apc"):
+        d = make_design(name, [0.5, -0.25, 0.25], 10)
+        for mode in (None, "uniform", "pm"):
+            calls.clear()
+            scmux.analysis.accuracy_stats(d, 37, 5, mode)
+            assert calls == [(10, 1024)] * 37, (name, mode)
+        calls.clear()
+        scmux.filterapp.stochastic_fir(d, Signal(np.linspace(-1.0, 1.0, 9)), 5)
+        assert calls == [(10, 1024)] * 9, name
