@@ -258,85 +258,56 @@ def _validate_values(values, weights) -> np.ndarray:
     return v
 
 
-# The run's weight tables, keyed by (|w| bytes, n, tree type), oldest first.
-# The tree depends on the magnitudes alone; the signs act after it, so weights
-# that differ only in sign share one entry. An entry is (numerators, tree), both
-# read-only: a "hardwired" tree is its owner map, and a "biased" tree is (step,
-# leaf_owner), where step[s (n + 1) + k] is the heap slot that follows slot s
-# when the select word's WBG output is threshold bit k (see wbg_bit_index).
+# The run's weight tables, keyed by (|w| bytes, n, tree type): the entries of
+# the last fill alone. The tree depends on the magnitudes alone; the signs act
+# after it, so weights that differ only in sign share one entry. An entry is
+# (numerators, tree), read-only views of the fill's blocks: a "hardwired" tree
+# is its owner map, and a "biased" tree is (step, leaf_owner), where
+# step[s (n + 1) + k] is the heap slot that follows slot s when the select
+# word's WBG output is threshold bit k (see wbg_bit_index).
 _tables: dict[tuple[bytes, int, str], tuple] = {}
-# Each entry's bytes, in the same order. _fill_tables keeps their sum under
-# 1 MB, 128 owner maps at n = 10, by evicting the oldest entries; only the
-# entries of one fill can exceed it. An entry counts as at least one such map,
-# so that, with fills of at most 128 rows, at most 128 entries and their
-# Python objects are held.
-_table_costs: dict[tuple[bytes, int, str], int] = {}
-_TABLE_BYTES = 1 << 20
-_TABLE_ENTRIES = 128
-_ENTRY_MIN_BYTES = _TABLE_BYTES // _TABLE_ENTRIES
-
-
-def _evict(room: int) -> None:
-    # drop the oldest entries until `room` more bytes fit
-    used = sum(_table_costs.values())
-    for key in list(_table_costs):
-        if used + room <= _TABLE_BYTES:
-            return
-        used -= _table_costs.pop(key)
-        del _tables[key]
-
-
-def _owned(*arrays: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
-    """Read-only copies of one entry's rows, so that no block outlives the fill,
-    and the entry's cost against the budget."""
-    copies = tuple(arr.copy() for arr in arrays)
-    for arr in copies:
-        arr.setflags(write=False)
-    return copies, max(sum(arr.nbytes for arr in copies), _ENTRY_MIN_BYTES)
 
 
 def _fill_tables(design: AdderDesign, weights) -> None:
-    """Enter the tables of each weight vector of `weights` that _tables lacks.
+    """Make _tables hold the tables of each weight vector of `weights`.
 
-    The new magnitude vectors are quantized as one block and their trees built
+    If every vector's tables are present, nothing is built. Otherwise the
+    distinct magnitude vectors are quantized as one block and their trees built
     as one block, per active count for a biased tree, each slot's step-table
-    row built through pcc_bits against one word of each WBG class. A block the
-    quantizer rejects (NaN, infinite or zero weights) raises its message and
-    enters nothing.
+    row built through pcc_bits against one word of each WBG class, and their
+    entries replace the cache's contents. A block the quantizer rejects (NaN,
+    infinite or zero weights) raises its message and leaves the cache as it was.
     """
     n, tree_type = design.n, design.tree_type
     if tree_type == "apc":
         return
-    new = {}
+    rows = {}
     for row in np.abs(np.asarray(weights, dtype=np.float64)):
-        key = (row.tobytes(), n, tree_type)
-        if key not in _tables:
-            new.setdefault(key, row)
-    if not new:
+        rows.setdefault((row.tobytes(), n, tree_type), row)
+    if all(key in _tables for key in rows):
         return
-    nums = _quantize_rows(list(new.values()), n)
-    # free the oldest entries first, so that the build, which holds its block
-    # and the new entries' copies at once, can reuse their memory
-    _evict(len(new) * _ENTRY_MIN_BYTES)
-    keys = list(new)
-    entries, costs = dict.fromkeys(keys), {}  # first-seen order
+    nums = _quantize_rows(list(rows.values()), n)
+    nums.setflags(write=False)
+    keys = list(rows)
     if tree_type == "hardwired":
-        for key, row_nums, owner in zip(keys, nums, _hardwired_rows(nums, n)):
-            entries[key], costs[key] = _owned(row_nums, owner)
+        owners = _hardwired_rows(nums, n)
+        owners.setflags(write=False)
+        entries = dict(zip(keys, zip(nums, owners)))
     else:
+        entries = {}
         class_words = np.array([*(1 << k for k in range(n)), 0], dtype=np.int64)
         active = np.count_nonzero(nums, axis=1)
         for k in set(active.tolist()):
-            rows = np.flatnonzero(active == k)
-            heap, leaf_owner = _biased_rows(nums[rows], n)
+            group = np.flatnonzero(active == k)
+            heap, leaf_owner = _biased_rows(nums[group], n)
             bits = pcc_bits(PccKind.WBG, class_words, heap[:, :, None], n)
-            step = (2 * np.arange(heap.shape[1])[:, None] + 2 - bits).reshape(len(rows), -1)
-            for r, row_step, row_owner in zip(rows.tolist(), step, leaf_owner):
-                arrays, costs[keys[r]] = _owned(nums[r], row_step, row_owner)
-                entries[keys[r]] = (arrays[0], arrays[1:])
-    _evict(sum(costs.values()))
+            step = (2 * np.arange(heap.shape[1])[:, None] + 2 - bits).reshape(len(group), -1)
+            step.setflags(write=False)
+            leaf_owner.setflags(write=False)
+            for r, row_step, row_owner in zip(group.tolist(), step, leaf_owner):
+                entries[keys[r]] = (nums[r], (row_step, row_owner))
+    _tables.clear()
     _tables.update(entries)
-    _table_costs.update(costs)
 
 
 def _biased_walk(step: np.ndarray, leaf_owner: np.ndarray, select: np.ndarray, n: int):

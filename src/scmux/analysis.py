@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adders import _TABLE_ENTRIES, AdderDesign, _fill_tables, run_adder
+from .adders import AdderDesign, _fill_tables, run_adder
 from .bitstream import bipolar_thresholds
 from .muxtree import build_hardwired_tree, quantize_weights
 
@@ -390,9 +390,9 @@ def accuracy_stats(
     rng = np.random.default_rng(np.random.SeedSequence(master_seed))
     m = len(design.weights)
     big_n = 1 << design.n
-    # a chunk's draws and weight tables stay near _CHUNK_ELEMENTS elements,
-    # and its weight tables fit the table cache's entries
-    step = min(_chunk_runs(max(big_n, m)), _TABLE_ENTRIES)
+    # a chunk's draws and weight tables stay near _CHUNK_ELEMENTS elements, and
+    # its drawn Python objects at 128 runs' worth
+    step = min(_chunk_runs(max(big_n, m)), 128)
     errors = []
     for start in range(0, runs, step):
         # each run draws its weights, values and seed in turn; run_adder draws

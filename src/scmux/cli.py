@@ -93,7 +93,7 @@ def read_signal_csv(path: str) -> Signal:
 
 
 def _design_list(raw: str) -> list[str]:
-    designs = [normalize_design_name(s) for s in raw.split(",") if s.strip()]
+    designs = [normalize_design_name(s.strip()) for s in raw.split(",") if s.strip()]
     if not designs:
         raise ValueError("--designs must name at least one design")
     twice = sorted({d for d in designs if designs.count(d) > 1})
@@ -220,6 +220,8 @@ def cmd_report(args):
     elif args.lowpass_taps is not None:
         weights = list(make_lowpass(args.lowpass_taps, args.cutoff * math.pi).coefficients)
     else:
+        if args.pm < 1:
+            raise ValueError(f"--pm must be >= 1, got {args.pm}")
         rng = np.random.default_rng(args.seed)
         weights = list(np.where(rng.random(args.pm) < 0.5, -1.0, 1.0) / args.pm)
     design = make_design(args.design, weights, args.n)
@@ -356,7 +358,7 @@ def build_parser() -> _Parser:
     rp.add_argument("--pm", type=int, default=16, help="random-sign 1/M weights with M inputs")
 
     for cmd in (q, sm, sn, dc, fl, rp):
-        cmd.add_argument("--seed", type=int, default=0, help="master seed")
+        cmd.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed")
         cmd.add_argument("--out", help="output CSV path (default: stdout)")
     q.set_defaults(func=cmd_quantize)
     sm.set_defaults(func=cmd_sweep_m)
@@ -369,6 +371,26 @@ def build_parser() -> _Parser:
 
 # inclusive (low, high) option pairs that must not describe an empty sweep
 _RANGES = {"sweep-m": (("m_min", "m_max"),), "sweep-n": (("n_min", "n_max"),)}
+
+# The largest value of each option that sizes a run's arrays, checked before
+# anything is allocated: at most 2^16 inputs (M = 2^m_max for sweep-m), the
+# quantizer's 2^16 units at n = 16, and at most 2^20 signal samples.
+_MAX_INPUTS = 1 << 16
+_LIMITS = {
+    "sweep-m": (("m_max", 16),),
+    "sweep-n": (("taps", _MAX_INPUTS),),
+    "decompose": (("m_list", _MAX_INPUTS),),
+    "filter": (("taps", _MAX_INPUTS), ("length", 1 << 20)),
+    "report": (("pm", _MAX_INPUTS), ("lowpass_taps", _MAX_INPUTS)),
+}
+
+
+def _check_limits(args) -> None:
+    for name, limit in _LIMITS.get(args.command, ()):
+        value = getattr(args, name)
+        largest = max(value) if isinstance(value, list) else value
+        if largest is not None and largest > limit:
+            raise ValueError(f"--{name.replace('_', '-')} must be at most {limit}, got {largest}")
 
 
 def main(argv=None) -> int:
@@ -383,6 +405,7 @@ def main(argv=None) -> int:
             )
     args._invocation = "scmux " + " ".join(argv)
     try:
+        _check_limits(args)
         args.func(args)
     except (ValueError, OSError) as exc:
         print(f"scmux: error: {exc}", file=sys.stderr)

@@ -458,11 +458,20 @@ def test_non_finite_weights_bypassing_make_design_are_rejected_uncached():
 
 
 @pytest.mark.parametrize("name", ["cemux", "cemux_biased"])
-def test_a_bad_row_fails_its_whole_fill_and_leaves_no_entry(name):
+def test_a_bad_row_fails_its_whole_fill_and_leaves_no_entry(name, monkeypatch):
+    import scmux.adders
     from scmux.adders import _fill_tables, _tables
 
     d = make_design(name, [0.5, 0.5], 7)
-    good = [[0.0625, 0.9375 + 2**-40], [0.3 + 2**-40, -0.7]]
+    good = [[0.0625, 0.9375 + 2**-40], [0.3 + 2**-40, -0.7], [-0.0625, 0.9375 + 2**-40]]
+    _fill_tables(d, good)
+    # the cache holds exactly the fill's distinct magnitude rows
+    assert _tables.keys() == {(row.tobytes(), 7, d.tree_type) for row in np.abs(good)}
+    entries = dict(_tables)
+    # an entry views the fill's blocks, so no run may write through it
+    for nums, tree in entries.values():
+        arrays = (nums, *tree) if isinstance(tree, tuple) else (nums, tree)
+        assert not any(arr.flags.writeable for arr in arrays)
     # the fill keys and quantizes magnitudes, so -inf is reported as inf
     for bad, message in (
         ([0.5, math.nan], "weights must be finite, got nan"),
@@ -470,13 +479,22 @@ def test_a_bad_row_fails_its_whole_fill_and_leaves_no_entry(name):
         ([1e308, -1e308], "weights must be finite: the sum of their magnitudes overflows"),
         ([0.0, -0.0], "zero weight mass"),
     ):
-        block = np.array([good[0], bad, good[1]])
+        block = np.array([good[0], bad, [0.25, 0.75]])
         with pytest.raises(ValueError) as exc:
             _fill_tables(d, block)
         assert str(exc.value) == message
-        assert not any((row.tobytes(), 7, d.tree_type) in _tables for row in np.abs(block))
-    _fill_tables(d, good)
-    assert all((row.tobytes(), 7, d.tree_type) in _tables for row in np.abs(good))
+        # the last good fill's entries stay, the same objects
+        assert _tables.keys() == entries.keys()
+        assert all(_tables[key] is entry for key, entry in entries.items())
+
+    # a fill whose rows are all present builds nothing
+    def build(*args):
+        raise AssertionError("a fill of cached rows quantized again")
+
+    monkeypatch.setattr(scmux.adders, "_quantize_rows", build)
+    _fill_tables(d, [good[1], good[2]])
+    assert _tables.keys() == entries.keys()
+    assert all(_tables[key] is entry for key, entry in entries.items())
 
 
 def test_apc_trivials():

@@ -424,10 +424,11 @@ def test_accuracy_stats_fills_each_chunks_tables_before_its_runs(monkeypatch):
         scmux.adders, "_fill_tables", lambda d, w: (misses.append(d.name), fill(d, w))
     )
     for name in ("cemux_wbg", "cemux_biased"):
-        # chunks of 2^14 owner-map elements, and of at most 128 runs, one per
-        # table cache entry
+        # chunks of 2^14 owner-map elements, and of at most 128 runs
         for n, runs, chunk in ((10, 40, 16), (16, 3, 1), (4, 130, 128)):
+            # the per-run oracle below misses the tables of all but the last fill
             fills.clear()
+            misses.clear()
             d = make_design(name, [0.25] * 16, n)
             stats = accuracy_stats(d, runs, 8, "uniform")
             assert fills == [min(chunk, runs - i) for i in range(0, runs, chunk)]

@@ -138,6 +138,41 @@ def test_negative_m_exponent_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep-m", "--designs", "cemux", "--m-max", "3", "--runs", "2"],
+    ["decompose", "--model", "bernoulli", "--sampling", "noisy", "--m-list", "2", "--runs", "2"],
+    ["filter", "--length", "8", "--taps", "2", "--n", "4"],
+    ["report", "--design", "cemux", "--n", "4"],
+])
+def test_negative_seed_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 1
+    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-m", "--designs", "cemux", "--m-min", "27", "--m-max", "27", "--runs", "1"],
+     "--m-max must be at most 16, got 27"),
+    (["sweep-n", "--designs", "cemux", "--taps", "65537"], "--taps must be at most 65536, got 65537"),
+    (["decompose", "--model", "bernoulli", "--sampling", "precise", "--m-list", "2,200000000",
+      "--runs", "2"], "--m-list must be at most 65536, got 200000000"),
+    (["filter", "--taps", "65537"], "--taps must be at most 65536, got 65537"),
+    (["filter", "--length", "1048577"], "--length must be at most 1048576, got 1048577"),
+    (["report", "--design", "cemux", "--pm", "300000000"],
+     "--pm must be at most 65536, got 300000000"),
+    (["report", "--design", "cemux", "--lowpass-taps", "65537"],
+     "--lowpass-taps must be at most 65536, got 65537"),
+    (["report", "--design", "cemux", "--pm", "0"], "--pm must be >= 1, got 0"),
+    (["report", "--design", "cemux", "--pm", "-1"], "--pm must be >= 1, got -1"),
+])
+def test_out_of_bounds_size_options_are_rejected(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == f"scmux: error: {message}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("n", ["40", "-1", "1"])
 def test_decompose_out_of_range_n_is_rejected(capsys, n):
     code, out, err = run_cli(capsys, "decompose", "--model", "bernoulli", "--sampling", "noisy",
@@ -190,6 +225,7 @@ def test_bad_m_list_is_usage_error(tmp_path, capsys, m_list):
     pytest.param(",", "--designs must name at least one design", id="comma"),
     pytest.param("", "--designs must name at least one design", id="empty"),
     pytest.param("cemux,CeMux", "--designs names cemux more than once", id="twice"),
+    pytest.param("cemux, cemux ", "--designs names cemux more than once", id="spaced-twice"),
     pytest.param("apc,cemux-wbg,cemux_wbg,apc", "--designs names apc, cemux_wbg more than once",
                  id="two-twice"),
 ])
@@ -251,6 +287,10 @@ def test_sweep_m_csv_shape(capsys):
     ms = [int(r.split(",")[1]) for r in rows[1:]]
     assert names == sorted(names)
     assert ms == [8, 16, 8, 16]
+    # blanks around a design name are dropped
+    _, spaced, _ = run_cli(capsys, "sweep-m", "--designs", " cemux, basic_hardwired ", "--n", "6",
+                           "--m-min", "3", "--m-max", "4", "--runs", "20", "--seed", "5")
+    assert data_rows(spaced) == rows
 
 
 def test_sweep_m_normalize_scales_by_sqrt_n(capsys):
@@ -499,6 +539,19 @@ def cli_argv(draw):
 @example(["filter", "--length", "8", "--taps", "2", "--n", "4", "--noise-sigma", "-1"])
 @example(["filter", "--length", "8", "--taps", "2", "--n", "4", "--noise-sigma", "inf"])
 @example(["filter", "--length", "1", "--taps", "4", "--n", "4"])
+@example(["sweep-m", "--designs", "cemux", "--n", "4", "--m-min", "27", "--m-max", "27",
+          "--runs", "1"])
+@example(["sweep-n", "--designs", "cemux", "--taps", "65537", "--n-min", "4", "--n-max", "4",
+          "--runs", "1"])
+@example(["decompose", "--model", "bernoulli", "--sampling", "precise", "--m-list", "200000000",
+          "--n", "4", "--runs", "2"])
+@example(["filter", "--length", "8", "--taps", "65537", "--n", "4"])
+@example(["filter", "--length", "1048577", "--taps", "2", "--n", "4"])
+@example(["report", "--design", "cemux", "--n", "4", "--pm", "300000000"])
+@example(["report", "--design", "cemux", "--n", "4", "--lowpass-taps", "65537"])
+@example(["report", "--design", "cemux", "--n", "4", "--pm", "0"])
+@example(["report", "--design", "cemux", "--n", "4", "--pm", "-1"])
+@example(["filter", "--length", "8", "--taps", "2", "--n", "4", "--seed", "-1"])
 def test_cli_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in FUZZ_FILES.items():
