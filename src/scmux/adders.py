@@ -33,11 +33,11 @@ from .muxtree import (
     quantize_weights,
     tree_size,
 )
-from .rns import RnsSpec, complement_output, lfsr_words, rns_sequence
+from .rns import RnsSpec, _lfsr_position, _lfsr_windows, complement_output, rns_sequence
 
 # make_channels is not on the run path; it stays reachable as
 # scmux.adders.make_channels, where callers and perfbench's tracer look it up
-from .sngen import PccKind, make_channels, pcc_bits, pcc_thresholds, wbg_bit_index  # noqa: F401
+from .sngen import PccKind, make_channels, pcc_bits, pcc_thresholds  # noqa: F401
 
 DESIGN_NAMES = (
     "cemux",
@@ -197,14 +197,11 @@ def _hash_constants(const: int, mult: int, count: int) -> tuple[tuple[int, int],
     return tuple(zip(consts, consts[1:]))
 
 
-# entropy hashes: 4 for the pool words, 12 to mix them, 2 for a spawn key
-_ENTROPY_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 18)
-# generate_state's hashes of the two words that make one uint64
-_OUTPUT_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 2)
-# ((source pool word, mixed pool word), hash constants) of the pool mixing
-_POOL_MIXES = tuple(zip(
-    [(src, dst) for src in range(4) for dst in range(4) if src != dst], _ENTROPY_HASHES[4:16]
-))
+# entropy hashes: 4 for the pool words, 12 to mix them, then the spawn key's
+# as it is mixed into pool word 0
+_ENTROPY_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+# generate_state's hash of pool word 0, the low word of the first uint64
+(_OUTPUT_HASH,) = _hash_constants(0x8B51F9DD, 0x58F38DED, 1)
 
 
 def _hash(v: int, pair: tuple[int, int]) -> int:
@@ -212,49 +209,66 @@ def _hash(v: int, pair: tuple[int, int]) -> int:
     return v ^ (v >> 16)
 
 
-def _mix(x: int, y: int) -> int:
-    r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+def _mixed(dst: int, src: int, pair: tuple[int, int]) -> int:
+    # one step of the pool mixing: dst takes in src, hashed under the pair
+    v = (src ^ pair[0]) * pair[1] & _MASK32
+    r = (0xCA01F9DD * dst - 0x4973F715 * (v ^ (v >> 16))) & _MASK32
     return r ^ (r >> 16)
 
 
-@lru_cache(maxsize=None)
-def _spawn_key_hashes(key: int) -> tuple[int, int]:
-    # the key is hashed afresh for each pool word; generate_state reads only
-    # words 0 and 1, so the hashes for words 2 and 3 are not needed
-    return _hash(key, _ENTROPY_HASHES[16]), _hash(key, _ENTROPY_HASHES[17])
+# the hashes of pool words 2 and 3, the zero padding of a master seed's two
+# 32-bit words
+_PAD_HASHES = _hash(0, _ENTROPY_HASHES[2]), _hash(0, _ENTROPY_HASHES[3])
+# each spawn key's hash times the mixing's second multiplier, as it is mixed
+# into pool word 0 (a source index is at most the tree height, 16)
+_KEY_TERMS = tuple(0x4973F715 * _hash(key, _ENTROPY_HASHES[16]) & _MASK32 for key in range(17))
 
 
-def _source_seeds(master_seed: int, indices) -> list[int]:
-    """Seeds of sources `indices` (0 the data source, l the level-l select source).
+def _pool_word0(master_seed: int) -> int:
+    """Word 0 of SeedSequence(master_seed)'s entropy pool, once mixed.
 
-    Entry i is SeedSequence(master_seed, spawn_key=(indices[i],))
-    .generate_state(1, np.uint64)[0], child indices[i] of
-    SeedSequence(master_seed).spawn(k) for any k > indices[i], so the
-    assignment is stable across designs. numpy's entropy mixing is recomputed
-    in 32-bit integer arithmetic: the master seed's pool once, then each
+    Each pool word in turn is hashed into each other word, with the hash
+    constants in sequence; the last two mixes change words 1 and 2 only.
+    """
+    h = _ENTROPY_HASHES
+    a = _hash(master_seed & _MASK32, h[0])
+    b = _hash(master_seed >> 32, h[1])
+    c, d = _PAD_HASHES
+    b, c, d = _mixed(b, a, h[4]), _mixed(c, a, h[5]), _mixed(d, a, h[6])
+    a, c, d = _mixed(a, b, h[7]), _mixed(c, b, h[8]), _mixed(d, b, h[9])
+    a, b, d = _mixed(a, c, h[10]), _mixed(b, c, h[11]), _mixed(d, c, h[12])
+    return _mixed(a, d, h[13])
+
+
+def _source_starts(master_seed: int, indices, n: int) -> np.ndarray:
+    """Start positions of sources `indices` in the width-n LFSR's state cycle.
+
+    Index 0 is the data source and l the level-l select source. Source i's
+    seed is SeedSequence(master_seed, spawn_key=(i,)).generate_state(1,
+    np.uint64)[0], child i of SeedSequence(master_seed).spawn(k) for any
+    k > i, so the assignment is stable across designs. Its LFSR starts at
+    state max(seed mod 2^n, 1), read through rns._lfsr_position. As n <= 16,
+    only the seed's low 32-bit word is computed: numpy's entropy mixing in
+    32-bit integer arithmetic, the master seed's pool word 0 once, then each
     spawn key. Master seeds lie in [0, 2^64).
     """
-    # the seed's 32-bit words padded to the pool size of 4
-    words = (master_seed & _MASK32, master_seed >> 32, 0, 0)
-    pool = [_hash(v, pair) for v, pair in zip(words, _ENTROPY_HASHES)]
-    for (src, dst), pair in _POOL_MIXES:
-        pool[dst] = _mix(pool[dst], _hash(pool[src], pair))
-    low, high = _OUTPUT_HASHES
-    seeds = []
-    for key in indices:
-        key0, key1 = _spawn_key_hashes(key)
-        # generate_state: the two words, hashed, are the uint64's halves
-        seeds.append(_hash(_mix(pool[0], key0), low) | _hash(_mix(pool[1], key1), high) << 32)
-    return seeds
+    x = 0xCA01F9DD * _pool_word0(master_seed)
+    mask = (1 << n) - 1
+    c, m = _OUTPUT_HASH
+    states = []
+    for i in indices:
+        # word 0 mixed with the key, then generate_state's hash of it
+        r = (x - _KEY_TERMS[i]) & _MASK32
+        r = (r ^ (r >> 16) ^ c) * m & _MASK32
+        states.append(max((r ^ (r >> 16)) & mask, 1))
+    return _lfsr_position(n)[states]
 
 
-def _validate_values(values, weights) -> np.ndarray:
+def _values_array(values, m: int) -> np.ndarray:
+    # the range is checked once, where the values are quantized
     v = np.asarray(values, dtype=np.float64)
-    if v.shape != (len(weights),):
+    if v.shape != (m,):
         raise ValueError("values and weights must have equal length")
-    bad = ~((v >= -1.0) & (v <= 1.0))  # NaN fails both comparisons
-    if bad.any():
-        raise ValueError(f"input value {v[bad][0]} outside [-1, 1]")
     return v
 
 
@@ -310,16 +324,17 @@ def _fill_tables(design: AdderDesign, weights) -> None:
     _tables.update(entries)
 
 
-def _biased_walk(step: np.ndarray, leaf_owner: np.ndarray, select: np.ndarray, n: int):
-    """Input a biased tree samples at each cycle; select row l holds the level-l words.
+def _biased_walk(step: np.ndarray, leaf_owner: np.ndarray, classes: np.ndarray, starts, n: int):
+    """Input a biased tree samples at each cycle; level l reads row starts[l - 1] of classes.
 
+    classes holds rows of select-word WBG classes (sngen.wbg_bit_index).
     Every cycle walks the heap from the root, one level per select source,
     each mux converting its source's word through a WBG (see
     build_biased_selector_tree and _tables).
     """
-    idx = np.zeros(select.shape[1], dtype=np.int64)
-    for bit_index in wbg_bit_index(select, n):
-        idx = step[idx * (n + 1) + bit_index]
+    idx = np.zeros(classes.shape[-1], dtype=np.int64)
+    for start in starts:
+        idx = step[idx * (n + 1) + classes[start]]
     return leaf_owner[idx - (leaf_owner.size - 1)]
 
 
@@ -332,14 +347,16 @@ def _owner_sequence(design: AdderDesign, tree, big_n, seed) -> np.ndarray:
             # dyadic blocks stay aligned with the low-discrepancy data source:
             # cycle t samples owner[t]
             return tree
-        # one independent LFSR per level; its word's MSB is the select bit
-        msb = lfsr_words(n, _source_seeds(seed, range(1, n + 1)), big_n) >> (n - 1)
-        return tree[(1 << np.arange(n - 1, -1, -1)) @ msb]
+        # one independent LFSR per level; its word's MSB is the select bit,
+        # bit n - l of the owner-map index for level l
+        msbs = _lfsr_windows(n, big_n, "level_msbs")
+        starts = _source_starts(seed, range(1, n + 1), n)
+        return tree.take(msbs[np.arange(n), starts].sum(axis=0, dtype=np.uint16))
 
     step, leaf_owner = tree
     depth = leaf_owner.size.bit_length() - 1
-    select = lfsr_words(n, _source_seeds(seed, range(1, depth + 1)), big_n)
-    return _biased_walk(step, leaf_owner, select, n)
+    classes = _lfsr_windows(n, big_n, "wbg_classes")
+    return _biased_walk(step, leaf_owner, classes, _source_starts(seed, range(1, depth + 1), n), n)
 
 
 def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationReport:
@@ -358,21 +375,20 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationR
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     if design.tree_type == "apc":
         return run_apc(design.weights, values, big_n)
-    v = _validate_values(values, design.weights)
-
     w = np.asarray(design.weights, dtype=np.float64)
+    thresholds = pcc_thresholds(_values_array(values, w.size), n, design.data_pcc)
+
     key = (np.abs(w).tobytes(), n, design.tree_type)
     tables = _tables.get(key)
     if tables is None:
         _fill_tables(design, [w])
         tables = _tables[key]
     nums, tree = tables
-    thresholds = pcc_thresholds(v, n, design.data_pcc)
 
     if design.data_rns_kind in _RESET_KINDS:
         words = _reset_words(design.data_rns_kind, n)
     else:
-        words = rns_sequence(RnsSpec(design.data_rns_kind, n, _source_seeds(seed, [0])[0]), big_n)
+        words = _lfsr_windows(n, big_n, "words")[_source_starts(seed, [0], n)[0]]
     owners = _owner_sequence(design, tree, big_n, seed)
     signed = np.where(w < 0, -nums, nums)
     # an input of numerator 0 is never sampled, so s_i q_i has the sign of
@@ -436,8 +452,8 @@ def run_apc(weights, values, big_n: int) -> SimulationReport:
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-d sequence")
-    x = _validate_values(values, w)
     m = w.size
+    bx = bipolar_thresholds(_values_array(values, m), n)
     if not np.all(np.abs(w) <= 1.0):  # NaN fails too
         raise ValueError("APC coefficient values |w_i| must lie in [0, 1]")
     coeff_bits, signed, denom_num = _apc_coefficients(w.tobytes(), n)
@@ -446,7 +462,6 @@ def run_apc(weights, values, big_n: int) -> SimulationReport:
 
     # the data source runs from reset like the coefficient one; the design is
     # fully deterministic
-    bx = bipolar_thresholds(x, n)
     x_bits = _reset_words("sobol_reversed_counter", n)[None, :] < bx[:, None]
     # product bit = XNOR(x, w), inverted for a negative coefficient; the
     # accumulator adds every product bit of every cycle

@@ -231,15 +231,24 @@ def cmd_report(args):
     _emit(args, rows)
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type: an integer >= 0."""
+def _int_at_least(text: str, low: int, expected: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return value
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    return _int_at_least(text, 0, "a non-negative integer")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    return _int_at_least(text, 1, "a positive integer")
 
 
 def _positive_ints(text: str) -> list[int]:
@@ -338,7 +347,7 @@ def build_parser() -> _Parser:
         help="synthetic input when no --signal file is given",
     )
     fl.add_argument("--noise-sigma", type=float, default=0.05)
-    fl.add_argument("--length", type=int, default=720)
+    fl.add_argument("--length", type=_positive_int, default=720, help="synthetic signal samples")
     fl.add_argument("--coeff-file")
     fl.add_argument("--taps", type=int, default=100)
     fl.add_argument("--cutoff", type=float, default=0.1, help="in pi rad/sample")

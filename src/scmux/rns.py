@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # One primitive polynomial per width; taps are polynomial exponents.
 # Maximal period for each entry is asserted by the test suite.
@@ -107,26 +108,46 @@ def rns_sequence(spec: RnsSpec, count: int) -> np.ndarray:
     return np.resize(_one_period(spec), count)
 
 
-@lru_cache(maxsize=16)
-def _lfsr_laid_out(width: int, size: int) -> np.ndarray:
-    """The width-n LFSR's state cycle laid out end to end over `size` words."""
-    out = np.resize(_lfsr_cycle(width), size)
-    out.setflags(write=False)
-    return out
+# room for a table of each kind at every width
+@lru_cache(maxsize=3 * len(LFSR_TAPS))
+def _lfsr_windows(width: int, count: int, kind: str) -> np.ndarray:
+    """Read-only table of what the width-n LFSR yields over `count` words from each start.
+
+    A start is a position in the state cycle (_lfsr_position of the start
+    state). Kinds:
+      words        (2^n - 1, count) int64: the words;
+      wbg_classes  (2^n - 1, count) int64: each word's WBG class
+                   (sngen.wbg_bit_index);
+      level_msbs   (n, 2^n - 1, count) uint16: entry [l - 1, p] is each
+                   word's MSB weighted by 2^(n - l), the bit that level l's
+                   select adds to a hardwired tree's owner-map index.
+    Each is a sliding window over one table laid out along the cycle repeated
+    end to end, so reading a start's row copies nothing.
+    """
+    # a start lies at most 2^n - 2 words in
+    laid = np.resize(_lfsr_cycle(width), (1 << width) - 2 + count)
+    if kind == "wbg_classes":
+        from .sngen import wbg_bit_index  # sngen imports this module
+
+        laid = wbg_bit_index(laid, width)
+    elif kind == "level_msbs":
+        weights = (1 << np.arange(width - 1, -1, -1)).astype(np.uint16)
+        laid = (laid >> (width - 1)).astype(np.uint16) * weights[:, None]
+    elif kind != "words":
+        raise ValueError(f"unknown LFSR table kind {kind!r}")
+    laid.setflags(write=False)
+    return sliding_window_view(laid, count, axis=-1)
 
 
 def lfsr_words(width: int, seeds, count: int) -> np.ndarray:
     """First `count` words of one width-n LFSR per seed, shape (len(seeds), count).
 
-    The seed picks the start state (seed mod 2^n, 0 read as 1). Row r is the
-    slice of the state cycle, laid out end to end, that starts at that
-    state's index, so no period is rebuilt per seed. Seeds lie in [0, 2^64).
+    The seed picks the start state (seed mod 2^n, 0 read as 1), and row r is
+    that state's row of _lfsr_windows. Seeds lie in [0, 2^64).
     """
-    # a row starts at most 2^n - 2 words in
-    laid = _lfsr_laid_out(width, (1 << width) - 2 + count)
     pos = _lfsr_position(width)
-    rows = [laid[pos[max(int(s) % (1 << width), 1)]:][:count] for s in seeds]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), count)
+    starts = [pos[max(int(s) % (1 << width), 1)] for s in seeds]
+    return _lfsr_windows(width, count, "words")[np.array(starts, dtype=np.int64)]
 
 
 def complement_output(word, n: int):

@@ -33,8 +33,8 @@ from scmux.adders import (
 from scmux.analysis import accuracy_stats
 from scmux.filterapp import make_lowpass
 from scmux.muxtree import build_biased_selector_tree, quantize_weights
-from scmux.rns import lfsr_words
-from scmux.sngen import PccKind, QuantizationWarning
+from scmux.rns import _lfsr_cycle, _lfsr_position, _lfsr_windows, lfsr_words
+from scmux.sngen import PccKind, QuantizationWarning, wbg_bit_index
 
 # feature matrix rows: tree type, data pcc, select source, select pcc,
 # full correlation, precise sampling
@@ -240,6 +240,41 @@ def test_run_kernel_matches_full_matrix_oracle_on_filter_size_biased_trees():
     assert depths == {7, 8} and checked > 30
 
 
+# master seeds among whose sources 0-3, those of a run at n = 3, one has a
+# seed congruent to 0 and another to 1 (mod 8), found by searching
+# SeedSequence spawns: (master seed, index of the source at 0, index of the
+# source at 1)
+FOLDED_SEEDS = ((2**63 + 25, 0, 3), (2**63 + 32, 1, 3), (2**63 + 71, 3, 0))
+# the designs whose runs read the LFSR tables: the select sources of the
+# noisy trees, and the data source of cemux_lfsr
+LFSR_DESIGNS = ("basic_hardwired", "cemux_nops", "cemux_nofc_nops", "basic_biased", "cemux_biased",
+                "cemux_lfsr")
+
+
+@pytest.mark.parametrize("n", [3, 10, 16])
+def test_lfsr_table_runs_match_full_matrix_oracle(n):
+    # at the narrowest width, a filter-study width and the widest; at n = 16
+    # only the hardwired trees, whose oracle generates its owners per level
+    # rather than per cycle. At n = 3 the folded seeds start a source from a
+    # seed congruent to 0 (mod 8), at state 1.
+    names = [name for name in LFSR_DESIGNS if n < 16 or "biased" not in name]
+    rng = np.random.default_rng(n)
+    seeds = rng.integers(0, 2**63, 2).tolist()
+    if n == 3:
+        seeds += [seed for seed, _, _ in FOLDED_SEEDS]
+    for seed in seeds:
+        m_inputs = int(rng.integers(2, 12))
+        w = rng.uniform(-1, 1, m_inputs)
+        v = rng.uniform(-1, 1, m_inputs)
+        for name in names:
+            d = make_design(name, w, n)
+            rep = run_adder(d, v, 1 << n, seed)
+            z, counts, estimate, target, error = full_matrix_run(d, v, 1 << n, seed)
+            assert np.array_equal(rep.output_bits, z), (name, seed)
+            assert np.array_equal(rep.sampling_counts, counts), (name, seed)
+            assert (rep.estimate, rep.target, rep.error) == (estimate, target, error), name
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(3, 16),
@@ -270,30 +305,51 @@ def test_step_table_walk_matches_per_level_walk(n, weights, words_seed):
         rng.permuted(np.tile(classes, (depth, 4)), axis=1),
     ))
     expected = biased_walk_per_level(heap, leaf_owner, select, n)
-    assert np.array_equal(_biased_walk(step, leaf_owner, select, n), expected)
-    # and on the LFSR words a run reads
-    select = lfsr_words(n, rng.integers(0, 2**63, depth).tolist(), 1 << n)
+    walked = _biased_walk(step, leaf_owner, wbg_bit_index(select, n), range(depth), n)
+    assert np.array_equal(walked, expected)
+    # and on the WBG class table a run reads, from random start positions
+    starts = rng.integers(0, (1 << n) - 1, depth)
+    select = lfsr_words(n, _lfsr_cycle(n)[starts], 1 << n)
     assert np.array_equal(
-        _biased_walk(step, leaf_owner, select, n),
+        _biased_walk(step, leaf_owner, _lfsr_windows(n, 1 << n, "wbg_classes"), starts, n),
         biased_walk_per_level(heap, leaf_owner, select, n),
     )
 
 
 def test_seed_expansion_matches_fixed_spawn():
-    from scmux.adders import _source_seeds
+    from scmux.adders import _source_starts
 
+    # a fixed-size spawn assigns child i the seed SeedSequence(seed,
+    # spawn_key=(i,)) gives, for every source index a tree can have
     for seed in (0, 1, 7, 2**32 + 5, 2**63 - 1):
-        assert _source_seeds(seed, range(25)) == spawned_seeds(seed)
+        seeds = spawned_seeds(seed, 17)
+        for n in (3, 9, 16):
+            states = [max(s % (1 << n), 1) for s in seeds]
+            assert _source_starts(seed, range(17), n).tolist() == _lfsr_position(n)[states].tolist()
     # over 10,000 more master seeds, against numpy's SeedSequence
     rng = np.random.default_rng(6174)
     seeds = [*range(50), 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1,
-             *rng.integers(0, 2**63, 9_000).tolist(), *rng.integers(0, 2**32, 1_000).tolist()]
+             *rng.integers(0, 2**63, 9_000).tolist(), *rng.integers(0, 2**32, 1_000).tolist(),
+             *(seed for seed, _, _ in FOLDED_SEEDS)]
+    indices = (0, 1, 5, 12)
     for seed in seeds:
-        expected = [
+        spawned = [
             int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1, np.uint64)[0])
-            for i in (0, 1, 5, 12)
+            for i in indices
         ]
-        assert _source_seeds(seed, [0, 1, 5, 12]) == expected, seed
+        for n in (3, 9, 16):
+            states = [max(s % (1 << n), 1) for s in spawned]
+            expected = _lfsr_position(n)[states].tolist()
+            assert _source_starts(seed, indices, n).tolist() == expected, (seed, n)
+    # a seed congruent to 0 (mod 2^n) starts where one congruent to 1 does,
+    # at state 1
+    for seed, at_zero, at_one in FOLDED_SEEDS:
+        residues = [
+            int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1, np.uint64)[0]) % 8
+            for i in (at_zero, at_one)
+        ]
+        assert residues == [0, 1]
+        assert _source_starts(seed, [at_zero, at_one], 3).tolist() == [0, 0]
 
 
 def test_run_adder_rejects_seeds_outside_64_bits():

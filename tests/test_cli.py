@@ -151,6 +151,18 @@ def test_negative_seed_is_usage_error(capsys, argv):
     assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("length", ["-1", "0"])
+def test_signal_length_below_one_is_usage_error(tmp_path, capsys, length):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["filter", "--length", length, "--taps", "2", "--n", "4", "--out", str(out)])
+    assert exc.value.code == 1
+    assert f"argument --length: expected a positive integer, got '{length}'" in capsys.readouterr().err
+    assert not out.exists()
+    # the shortest signal still runs
+    assert main(["filter", "--length", "1", "--taps", "1", "--n", "4", "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("argv, message", [
     (["sweep-m", "--designs", "cemux", "--m-min", "27", "--m-max", "27", "--runs", "1"],
      "--m-max must be at most 16, got 27"),

@@ -7,10 +7,13 @@ from oracles import RnsState
 from scmux.rns import (
     LFSR_TAPS,
     RnsSpec,
+    _lfsr_cycle,
+    _lfsr_windows,
     complement_output,
     lfsr_words,
     rns_sequence,
 )
+from scmux.sngen import wbg_bit_index
 
 
 def test_sobol_is_bit_reversed_counter():
@@ -87,6 +90,33 @@ def test_lfsr_words_read_each_seeded_sequence_by_index(width):
         for row, seed in zip(words, seeds):
             state = RnsState(RnsSpec("lfsr", width, seed))
             assert row.tolist() == [state.next_word() for _ in range(count)]
+
+
+@pytest.mark.parametrize("width", [3, 9, 16])
+def test_lfsr_windows_hold_each_start_states_words(width):
+    # row p starts at the p-th state of the cycle from state 1
+    count = 1 << width
+    starts = np.arange((1 << width) - 1) if width < 16 else np.array([0, 1, 777, 65533, 65534])
+    words = lfsr_words(width, _lfsr_cycle(width)[starts], count)
+    assert _lfsr_windows(width, count, "words").shape == ((1 << width) - 1, count)
+    assert np.array_equal(_lfsr_windows(width, count, "words")[starts], words)
+    assert np.array_equal(_lfsr_windows(width, count, "wbg_classes")[starts],
+                          wbg_bit_index(words, width))
+    msbs = _lfsr_windows(width, count, "level_msbs")
+    assert msbs.dtype == np.uint16 and msbs.shape == (width, (1 << width) - 1, count)
+    for level in range(1, width + 1):
+        weighted = (words >> (width - 1)) << (width - level)
+        assert np.array_equal(msbs[level - 1, starts], weighted)
+
+
+@pytest.mark.parametrize("kind", ["words", "wbg_classes", "level_msbs"])
+def test_lfsr_windows_are_read_only(kind):
+    table = _lfsr_windows(5, 32, kind)
+    with pytest.raises(ValueError):
+        table[..., 0] = 0
+    # nor can a view of it be made writeable: the table under it is read-only
+    with pytest.raises(ValueError):
+        table.setflags(write=True)
 
 
 def test_register_peeks_next_word():
