@@ -39,17 +39,6 @@ from .rns import RnsSpec, _lfsr_position, _lfsr_windows, complement_output, rns_
 # scmux.adders.make_channels, where callers and perfbench's tracer look it up
 from .sngen import PccKind, make_channels, pcc_bits, pcc_thresholds  # noqa: F401
 
-DESIGN_NAMES = (
-    "cemux",
-    "cemux_wbg",
-    "cemux_biased",
-    "basic_hardwired",
-    "basic_biased",
-    "apc",
-)
-ABLATION_NAMES = ("cemux_nofc", "cemux_nops", "cemux_nofc_nops", "cemux_lfsr")
-
-
 @dataclass(frozen=True)
 class AdderDesign:
     name: str
@@ -179,7 +168,7 @@ _RESET_KINDS = ("sobol_reversed_counter", "counter")
 @lru_cache(maxsize=None)
 def _reset_words(kind: str, n: int) -> np.ndarray:
     # the 2^n words of a source run from reset are the same in every run
-    words = rns_sequence(RnsSpec(kind, n, 0), 1 << n)
+    words = rns_sequence(RnsSpec(kind, n), 1 << n)
     words.setflags(write=False)
     return words
 
@@ -187,21 +176,16 @@ def _reset_words(kind: str, n: int) -> np.ndarray:
 _MASK32 = 0xFFFFFFFF
 
 
-def _hash_constants(const: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
+def _hash_pair(const: int, mult: int, i: int) -> tuple[int, int]:
     # a SeedSequence hash xors its value with the running constant, advances
     # the constant by one multiply and multiplies by the new one, so hash i of
-    # the fixed sequence uses the pair (constant i, constant i + 1)
-    consts = [const]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return tuple(zip(consts, consts[1:]))
+    # the fixed sequence uses the pair (const mult^i, const mult^(i + 1))
+    first = const * pow(mult, i, 1 << 32) & _MASK32
+    return first, first * mult & _MASK32
 
 
-# entropy hashes: 4 for the pool words, 12 to mix them, then the spawn key's
-# as it is mixed into pool word 0
-_ENTROPY_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
 # generate_state's hash of pool word 0, the low word of the first uint64
-(_OUTPUT_HASH,) = _hash_constants(0x8B51F9DD, 0x58F38DED, 1)
+_OUTPUT_HASH = _hash_pair(0x8B51F9DD, 0x58F38DED, 0)
 
 
 def _hash(v: int, pair: tuple[int, int]) -> int:
@@ -209,35 +193,13 @@ def _hash(v: int, pair: tuple[int, int]) -> int:
     return v ^ (v >> 16)
 
 
-def _mixed(dst: int, src: int, pair: tuple[int, int]) -> int:
-    # one step of the pool mixing: dst takes in src, hashed under the pair
-    v = (src ^ pair[0]) * pair[1] & _MASK32
-    r = (0xCA01F9DD * dst - 0x4973F715 * (v ^ (v >> 16))) & _MASK32
-    return r ^ (r >> 16)
-
-
-# the hashes of pool words 2 and 3, the zero padding of a master seed's two
-# 32-bit words
-_PAD_HASHES = _hash(0, _ENTROPY_HASHES[2]), _hash(0, _ENTROPY_HASHES[3])
 # each spawn key's hash times the mixing's second multiplier, as it is mixed
-# into pool word 0 (a source index is at most the tree height, 16)
-_KEY_TERMS = tuple(0x4973F715 * _hash(key, _ENTROPY_HASHES[16]) & _MASK32 for key in range(17))
-
-
-def _pool_word0(master_seed: int) -> int:
-    """Word 0 of SeedSequence(master_seed)'s entropy pool, once mixed.
-
-    Each pool word in turn is hashed into each other word, with the hash
-    constants in sequence; the last two mixes change words 1 and 2 only.
-    """
-    h = _ENTROPY_HASHES
-    a = _hash(master_seed & _MASK32, h[0])
-    b = _hash(master_seed >> 32, h[1])
-    c, d = _PAD_HASHES
-    b, c, d = _mixed(b, a, h[4]), _mixed(c, a, h[5]), _mixed(d, a, h[6])
-    a, c, d = _mixed(a, b, h[7]), _mixed(c, b, h[8]), _mixed(d, b, h[9])
-    a, b, d = _mixed(a, c, h[10]), _mixed(b, c, h[11]), _mixed(d, c, h[12])
-    return _mixed(a, d, h[13])
+# into pool word 0; the key's is entropy hash 16, after 4 for the pool words
+# and 12 to mix them (a source index is at most the tree height, 16)
+_KEY_TERMS = tuple(
+    0x4973F715 * _hash(key, _hash_pair(0x43B0D7E5, 0x931E8875, 16)) & _MASK32
+    for key in range(17)
+)
 
 
 def _source_starts(master_seed: int, indices, n: int) -> np.ndarray:
@@ -248,11 +210,12 @@ def _source_starts(master_seed: int, indices, n: int) -> np.ndarray:
     np.uint64)[0], child i of SeedSequence(master_seed).spawn(k) for any
     k > i, so the assignment is stable across designs. Its LFSR starts at
     state max(seed mod 2^n, 1), read through rns._lfsr_position. As n <= 16,
-    only the seed's low 32-bit word is computed: numpy's entropy mixing in
-    32-bit integer arithmetic, the master seed's pool word 0 once, then each
-    spawn key. Master seeds lie in [0, 2^64).
+    only the seed's low 32-bit word is computed: word 0 of the master seed's
+    entropy pool, from numpy, then in 32-bit integer arithmetic each spawn
+    key mixed into it and generate_state's hash. Master seeds lie in
+    [0, 2^64).
     """
-    x = 0xCA01F9DD * _pool_word0(master_seed)
+    x = 0xCA01F9DD * int(np.random.SeedSequence(master_seed).pool[0])
     mask = (1 << n) - 1
     c, m = _OUTPUT_HASH
     states = []

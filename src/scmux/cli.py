@@ -71,8 +71,8 @@ def _read_coefficients(path: str) -> list[float]:
     return vals
 
 
-def read_signal_csv(path: str) -> Signal:
-    """Signal CSV: one `index,value` header line, one sample per row."""
+def read_signal_csv(path: str) -> list[float]:
+    """Signal CSV samples: one `index,value` header line, one sample per row."""
     lines = [
         (k, l)
         for k, l in enumerate(Path(path).read_text().splitlines(), start=1)
@@ -89,7 +89,7 @@ def read_signal_csv(path: str) -> Signal:
             raise ValueError(f"{path} line {k}: expected 'index,value', got {l!r}") from None
     if not samples:
         raise ValueError(f"no samples found in {path}")
-    return Signal(np.asarray(samples))
+    return samples
 
 
 def _design_list(raw: str) -> list[str]:
@@ -105,7 +105,7 @@ def _design_list(raw: str) -> list[str]:
 def _filter_spec(args) -> FilterSpec:
     """The --coeff-file coefficients, else the --taps/--cutoff lowpass."""
     if args.coeff_file:
-        return FilterSpec(tuple(_read_coefficients(args.coeff_file)))
+        return FilterSpec(tuple(args.coeff_file))
     return make_lowpass(args.taps, args.cutoff * math.pi)
 
 
@@ -153,7 +153,7 @@ def cmd_decompose(args):
     if not 2 <= args.n <= 16:
         raise ValueError(f"--n must be in [2, 16], got {args.n}")
     if args.weights_file:
-        weights = _read_coefficients(args.weights_file)
+        weights = args.weights_file
         weight_sets = {len(weights): weights}
         m_list = [len(weights)]
     else:
@@ -162,7 +162,7 @@ def cmd_decompose(args):
         weight_sets = {
             M: list(np.where(rng.random(M) < 0.5, -1.0, 1.0) / M) for M in m_list
         }
-    values = tuple(_read_coefficients(args.values_file)) if args.values_file else None
+    values = tuple(args.values_file) if args.values_file else None
     scc = None if args.scc == "none" else int(args.scc)
     rows = ["M,eps_noise,eps_samp,eps_corr,total,closed_form"]
     for M in m_list:
@@ -185,7 +185,7 @@ def cmd_decompose(args):
 
 def cmd_filter(args):
     if args.signal:
-        sig = read_signal_csv(args.signal)
+        sig = Signal(np.asarray(args.signal))
     elif args.synthetic == "pulse_train":
         sig = pulse_train_signal(args.length, seed=args.seed, noise_sigma=args.noise_sigma)
     else:
@@ -216,7 +216,7 @@ def cmd_filter(args):
 
 def cmd_report(args):
     if args.coeff_file:
-        weights = _read_coefficients(args.coeff_file)
+        weights = args.coeff_file
     elif args.lowpass_taps is not None:
         weights = list(make_lowpass(args.lowpass_taps, args.cutoff * math.pi).coefficients)
     else:
@@ -385,21 +385,39 @@ _RANGES = {"sweep-m": (("m_min", "m_max"),), "sweep-n": (("n_min", "n_max"),)}
 # anything is allocated: at most 2^16 inputs (M = 2^m_max for sweep-m), the
 # quantizer's 2^16 units at n = 16, and at most 2^20 signal samples.
 _MAX_INPUTS = 1 << 16
+_MAX_SAMPLES = 1 << 20
 _LIMITS = {
     "sweep-m": (("m_max", 16),),
     "sweep-n": (("taps", _MAX_INPUTS),),
     "decompose": (("m_list", _MAX_INPUTS),),
-    "filter": (("taps", _MAX_INPUTS), ("length", 1 << 20)),
+    "filter": (("taps", _MAX_INPUTS), ("length", _MAX_SAMPLES)),
     "report": (("pm", _MAX_INPUTS), ("lowpass_taps", _MAX_INPUTS)),
+}
+# The options that name an input file, with each one's reader and the most
+# values it may hold; from the size check on, each holds its file's values.
+_FILES = {
+    "coeff_file": (_read_coefficients, _MAX_INPUTS),
+    "weights_file": (_read_coefficients, _MAX_INPUTS),
+    "values_file": (_read_coefficients, _MAX_INPUTS),
+    "signal": (read_signal_csv, _MAX_SAMPLES),
 }
 
 
 def _check_limits(args) -> None:
+    """Check each sizing option, then read each input file and check its length."""
     for name, limit in _LIMITS.get(args.command, ()):
         value = getattr(args, name)
         largest = max(value) if isinstance(value, list) else value
         if largest is not None and largest > limit:
             raise ValueError(f"--{name.replace('_', '-')} must be at most {limit}, got {largest}")
+    for name, (read, limit) in _FILES.items():
+        if getattr(args, name, None):
+            values = read(getattr(args, name))
+            if len(values) > limit:
+                raise ValueError(
+                    f"--{name.replace('_', '-')} must hold at most {limit} values, got {len(values)}"
+                )
+            setattr(args, name, values)
 
 
 def main(argv=None) -> int:

@@ -7,8 +7,8 @@ Kinds:
   sobol_reversed_counter first low-discrepancy (van der Corput) sequence,
                          the bit-reversed state of a counter
 
-Both counters emit every word in [0, 2^n - 1] exactly once per period. The
-seed selects the starting phase.
+Both counters emit every word in [0, 2^n - 1] exactly once per period. A
+source runs from reset: a counter from word 0, the LFSR from state 1.
 """
 
 from dataclasses import dataclass
@@ -43,7 +43,6 @@ KINDS = ("lfsr", "counter", "sobol_reversed_counter")
 class RnsSpec:
     kind: str
     width: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -91,20 +90,18 @@ def _bit_reverse_table(width: int) -> np.ndarray:
 
 
 def _one_period(spec: RnsSpec) -> np.ndarray:
-    # one period of a counter from its seeded phase
-    size = 1 << spec.width
-    idx = (spec.seed % size + np.arange(size, dtype=np.int64)) % size
+    # one period of the source from reset
+    if spec.kind == "lfsr":
+        return _lfsr_cycle(spec.width)
     if spec.kind == "sobol_reversed_counter":
-        return _bit_reverse_table(spec.width)[idx]
-    return idx
+        return _bit_reverse_table(spec.width)
+    return np.arange(1 << spec.width, dtype=np.int64)
 
 
 def rns_sequence(spec: RnsSpec, count: int) -> np.ndarray:
-    """First `count` output words of the source, as an int64 array."""
+    """First `count` output words of the source run from reset, as an int64 array."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    if spec.kind == "lfsr":
-        return lfsr_words(spec.width, [spec.seed % (1 << spec.width)], count)[0]
     return np.resize(_one_period(spec), count)
 
 
@@ -113,8 +110,8 @@ def rns_sequence(spec: RnsSpec, count: int) -> np.ndarray:
 def _lfsr_windows(width: int, count: int, kind: str) -> np.ndarray:
     """Read-only table of what the width-n LFSR yields over `count` words from each start.
 
-    A start is a position in the state cycle (_lfsr_position of the start
-    state). Kinds:
+    Row p holds the words from the p-th state of the cycle from state 1 on; a
+    seeded source's p comes from adders._source_starts. Kinds:
       words        (2^n - 1, count) int64: the words;
       wbg_classes  (2^n - 1, count) int64: each word's WBG class
                    (sngen.wbg_bit_index);
@@ -137,17 +134,6 @@ def _lfsr_windows(width: int, count: int, kind: str) -> np.ndarray:
         raise ValueError(f"unknown LFSR table kind {kind!r}")
     laid.setflags(write=False)
     return sliding_window_view(laid, count, axis=-1)
-
-
-def lfsr_words(width: int, seeds, count: int) -> np.ndarray:
-    """First `count` words of one width-n LFSR per seed, shape (len(seeds), count).
-
-    The seed picks the start state (seed mod 2^n, 0 read as 1), and row r is
-    that state's row of _lfsr_windows. Seeds lie in [0, 2^64).
-    """
-    pos = _lfsr_position(width)
-    starts = [pos[max(int(s) % (1 << width), 1)] for s in seeds]
-    return _lfsr_windows(width, count, "words")[np.array(starts, dtype=np.int64)]
 
 
 def complement_output(word, n: int):

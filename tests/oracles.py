@@ -8,13 +8,15 @@ the metric that measures full correlation, and the plain-text tree dump
 the package (PccKind, Bitstream, the LFSR tap table) but none of its
 algorithms, with one exception: the full-matrix adder run (full_matrix_run
 and its helpers) builds its M x N matrices from the production stream
-primitives (sources, quantizers, channels, input_bit_matrix, pcc_bits),
-which the per-cycle oracles below check on their own, so that it can check
-the O(N) run kernel. Its hardwired owners come from level_ordered_blocks,
-not from the production owner map, and its biased trees from
-biased_tree_reference, not from the production heap build. The per-level
-biased walk (biased_walk_per_level) takes the production heap and pcc_bits,
-to check the step table the run kernel walks instead. The model-path
+primitives (quantizers, channels, input_bit_matrix, pcc_bits), which the
+per-cycle oracles below check on their own, so that it can check the O(N)
+run kernel. Its source words come from RnsState's stepped periods
+(source_words), not from the production sources. Its hardwired owners come
+from level_ordered_blocks, not from the production owner map, and its
+biased trees from biased_tree_reference, not from the production heap
+build. The per-level biased walk (biased_walk_per_level) takes the
+production heap and pcc_bits, to check the step table the run kernel walks
+instead. The model-path
 loop (model_run_once and its neighbours) likewise takes the quantizer, the
 owner map and the thresholds from the package, to check the batched
 decomposition's statistics run by run. The accuracy loop
@@ -27,6 +29,7 @@ import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +39,16 @@ from scmux.analysis import _ModelRuntime
 from scmux.bitstream import Bitstream
 from scmux.rns import LFSR_TAPS
 from scmux.sngen import PccKind
+
+DESIGN_NAMES = (
+    "cemux",
+    "cemux_wbg",
+    "cemux_biased",
+    "basic_hardwired",
+    "basic_biased",
+    "apc",
+)
+ABLATION_NAMES = ("cemux_nofc", "cemux_nops", "cemux_nofc_nops", "cemux_lfsr")
 
 
 def quantize_weights_transcription(weights, m):
@@ -331,12 +344,20 @@ def wbg_bit(r, b, n):
     return (b >> (r.bit_length() - 1)) & 1
 
 
+class SourceSpec(NamedTuple):
+    """A number source as RnsState steps it: kind, width and seed."""
+
+    kind: str
+    width: int
+    seed: int = 0
+
+
 class RnsState:
     """A number source stepped one clock cycle at a time, as its register is.
 
     Counters count up from the seed (the bit-reversed counter emits the
     reversed register), the LFSR shifts in the parity of its tapped bits from
-    the seed state (0 maps to 1).
+    the seed state (0 maps to 1). spec is a SourceSpec.
     """
 
     def __init__(self, spec):
@@ -372,6 +393,23 @@ class RnsState:
     def take(self, count):
         """Emit the next `count` words as an array (same stream as next_word)."""
         return np.array([self.next_word() for _ in range(count)], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _stepped_period(kind, width):
+    return RnsState(SourceSpec(kind, width)).take((1 << width) - (kind == "lfsr"))
+
+
+def source_words(spec, count):
+    """RnsState(spec)'s first `count` words, read from one cached period.
+
+    The period is stepped once per kind and width from reset; every word
+    occurs once in it, so the seed's stream is the period rotated to start
+    at the seed's first word.
+    """
+    period = _stepped_period(spec.kind, spec.width)
+    start = int(np.flatnonzero(period == RnsState(spec).register)[0])
+    return np.resize(np.roll(period, -start), count)
 
 
 def generate_inputs(channels, rns, pcc, count):
@@ -816,11 +854,10 @@ def full_matrix_owners(design, q, n, big_n, seeds):
     each level has its own seeded LFSR, and a biased tree's select PCCs are
     WBGs.
     """
-    from scmux.rns import RnsSpec, rns_sequence
     from scmux.sngen import pcc_bits
 
     def level_words(lvl):
-        return rns_sequence(RnsSpec("lfsr", n, seeds[lvl]), big_n)
+        return source_words(SourceSpec("lfsr", n, seeds[lvl]), big_n)
 
     if design.tree_type == "hardwired":
         owner = level_ordered_owners(q.numerators, q.height)
@@ -856,7 +893,6 @@ def full_matrix_run(design, values, big_n, seed):
     passes one of its entries per cycle.
     """
     from scmux.muxtree import quantize_weights
-    from scmux.rns import RnsSpec, rns_sequence
     from scmux.sngen import input_bit_matrix, make_channels
 
     n = design.n
@@ -865,7 +901,7 @@ def full_matrix_run(design, values, big_n, seed):
     if design.data_rns_kind in ("sobol_reversed_counter", "counter"):
         data_seed = 0
     q = quantize_weights(design.weights, n)
-    words = rns_sequence(RnsSpec(design.data_rns_kind, n, data_seed), big_n)
+    words = source_words(SourceSpec(design.data_rns_kind, n, data_seed), big_n)
     channels = make_channels(
         values, design.weights, n, design.data_pcc, correlated_wiring=design.full_correlation
     )
@@ -883,11 +919,9 @@ def full_matrix_run(design, values, big_n, seed):
 
 def full_matrix_apc(weights, values, big_n):
     """APC run with both M x N bit matrices: (estimate, target, error)."""
-    from scmux.rns import RnsSpec, rns_sequence
-
     n = big_n.bit_length() - 1
-    data_words = rns_sequence(RnsSpec("sobol_reversed_counter", n, 0), big_n)
-    coeff_words = rns_sequence(RnsSpec("counter", n, 0), big_n)
+    data_words = source_words(SourceSpec("sobol_reversed_counter", n), big_n)
+    coeff_words = source_words(SourceSpec("counter", n), big_n)
     bx = [bipolar_threshold(float(v), n) for v in values]
     bw = [bipolar_threshold(abs(float(x)), n) for x in weights]
     negs = np.array([float(x) < 0 for x in weights], dtype=np.uint8)

@@ -14,6 +14,7 @@ import numpy as np
 
 from oracles import (
     RnsState,
+    SourceSpec,
     cemux_error_moments,
     dump_tree,
     enumerate_model_variance,
@@ -41,7 +42,6 @@ from scmux.muxtree import (
     quantize_weights,
     tree_size,
 )
-from scmux.rns import RnsSpec
 from scmux.sngen import PccKind, make_channels
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -105,7 +105,7 @@ def test_criterion_03_full_correlation_all_pairs():
             w[1] = -abs(w[1])
         values = rng.uniform(-0.9, 0.9, m_inputs)
         chans = make_channels(values, w, n, PccKind.COMPARATOR, correlated_wiring=True)
-        state = RnsState(RnsSpec("sobol_reversed_counter", n, 0))
+        state = RnsState(SourceSpec("sobol_reversed_counter", n))
         ys = [y for _, y in generate_inputs(chans, state, PccKind.COMPARATOR, 1 << n)]
         for i in range(m_inputs):
             for j in range(i + 1, m_inputs):

@@ -9,6 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    ABLATION_NAMES,
+    DESIGN_NAMES,
+    SourceSpec,
     biased_tree_reference,
     biased_walk_per_level,
     bipolar_threshold,
@@ -18,11 +21,10 @@ from oracles import (
     full_matrix_run,
     pairing_tree,
     quantize_weights_transcription,
+    source_words,
     spawned_seeds,
 )
 from scmux.adders import (
-    ABLATION_NAMES,
-    DESIGN_NAMES,
     AdderDesign,
     make_design,
     normalize_design_name,
@@ -33,7 +35,7 @@ from scmux.adders import (
 from scmux.analysis import accuracy_stats
 from scmux.filterapp import make_lowpass
 from scmux.muxtree import build_biased_selector_tree, quantize_weights
-from scmux.rns import _lfsr_cycle, _lfsr_position, _lfsr_windows, lfsr_words
+from scmux.rns import _lfsr_cycle, _lfsr_position, _lfsr_windows
 from scmux.sngen import PccKind, QuantizationWarning, wbg_bit_index
 
 # feature matrix rows: tree type, data pcc, select source, select pcc,
@@ -309,7 +311,8 @@ def test_step_table_walk_matches_per_level_walk(n, weights, words_seed):
     assert np.array_equal(walked, expected)
     # and on the WBG class table a run reads, from random start positions
     starts = rng.integers(0, (1 << n) - 1, depth)
-    select = lfsr_words(n, _lfsr_cycle(n)[starts], 1 << n)
+    select = np.array([source_words(SourceSpec("lfsr", n, state), 1 << n)
+                       for state in _lfsr_cycle(n)[starts]]).reshape(depth, 1 << n)
     assert np.array_equal(
         _biased_walk(step, leaf_owner, _lfsr_windows(n, 1 << n, "wbg_classes"), starts, n),
         biased_walk_per_level(heap, leaf_owner, select, n),

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from oracles import (
+    ABLATION_NAMES,
+    DESIGN_NAMES,
     accuracy_errors_per_run,
     enumerate_model_variance,
     expected_closed_form_per_run,
     model_run_exact,
     model_run_once,
 )
-from scmux.adders import ABLATION_NAMES, DESIGN_NAMES, make_design
+from scmux.adders import make_design
 from scmux.analysis import (
     _CHUNK_ELEMENTS,
     AccuracyStats,

@@ -185,6 +185,54 @@ def test_out_of_bounds_size_options_are_rejected(capsys, argv, message):
     assert out == ""
 
 
+# a coefficient file and a signal CSV of `count` entries
+def coefficient_text(count):
+    return "0.5\n" * count
+
+
+def signal_text(count):
+    return "index,value\n" + "0,0.1\n" * count
+
+
+DECOMPOSE = ["decompose", "--model", "bernoulli", "--sampling", "precise"]
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["sweep-n", "--designs", "cemux", "--coeff-file"], 65536),
+    (["filter", "--coeff-file"], 65536),
+    (["report", "--design", "cemux", "--coeff-file"], 65536),
+    ([*DECOMPOSE, "--weights-file"], 65536),
+    ([*DECOMPOSE, "--values-file"], 65536),
+    (["filter", "--signal"], 1 << 20),
+])
+def test_oversized_input_files_are_rejected(tmp_path, capsys, argv, limit):
+    path = tmp_path / "big"
+    make = signal_text if argv[-1] == "--signal" else coefficient_text
+    path.write_text(make(limit + 1))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert err == f"scmux: error: {argv[-1]} must hold at most {limit} values, got {limit + 1}\n"
+    assert out == ""
+
+
+def test_input_files_at_their_limits_pass_the_size_check(tmp_path, capsys):
+    coeffs = tmp_path / "coeffs"
+    coeffs.write_text(coefficient_text(65536))
+    code, out, err = run_cli(capsys, "report", "--design", "cemux", "--n", "16",
+                             "--coeff-file", str(coeffs))
+    assert (code, err) == (0, "")
+    assert "muxes,65535" in out
+    # these go on to their next check
+    code, out, err = run_cli(capsys, *DECOMPOSE, "--weights-file", str(coeffs),
+                             "--values-file", str(coeffs), "--n", "40")
+    assert (code, out, err) == (2, "", "scmux: error: --n must be in [2, 16], got 40\n")
+    signal = tmp_path / "signal"
+    signal.write_text(signal_text(1 << 20))
+    code, out, err = run_cli(capsys, "filter", "--signal", str(signal), "--coeff-file", str(coeffs),
+                             "--designs", "nonsense")
+    assert code == 2 and out == "" and "unknown design 'nonsense'" in err
+
+
 @pytest.mark.parametrize("n", ["40", "-1", "1"])
 def test_decompose_out_of_range_n_is_rejected(capsys, n):
     code, out, err = run_cli(capsys, "decompose", "--model", "bernoulli", "--sampling", "noisy",
@@ -453,7 +501,7 @@ def test_signal_csv_round_trip(tmp_path):
     sig = Signal(np.array([0.25, -0.5, 1.0]))
     write_signal_csv(str(path), sig)
     back = read_signal_csv(str(path))
-    assert np.array_equal(back.samples, sig.samples)
+    assert np.array_equal(back, sig.samples)
     bad = tmp_path / "bad.csv"
     bad.write_text("value\n0.1\n")
     with pytest.raises(ValueError, match="header"):
@@ -476,6 +524,9 @@ FUZZ_FILES = {
     "signal_extra_column": "index,value\n0,0.1,2\n",
     "signal_nan": "index,value\n0,nan\n",
     "signal_no_header": "0,0.1\n",
+    # one entry over each size limit
+    "coeffs_over": coefficient_text(65537),
+    "signal_over": signal_text((1 << 20) + 1),
 }
 COEFF_FILES = ["@coeffs", "@coeffs_big", "@coeffs_bad_row", "@coeffs_empty", "@coeffs_nan", "@missing"]
 SIGNAL_FILES = ["@signal", "@signal_bad_row", "@signal_extra_column", "@signal_nan",
@@ -564,10 +615,20 @@ def cli_argv(draw):
 @example(["report", "--design", "cemux", "--n", "4", "--pm", "0"])
 @example(["report", "--design", "cemux", "--n", "4", "--pm", "-1"])
 @example(["filter", "--length", "8", "--taps", "2", "--n", "4", "--seed", "-1"])
+@example(["sweep-n", "--designs", "cemux", "--taps", "4", "--n-min", "4", "--n-max", "4",
+          "--runs", "1", "--coeff-file", "@coeffs_over"])
+@example(["filter", "--length", "8", "--taps", "2", "--n", "4", "--coeff-file", "@coeffs_over"])
+@example(["report", "--design", "cemux", "--n", "4", "--coeff-file", "@coeffs_over"])
+@example(["decompose", "--model", "bernoulli", "--sampling", "noisy", "--m-list", "2", "--n", "4",
+          "--runs", "2", "--weights-file", "@coeffs_over"])
+@example(["decompose", "--model", "bernoulli", "--sampling", "noisy", "--m-list", "2", "--n", "4",
+          "--runs", "2", "--values-file", "@coeffs_over"])
+@example(["filter", "--length", "8", "--taps", "2", "--n", "4", "--signal", "@signal_over"])
 def test_cli_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in FUZZ_FILES.items():
-            (Path(tmp) / name).write_text(text)
+            if f"@{name}" in argv:
+                (Path(tmp) / name).write_text(text)
         argv = [str(Path(tmp) / a[1:]) if a.startswith("@") else a for a in argv]
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             try:

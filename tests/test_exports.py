@@ -1,47 +1,58 @@
-"""Every name the package exports has a user outside the tests.
+"""Every public name of the package has a user outside the tests.
 
 A helper that only tests call belongs in tests/oracles.py, not in src/scmux.
-A non-module name in scmux.__all__ counts as used when it is referenced in
-src/scmux (outside its own definition and __init__.py), in scripts/ or in
-perfbench/spans.py, the tracer that wraps the package's functions by name.
+A public top-level name of a src/scmux module counts as used when it is
+read in src/scmux (outside its own definition and __init__.py), in scripts/
+or in perfbench/spans.py, the tracer that wraps the package's functions by
+name.
 """
 
 import ast
 import re
-import types
 from pathlib import Path
 
-import scmux
-
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "scmux").glob("*.py") if p.name != "__init__.py")
+
+
+def _defined_names(top: ast.stmt) -> list[str]:
+    """Names a top-level statement defines, other than by import."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return [top.name]
+    targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", None)]
+    return [node.id for t in targets if t is not None
+            for node in ast.walk(t) if isinstance(node, ast.Name)]
 
 
 def _referenced_outside_own_definition(path: Path) -> set[tuple[str, str]]:
-    """(enclosing top-level definition or "", referenced name) pairs."""
+    """(name the enclosing top-level statement defines or "", referenced name) pairs."""
     pairs = set()
     for top in ast.parse(path.read_text()).body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else ""
+        owners = _defined_names(top) or [""]
         for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                pairs.add((owner, node.id))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
             elif isinstance(node, ast.Attribute):
-                pairs.add((owner, node.attr))
+                names = [node.attr]
             elif isinstance(node, ast.alias):
-                pairs.add((owner, node.name))
+                names = [node.name]
+            else:
+                continue
+            pairs |= {(owner, name) for owner in owners for name in names}
     return pairs
 
 
 def test_every_exported_name_has_a_user_outside_the_tests():
     used = set()
-    for path in (ROOT / "src" / "scmux").glob("*.py"):
-        if path.name != "__init__.py":
-            used |= {name for owner, name in _referenced_outside_own_definition(path)
-                     if owner != name}
+    for path in MODULES:
+        used |= {name for owner, name in _referenced_outside_own_definition(path)
+                 if owner != name}
     text = "\n".join(
         p.read_text() for p in [*(ROOT / "scripts").glob("*.py"), ROOT / "perfbench" / "spans.py"]
     )
-    exported = [name for name in scmux.__all__
-                if not isinstance(getattr(scmux, name), types.ModuleType)]
-    unused = [name for name in exported
+    public = [(path.stem, name) for path in MODULES
+              for top in ast.parse(path.read_text()).body
+              for name in _defined_names(top) if not name.startswith("_")]
+    unused = [f"{module}.{name}" for module, name in public
               if name not in used and not re.search(rf"\b{name}\b", text)]
-    assert exported and not unused, f"exported but used only by tests: {unused}"
+    assert public and not unused, f"public but used only by tests: {unused}"

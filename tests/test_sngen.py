@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RnsState, comparator_bit, generate_inputs, pcc_threshold, scc, wbg_bit
+from oracles import RnsState, SourceSpec, comparator_bit, generate_inputs, pcc_threshold, scc, wbg_bit
 from scmux.bitstream import Bitstream
 from scmux.rns import RnsSpec, rns_sequence
 from scmux.sngen import (
@@ -17,7 +17,7 @@ from scmux.sngen import (
 
 
 def test_comparator_example_sobol():
-    words = rns_sequence(RnsSpec("sobol_reversed_counter", 3, 0), 8)
+    words = rns_sequence(RnsSpec("sobol_reversed_counter", 3), 8)
     bits = [comparator_bit(int(r), 3) for r in words]
     assert bits == [1, 0, 1, 0, 1, 0, 0, 0]
     assert pcc_bits(PccKind.COMPARATOR, words, 3, 3).tolist() == bits
@@ -77,7 +77,7 @@ def test_full_correlation_wiring_mixed_signs():
     weights = [0.5, -0.25, -0.125, 0.0625]
     chans = make_channels(values, weights, 6, PccKind.COMPARATOR, correlated_wiring=True)
     assert [c.uses_complemented_rns for c in chans] == [False, True, True, False]
-    pairs = generate_inputs(chans, RnsState(RnsSpec("sobol_reversed_counter", 6, 0)), PccKind.COMPARATOR, 64)
+    pairs = generate_inputs(chans, RnsState(SourceSpec("sobol_reversed_counter", 6)), PccKind.COMPARATOR, 64)
     ys = [y for _, y in pairs]
     for i in range(4):
         for j in range(i + 1, 4):
@@ -89,7 +89,7 @@ def test_no_complement_wiring_gives_anticorrelated_pairs():
     weights = [0.5, -0.25, -0.125, 0.0625]
     chans = make_channels(values, weights, 6, PccKind.COMPARATOR, correlated_wiring=False)
     assert not any(c.uses_complemented_rns for c in chans)
-    pairs = generate_inputs(chans, RnsState(RnsSpec("sobol_reversed_counter", 6, 0)), PccKind.COMPARATOR, 64)
+    pairs = generate_inputs(chans, RnsState(SourceSpec("sobol_reversed_counter", 6)), PccKind.COMPARATOR, 64)
     ys = [y for _, y in pairs]
     assert scc(ys[0], ys[3]) == 1.0  # same-sign pair
     assert scc(ys[0], ys[1]) == -1.0  # opposite-sign pair
@@ -97,7 +97,7 @@ def test_no_complement_wiring_gives_anticorrelated_pairs():
 
 def test_identical_positive_channels_identical_streams():
     chans = make_channels([0.25, 0.25, 0.25], [1.0, 2.0, 0.5], 5, PccKind.COMPARATOR)
-    pairs = generate_inputs(chans, RnsState(RnsSpec("sobol_reversed_counter", 5, 0)), PccKind.COMPARATOR, 32)
+    pairs = generate_inputs(chans, RnsState(SourceSpec("sobol_reversed_counter", 5)), PccKind.COMPARATOR, 32)
     assert pairs[0][1] == pairs[1][1] == pairs[2][1]
 
 
@@ -114,7 +114,7 @@ def test_comparator_generation_is_exact(n, v, seed):
 @given(st.integers(3, 9), st.floats(-1.0, 1.0))
 def test_sign_inversion_negates_bipolar_value(n, v):
     chans = make_channels([v, v], [1.0, -1.0], n, PccKind.COMPARATOR)
-    state = RnsState(RnsSpec("sobol_reversed_counter", n, 0))
+    state = RnsState(SourceSpec("sobol_reversed_counter", n))
     pairs = generate_inputs(chans, state, PccKind.COMPARATOR, 1 << n)
     pos, neg = (2 * y.count_ones() / len(y) - 1 for _, y in pairs)
     assert neg == -pos
@@ -123,7 +123,7 @@ def test_sign_inversion_negates_bipolar_value(n, v):
 def test_wbg_pairs_cannot_be_reliably_correlated():
     # randomized search: some threshold pair on a shared source loses SCC=+1
     n = 8
-    words = rns_sequence(RnsSpec("sobol_reversed_counter", n, 0), 1 << n)
+    words = rns_sequence(RnsSpec("sobol_reversed_counter", n), 1 << n)
     rng = np.random.default_rng(7)
     worst = 1.0
     for _ in range(60):
@@ -136,7 +136,7 @@ def test_wbg_pairs_cannot_be_reliably_correlated():
 
 def test_generate_inputs_width_mismatch():
     chans = make_channels([0.5], [1.0], 8, PccKind.COMPARATOR)
-    state = RnsState(RnsSpec("sobol_reversed_counter", 4, 0))
+    state = RnsState(SourceSpec("sobol_reversed_counter", 4))
     with pytest.raises(ValueError):
         generate_inputs(chans, state, PccKind.COMPARATOR, 16)
     with pytest.raises(ValueError, match="exceeds source range"):
@@ -146,12 +146,12 @@ def test_generate_inputs_width_mismatch():
 def test_input_bit_matrix_matches_generate_inputs():
     values = [0.3, -0.7, 0.9]
     weights = [0.25, -0.75, -0.5]
-    words = rns_sequence(RnsSpec("sobol_reversed_counter", 5, 0), 32)
+    words = rns_sequence(RnsSpec("sobol_reversed_counter", 5), 32)
     for pcc in PccKind:
         for wiring in (True, False):
             chans = make_channels(values, weights, 5, pcc, correlated_wiring=wiring)
             x, y = input_bit_matrix(chans, words, pcc, 5)
-            state = RnsState(RnsSpec("sobol_reversed_counter", 5, 0))
+            state = RnsState(SourceSpec("sobol_reversed_counter", 5))
             for i, (xs, ys) in enumerate(generate_inputs(chans, state, pcc, 32)):
                 assert np.array_equal(x[i], xs.unpacked)
                 assert np.array_equal(y[i], ys.unpacked)
