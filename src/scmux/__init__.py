@@ -4,12 +4,7 @@ mux-based weighted adders."""
 from .bitstream import Bitstream
 from .rns import RnsSpec, complement_output, rns_sequence
 from .sngen import InputChannel, PccKind, QuantizationWarning, make_channels
-from .muxtree import (
-    QuantizedWeights,
-    build_biased_selector_tree,
-    build_hardwired_tree,
-    quantize_weights,
-)
+from .muxtree import build_biased_selector_tree, build_hardwired_tree, quantize_weights
 from .adders import (
     AdderDesign,
     SimulationReport,

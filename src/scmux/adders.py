@@ -379,7 +379,9 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationR
 _APC_WIDTHS = {1 << n: n for n in range(3, 17)}
 
 
-@lru_cache(maxsize=128)
+# the last weights' entry alone: every scripts/ run uses the APC on fixed taps, and
+# an entry holds an (M, N) bit matrix, 16.8 MB at M = 256 and n = 16
+@lru_cache(maxsize=1)
 def _apc_coefficients(weights: bytes, n: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The coefficient side of an APC run, the same for every run of the weights.
 
@@ -457,11 +459,9 @@ def structural_report(design: AdderDesign) -> dict[str, int]:
     (precise-sampling designs) and the output up-down counter.
     """
     n = design.n
-    q = quantize_weights(design.weights, n)
-    active = sum(1 for num in q.numerators if num > 0)
-    negatives = sum(
-        1 for num, w in zip(q.numerators, design.weights) if num > 0 and w < 0
-    )
+    nums = quantize_weights(design.weights, n)
+    active = int(np.count_nonzero(nums))
+    negatives = int(np.count_nonzero((nums > 0) & (np.asarray(design.weights) < 0)))
     counts = {
         "muxes": 0,
         "comparators": 0,
@@ -487,7 +487,7 @@ def structural_report(design: AdderDesign) -> dict[str, int]:
         n if design.full_correlation and negatives else 0
     )
     counts["rns_instances"] = 1  # shared data source
-    counts["muxes"], levels = tree_size(q, design.tree_type)
+    counts["muxes"], levels = tree_size(nums, design.tree_type)
     if design.precise_sampling:
         counts["select_counter_bits"] = levels
     else:

@@ -126,17 +126,15 @@ class _ModelRuntime:
         self.N = cfg.N
         self.n = int(round(math.log2(cfg.N)))
         self.M = len(cfg.weights)
-        q = quantize_weights(cfg.weights, self.n)
-        self.q = q
-        self.signs = np.array(q.signs, dtype=np.int64)
         # over N = 2^n cycles input i is expected to be sampled c_i times, its
         # numerator over 2^n
-        self.c = np.array(q.numerators, dtype=np.int64)
-        self.wt = self.c / q.denominator
+        self.c = quantize_weights(cfg.weights, self.n)
+        self.negative = np.asarray(cfg.weights) < 0
+        self.wt = self.c / self.N
         # first[i, t]: cycle t is among the first c_i, the cycles whose bits
         # the noise component counts for input i
         self.first = np.arange(self.N) < self.c[:, None]
-        self.owner = build_hardwired_tree(q)
+        self.owner = build_hardwired_tree(self.c)
         if cfg.values is not None:
             self.fixed_thresholds = self._thresholds(np.asarray(cfg.values, float))
         else:
@@ -145,7 +143,7 @@ class _ModelRuntime:
     def _thresholds(self, values: np.ndarray) -> np.ndarray:
         """Post-sign thresholds B' with mu'_i = 2 B'_i / N - 1 = s_i * quantized(v_i)."""
         b = bipolar_thresholds(values, self.n)
-        return np.where(self.signs > 0, b, self.N - b)
+        return np.where(self.negative, self.N - b, b)
 
 
 def _draw_chunk(rt: _ModelRuntime, rng: np.random.Generator, runs: int):
@@ -359,9 +357,9 @@ def expected_closed_form(cfg: ModelConfig, runs: int, master_seed: int) -> float
     """
     if runs < 1:
         raise ValueError("need at least 1 run")
-    rt = _ModelRuntime(cfg)
-    if rt.fixed_thresholds is not None:
+    if cfg.values is not None:
         return closed_form_variance(cfg)
+    rt = _ModelRuntime(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(master_seed))
     mup = 2.0 * rt._thresholds(rng.uniform(-1.0, 1.0, size=(runs, rt.M))) / rt.N - 1.0
     step = _chunk_runs(rt.M * rt.M)  # bounds the (R, M, M) gap tensor of the SCC +1 rows

@@ -113,12 +113,11 @@ def _filter_spec(args) -> FilterSpec:
 
 
 def cmd_quantize(args):
-    w = _read_coefficients(args.weights)
-    q = quantize_weights(w, args.m)
+    nums = quantize_weights(args.weights, args.m)
     rows = ["index,numerator,denominator,sign"]
     rows += [
-        f"{i},{num},{q.denominator},{s:+d}"
-        for i, (num, s) in enumerate(zip(q.numerators, q.signs))
+        f"{i},{num},{1 << args.m},{-1 if w < 0 else 1:+d}"
+        for i, (num, w) in enumerate(zip(nums.tolist(), args.weights))
     ]
     _emit(args, rows)
 
@@ -396,6 +395,7 @@ _LIMITS = {
 # The options that name an input file, with each one's reader and the most
 # values it may hold; from the size check on, each holds its file's values.
 _FILES = {
+    "weights": (_read_coefficients, _MAX_INPUTS),
     "coeff_file": (_read_coefficients, _MAX_INPUTS),
     "weights_file": (_read_coefficients, _MAX_INPUTS),
     "values_file": (_read_coefficients, _MAX_INPUTS),

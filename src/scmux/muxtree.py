@@ -13,32 +13,16 @@ are built once per k; a build from numerators then reads every slot's two
 subtree masses off the prefix sums of the active numerators, so a cycle's
 path is a fixed-depth index walk.
 
-The quantizer and both tree builds work on blocks of rows, one weight or
-numerator vector per row (_quantize_rows, _hardwired_rows, _biased_rows); the
-per-vector functions are their one-row calls.
+A quantized weight vector is one int64 row of numerators over 2^h; the
+signs stay with the weights. The quantizer and both tree builds work on
+blocks of rows, one weight or numerator vector per row (_quantize_rows,
+_hardwired_rows, _biased_rows); the per-vector functions are their one-row
+calls, and each reads the height h off its row's sum, 2^h.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class QuantizedWeights:
-    """Signed weights reduced to integer numerators over denominator 2^height."""
-
-    numerators: tuple[int, ...]
-    height: int
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.numerators) != 1 << self.height:
-            raise ValueError("quantized numerators must sum to exactly 2^height")
-
-    @property
-    def denominator(self) -> int:
-        return 1 << self.height
 
 
 def _quantize_rows(weights, m: int) -> np.ndarray:
@@ -85,8 +69,8 @@ def _quantize_rows(weights, m: int) -> np.ndarray:
     return q.astype(np.int64)
 
 
-def quantize_weights(weights, m: int) -> QuantizedWeights:
-    """Reduce signed weights to numerators q_i with sum(q) = 2^m exactly.
+def quantize_weights(weights, m: int) -> np.ndarray:
+    """Reduce signed weights to int64 numerators q_i with sum(q) = 2^m exactly.
 
     Round-to-nearest on the scaled magnitudes, then walk the sum back to 2^m
     one unit at a time, always adjusting the entry whose rounding error is
@@ -95,12 +79,19 @@ def quantize_weights(weights, m: int) -> QuantizedWeights:
     quantization pseudocode does; a pairwise sum can differ in the last bit
     and flip a near-tie adjustment.
     """
-    q = _quantize_rows([weights], m)[0]
-    return QuantizedWeights(
-        numerators=tuple(q.tolist()),
-        height=m,
-        signs=tuple(np.where(np.asarray(weights, dtype=np.float64) < 0, -1, 1).tolist()),
-    )
+    return _quantize_rows([weights], m)[0]
+
+
+def _one_row(nums) -> tuple[np.ndarray, int]:
+    """A numerator row as a one-row block, and its height h = log2 of the row's sum.
+
+    A row whose sum is not a power of two has no height and raises.
+    """
+    block = np.array([nums], dtype=np.int64)
+    total = int(block.sum())
+    if total < 1 or total & (total - 1):
+        raise ValueError("quantized numerators must sum to exactly 2^height")
+    return block, total.bit_length() - 1
 
 
 def _hardwired_rows(nums: np.ndarray, h: int) -> np.ndarray:
@@ -112,7 +103,7 @@ def _hardwired_rows(nums: np.ndarray, h: int) -> np.ndarray:
     return np.repeat(inputs.astype(np.int64), 1 << (h - levels)).reshape(len(nums), 1 << h)
 
 
-def build_hardwired_tree(q: QuantizedWeights) -> np.ndarray:
+def build_hardwired_tree(nums) -> np.ndarray:
     """Owner map of the redundancy-free hardwired tree: select word -> input.
 
     A level-l mux is driven by the l-th MSB of the h-bit select word, so the
@@ -122,22 +113,23 @@ def build_hardwired_tree(q: QuantizedWeights) -> np.ndarray:
     level. Longest blocks first keeps every block aligned to its length, so it
     is one subtree of the full tree.
     """
-    owner = _hardwired_rows(np.array([q.numerators], dtype=np.int64), q.height)[0]
+    owner = _hardwired_rows(*_one_row(nums))[0]
     owner.setflags(write=False)
     return owner
 
 
-def tree_size(q: QuantizedWeights, tree_type: str) -> tuple[int, int]:
-    """Mux count and select levels of the "hardwired" or "biased" tree over q.
+def tree_size(nums, tree_type: str) -> tuple[int, int]:
+    """Mux count and select levels of the "hardwired" or "biased" tree over nums.
 
     Each set numerator bit is one leaf of the redundancy-free hardwired tree,
     so it has one mux fewer than set bits, on h levels. The balanced biased
     tree over the k inputs of nonzero weight has k - 1 muxes on
     ceil(log2 k) levels.
     """
+    block, h = _one_row(nums)
     if tree_type == "hardwired":
-        return sum(num.bit_count() for num in q.numerators) - 1, q.height
-    k = sum(1 for num in q.numerators if num)
+        return sum(num.bit_count() for num in block[0].tolist()) - 1, h
+    k = int(np.count_nonzero(block))
     return k - 1, (k - 1).bit_length()
 
 
@@ -185,7 +177,7 @@ def _biased_rows(nums: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     return heap, active[:, leaf]
 
 
-def build_biased_selector_tree(q: QuantizedWeights) -> tuple[np.ndarray, np.ndarray]:
+def build_biased_selector_tree(nums) -> tuple[np.ndarray, np.ndarray]:
     """Balanced tree over the inputs with nonzero quantized weight.
 
     Returns (heap_thresholds, leaf_owner), both read-only: the tree as a
@@ -199,7 +191,7 @@ def build_biased_selector_tree(q: QuantizedWeights) -> tuple[np.ndarray, np.ndar
     padding muxes of code 0, whose bit is always 0. Zero-weight inputs are
     dropped here and reported with zero sampling counts downstream.
     """
-    heaps, leaf_owners = _biased_rows(np.array([q.numerators], dtype=np.int64), q.height)
+    heaps, leaf_owners = _biased_rows(*_one_row(nums))
     heap, leaf_owner = heaps[0], leaf_owners[0]
     for arr in (heap, leaf_owner):
         arr.setflags(write=False)

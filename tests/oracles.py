@@ -103,18 +103,26 @@ def level_ordered_owners(numerators, h):
     return slots
 
 
-def dump_tree(q):
-    """Plain-text dump of the hardwired tree over quantized weights q.
+def row_height(numerators):
+    """Height h of a quantized numerator row, which sums to 2^h."""
+    total = sum(int(num) for num in numerators)
+    assert total > 0 and total & (total - 1) == 0, total
+    return total.bit_length() - 1
+
+
+def dump_tree(numerators):
+    """Plain-text dump of the hardwired tree over a quantized numerator row.
 
     One `level l: inputs` line per level lists the inputs with a leaf there
     (bit 2^(h-l) of the numerator set); each leaf but one costs a mux.
     """
-    h = q.height
-    lines = [f"height {h}", f"inputs {len(q.numerators)}"]
+    h = row_height(numerators)
+    nums = [int(num) for num in numerators]
+    lines = [f"height {h}", f"inputs {len(nums)}"]
     for lvl in range(1, h + 1):
-        inputs = [str(i) for i, num in enumerate(q.numerators) if num >> (h - lvl) & 1]
+        inputs = [str(i) for i, num in enumerate(nums) if num >> (h - lvl) & 1]
         lines.append(f"level {lvl}: {' '.join(inputs)}".rstrip())
-    lines.append(f"muxes {sum(num.bit_count() for num in q.numerators) - 1}")
+    lines.append(f"muxes {sum(num.bit_count() for num in nums) - 1}")
     return "\n".join(lines) + "\n"
 
 
@@ -250,19 +258,22 @@ class BiasedTreeReference(NamedTuple):
         return len(self.child0)
 
 
-def biased_tree_reference(q, select_pcc):
+def biased_tree_reference(numerators, select_pcc):
     """Balanced biased-selector tree by recursive halving of the active inputs.
 
     Each mux's probability is the exact Fraction mass(left) / mass(both), and
-    its threshold the select PCC's code for it at the quantization height.
+    its threshold the select PCC's code for it at the quantization height,
+    log2 of the numerators' sum.
     """
-    active = [i for i, num in enumerate(q.numerators) if num > 0]
+    nums = [int(num) for num in numerators]
+    active = [i for i, num in enumerate(nums) if num > 0]
     if not active:
         raise ValueError("no inputs with nonzero quantized weight")
+    h = row_height(nums)
     child0, child1, levels, probs = [], [], [], []
 
     def mass(indices):
-        return sum(q.numerators[i] for i in indices)
+        return sum(nums[i] for i in indices)
 
     def build(indices, level):
         if len(indices) == 1:
@@ -278,7 +289,7 @@ def biased_tree_reference(q, select_pcc):
         return len(child0) - 1
 
     root = build(active, 1)
-    thresholds = [pcc_threshold(p, q.height, select_pcc) for p in probs]
+    thresholds = [pcc_threshold(p, h, select_pcc) for p in probs]
     return BiasedTreeReference(root, child0, child1, levels, probs, thresholds, select_pcc)
 
 
@@ -770,7 +781,7 @@ def model_run_exact(rt: _ModelRuntime, rng: np.random.Generator):
         owners = rt.owner[rng.integers(0, N, size=N)]
     c = [int(x) for x in rt.c]
     mup = [Fraction(2 * int(b) - N, N) for b in bp]
-    wt = [Fraction(int(x), 1 << n) for x in rt.q.numerators]
+    wt = [Fraction(int(x), 1 << n) for x in rt.c]
     pm = 2 * u - 1
     s = pm.sum(axis=1)
 
@@ -847,7 +858,7 @@ def biased_walk_per_level(heap, leaf_owner, select, n):
     return leaf_owner[idx - (leaf_owner.size - 1)]
 
 
-def full_matrix_owners(design, q, n, big_n, seeds):
+def full_matrix_owners(design, nums, n, big_n, seeds):
     """Input sampled at each cycle, every mux's select bit generated first.
 
     Precise sampling drives the selects from one counter from reset; otherwise
@@ -860,15 +871,15 @@ def full_matrix_owners(design, q, n, big_n, seeds):
         return source_words(SourceSpec("lfsr", n, seeds[lvl]), big_n)
 
     if design.tree_type == "hardwired":
-        owner = level_ordered_owners(q.numerators, q.height)
+        owner = level_ordered_owners(nums, n)
         if design.precise_sampling:
-            return owner[np.arange(big_n) % (1 << q.height)]
+            return owner[np.arange(big_n) % (1 << n)]
         words = np.zeros(big_n, dtype=np.int64)
-        for lvl in range(1, q.height + 1):
-            words |= (level_words(lvl) >> (n - 1)) << (q.height - lvl)
+        for lvl in range(1, n + 1):
+            words |= (level_words(lvl) >> (n - 1)) << (n - lvl)
         return owner[words]
 
-    tree = biased_tree_reference(q, PccKind.WBG)
+    tree = biased_tree_reference(nums, PccKind.WBG)
     if tree.root < 0:
         return np.full(big_n, ~tree.root, dtype=np.int64)
     node_bits = np.empty((tree.mux_count, big_n), dtype=np.uint8)
@@ -900,19 +911,19 @@ def full_matrix_run(design, values, big_n, seed):
     data_seed = seeds[0]
     if design.data_rns_kind in ("sobol_reversed_counter", "counter"):
         data_seed = 0
-    q = quantize_weights(design.weights, n)
+    nums = quantize_weights(design.weights, n).tolist()
     words = source_words(SourceSpec(design.data_rns_kind, n, data_seed), big_n)
     channels = make_channels(
         values, design.weights, n, design.data_pcc, correlated_wiring=design.full_correlation
     )
     _, y = input_bit_matrix(channels, words, design.data_pcc, n)
-    owners = full_matrix_owners(design, q, n, big_n, seeds)
+    owners = full_matrix_owners(design, nums, n, big_n, seeds)
     z = y[owners, np.arange(big_n)]
     counts = np.bincount(owners, minlength=len(channels))
     estimate = min(1.0, max(-1.0, 2.0 * int(z.sum()) / big_n - 1.0))
     target = float(sum(
-        Fraction(s * num * (2 * ch.threshold - big_n), q.denominator * big_n)
-        for num, s, ch in zip(q.numerators, q.signs, channels)
+        Fraction((-num if w < 0 else num) * (2 * ch.threshold - big_n), (1 << n) * big_n)
+        for num, w, ch in zip(nums, design.weights, channels)
     ))
     return z, counts, estimate, target, estimate - target
 

@@ -37,7 +37,6 @@ from scmux.bitstream import bipolar_thresholds
 from scmux.cli import main as cli_main
 from scmux.filterapp import make_lowpass, filter_rmse_vs_length
 from scmux.muxtree import (
-    QuantizedWeights,
     build_hardwired_tree,
     quantize_weights,
     tree_size,
@@ -63,8 +62,8 @@ def test_criterion_01_quantization_totality():
         if not np.any(w):
             continue
         q = quantize_weights(w, m)
-        assert sum(q.numerators) == 1 << m
-        assert list(q.numerators) == quantize_weights_transcription(w, m)
+        assert q.sum() == 1 << m
+        assert q.tolist() == quantize_weights_transcription(w, m)
     elapsed = time.monotonic() - t0
     _check(
         1,
@@ -88,8 +87,8 @@ def test_criterion_02_precise_sampling_exactness():
         rep = run_adder(
             design, rng.uniform(-1, 1, m_inputs), 1 << n, int(rng.integers(0, 2**63))
         )
-        expected = quantize_weights(w, n).numerators
-        worst = max(worst, int(np.abs(rep.sampling_counts - np.array(expected)).max()))
+        expected = quantize_weights(w, n)
+        worst = max(worst, int(np.abs(rep.sampling_counts - expected).max()))
     _check(2, "precise sampling counts exact", worst == 0, f"max |C_i - q_i N/2^n| = {worst}")
 
 
@@ -123,11 +122,11 @@ def test_criterion_04_ddg_structure_and_equivalence():
             continue
         q = quantize_weights(w, h)
         muxes, _ = tree_size(q, "hardwired")
-        popcount = sum(bin(x).count("1") for x in q.numerators)
+        popcount = sum(bin(x).count("1") for x in q.tolist())
         assert muxes == popcount - 1
         # the production count is popcount - 1 by definition; the oracle
         # counts the muxes that pairing slots bottom-up actually builds
-        assert muxes == pairing_tree(q.numerators, h).mux_count
+        assert muxes == pairing_tree(q.tolist(), h).mux_count
         assert muxes <= min(m_inputs * h - 1, (1 << h) - 1)
     mismatches = 0
     checked = 0
@@ -137,8 +136,7 @@ def test_criterion_04_ddg_structure_and_equivalence():
             for nums in itertools.product(range(size + 1), repeat=m_inputs):
                 if sum(nums) != size:
                     continue
-                q = QuantizedWeights(nums, h, (1,) * m_inputs)
-                owner = build_hardwired_tree(q)
+                owner = build_hardwired_tree(nums)
                 pairing = pairing_tree(nums, h)
                 for word in range(size):
                     checked += 1
@@ -179,10 +177,9 @@ def test_criterion_05_table3_closed_forms():
         details.append(f"{model[:4]}/{sampling[:4]}/{scc_level}: |cf-mc|/se={abs(cf-mc)/max(se,1e-18):.2f}")
         # exact enumeration at M=2, N=4
         cfg2 = ModelConfig(model, sampling, scc_level, (0.7, -0.3), (0.4, 0.6), 4)
-        q = quantize_weights(cfg2.weights, 2)
-        owner = build_hardwired_tree(q)
+        owner = build_hardwired_tree(quantize_weights(cfg2.weights, 2))
         b = bipolar_thresholds(np.asarray(cfg2.values), 2)
-        bp = [int(x) if s > 0 else 4 - int(x) for x, s in zip(b, q.signs)]
+        bp = [4 - int(x) if w < 0 else int(x) for x, w in zip(b, cfg2.weights)]
         exact = float(enumerate_model_variance(cfg2, owner.tolist(), bp))
         ok &= abs(closed_form_variance(cfg2) - exact) <= 1e-12 * max(exact, 1e-30)
     elapsed = time.monotonic() - t0

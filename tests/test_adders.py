@@ -227,7 +227,7 @@ def test_run_kernel_matches_full_matrix_oracle_on_filter_size_biased_trees():
         for name in ("cemux_biased", "basic_biased"):
             d = make_design(name, w, n)
             q = quantize_weights(w, n)
-            active = sum(num > 0 for num in q.numerators)
+            active = np.count_nonzero(q)
             if active & (active - 1) == 0:
                 continue  # no padding below a power-of-two count
             depths.add(int(active - 1).bit_length())
@@ -294,7 +294,7 @@ def test_step_table_walk_matches_per_level_walk(n, weights, words_seed):
     heap, leaf_owner = build_biased_selector_tree(q)
     _fill_tables(make_design("cemux_biased", weights, n), [weights])
     nums, (step, cached_owner) = _tables[(np.array(weights).tobytes(), n, "biased")]
-    assert nums.tolist() == list(q.numerators)
+    assert np.array_equal(nums, q)
     assert np.array_equal(cached_owner, leaf_owner)
     depth = leaf_owner.size.bit_length() - 1
     # uniform words plus a word of every WBG class (the word 0 among them) at
@@ -430,7 +430,7 @@ def test_precise_designs_sample_counts_exact(name):
         d = make_design(name, w, n)
         rep = run_adder(d, rng.uniform(-1, 1, m_inputs), 1 << n, int(rng.integers(0, 2**63)))
         q = quantize_weights(w, n)
-        assert rep.sampling_counts.tolist() == list(q.numerators)
+        assert rep.sampling_counts.tolist() == q.tolist()
 
 
 def test_estimates_always_in_range():
@@ -605,6 +605,24 @@ def test_apc_matches_full_matrix_oracle_at_filter_size():
                     rep.estimate, rep.target, rep.error)
 
 
+def test_apc_coefficient_cache_keeps_one_entry():
+    # per-run weights must not pile up one (M, N) bit matrix per run: the cache
+    # keeps the last weights' entry, and a repeat of them hits it
+    from scmux.adders import _apc_coefficients
+
+    rng = np.random.default_rng(77)
+    values = rng.uniform(-1, 1, 8)
+    for _ in range(5):
+        run_apc(rng.uniform(-1, 1, 8), values, 256)
+        assert _apc_coefficients.cache_info().currsize == 1
+    w = rng.uniform(-1, 1, 8)
+    first = run_apc(w, values, 256)
+    hits = _apc_coefficients.cache_info().hits
+    assert run_apc(w, values, 256) == first
+    assert _apc_coefficients.cache_info().hits == hits + 1
+    assert _apc_coefficients.cache_info().currsize == 1
+
+
 def test_apc_rejects_out_of_range_coefficients():
     with pytest.raises(ValueError):
         run_apc([1.5], [0.5], 64)
@@ -688,11 +706,11 @@ def test_structural_counts_match_oracle_trees():
         w[int(rng.integers(0, m_inputs))] = rng.choice([-0.5, 0.5])
         n = int(rng.integers(3, 11))
         design = make_design(names[case % len(names)], w, n)
-        q = quantize_weights(w, n)
-        active = sum(1 for num in q.numerators if num)
+        q = quantize_weights(w, n).tolist()
+        active = sum(1 for num in q if num)
         wbgs = active if design.data_pcc is PccKind.WBG else 0
         if design.tree_type == "hardwired":
-            pairing = pairing_tree(q.numerators, n)
+            pairing = pairing_tree(q, n)
             muxes, levels = pairing.mux_count, pairing.height
         else:
             ref = biased_tree_reference(q, PccKind.WBG)
@@ -705,7 +723,7 @@ def test_structural_counts_match_oracle_trees():
             assert (counts["rns_instances"], counts["select_counter_bits"]) == (1, levels)
         else:
             assert (counts["rns_instances"], counts["select_counter_bits"]) == (1 + levels, 0)
-        seen.add((design.tree_type, "zero weight" if 0 in q.numerators else "all active"))
+        seen.add((design.tree_type, "zero weight" if 0 in q else "all active"))
         seen.add((design.tree_type, "one active" if active == 1 else
                   "power of two" if active & (active - 1) == 0 else "other count"))
     assert seen == {

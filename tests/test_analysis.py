@@ -32,10 +32,9 @@ from scmux.muxtree import build_hardwired_tree, quantize_weights
 
 def _enum_setup(cfg):
     n = int(math.log2(cfg.N))
-    q = quantize_weights(cfg.weights, n)
     b = bipolar_thresholds(np.asarray(cfg.values), n)
-    bp = [int(x) if s > 0 else cfg.N - int(x) for x, s in zip(b, q.signs)]
-    return build_hardwired_tree(q).tolist(), bp
+    bp = [cfg.N - int(x) if w < 0 else int(x) for x, w in zip(b, cfg.weights)]
+    return build_hardwired_tree(quantize_weights(cfg.weights, n)).tolist(), bp
 
 
 MICRO_W = (0.7, -0.3)
@@ -138,7 +137,7 @@ def test_eq12_equivalence_bernoulli_noisy():
         q = quantize_weights(w, n)
         b = bipolar_thresholds(v, n)
         mu_q = 2.0 * b / (1 << n) - 1.0
-        signed_wt = np.array(q.numerators) / q.denominator * np.array(q.signs)
+        signed_wt = q / (1 << n) * np.where(w < 0, -1, 1)
         expected = (1.0 - float(signed_wt @ mu_q) ** 2) / (1 << n)
         assert closed_form_variance(cfg) == pytest.approx(expected, abs=1e-14)
 

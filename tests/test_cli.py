@@ -46,6 +46,15 @@ def test_quantize_single_weight(tmp_path, capsys):
     assert data_rows(out)[1] == "0,32,32,-1"
 
 
+def test_quantize_signs_follow_the_weights(tmp_path, capsys):
+    # each row's sign is its weight's: -1 below zero, +1 for zero and -0.0
+    wf = tmp_path / "w.txt"
+    wf.write_text("-0.5\n0\n-0.0\n0.25\n-0.25\n")
+    code, out, _ = run_cli(capsys, "quantize", "--weights", str(wf), "--m", "3")
+    assert code == 0
+    assert data_rows(out)[1:] == ["0,4,8,-1", "1,0,8,+1", "2,0,8,+1", "3,2,8,+1", "4,2,8,-1"]
+
+
 def test_quantize_zero_mass_exit_code(tmp_path, capsys):
     wf = tmp_path / "w.txt"
     wf.write_text("0\n0\n")
@@ -204,6 +213,7 @@ DECOMPOSE = ["decompose", "--model", "bernoulli", "--sampling", "precise"]
     ([*DECOMPOSE, "--weights-file"], 65536),
     ([*DECOMPOSE, "--values-file"], 65536),
     (["filter", "--signal"], 1 << 20),
+    (["quantize", "--m", "16", "--weights"], 65536),
 ])
 def test_oversized_input_files_are_rejected(tmp_path, capsys, argv, limit):
     path = tmp_path / "big"
@@ -624,6 +634,7 @@ def cli_argv(draw):
 @example(["decompose", "--model", "bernoulli", "--sampling", "noisy", "--m-list", "2", "--n", "4",
           "--runs", "2", "--values-file", "@coeffs_over"])
 @example(["filter", "--length", "8", "--taps", "2", "--n", "4", "--signal", "@signal_over"])
+@example(["quantize", "--weights", "@coeffs_over", "--m", "16"])
 def test_cli_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in FUZZ_FILES.items():

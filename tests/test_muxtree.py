@@ -20,7 +20,6 @@ from oracles import (
     select_leaf_precise,
 )
 from scmux.muxtree import (
-    QuantizedWeights,
     _biased_rows,
     _hardwired_rows,
     _quantize_rows,
@@ -37,18 +36,19 @@ weight_lists = st.lists(
 
 
 def test_quantize_examples():
-    assert quantize_weights([1 / 2, 3 / 8, 1 / 8], 3).numerators == (4, 3, 1)
-    assert quantize_weights([7 / 16, 1 / 4, 1 / 4, 1 / 16], 4).numerators == (7, 4, 4, 1)
+    assert quantize_weights([1 / 2, 3 / 8, 1 / 8], 3).tolist() == [4, 3, 1]
+    assert quantize_weights([7 / 16, 1 / 4, 1 / 4, 1 / 16], 4).tolist() == [7, 4, 4, 1]
+    # the row is the numerators alone; the signs stay with the weights
     q = quantize_weights([-1 / 2, 3 / 8, 1 / 8], 3)
-    assert q.numerators == (4, 3, 1)
-    assert q.signs == (-1, 1, 1)
+    assert isinstance(q, np.ndarray) and q.dtype == np.int64
+    assert q.tolist() == [4, 3, 1]
 
 
 def test_quantize_decrement_loop_case():
     w = [0.375, 0.375, 0.25]
     q = quantize_weights(w, 1)
-    assert q.numerators == tuple(quantize_weights_transcription(w, 1))
-    assert sum(q.numerators) == 2
+    assert q.tolist() == quantize_weights_transcription(w, 1)
+    assert q.sum() == 2
 
 
 def test_quantize_errors():
@@ -67,17 +67,16 @@ def test_quantize_rejects_non_finite_weights():
             with pytest.raises(ValueError, match="weights must be finite"):
                 quantize_weights(w, 4)
         # finite weights whose 2^m multiples overflow are rescaled exactly
-        assert quantize_weights([1e308], 4).numerators == (16,)
-        assert quantize_weights([1e308, -5e307], 3).numerators == (5, 3)
+        assert quantize_weights([1e308], 4).tolist() == [16]
+        assert quantize_weights([1e308, -5e307], 3).tolist() == [5, 3]
 
 
 def test_quantize_repeats_sign_and_error_checks_per_call():
-    # the numerators of a magnitude vector are memoized; signs and the checks
-    # on bad weights are not
+    # weights that differ only in sign give one numerator row, and the checks
+    # on bad weights run on every call
     a = quantize_weights([0.5, -0.25, 0.25], 3)
     b = quantize_weights([-0.5, 0.25, -0.25], 3)
-    assert a.numerators == b.numerators == (4, 2, 2)
-    assert (a.signs, b.signs) == ((1, -1, 1), (-1, 1, -1))
+    assert a.tolist() == b.tolist() == [4, 2, 2]
     for _ in range(2):
         with pytest.raises(ValueError, match="zero weight mass"):
             quantize_weights([0.0, -0.0], 3)
@@ -108,21 +107,20 @@ def test_row_wise_cores_match_per_vector_builds_and_oracles(rows, h):
     nums = _quantize_rows(rows, h)
     assert nums.shape == (len(rows), len(rows[0])) and nums.dtype == np.int64
     for row, row_nums in zip(rows, nums):
-        assert tuple(row_nums.tolist()) == quantize_weights(row, h).numerators
+        assert np.array_equal(row_nums, quantize_weights(row, h))
         if sum(abs(x) for x in row) < 1e200:  # the transcription overflows beyond
             assert row_nums.tolist() == quantize_weights_transcription(row, h)
     for row_nums, owner in zip(nums, _hardwired_rows(nums, h)):
-        q = QuantizedWeights(tuple(row_nums.tolist()), h, (1,) * len(row_nums))
-        assert owner.tolist() == level_ordered_owners(q.numerators, h).tolist()
-        assert np.array_equal(owner, build_hardwired_tree(q))
+        assert owner.tolist() == level_ordered_owners(row_nums.tolist(), h).tolist()
+        assert np.array_equal(owner, build_hardwired_tree(row_nums))
     active = np.count_nonzero(nums, axis=1)
     for k in set(active.tolist()):
         group = nums[active == k]
         for row_nums, heap, leaf_owner in zip(group, *_biased_rows(group, h)):
-            q = QuantizedWeights(tuple(row_nums.tolist()), h, (1,) * len(row_nums))
-            expected = biased_heap_layout(biased_tree_reference(q, PccKind.WBG))
+            expected = biased_heap_layout(biased_tree_reference(row_nums, PccKind.WBG))
             assert (heap.tolist(), leaf_owner.tolist()) == expected
-            assert all(map(np.array_equal, (heap, leaf_owner), build_biased_selector_tree(q)))
+            built = build_biased_selector_tree(row_nums)
+            assert all(map(np.array_equal, (heap, leaf_owner), built))
 
 
 def test_quantize_rows_raises_the_first_bad_rows_message():
@@ -151,9 +149,10 @@ def test_quantize_rows_raises_the_first_bad_rows_message():
 @example(w=[1.0, 0.5, 0.9999999999999999, 0.06, 1.0, 1.0, 1.0, 1.0], m=1)
 def test_quantize_matches_transcription_and_sums(w, m):
     q = quantize_weights(w, m)
-    assert sum(q.numerators) == 1 << m
-    assert q.numerators == tuple(quantize_weights_transcription(w, m))
-    assert all(n >= 0 for n in q.numerators)
+    assert q.dtype == np.int64 and q.shape == (len(w),)
+    assert q.sum() == 1 << m
+    assert q.tolist() == quantize_weights_transcription(w, m)
+    assert (q >= 0).all()
 
 
 def test_quantize_matches_transcription_on_ties_and_near_ties():
@@ -168,7 +167,7 @@ def test_quantize_matches_transcription_on_ties_and_near_ties():
             w = np.nextafter(np.ones_like(w), rng.choice([0.0, 2.0], w.shape))
         w[rng.random(w.shape) < 0.1] = 0.0
         w[0] = w[0] or 0.5
-        assert list(quantize_weights(w, m).numerators) == quantize_weights_transcription(w, m)
+        assert quantize_weights(w, m).tolist() == quantize_weights_transcription(w, m)
 
 
 def test_tree_level_assignment_matches_binary_expansions():
@@ -184,22 +183,22 @@ def test_single_input_tree_has_no_muxes():
     assert tree_size(q, "hardwired") == (0, 3)
     assert tree_size(q, "biased") == (0, 0)
     assert build_hardwired_tree(q).tolist() == [0] * 8
-    assert pairing_tree(q.numerators, 3).mux_count == 0
-    assert all(select_leaf_precise(pairing_tree(q.numerators, 3), w) == 0 for w in range(8))
+    assert pairing_tree(q.tolist(), 3).mux_count == 0
+    assert all(select_leaf_precise(pairing_tree(q.tolist(), 3), w) == 0 for w in range(8))
 
 
 def test_equal_four_way_tree_counts():
     q = quantize_weights([1, 1, 1, 1], 2)
     owner = build_hardwired_tree(q)
     assert sorted(owner.tolist()) == [0, 1, 2, 3]
-    owners = [select_leaf_precise(pairing_tree(q.numerators, 2), w) for w in range(4)]
+    owners = [select_leaf_precise(pairing_tree(q.tolist(), 2), w) for w in range(4)]
     assert owners == owner.tolist()
 
 
 def test_precise_counts_eq15():
     q = quantize_weights([7 / 16, 1 / 4, 1 / 4, 1 / 16], 4)
     counts = np.bincount(build_hardwired_tree(q), minlength=4)
-    assert counts.tolist() == [7, 4, 4, 1] == list(q.numerators)
+    assert counts.tolist() == [7, 4, 4, 1] == q.tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -209,7 +208,7 @@ def test_precise_sampling_exact_any_phase(w, h, phase):
     n_cycles = 4 << h
     words = (phase + np.arange(n_cycles)) % (1 << h)
     counts = np.bincount(build_hardwired_tree(q)[words], minlength=len(w))
-    assert counts.tolist() == [num * (n_cycles >> h) for num in q.numerators]
+    assert counts.tolist() == (q * (n_cycles >> h)).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,7 +216,7 @@ def test_precise_sampling_exact_any_phase(w, h, phase):
 def test_ddg_routing_fractions_exact(w, h):
     q = quantize_weights(w, h)
     counts = np.bincount(build_hardwired_tree(q), minlength=len(w))
-    assert counts.tolist() == list(q.numerators)
+    assert counts.tolist() == q.tolist()
 
 
 @st.composite
@@ -239,19 +238,32 @@ def numerator_sets(draw):
 @example((5, [0, 32, 0]))
 def test_select_matches_full_tree_oracle(case):
     h, numerators = case
-    m_inputs = len(numerators)
-    q = QuantizedWeights(tuple(numerators), h, (1,) * m_inputs)
     slots = level_ordered_owners(numerators, h)
     want = [full_tree_select(numerators, h, word, slots) for word in range(1 << h)]
-    assert build_hardwired_tree(q).tolist() == want
+    assert build_hardwired_tree(numerators).tolist() == want
     pairing = pairing_tree(numerators, h)
     assert [select_leaf_precise(pairing, word) for word in range(1 << h)] == want
-    assert tree_size(q, "hardwired") == (pairing.mux_count, h)
+    assert tree_size(numerators, "hardwired") == (pairing.mux_count, h)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build_hardwired_tree, build_biased_selector_tree, lambda nums: tree_size(nums, "hardwired")],
+    ids=["build_hardwired_tree", "build_biased_selector_tree", "tree_size"],
+)
+def test_builders_reject_a_row_whose_sum_is_not_a_power_of_two(build):
+    # the height is read off the row's sum, so a row with no height is refused
+    # where it enters, with the message of the numerators' sum check
+    for nums in ([3, 2], [4, 2, 1], [0, 0], [5], np.array([6, 0, 6]), []):
+        with pytest.raises(ValueError) as exc:
+            build(nums)
+        assert str(exc.value) == "quantized numerators must sum to exactly 2^height"
+    assert build([3, 0, 1]) is not None  # 2^2
 
 
 def test_select_noisy_matches_word_traversal():
     q = quantize_weights([5 / 8, 1 / 4, 1 / 8], 3)
-    tree = pairing_tree(q.numerators, 3)
+    tree = pairing_tree(q.tolist(), 3)
     owner = build_hardwired_tree(q)
     for word in range(8):
         bits = [(word >> (3 - lvl)) & 1 for lvl in (1, 2, 3)]
@@ -260,7 +272,7 @@ def test_select_noisy_matches_word_traversal():
 
 def test_select_noisy_binomial_mean():
     q = quantize_weights([0.5, 0.5], 1)
-    tree = pairing_tree(q.numerators, 1)
+    tree = pairing_tree(q.tolist(), 1)
     rng = np.random.default_rng(3)
     n_cycles, reps = 64, 400
     counts = np.array(
@@ -284,7 +296,7 @@ def test_mux_count_bound():
             continue
         q = quantize_weights(w, h)
         muxes, _ = tree_size(q, "hardwired")
-        popcount = sum(bin(x).count("1") for x in q.numerators)
+        popcount = sum(bin(x).count("1") for x in q.tolist())
         assert muxes == popcount - 1
         assert muxes <= min(m_inputs * h - 1, (1 << h) - 1)
 
@@ -322,9 +334,9 @@ def test_biased_path_products_recover_quantized_weights(w, h):
         return
     prods = biased_leaf_path_products(ref)
     assert sum(prods.values()) == 1
-    for i, num in enumerate(q.numerators):
+    for i, num in enumerate(q.tolist()):
         if num > 0:
-            assert prods[i] == Fraction(num, q.denominator)
+            assert prods[i] == Fraction(num, 1 << h)
     heap, leaf_owner = build_biased_selector_tree(q)
     assert heap.tolist() == biased_heap_layout(ref)[0]
     assert set(leaf_owner.tolist()) == set(prods)
@@ -332,7 +344,7 @@ def test_biased_path_products_recover_quantized_weights(w, h):
 
 def test_biased_zero_weight_inputs_dropped():
     q = quantize_weights([0.5, 1e-9, 0.5], 2)
-    assert q.numerators == (2, 0, 2)
+    assert q.tolist() == [2, 0, 2]
     assert 1 not in biased_leaf_path_products(biased_tree_reference(q, PccKind.WBG))
     heap, leaf_owner = build_biased_selector_tree(q)
     assert heap.tolist() == [2]
@@ -362,11 +374,12 @@ def test_biased_thresholds_match_scalar_quantizer():
     for _ in range(400):
         m_inputs = int(rng.integers(2, 40))
         w = rng.uniform(-1, 1, m_inputs) ** int(rng.integers(1, 6))
-        q = quantize_weights(w, int(rng.integers(1, 13)))
+        h = int(rng.integers(1, 13))
+        q = quantize_weights(w, h)
         heap, _ = build_biased_selector_tree(q)
         for pcc in PccKind:
             ref = biased_tree_reference(q, pcc)
-            codes = [quantize_to_probability(p, q.height) for p in ref.probabilities]
+            codes = [quantize_to_probability(p, h) for p in ref.probabilities]
             assert ref.thresholds == codes
             assert heap.tolist() == biased_heap_layout(ref)[0]
             checked += ref.mux_count
@@ -383,7 +396,7 @@ def _cut_configs():
         m_inputs = int(rng.integers(1, 151 if case % 8 == 0 else 41))
         cuts = np.sort(rng.integers(0, (1 << h) + 1, m_inputs - 1))
         nums = np.diff(np.concatenate(([0], cuts, [1 << h])))
-        yield QuantizedWeights(tuple(nums.tolist()), h, (1,) * m_inputs)
+        yield h, nums
 
 
 def test_biased_tree_matches_recursive_reference_node_for_node():
@@ -391,12 +404,12 @@ def test_biased_tree_matches_recursive_reference_node_for_node():
     # cached per active count; the reference halves the active inputs
     # recursively with one Fraction per mux, laid out as a heap
     seen = set()
-    for q in _cut_configs():
-        heap, leaf_owner = build_biased_selector_tree(q)
-        ref = biased_tree_reference(q, PccKind.WBG)
+    for _, nums in _cut_configs():
+        heap, leaf_owner = build_biased_selector_tree(nums)
+        ref = biased_tree_reference(nums, PccKind.WBG)
         assert (heap.tolist(), leaf_owner.tolist()) == biased_heap_layout(ref)
-        assert tree_size(q, "biased") == (ref.mux_count, max(ref.node_level, default=0))
-        seen.add("zero weight" if 0 in q.numerators else "all active")
+        assert tree_size(nums, "biased") == (ref.mux_count, max(ref.node_level, default=0))
+        seen.add("zero weight" if 0 in nums else "all active")
         seen.add("one active" if ref.root < 0 else "muxes")
     assert seen == {"zero weight", "all active", "one active", "muxes"}
 
@@ -406,13 +419,13 @@ def test_biased_node_probabilities_never_tie_or_round_to_one():
     # probability L/T a rounding tie (that needs 2^(h+1) | T), and none
     # rounds to 2^h (that needs T - L < 1, an empty right half)
     nodes = 0
-    for q in _cut_configs():
-        if sum(1 for num in q.numerators if num) < 2:
+    for h, nums in _cut_configs():
+        if np.count_nonzero(nums) < 2:
             continue
-        one = 1 << q.height
-        for p in biased_tree_reference(q, PccKind.COMPARATOR).probabilities:
+        one = 1 << h
+        for p in biased_tree_reference(nums, PccKind.COMPARATOR).probabilities:
             assert (p * one).denominator != 2
-            assert quantize_to_probability(p, q.height) < one
+            assert quantize_to_probability(p, h) < one
             nodes += 1
     assert nodes > 20000
 
