@@ -37,7 +37,7 @@ from .rns import RnsSpec, _lfsr_position, _lfsr_windows, complement_output, rns_
 
 # make_channels is not on the run path; it stays reachable as
 # scmux.adders.make_channels, where callers and perfbench's tracer look it up
-from .sngen import PccKind, make_channels, pcc_bits, pcc_thresholds  # noqa: F401
+from .sngen import PccKind, make_channels, pcc_bits, pcc_thresholds, wbg_bit_index  # noqa: F401
 
 @dataclass(frozen=True)
 class AdderDesign:
@@ -173,6 +173,14 @@ def _reset_words(kind: str, n: int) -> np.ndarray:
     return words
 
 
+@lru_cache(maxsize=None)
+def _reset_classes(kind: str, n: int) -> np.ndarray:
+    # their WBG classes are the same in every run too
+    classes = wbg_bit_index(_reset_words(kind, n), n)
+    classes.setflags(write=False)
+    return classes
+
+
 _MASK32 = 0xFFFFFFFF
 
 
@@ -239,9 +247,10 @@ def _values_array(values, m: int) -> np.ndarray:
 # the last fill alone. The tree depends on the magnitudes alone; the signs act
 # after it, so weights that differ only in sign share one entry. An entry is
 # (numerators, tree), read-only views of the fill's blocks: a "hardwired" tree
-# is its owner map, and a "biased" tree is (step, leaf_owner), where
-# step[s (n + 1) + k] is the heap slot that follows slot s when the select
-# word's WBG output is threshold bit k (see wbg_bit_index).
+# is its owner map, and a "biased" tree is (step, leaf_owner). Entry
+# step[s (n + 1) + k] is where the walk goes from heap slot s when the select
+# word has WBG class k (see wbg_bit_index): the next slot times n + 1 if that
+# slot is a mux, or else the next slot's position among the leaves.
 _tables: dict[tuple[bytes, int, str], tuple] = {}
 
 
@@ -251,9 +260,10 @@ def _fill_tables(design: AdderDesign, weights) -> None:
     If every vector's tables are present, nothing is built. Otherwise the
     distinct magnitude vectors are quantized as one block and their trees built
     as one block, per active count for a biased tree, each slot's step-table
-    row built through pcc_bits against one word of each WBG class, and their
-    entries replace the cache's contents. A block the quantizer rejects (NaN,
-    infinite or zero weights) raises its message and leaves the cache as it was.
+    row built through pcc_bits against one word of each WBG class and
+    pre-scaled (see _tables), and their entries replace the cache's contents.
+    A block the quantizer rejects (NaN, infinite or zero weights) raises its
+    message and leaves the cache as it was.
     """
     n, tree_type = design.n, design.tree_type
     if tree_type == "apc":
@@ -278,7 +288,9 @@ def _fill_tables(design: AdderDesign, weights) -> None:
             group = np.flatnonzero(active == k)
             heap, leaf_owner = _biased_rows(nums[group], n)
             bits = pcc_bits(PccKind.WBG, class_words, heap[:, :, None], n)
-            step = (2 * np.arange(heap.shape[1])[:, None] + 2 - bits).reshape(len(group), -1)
+            slots = heap.shape[1]
+            nxt = 2 * np.arange(slots)[:, None] + 2 - bits
+            step = np.where(nxt < slots, nxt * (n + 1), nxt - slots).reshape(len(group), -1)
             step.setflags(write=False)
             leaf_owner.setflags(write=False)
             for r, row_step, row_owner in zip(group.tolist(), step, leaf_owner):
@@ -287,18 +299,20 @@ def _fill_tables(design: AdderDesign, weights) -> None:
     _tables.update(entries)
 
 
-def _biased_walk(step: np.ndarray, leaf_owner: np.ndarray, classes: np.ndarray, starts, n: int):
+def _biased_walk(step: np.ndarray, leaf_owner: np.ndarray, classes: np.ndarray, starts):
     """Input a biased tree samples at each cycle; level l reads row starts[l - 1] of classes.
 
     classes holds rows of select-word WBG classes (sngen.wbg_bit_index).
     Every cycle walks the heap from the root, one level per select source,
     each mux converting its source's word through a WBG (see
-    build_biased_selector_tree and _tables).
+    build_biased_selector_tree). The step table is pre-scaled (see _tables),
+    so a level is one add and one gather, and the last level's entries are
+    leaf positions.
     """
     idx = np.zeros(classes.shape[-1], dtype=np.int64)
     for start in starts:
-        idx = step[idx * (n + 1) + classes[start]]
-    return leaf_owner[idx - (leaf_owner.size - 1)]
+        idx = step[idx + classes[start]]
+    return leaf_owner[idx]
 
 
 def _owner_sequence(design: AdderDesign, tree, big_n, seed) -> np.ndarray:
@@ -319,17 +333,33 @@ def _owner_sequence(design: AdderDesign, tree, big_n, seed) -> np.ndarray:
     step, leaf_owner = tree
     depth = leaf_owner.size.bit_length() - 1
     classes = _lfsr_windows(n, big_n, "wbg_classes")
-    return _biased_walk(step, leaf_owner, classes, _source_starts(seed, range(1, depth + 1), n), n)
+    return _biased_walk(step, leaf_owner, classes, _source_starts(seed, range(1, depth + 1), n))
+
+
+def _data_row(design: AdderDesign, big_n: int, seed: int, row: str) -> np.ndarray:
+    """The run's data-source words (row "words") or their WBG classes ("wbg_classes")."""
+    n = design.n
+    if design.data_rns_kind not in _RESET_KINDS:
+        return _lfsr_windows(n, big_n, row)[_source_starts(seed, [0], n)[0]]
+    if row == "words":
+        return _reset_words(design.data_rns_kind, n)
+    return _reset_classes(design.data_rns_kind, n)
 
 
 def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationReport:
     """Cycle-accurate simulation of one adder run.
 
     Each clock cycle the tree passes one input's bit to the output, so only
-    that bit is generated: the sampled input's PCC compares the cycle's
-    shared source word (complemented for negative inputs under full
-    correlation) with its threshold, and its sign inverter follows. The
-    up-down counter accumulates the output. The APC runs its own datapath.
+    that bit is generated: the sampled input's PCC reads the cycle's shared
+    source word x (complemented for a negative input under full correlation),
+    and its sign inverter follows. The inverter is folded into the PCC:
+      comparator, full correlation: the complement and the inverter cancel,
+          1 - [2^n - 1 - x < B] = [x < 2^n - B], so a negative input compares
+          x with its post-sign code B' = 2^n - B;
+      comparator otherwise: [x < B], inverted for a negative input;
+      WBG: bit k of the code for a word of class k (bit n, which is 0, for
+          the word 0), so a negative input's code has all n + 1 bits inverted.
+    The up-down counter accumulates the output. The APC runs its own datapath.
     """
     n = design.n
     if big_n != (1 << n):
@@ -348,24 +378,33 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationR
         tables = _tables[key]
     nums, tree = tables
 
-    if design.data_rns_kind in _RESET_KINDS:
-        words = _reset_words(design.data_rns_kind, n)
-    else:
-        words = _lfsr_windows(n, big_n, "words")[_source_starts(seed, [0], n)[0]]
     owners = _owner_sequence(design, tree, big_n, seed)
-    signed = np.where(w < 0, -nums, nums)
-    # an input of numerator 0 is never sampled, so s_i q_i has the sign of
-    # every input read here
-    inverted = signed[owners] < 0
-    if design.full_correlation:
-        words = np.where(inverted, complement_output(words, n), words)
-    z = pcc_bits(design.data_pcc, words, thresholds[owners], n) ^ inverted
+    neg = w < 0
+    post_sign = np.where(neg, big_n - thresholds, thresholds)
+    if design.data_pcc is PccKind.COMPARATOR:
+        words = _data_row(design, big_n, seed, "words")
+        if design.full_correlation:
+            z = words < post_sign[owners]
+        else:
+            z = (words < thresholds[owners]) ^ neg[owners]
+        z = z.view(np.uint8)
+    else:
+        # a WBG outputs bit k of its code for a word of class k, and bit n,
+        # which is 0, for the word 0; so inverting all n + 1 bits of a
+        # negative input's code inverts each of its outputs
+        codes = np.where(neg, thresholds ^ ((2 << n) - 1), thresholds)
+        classes = _data_row(design, big_n, seed, "wbg_classes")
+        if design.full_correlation:
+            words = _data_row(design, big_n, seed, "words")
+            classes = np.where(neg[owners], wbg_bit_index(complement_output(words, n), n), classes)
+        z = ((codes[owners] >> classes) & 1).astype(np.uint8)
 
     ones = int(np.count_nonzero(z))
     estimate = min(1.0, max(-1.0, 2.0 * ones / big_n - 1.0))
-    # sum_i s_i (q_i / 2^n)(2 B_i / 2^n - 1) is the integer below over 2^2n,
-    # so one correctly rounded division gives the double nearest it
-    target = int(signed @ (2 * thresholds - big_n)) / (big_n * big_n)
+    # sum_i s_i (q_i / 2^n)(2 B_i / 2^n - 1) = sum_i (q_i / 2^n)(2 B'_i / 2^n - 1)
+    # is the integer below over 2^2n, so one correctly rounded division gives
+    # the double nearest it
+    target = int(nums @ (2 * post_sign - big_n)) / (big_n * big_n)
     return SimulationReport(
         estimate=estimate,
         target=target,

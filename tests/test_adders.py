@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -179,37 +180,73 @@ def _kernel_config(rng):
     return w, v, n
 
 
+# every mux design AdderDesign accepts: tree, data PCC, full correlation,
+# precise sampling and a reset-counter or LFSR data source; the presets are
+# nine of them
+MUX_FEATURES = tuple(itertools.product(
+    ("hardwired", "biased"),
+    (PccKind.COMPARATOR, PccKind.WBG),
+    (True, False),
+    (True, False),
+    ("sobol_reversed_counter", "lfsr"),
+))
+
+
 def test_run_kernel_matches_full_matrix_oracle_exactly():
     # the oracle generates every input's whole stream, takes hardwired owners
     # from the level-ordered blocks and, for biased trees, generates every
     # mux's select bits; the kernel generates one data bit and one select
-    # path per cycle
+    # path per cycle, with each input's sign inverter folded into its PCC
     rng = np.random.default_rng(4242)
-    presets = DESIGN_NAMES + ABLATION_NAMES
-    assert len(presets) == 10
+    assert len(MUX_FEATURES) == 32
+    assert {
+        (d.tree_type, d.data_pcc, d.full_correlation, d.precise_sampling, d.data_rns_kind)
+        for d in (make_design(name, [1.0], 3) for name in DESIGN_NAMES + ABLATION_NAMES)
+    } - {("apc", PccKind.COMPARATOR, False, False, "sobol_reversed_counter")} <= set(MUX_FEATURES)
     checked = set()
     for _ in range(300):
         w, v, n = _kernel_config(rng)
         seed = int(rng.integers(0, 2**63))
-        for name in presets:
-            d = make_design(name, w, n)
+        rep = run_adder(make_design("apc", w, n), v, 1 << n, seed)
+        assert (rep.estimate, rep.target, rep.error) == full_matrix_apc(w, v, 1 << n)
+        assert rep.output_bits is None and rep.sampling_counts is None
+        codes = np.array([bipolar_threshold(x, n) for x in v])
+        if not np.all(quantize_weights(w, n)):
+            checked.add("zero numerator")
+        for tree_type, pcc, fc, ps, kind in MUX_FEATURES:
+            d = dataclasses.replace(
+                make_design("cemux", w, n), name=f"{tree_type}/{pcc.value}/fc={fc}/ps={ps}/{kind}",
+                tree_type=tree_type, data_pcc=pcc, full_correlation=fc, precise_sampling=ps,
+                data_rns_kind=kind,
+            )
             with warnings.catch_warnings():
                 # value 1 clamps on WBG data paths
                 warnings.simplefilter("ignore", QuantizationWarning)
                 rep = run_adder(d, v, 1 << n, seed)
-                if name == "apc":
-                    assert (rep.estimate, rep.target, rep.error) == full_matrix_apc(w, v, 1 << n)
-                    assert rep.output_bits is None and rep.sampling_counts is None
-                    continue
                 z, counts, estimate, target, error = full_matrix_run(d, v, 1 << n, seed)
-            assert np.array_equal(rep.output_bits, z), name
-            assert np.array_equal(rep.sampling_counts, counts), name
-            assert (rep.estimate, rep.target, rep.error) == (estimate, target, error), name
-            if d.data_pcc is PccKind.WBG and np.any(v == 1.0):
+            assert rep.output_bits.dtype == np.uint8, d.name
+            assert np.array_equal(rep.output_bits, z), d.name
+            assert np.array_equal(rep.sampling_counts, counts), d.name
+            assert (rep.estimate, rep.target, rep.error) == (estimate, target, error), d.name
+            sampled_neg = (w < 0) & (counts > 0)
+            if pcc is PccKind.WBG and np.any(v == 1.0):
                 checked.add("wbg clamp")
-            if d.full_correlation and np.any(w < 0):
+            if fc and np.any(sampled_neg):
                 checked.add("complemented wiring")
-    assert checked == {"wbg clamp", "complemented wiring"}
+                if pcc is PccKind.WBG:
+                    checked.add("wbg full correlation")
+            if np.any(sampled_neg & (codes == 0)):
+                checked.add("negative input at code 0")
+            if pcc is PccKind.COMPARATOR and np.any(sampled_neg & (codes == 1 << n)):
+                checked.add("negative input at code N")
+            # the reset source's first word is 0, the WBG class that outputs
+            # 0 for any code, so only a negative input's inverter makes it 1
+            if pcc is PccKind.WBG and not fc and kind != "lfsr" and z[0] == 1:
+                checked.add("negative input on word 0")
+    assert checked == {
+        "wbg clamp", "complemented wiring", "wbg full correlation", "negative input at code 0",
+        "negative input at code N", "negative input on word 0", "zero numerator",
+    }
 
 
 def test_run_kernel_matches_full_matrix_oracle_on_filter_size_biased_trees():
@@ -307,14 +344,14 @@ def test_step_table_walk_matches_per_level_walk(n, weights, words_seed):
         rng.permuted(np.tile(classes, (depth, 4)), axis=1),
     ))
     expected = biased_walk_per_level(heap, leaf_owner, select, n)
-    walked = _biased_walk(step, leaf_owner, wbg_bit_index(select, n), range(depth), n)
+    walked = _biased_walk(step, leaf_owner, wbg_bit_index(select, n), range(depth))
     assert np.array_equal(walked, expected)
     # and on the WBG class table a run reads, from random start positions
     starts = rng.integers(0, (1 << n) - 1, depth)
     select = np.array([source_words(SourceSpec("lfsr", n, state), 1 << n)
                        for state in _lfsr_cycle(n)[starts]]).reshape(depth, 1 << n)
     assert np.array_equal(
-        _biased_walk(step, leaf_owner, _lfsr_windows(n, 1 << n, "wbg_classes"), starts, n),
+        _biased_walk(step, leaf_owner, _lfsr_windows(n, 1 << n, "wbg_classes"), starts),
         biased_walk_per_level(heap, leaf_owner, select, n),
     )
 

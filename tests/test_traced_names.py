@@ -69,6 +69,7 @@ def test_each_run_is_one_adder_call_of_2_to_the_n_cycles(monkeypatch):
 
     import scmux.analysis
     import scmux.filterapp
+    from oracles import ABLATION_NAMES, DESIGN_NAMES
     from scmux.adders import make_design
     from scmux.filterapp import Signal
 
@@ -79,7 +80,8 @@ def test_each_run_is_one_adder_call_of_2_to_the_n_cycles(monkeypatch):
             return run(design, values, big_n, seed)
 
         monkeypatch.setattr(module, "run_adder", counted)
-    for name in ("cemux", "cemux_biased", "basic_hardwired", "apc"):
+    # every preset: each PCC branch of run_adder, and the APC
+    for name in DESIGN_NAMES + ABLATION_NAMES:
         d = make_design(name, [0.5, -0.25, 0.25], 10)
         for mode in (None, "uniform", "pm"):
             calls.clear()
