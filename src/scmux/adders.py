@@ -37,13 +37,14 @@ from .rns import RnsSpec, _lfsr_position, _lfsr_windows, complement_output, rns_
 
 # make_channels is not on the run path; it stays reachable as
 # scmux.adders.make_channels, where callers and perfbench's tracer look it up
-from .sngen import PccKind, make_channels, pcc_bits, pcc_thresholds, wbg_bit_index  # noqa: F401
+from .sngen import PccKind, make_channels, pcc_thresholds, wbg_bit_index  # noqa: F401
 
 @dataclass(frozen=True)
 class AdderDesign:
+    """A preset's wiring at precision n; each run brings its own weight row."""
+
     name: str
     n: int
-    weights: tuple[float, ...]
     tree_type: str  # hardwired | biased | apc
     data_pcc: PccKind
     data_rns_kind: str
@@ -135,18 +136,16 @@ def normalize_design_name(name: str) -> str:
     return key
 
 
-def make_design(name: str, weights, n: int) -> AdderDesign:
-    """Instantiate a named design at precision n with the given weights."""
+def make_design(name: str, n: int) -> AdderDesign:
+    """Instantiate a named design at precision n.
+
+    Weights are checked where a run or a report uses them: by the quantizer,
+    or by run_apc for the APC.
+    """
     key = normalize_design_name(name)
     if not 3 <= n <= 16:
         raise ValueError("precision n must be in [3, 16]")
-    w = tuple(float(x) for x in weights)
-    bad = [x for x in w if not math.isfinite(x)]
-    if bad:
-        raise ValueError(f"weights must be finite, got {bad[0]}")
-    if not w or all(x == 0.0 for x in w):
-        raise ValueError("zero weight mass")
-    return AdderDesign(name=key, n=n, weights=w, **_PRESETS[key])
+    return AdderDesign(name=key, n=n, **_PRESETS[key])
 
 
 @dataclass(frozen=True)
@@ -260,8 +259,8 @@ def _fill_tables(design: AdderDesign, weights) -> None:
     If every vector's tables are present, nothing is built. Otherwise the
     distinct magnitude vectors are quantized as one block and their trees built
     as one block, per active count for a biased tree, each slot's step-table
-    row built through pcc_bits against one word of each WBG class and
-    pre-scaled (see _tables), and their entries replace the cache's contents.
+    row read off the bits of its code and pre-scaled (see _tables), and their
+    entries replace the cache's contents.
     A block the quantizer rejects (NaN, infinite or zero weights) raises its
     message and leaves the cache as it was.
     """
@@ -282,12 +281,13 @@ def _fill_tables(design: AdderDesign, weights) -> None:
         entries = dict(zip(keys, zip(nums, owners)))
     else:
         entries = {}
-        class_words = np.array([*(1 << k for k in range(n)), 0], dtype=np.int64)
         active = np.count_nonzero(nums, axis=1)
         for k in set(active.tolist()):
             group = np.flatnonzero(active == k)
             heap, leaf_owner = _biased_rows(nums[group], n)
-            bits = pcc_bits(PccKind.WBG, class_words, heap[:, :, None], n)
+            # a select WBG outputs bit k of its code for a word of class k;
+            # codes lie below 2^n, so class n (the word 0) reads bit n, a 0
+            bits = (heap[:, :, None] >> np.arange(n + 1)) & 1
             slots = heap.shape[1]
             nxt = 2 * np.arange(slots)[:, None] + 2 - bits
             step = np.where(nxt < slots, nxt * (n + 1), nxt - slots).reshape(len(group), -1)
@@ -346,8 +346,8 @@ def _data_row(design: AdderDesign, big_n: int, seed: int, row: str) -> np.ndarra
     return _reset_classes(design.data_rns_kind, n)
 
 
-def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationReport:
-    """Cycle-accurate simulation of one adder run.
+def run_adder(design: AdderDesign, values, big_n: int, seed: int, weights) -> SimulationReport:
+    """Cycle-accurate simulation of one adder run with the weight row `weights`.
 
     Each clock cycle the tree passes one input's bit to the output, so only
     that bit is generated: the sampled input's PCC reads the cycle's shared
@@ -367,8 +367,10 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationR
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     if design.tree_type == "apc":
-        return run_apc(design.weights, values, big_n)
-    w = np.asarray(design.weights, dtype=np.float64)
+        return run_apc(weights, values, big_n)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1:
+        raise ValueError("weights must be a non-empty 1-d sequence")
     thresholds = pcc_thresholds(_values_array(values, w.size), n, design.data_pcc)
 
     key = (np.abs(w).tobytes(), n, design.tree_type)
@@ -410,7 +412,7 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int) -> SimulationR
         target=target,
         error=estimate - target,
         output_bits=z,
-        sampling_counts=np.bincount(owners, minlength=len(design.weights)),
+        sampling_counts=np.bincount(owners, minlength=w.size),
     )
 
 
@@ -488,8 +490,8 @@ def run_apc(weights, values, big_n: int) -> SimulationReport:
     )
 
 
-def structural_report(design: AdderDesign) -> dict[str, int]:
-    """Exact component counts for a constructed design.
+def structural_report(design: AdderDesign, weights) -> dict[str, int]:
+    """Exact component counts for a design built for the weight row `weights`.
 
     inverters = the n source-complement inverters (present when full
     correlation is wired and some weight is negative) plus one sign inverter
@@ -498,9 +500,9 @@ def structural_report(design: AdderDesign) -> dict[str, int]:
     (precise-sampling designs) and the output up-down counter.
     """
     n = design.n
-    nums = quantize_weights(design.weights, n)
+    nums = quantize_weights(weights, n)
     active = int(np.count_nonzero(nums))
-    negatives = int(np.count_nonzero((nums > 0) & (np.asarray(design.weights) < 0)))
+    negatives = int(np.count_nonzero((nums > 0) & (np.asarray(weights) < 0)))
     counts = {
         "muxes": 0,
         "comparators": 0,
@@ -513,7 +515,7 @@ def structural_report(design: AdderDesign) -> dict[str, int]:
         "parallel_counter_bits": 0,
     }
     if design.tree_type == "apc":
-        m = len(design.weights)
+        m = nums.size
         counts["comparators"] = 2 * m
         counts["xnors"] = m
         counts["rns_instances"] = 2

@@ -31,7 +31,7 @@ test suite.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -369,24 +369,28 @@ def expected_closed_form(cfg: ModelConfig, runs: int, master_seed: int) -> float
 
 def accuracy_stats(
     design: AdderDesign,
+    weights,
     runs: int,
     master_seed: int,
     weight_mode: str | None = None,
 ) -> AccuracyStats:
     """RMSE/bias/MSE of a design over seeded runs of 2^n cycles each.
 
-    Every run draws fresh bipolar U[-1, 1] input values. weight_mode redraws
-    weights each run: "uniform" for U[-1, 1], "pm" for random signs at
-    magnitude 1/M. Errors are measured against each run's own quantized
-    target. Runs are drawn a chunk at a time, and each chunk's weight tables
-    are built in one _fill_tables pass before its runs, one run_adder call each.
+    The weight row gives the input count M. Every run draws fresh bipolar
+    U[-1, 1] input values. Under weight_mode None every run uses the row
+    itself; otherwise each run redraws its weights: "uniform" for U[-1, 1],
+    "pm" for random signs at magnitude 1/M. Errors are measured against each
+    run's own quantized target. Runs are drawn a chunk at a time, and each
+    chunk's weight tables are built in one _fill_tables pass before its
+    runs, one run_adder call each.
     """
     if runs < 1:
         raise ValueError("need at least 1 run")
     if weight_mode not in (None, "uniform", "pm"):
         raise ValueError("weight_mode must be None, 'uniform' or 'pm'")
     rng = np.random.default_rng(np.random.SeedSequence(master_seed))
-    m = len(design.weights)
+    fixed = np.asarray(weights, dtype=np.float64)
+    m = len(fixed)
     big_n = 1 << design.n
     # a chunk's draws and weight tables stay near _CHUNK_ELEMENTS elements, and
     # its drawn Python objects at 128 runs' worth
@@ -397,7 +401,7 @@ def accuracy_stats(
         # nothing, so drawing a chunk ahead leaves every run's draws unchanged
         draws = []
         for _ in range(min(step, runs - start)):
-            w = None
+            w = fixed
             if weight_mode == "uniform":
                 w = rng.uniform(-1.0, 1.0, size=m)
                 while not np.any(w):
@@ -405,8 +409,7 @@ def accuracy_stats(
             elif weight_mode == "pm":
                 w = np.where(rng.random(m) < 0.5, -1.0, 1.0) / m
             draws.append((w, rng.uniform(-1.0, 1.0, size=m), int(rng.integers(0, 2**63))))
-        _fill_tables(design, [design.weights] if weight_mode is None else [w for w, _, _ in draws])
+        _fill_tables(design, [fixed] if weight_mode is None else [w for w, _, _ in draws])
         for w, v, seed in draws:
-            d = design if w is None else replace(design, weights=tuple(w))
-            errors.append(run_adder(d, v, big_n, seed).error)
+            errors.append(run_adder(design, v, big_n, seed, w).error)
     return AccuracyStats.from_errors(errors)

@@ -128,8 +128,8 @@ def cmd_sweep_m(args):
     for name in sorted(designs):
         for m in range(args.m_min, args.m_max + 1):
             M = 1 << m
-            design = make_design(name, [1.0 / M] * M, args.n)
-            stats = accuracy_stats(design, args.runs, args.seed + m, weight_mode=args.weight_dist)
+            design = make_design(name, args.n)
+            stats = accuracy_stats(design, [1.0 / M] * M, args.runs, args.seed + m, args.weight_dist)
             norm = math.sqrt(1 << design.n) if args.normalize else 1.0
             rows.append(f"{name},{M},{_fmt(stats.rmse * norm)}")
     _emit(args, rows)
@@ -196,8 +196,7 @@ def cmd_filter(args):
     outputs = {}
     footer = []
     for name in designs:
-        design = make_design(name, spec.coefficients, args.n)
-        filtered, stats = stochastic_fir(design, sig, args.seed)
+        filtered, stats = stochastic_fir(make_design(name, args.n), spec, sig, args.seed)
         outputs[name] = filtered.samples
         footer.append(
             f"# stats design={name} rmse={_fmt(stats.rmse)} bias={_fmt(stats.bias)} "
@@ -223,8 +222,7 @@ def cmd_report(args):
             raise ValueError(f"--pm must be >= 1, got {args.pm}")
         rng = np.random.default_rng(args.seed)
         weights = list(np.where(rng.random(args.pm) < 0.5, -1.0, 1.0) / args.pm)
-    design = make_design(args.design, weights, args.n)
-    counts = structural_report(design)
+    counts = structural_report(make_design(args.design, args.n), weights)
     rows = ["component,count"]
     rows += [f"{key},{counts[key]}" for key in sorted(counts)]
     _emit(args, rows)

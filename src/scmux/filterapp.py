@@ -79,21 +79,22 @@ def _reference_raw(spec: FilterSpec, signal: Signal) -> np.ndarray:
 
 def stochastic_fir(
     design: AdderDesign,
+    spec: FilterSpec,
     signal: Signal,
     master_seed: int,
 ) -> tuple[Signal, AccuracyStats]:
     """Filter a signal sample-by-sample through a stochastic adder of 2^n cycles.
 
-    For output sample i the adder's value channels hold the samples
+    The filter's coefficients are the adder's weights. For output sample i
+    the adder's value channels hold the samples
     x_i, x_{i-1}, ..., x_{i-M+1} (zero-padded history) and the normalized
     estimate is rescaled by sum|h_j|. The returned statistics compare the
     stochastic output to the floating-point reference, excluding the M-1
     zero-padded warm-up samples; over a signal no longer than those they are
     NaN.
     """
-    h = design.weights
-    m = len(h)
-    spec = FilterSpec(h)
+    h = np.asarray(spec.coefficients, dtype=np.float64)
+    m = spec.taps
     scale = spec.weight_mass
     x = signal.samples
     ref = _reference_raw(spec, signal)
@@ -106,7 +107,7 @@ def stochastic_fir(
     windows = sliding_window_view(np.concatenate([np.zeros(m - 1), x]), m)[:, ::-1]
     for i, window in enumerate(windows):
         seed = int(rng.integers(0, 2**63))
-        out[i] = run_adder(design, window, 1 << design.n, seed).estimate * scale
+        out[i] = run_adder(design, window, 1 << design.n, seed, h).estimate * scale
         if i >= warmup:
             errors.append(out[i] - ref[i])
     stats = AccuracyStats.from_errors(errors)
@@ -194,14 +195,14 @@ def filter_rmse_vs_length(
     for name in design_names:
         per_n: dict[int, float] = {}
         for n in n_values:
-            design = make_design(name, spec.coefficients, n)
+            design = make_design(name, n)
             rng = np.random.default_rng(np.random.SeedSequence((master_seed, n)))
             errs = []
             for _ in range(runs):
                 start = int(rng.integers(0, len(x) - m))
                 window = x[start : start + m][::-1]
                 seed = int(rng.integers(0, 2**63))
-                rep = run_adder(design, window, 1 << design.n, seed)
+                rep = run_adder(design, window, 1 << design.n, seed, h)
                 errs.append(rep.estimate * scale - float(h @ window))
             per_n[n] = AccuracyStats.from_errors(errs).rmse
         out[name] = per_n

@@ -27,7 +27,6 @@ unchanged.
 
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -837,10 +836,11 @@ def expected_closed_form_per_run(cfg, runs, master_seed):
     return acc / runs
 
 
+@lru_cache(maxsize=64)
 def spawned_seeds(master_seed, count=25):
     """Per-source seeds as a fixed-size spawn: entry 0 data, entry l level l."""
     children = np.random.SeedSequence(master_seed).spawn(count)
-    return [int(c.generate_state(2, np.uint64)[0]) for c in children]
+    return tuple(int(c.generate_state(2, np.uint64)[0]) for c in children)
 
 
 def biased_walk_per_level(heap, leaf_owner, select, n):
@@ -858,21 +858,33 @@ def biased_walk_per_level(heap, leaf_owner, select, n):
     return leaf_owner[idx - (leaf_owner.size - 1)]
 
 
-def full_matrix_owners(design, nums, n, big_n, seeds):
+# The owners depend on the tree type, the sampling mode, the numerators, n, N
+# and the seed alone, so the designs of one run that share a tree type and a
+# sampling mode share one sequence: it is computed once and kept read-only. A
+# run's designs need at most four entries.
+@lru_cache(maxsize=16)
+def full_matrix_owners(tree_type, precise_sampling, nums, n, big_n, seed):
     """Input sampled at each cycle, every mux's select bit generated first.
 
-    Precise sampling drives the selects from one counter from reset; otherwise
-    each level has its own seeded LFSR, and a biased tree's select PCCs are
-    WBGs.
+    nums is the tuple of quantized numerators. Precise sampling drives a
+    hardwired tree's selects from one counter from reset; otherwise each level
+    has its own LFSR, seeded as source l of the run's spawned seeds, and a
+    biased tree's select PCCs are WBGs.
     """
+    owners = _select_owners(tree_type, precise_sampling, list(nums), n, big_n, spawned_seeds(seed))
+    owners.setflags(write=False)
+    return owners
+
+
+def _select_owners(tree_type, precise_sampling, nums, n, big_n, seeds):
     from scmux.sngen import pcc_bits
 
     def level_words(lvl):
         return source_words(SourceSpec("lfsr", n, seeds[lvl]), big_n)
 
-    if design.tree_type == "hardwired":
+    if tree_type == "hardwired":
         owner = level_ordered_owners(nums, n)
-        if design.precise_sampling:
+        if precise_sampling:
             return owner[np.arange(big_n) % (1 << n)]
         words = np.zeros(big_n, dtype=np.int64)
         for lvl in range(1, n + 1):
@@ -896,8 +908,9 @@ def full_matrix_owners(design, nums, n, big_n, seeds):
     return np.array(owners, dtype=np.int64)
 
 
-def full_matrix_run(design, values, big_n, seed):
-    """One mux-adder run with every input's whole stream generated.
+def full_matrix_run(design, values, big_n, seed, weights):
+    """One mux-adder run of the weight row `weights` with every input's whole
+    stream generated.
 
     Returns (output bits, sampling counts, estimate, target, error). The
     M x N matrix holds each input's stream after its sign inverter; the tree
@@ -907,23 +920,24 @@ def full_matrix_run(design, values, big_n, seed):
     from scmux.sngen import input_bit_matrix, make_channels
 
     n = design.n
-    seeds = spawned_seeds(seed)
-    data_seed = seeds[0]
+    data_seed = spawned_seeds(seed)[0]
     if design.data_rns_kind in ("sobol_reversed_counter", "counter"):
         data_seed = 0
-    nums = quantize_weights(design.weights, n).tolist()
+    nums = quantize_weights(weights, n).tolist()
     words = source_words(SourceSpec(design.data_rns_kind, n, data_seed), big_n)
     channels = make_channels(
-        values, design.weights, n, design.data_pcc, correlated_wiring=design.full_correlation
+        values, weights, n, design.data_pcc, correlated_wiring=design.full_correlation
     )
     _, y = input_bit_matrix(channels, words, design.data_pcc, n)
-    owners = full_matrix_owners(design, nums, n, big_n, seeds)
+    owners = full_matrix_owners(
+        design.tree_type, design.precise_sampling, tuple(nums), n, big_n, seed
+    )
     z = y[owners, np.arange(big_n)]
     counts = np.bincount(owners, minlength=len(channels))
     estimate = min(1.0, max(-1.0, 2.0 * int(z.sum()) / big_n - 1.0))
     target = float(sum(
         Fraction((-num if w < 0 else num) * (2 * ch.threshold - big_n), (1 << n) * big_n)
-        for num, w, ch in zip(nums, design.weights, channels)
+        for num, w, ch in zip(nums, weights, channels)
     ))
     return z, counts, estimate, target, estimate - target
 
@@ -951,24 +965,24 @@ def full_matrix_apc(weights, values, big_n):
     return estimate, target, estimate - target
 
 
-def accuracy_errors_per_run(design, runs, master_seed, weight_mode=None):
-    """accuracy_stats's run errors from one loop: each run draws its weights,
-    values and seed, then calls run_adder, which builds its weight tables on a
-    cache miss. The first r errors are those of r runs at the same seed."""
+def accuracy_errors_per_run(design, weights, runs, master_seed, weight_mode=None):
+    """accuracy_stats's run errors from one loop: each run draws its weights
+    (or keeps `weights`, under weight_mode None), values and seed, then calls
+    run_adder, which builds its weight tables on a cache miss. The first r
+    errors are those of r runs at the same seed."""
     rng = np.random.default_rng(np.random.SeedSequence(master_seed))
-    m = len(design.weights)
+    m = len(weights)
     errors = []
     for _ in range(runs):
-        d = design
+        w = weights
         if weight_mode == "uniform":
             w = rng.uniform(-1.0, 1.0, size=m)
             while not np.any(w):
                 w = rng.uniform(-1.0, 1.0, size=m)
-            d = replace(design, weights=tuple(w))
         elif weight_mode == "pm":
             signs = np.where(rng.random(m) < 0.5, -1.0, 1.0)
-            d = replace(design, weights=tuple(signs / m))
+            w = signs / m
         v = rng.uniform(-1.0, 1.0, size=m)
         seed = int(rng.integers(0, 2**63))
-        errors.append(run_adder(d, v, 1 << design.n, seed).error)
+        errors.append(run_adder(design, v, 1 << design.n, seed, w).error)
     return errors

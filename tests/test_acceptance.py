@@ -83,9 +83,9 @@ def test_criterion_02_precise_sampling_exactness():
         if not np.any(w):
             continue
         name = "cemux" if rng.random() < 0.5 else "cemux_wbg"
-        design = make_design(name, w, n)
+        design = make_design(name, n)
         rep = run_adder(
-            design, rng.uniform(-1, 1, m_inputs), 1 << n, int(rng.integers(0, 2**63))
+            design, rng.uniform(-1, 1, m_inputs), 1 << n, int(rng.integers(0, 2**63)), w
         )
         expected = quantize_weights(w, n)
         worst = max(worst, int(np.abs(rep.sampling_counts - expected).max()))
@@ -234,8 +234,8 @@ def test_criterion_07_error_ratio_vs_basic():
         M = 1 << m
         stats = {}
         for name in ("cemux", "basic_hardwired"):
-            design = make_design(name, [1.0 / M] * M, n)
-            stats[name] = accuracy_stats(design, runs, 700 + m, weight_mode="pm")
+            design = make_design(name, n)
+            stats[name] = accuracy_stats(design, [1.0 / M] * M, runs, 700 + m, weight_mode="pm")
         ratio = stats["basic_hardwired"].rmse / stats["cemux"].rmse
         # pm weights quantize to N/M each; under full correlation the error
         # law does not depend on the signs, so one sign pattern serves
@@ -321,8 +321,10 @@ def test_criterion_09_ablation_bands():
     for m in range(3, 9):
         M = 1 << m
         for name in names:
-            design = make_design(name, [1.0 / M] * M, n)
-            stats[name][M] = accuracy_stats(design, runs, 900 + m, weight_mode="uniform")
+            design = make_design(name, n)
+            stats[name][M] = accuracy_stats(
+                design, [1.0 / M] * M, runs, 900 + m, weight_mode="uniform"
+            )
     ok = True
     details = []
     for M in sorted(stats["cemux"]):
@@ -371,12 +373,10 @@ def test_criterion_10_filter_latency():
 def test_criterion_11_structural_goldens_and_filter_ordering(tmp_path, capsys):
     # structural component-count regression against golden files
     golden_ok = True
-    q15 = make_design("cemux", [7 / 16, 1 / 4, 1 / 4, 1 / 16], 4)
-    tree_text = dump_tree(quantize_weights(q15.weights, 4))
+    tree_text = dump_tree(quantize_weights([7 / 16, 1 / 4, 1 / 4, 1 / 16], 4))
     golden_ok &= tree_text == (GOLDEN / "tree_eq15.txt").read_text()
     for name in ("cemux", "cemux_biased", "basic_hardwired", "apc"):
-        design = make_design(name, [0.5, -0.25, 0.125, -0.125], 6)
-        counts = structural_report(design)
+        counts = structural_report(make_design(name, 6), [0.5, -0.25, 0.125, -0.125])
         lines = [f"{k},{counts[k]}" for k in sorted(counts)]
         golden_ok &= "\n".join(lines) + "\n" == (GOLDEN / f"counts_{name}.txt").read_text()
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import warnings
@@ -51,13 +50,14 @@ TABLE_FLAGS = {
 }
 
 
-def _select_wiring(d):
-    """Select source and select PCC kind of a two-input design, read off its
-    structural report: a select counter or one LFSR per level beside the data
-    source, and one select PCC per mux beyond the two data PCCs, if any."""
+def _select_wiring(d, w):
+    """Select source and select PCC kind of a design on a two-input weight
+    row, read off its structural report: a select counter or one LFSR per
+    level beside the data source, and one select PCC per mux beyond the two
+    data PCCs, if any."""
     if d.tree_type == "apc":
         return None, None
-    r = structural_report(d)
+    r = structural_report(d, w)
     if r["select_counter_bits"]:
         assert r["rns_instances"] == 1
         source = "counter"
@@ -75,11 +75,11 @@ def _select_wiring(d):
 
 @pytest.mark.parametrize("name", DESIGN_NAMES)
 def test_design_flags_match_feature_table(name):
-    d = make_design(name, [0.5, -0.25], 8)
+    d = make_design(name, 8)
     assert (
         d.tree_type,
         d.data_pcc,
-        *_select_wiring(d),
+        *_select_wiring(d, [0.5, -0.25]),
         d.full_correlation,
         d.precise_sampling,
     ) == TABLE_FLAGS[name]
@@ -102,7 +102,7 @@ def test_target_value_examples():
     for name in ("cemux", "cemux_biased"):
 
         def target(w, values, n):
-            return run_adder(make_design(name, w, n), values, 1 << n, 0).target
+            return run_adder(make_design(name, n), values, 1 << n, 0, w).target
 
         assert target([1.0, 1.0], [1.0, -1.0], 8) == 0.0
         # weights 4/8, 3/8, 1/8 and bipolar values 0.5, -0.25, 0.75 are exact
@@ -122,15 +122,15 @@ def test_target_value_matches_exact_rational_oracle(name, case, seed):
     for wi, vi, num in zip(w, values, quantize_weights_transcription(w, n)):
         b = bipolar_threshold(vi, n)
         exact += (-1 if wi < 0 else 1) * Fraction(num, 1 << n) * (Fraction(2 * b, 1 << n) - 1)
-    assert run_adder(make_design(name, w, n), values, 1 << n, seed).target == float(exact)
+    assert run_adder(make_design(name, n), values, 1 << n, seed, w).target == float(exact)
 
 
 def test_fig8b_equal_correlated_inputs_exact():
     # four inputs of unipolar value 1/2 (bipolar 0), equal weights: the output
     # is a copy of the common stream, so the estimate is exact for every seed
-    d = make_design("cemux", [0.25] * 4, 6)
+    d = make_design("cemux", 6)
     for seed in (0, 1, 17, 999):
-        rep = run_adder(d, [0.0] * 4, 64, seed)
+        rep = run_adder(d, [0.0] * 4, 64, seed, [0.25] * 4)
         assert rep.estimate == 0.0
         assert rep.error == 0.0
 
@@ -159,7 +159,7 @@ def test_cemux_block_rule_oracle_matches_simulation_exactly():
         thresholds = [bipolar_threshold(x, n) for x in v]
         seed = int(rng.integers(0, 2**63))
         for name, full_correlation in (("cemux", True), ("cemux_nofc", False)):
-            rep = run_adder(make_design(name, w, n), v, 1 << n, seed)
+            rep = run_adder(make_design(name, n), v, 1 << n, seed, w)
             exact = cemux_block_error(numerators, signs, thresholds, n, full_correlation)
             assert Fraction(rep.error) == exact
 
@@ -201,29 +201,29 @@ def test_run_kernel_matches_full_matrix_oracle_exactly():
     assert len(MUX_FEATURES) == 32
     assert {
         (d.tree_type, d.data_pcc, d.full_correlation, d.precise_sampling, d.data_rns_kind)
-        for d in (make_design(name, [1.0], 3) for name in DESIGN_NAMES + ABLATION_NAMES)
+        for d in (make_design(name, 3) for name in DESIGN_NAMES + ABLATION_NAMES)
     } - {("apc", PccKind.COMPARATOR, False, False, "sobol_reversed_counter")} <= set(MUX_FEATURES)
     checked = set()
     for _ in range(300):
         w, v, n = _kernel_config(rng)
         seed = int(rng.integers(0, 2**63))
-        rep = run_adder(make_design("apc", w, n), v, 1 << n, seed)
+        rep = run_adder(make_design("apc", n), v, 1 << n, seed, w)
         assert (rep.estimate, rep.target, rep.error) == full_matrix_apc(w, v, 1 << n)
         assert rep.output_bits is None and rep.sampling_counts is None
         codes = np.array([bipolar_threshold(x, n) for x in v])
         if not np.all(quantize_weights(w, n)):
             checked.add("zero numerator")
         for tree_type, pcc, fc, ps, kind in MUX_FEATURES:
-            d = dataclasses.replace(
-                make_design("cemux", w, n), name=f"{tree_type}/{pcc.value}/fc={fc}/ps={ps}/{kind}",
-                tree_type=tree_type, data_pcc=pcc, full_correlation=fc, precise_sampling=ps,
-                data_rns_kind=kind,
+            d = AdderDesign(
+                name=f"{tree_type}/{pcc.value}/fc={fc}/ps={ps}/{kind}", n=n,
+                tree_type=tree_type, data_pcc=pcc, data_rns_kind=kind, full_correlation=fc,
+                precise_sampling=ps,
             )
             with warnings.catch_warnings():
                 # value 1 clamps on WBG data paths
                 warnings.simplefilter("ignore", QuantizationWarning)
-                rep = run_adder(d, v, 1 << n, seed)
-                z, counts, estimate, target, error = full_matrix_run(d, v, 1 << n, seed)
+                rep = run_adder(d, v, 1 << n, seed, w)
+                z, counts, estimate, target, error = full_matrix_run(d, v, 1 << n, seed, w)
             assert rep.output_bits.dtype == np.uint8, d.name
             assert np.array_equal(rep.output_bits, z), d.name
             assert np.array_equal(rep.sampling_counts, counts), d.name
@@ -262,7 +262,7 @@ def test_run_kernel_matches_full_matrix_oracle_on_filter_size_biased_trees():
         v = rng.uniform(-1, 1, m_inputs)
         seed = int(rng.integers(0, 2**63))
         for name in ("cemux_biased", "basic_biased"):
-            d = make_design(name, w, n)
+            d = make_design(name, n)
             q = quantize_weights(w, n)
             active = np.count_nonzero(q)
             if active & (active - 1) == 0:
@@ -270,8 +270,8 @@ def test_run_kernel_matches_full_matrix_oracle_on_filter_size_biased_trees():
             depths.add(int(active - 1).bit_length())
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", QuantizationWarning)
-                rep = run_adder(d, v, 1 << n, seed)
-                z, counts, estimate, target, error = full_matrix_run(d, v, 1 << n, seed)
+                rep = run_adder(d, v, 1 << n, seed, w)
+                z, counts, estimate, target, error = full_matrix_run(d, v, 1 << n, seed, w)
             assert np.array_equal(rep.output_bits, z), name
             assert np.array_equal(rep.sampling_counts, counts), name
             assert (rep.estimate, rep.target, rep.error) == (estimate, target, error), name
@@ -306,9 +306,9 @@ def test_lfsr_table_runs_match_full_matrix_oracle(n):
         w = rng.uniform(-1, 1, m_inputs)
         v = rng.uniform(-1, 1, m_inputs)
         for name in names:
-            d = make_design(name, w, n)
-            rep = run_adder(d, v, 1 << n, seed)
-            z, counts, estimate, target, error = full_matrix_run(d, v, 1 << n, seed)
+            d = make_design(name, n)
+            rep = run_adder(d, v, 1 << n, seed, w)
+            z, counts, estimate, target, error = full_matrix_run(d, v, 1 << n, seed, w)
             assert np.array_equal(rep.output_bits, z), (name, seed)
             assert np.array_equal(rep.sampling_counts, counts), (name, seed)
             assert (rep.estimate, rep.target, rep.error) == (estimate, target, error), name
@@ -329,7 +329,7 @@ def test_step_table_walk_matches_per_level_walk(n, weights, words_seed):
         return
     q = quantize_weights(weights, n)
     heap, leaf_owner = build_biased_selector_tree(q)
-    _fill_tables(make_design("cemux_biased", weights, n), [weights])
+    _fill_tables(make_design("cemux_biased", n), [weights])
     nums, (step, cached_owner) = _tables[(np.array(weights).tobytes(), n, "biased")]
     assert np.array_equal(nums, q)
     assert np.array_equal(cached_owner, leaf_owner)
@@ -393,17 +393,18 @@ def test_seed_expansion_matches_fixed_spawn():
 
 
 def test_run_adder_rejects_seeds_outside_64_bits():
+    w = [0.5, -0.25, 0.125]
     for name in ("cemux", "basic_biased", "apc"):
-        d = make_design(name, [0.5, -0.25, 0.125], 5)
+        d = make_design(name, 5)
         for seed in (-1, 2**64):
             with pytest.raises(ValueError) as exc:
-                run_adder(d, [0.1, 0.2, -0.3], 32, seed)
+                run_adder(d, [0.1, 0.2, -0.3], 32, seed, w)
             assert str(exc.value) == f"seed must lie in [0, 2^64), got {seed}"
-        run_adder(d, [0.1, 0.2, -0.3], 32, 2**64 - 1)
+        run_adder(d, [0.1, 0.2, -0.3], 32, 2**64 - 1, w)
     # the largest seed still expands as SeedSequence does
-    d = make_design("basic_biased", [0.5, -0.25, 0.125], 5)
-    rep = run_adder(d, [0.1, 0.2, -0.3], 32, 2**64 - 1)
-    z, counts, *_ = full_matrix_run(d, [0.1, 0.2, -0.3], 32, 2**64 - 1)
+    d = make_design("basic_biased", 5)
+    rep = run_adder(d, [0.1, 0.2, -0.3], 32, 2**64 - 1, w)
+    z, counts, *_ = full_matrix_run(d, [0.1, 0.2, -0.3], 32, 2**64 - 1, w)
     assert np.array_equal(rep.output_bits, z)
     assert np.array_equal(rep.sampling_counts, counts)
 
@@ -422,8 +423,8 @@ def test_cemux_expected_error_ignores_sign_pattern():
 
 
 def test_all_ones_saturation():
-    d = make_design("cemux", [0.3, 0.6, 0.1], 5)
-    rep = run_adder(d, [1.0, 1.0, 1.0], 32, 3)
+    d = make_design("cemux", 5)
+    rep = run_adder(d, [1.0, 1.0, 1.0], 32, 3, [0.3, 0.6, 0.1])
     assert rep.estimate == 1.0
 
 
@@ -434,23 +435,23 @@ def test_eq6_full_period_error_bound():
     import itertools
 
     w = [1 / 2, 3 / 8, 1 / 8]
-    d = make_design("cemux", w, 4)
+    d = make_design("cemux", 4)
     grid = [k / 8 - 1 for k in range(17)]
     worst = max(
-        abs(run_adder(d, list(v), 16, 0).error) for v in itertools.product(grid, repeat=3)
+        abs(run_adder(d, list(v), 16, 0, w).error) for v in itertools.product(grid, repeat=3)
     )
     assert worst == pytest.approx(0.15625, abs=1e-12)
     assert worst <= 2 * 4 / 16
 
 
 def test_reports_are_deterministic():
-    d = make_design("basic_biased", [0.4, -0.2, 0.4], 7)
-    a = run_adder(d, [0.1, 0.9, -0.5], 128, 42)
-    b = run_adder(d, [0.1, 0.9, -0.5], 128, 42)
+    d, w = make_design("basic_biased", 7), [0.4, -0.2, 0.4]
+    a = run_adder(d, [0.1, 0.9, -0.5], 128, 42, w)
+    b = run_adder(d, [0.1, 0.9, -0.5], 128, 42, w)
     assert a.estimate == b.estimate
     assert np.array_equal(a.output_bits, b.output_bits)
     assert np.array_equal(a.sampling_counts, b.sampling_counts)
-    c = run_adder(d, [0.1, 0.9, -0.5], 128, 43)
+    c = run_adder(d, [0.1, 0.9, -0.5], 128, 43, w)
     # a different seed moves the noisy selects
     assert not np.array_equal(c.output_bits, a.output_bits)
 
@@ -464,8 +465,8 @@ def test_precise_designs_sample_counts_exact(name):
         if not np.any(w):
             continue
         n = int(rng.integers(3, 9))
-        d = make_design(name, w, n)
-        rep = run_adder(d, rng.uniform(-1, 1, m_inputs), 1 << n, int(rng.integers(0, 2**63)))
+        d = make_design(name, n)
+        rep = run_adder(d, rng.uniform(-1, 1, m_inputs), 1 << n, int(rng.integers(0, 2**63)), w)
         q = quantize_weights(w, n)
         assert rep.sampling_counts.tolist() == q.tolist()
 
@@ -478,43 +479,45 @@ def test_estimates_always_in_range():
             w = rng.uniform(-1, 1, m_inputs)
             if not np.any(w):
                 continue
-            d = make_design(name, w, 6)
-            rep = run_adder(d, rng.uniform(-1, 1, m_inputs), 64, int(rng.integers(0, 2**63)))
+            d = make_design(name, 6)
+            rep = run_adder(d, rng.uniform(-1, 1, m_inputs), 64, int(rng.integers(0, 2**63)), w)
             assert -1.0 <= rep.estimate <= 1.0
-
-
-def test_make_design_rejects_non_finite_weights():
-    for name in ("cemux", "basic_biased", "apc"):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError) as exc:
-                make_design(name, [0.5, bad], 5)
-            assert str(exc.value) == f"weights must be finite, got {bad}"
 
 
 def test_run_adder_validation():
     # every preset runs exactly 2^n cycles, the APC included
     for name in DESIGN_NAMES + ABLATION_NAMES:
-        d = make_design(name, [0.5, -0.5], 5)
+        d = make_design(name, 5)
         for big_n in (16, 64):
             with pytest.raises(ValueError, match=r"stream length must be 2\^n = 32"):
-                run_adder(d, [0.5, 0.5], big_n, 0)
-    d = make_design("cemux", [1.0, 1.0], 5)
+                run_adder(d, [0.5, 0.5], big_n, 0, [0.5, -0.5])
+    d = make_design("cemux", 5)
     with pytest.raises(ValueError):
-        run_adder(d, [1.5, 0.0], 32, 0)
-    with pytest.raises(ValueError):
-        make_design("cemux", [0.0, 0.0], 5)
+        run_adder(d, [1.5, 0.0], 32, 0, [1.0, 1.0])
+    # a 2-d row has the bytes of its 1-d form, so it must not reach the
+    # cached tables of that form
+    for name in ("cemux", "apc"):
+        d = make_design(name, 5)
+        run_adder(d, [0.25, 0.25], 32, 0, [0.5, 0.5])
+        with pytest.raises(ValueError) as exc:
+            run_adder(d, [0.25, 0.25], 32, 0, [[0.5, 0.5]])
+        assert str(exc.value) == "weights must be a non-empty 1-d sequence"
+    for n in (2, 17):
+        with pytest.raises(ValueError) as exc:
+            make_design("cemux", n)
+        assert str(exc.value) == "precision n must be in [3, 16]"
 
 
 def test_nan_inputs_rejected_before_quantization():
     nan = float("nan")
     for name in ("cemux", "basic_biased", "apc"):
-        d = make_design(name, [0.5, -0.5], 5)
+        d = make_design(name, 5)
         with pytest.raises(ValueError, match="outside"):
-            run_adder(d, [0.25, nan], 32, 0)
+            run_adder(d, [0.25, nan], 32, 0, [0.5, -0.5])
     with pytest.raises(ValueError, match="must lie in"):
         run_apc([0.5, nan], [0.25, 0.25], 32)
     with pytest.raises(ValueError, match="must be finite"):
-        run_adder(make_design("cemux", [0.5, nan], 5), [0.25, 0.25], 32, 0)
+        run_adder(make_design("cemux", 5), [0.25, 0.25], 32, 0, [0.5, nan])
 
 
 @pytest.mark.parametrize("name", ["cemux", "cemux_biased"])
@@ -522,35 +525,58 @@ def test_weights_differing_in_sign_share_one_tree_entry(name, monkeypatch):
     import scmux.adders
 
     w = [0.4, -0.25, 0.2, -0.1, 0.05]
-    d = make_design(name, w, 6)
+    d = make_design(name, 6)
     values = [0.5, -0.25, 0.75, 0.0, -1.0]
-    first = run_adder(d, values, 64, 3)
+    first = run_adder(d, values, 64, 3, w)
     entry = scmux.adders._tables[(np.abs(w).tobytes(), 6, d.tree_type)]
-    flipped = make_design(name, [-x for x in w], 6)
 
     def miss(*args):
         raise AssertionError("the flipped weights missed the cache")
 
     monkeypatch.setattr(scmux.adders, "_fill_tables", miss)
-    rep = run_adder(flipped, values, 64, 3)
+    rep = run_adder(d, values, 64, 3, [-x for x in w])
     assert scmux.adders._tables[(np.abs(w).tobytes(), 6, d.tree_type)] is entry
     # the same tree, with every sign inverter flipped
     assert rep.target == -first.target
     assert np.array_equal(rep.sampling_counts, first.sampling_counts)
 
 
-def test_non_finite_weights_bypassing_make_design_are_rejected_uncached():
+OVERFLOW = "weights must be finite: the sum of their magnitudes overflows"
+APC_RANGE = "APC coefficient values |w_i| must lie in [0, 1]"
+
+
+# each bad row with its message on the run path, where a mux design's fill
+# keys and quantizes magnitudes, so -inf is reported as inf, and the APC
+# checks its coefficient range and quantized mass; then its message from
+# structural_report, whose quantizer reads the signed row
+@pytest.mark.parametrize("row, run_message, apc_message, report_message", [
+    ([0.5, math.nan], "weights must be finite, got nan", APC_RANGE,
+     "weights must be finite, got nan"),
+    ([0.5, math.inf], "weights must be finite, got inf", APC_RANGE,
+     "weights must be finite, got inf"),
+    ([-math.inf, 0.5], "weights must be finite, got inf", APC_RANGE,
+     "weights must be finite, got -inf"),
+    ([1e308, -1e308], OVERFLOW, APC_RANGE, OVERFLOW),
+    ([0.0, -0.0], "zero weight mass", "zero weight mass after quantization", "zero weight mass"),
+], ids=["nan", "inf", "-inf", "overflow", "zero mass"])
+@pytest.mark.parametrize("name", DESIGN_NAMES + ABLATION_NAMES)
+def test_bad_weight_rows_are_rejected_where_they_are_used(
+    name, row, run_message, apc_message, report_message
+):
     from scmux.adders import _tables
 
-    for name in ("cemux", "basic_biased"):
-        for bad in (math.nan, math.inf, -math.inf):
-            d = dataclasses.replace(make_design(name, [0.5, 0.5], 5), weights=(0.5, bad))
-            key = (np.abs([0.5, bad]).tobytes(), 5, d.tree_type)
-            # a cached entry would let the second call through as a hit
-            for _ in range(2):
-                with pytest.raises(ValueError, match="weights must be finite"):
-                    run_adder(d, [0.25, 0.25], 32, 0)
-                assert key not in _tables
+    d = make_design(name, 5)
+    keys = set(_tables)
+    # a cached entry would let the second run through as a hit
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            run_adder(d, [0.25, 0.25], 32, 0, row)
+        assert str(exc.value) == (apc_message if name == "apc" else run_message)
+        assert set(_tables) == keys
+    with pytest.raises(ValueError) as exc:
+        structural_report(d, row)
+    assert str(exc.value) == report_message
+    assert set(_tables) == keys
 
 
 @pytest.mark.parametrize("name", ["cemux", "cemux_biased"])
@@ -558,7 +584,7 @@ def test_a_bad_row_fails_its_whole_fill_and_leaves_no_entry(name, monkeypatch):
     import scmux.adders
     from scmux.adders import _fill_tables, _tables
 
-    d = make_design(name, [0.5, 0.5], 7)
+    d = make_design(name, 7)
     good = [[0.0625, 0.9375 + 2**-40], [0.3 + 2**-40, -0.7], [-0.0625, 0.9375 + 2**-40]]
     _fill_tables(d, good)
     # the cache holds exactly the fill's distinct magnitude rows
@@ -631,13 +657,13 @@ def test_apc_matches_full_matrix_oracle_at_filter_size():
             tiny = rng.random(taps) < 0.2
             w[tiny] = rng.uniform(-1, 1, int(tiny.sum())) / (1 << n)
             assert all(bipolar_threshold(abs(x), n) == 1 << (n - 1) for x in w[tiny])
-            d = make_design("apc", w, n)
+            d = make_design("apc", n)
             for _ in range(3):
                 v = rng.uniform(-1, 1, taps)
                 seed = int(rng.integers(0, 2**63))
-                rep = run_adder(d, v, 1 << n, seed)
+                rep = run_adder(d, v, 1 << n, seed, w)
                 assert (rep.estimate, rep.target, rep.error) == full_matrix_apc(w, v, 1 << n)
-                again = run_adder(d, v, 1 << n, seed)
+                again = run_adder(d, v, 1 << n, seed, w)
                 assert (again.estimate, again.target, again.error) == (
                     rep.estimate, rep.target, rep.error)
 
@@ -669,10 +695,10 @@ def test_apc_worse_than_cemux_on_filter_weights():
     h = make_lowpass(150, 0.1 * math.pi).coefficients
     rng = np.random.default_rng(17)
     errs = {"cemux": [], "apc": []}
-    d = make_design("cemux", h, 8)
+    d = make_design("cemux", 8)
     for _ in range(60):
         v = rng.uniform(-1, 1, 150)
-        errs["cemux"].append(run_adder(d, v, 256, int(rng.integers(0, 2**63))).error)
+        errs["cemux"].append(run_adder(d, v, 256, int(rng.integers(0, 2**63)), h).error)
         errs["apc"].append(run_apc(h, v, 256).error)
     rmse = {k: float(np.sqrt(np.mean(np.square(e)))) for k, e in errs.items()}
     assert rmse["apc"] > rmse["cemux"]
@@ -681,8 +707,8 @@ def test_apc_worse_than_cemux_on_filter_weights():
 def test_basic_hardwired_strictly_worse_at_large_m():
     rmse = {}
     for name in ("cemux", "basic_hardwired"):
-        d = make_design(name, [1.0 / 64] * 64, 9)
-        rmse[name] = accuracy_stats(d, 300, 123, weight_mode="uniform").rmse
+        d = make_design(name, 9)
+        rmse[name] = accuracy_stats(d, [1.0 / 64] * 64, 300, 123, weight_mode="uniform").rmse
     assert rmse["basic_hardwired"] > rmse["cemux"]
 
 
@@ -691,15 +717,15 @@ def test_desk_scale_accuracy_ordering():
     h = make_lowpass(150, 0.1 * math.pi).coefficients
     out = {}
     for name in ("cemux", "cemux_wbg", "cemux_biased", "basic_biased"):
-        d = make_design(name, h, 10)
-        out[name] = accuracy_stats(d, 1000, 2024).rmse
+        d = make_design(name, 10)
+        out[name] = accuracy_stats(d, h, 1000, 2024).rmse
     assert out["cemux"] < out["cemux_wbg"]
     assert out["cemux"] < out["cemux_biased"] < out["basic_biased"]
 
 
 def test_structural_report_eq15_cemux():
-    d = make_design("cemux", [7 / 16, 1 / 4, 1 / 4, 1 / 16], 4)
-    counts = structural_report(d)
+    d = make_design("cemux", 4)
+    counts = structural_report(d, [7 / 16, 1 / 4, 1 / 4, 1 / 16])
     assert counts["muxes"] == 5
     assert counts["comparators"] == 4
     assert counts["wbgs"] == 0
@@ -709,8 +735,8 @@ def test_structural_report_eq15_cemux():
 
 
 def test_structural_report_inverters_and_bound():
-    d = make_design("cemux", [0.5, -0.25, -0.25], 6)
-    counts = structural_report(d)
+    d = make_design("cemux", 6)
+    counts = structural_report(d, [0.5, -0.25, -0.25])
     # n source-complement inverters plus one sign inverter per negative input
     assert counts["inverters"] == 6 + 2
     rng = np.random.default_rng(23)
@@ -723,7 +749,7 @@ def test_structural_report_inverters_and_bound():
             if not np.any(w):
                 continue
             n = int(rng.integers(3, 9))
-            counts = structural_report(make_design(name, w, n))
+            counts = structural_report(make_design(name, n), w)
             assert counts["muxes"] <= min(m_inputs * n - 1, (1 << n) - 1)
 
 
@@ -742,7 +768,7 @@ def test_structural_counts_match_oracle_trees():
             w[:] = 0.0
         w[int(rng.integers(0, m_inputs))] = rng.choice([-0.5, 0.5])
         n = int(rng.integers(3, 11))
-        design = make_design(names[case % len(names)], w, n)
+        design = make_design(names[case % len(names)], n)
         q = quantize_weights(w, n).tolist()
         active = sum(1 for num in q if num)
         wbgs = active if design.data_pcc is PccKind.WBG else 0
@@ -753,7 +779,7 @@ def test_structural_counts_match_oracle_trees():
             ref = biased_tree_reference(q, PccKind.WBG)
             muxes, levels = ref.mux_count, max(ref.node_level, default=0)
             wbgs += muxes  # one select WBG per mux
-        counts = structural_report(design)
+        counts = structural_report(design, w)
         assert counts["muxes"] == muxes
         assert counts["wbgs"] == wbgs
         if design.precise_sampling:
@@ -770,8 +796,8 @@ def test_structural_counts_match_oracle_trees():
 
 
 def test_structural_report_single_input_and_apc():
-    assert structural_report(make_design("cemux", [1.0], 5))["muxes"] == 0
-    counts = structural_report(make_design("apc", [0.5, -0.5], 6))
+    assert structural_report(make_design("cemux", 5), [1.0])["muxes"] == 0
+    counts = structural_report(make_design("apc", 6), [0.5, -0.5])
     assert counts == {
         "muxes": 0,
         "comparators": 4,

@@ -231,8 +231,8 @@ def test_closed_form_trivial_rows():
 
 
 def test_single_run_rmse_is_absolute_error():
-    d = make_design("basic_hardwired", [0.5, -0.5], 6)
-    stats = accuracy_stats(d, 1, 17)
+    d = make_design("basic_hardwired", 6)
+    stats = accuracy_stats(d, [0.5, -0.5], 1, 17)
     assert stats.rmse == abs(stats.bias)
     assert stats.mse == pytest.approx(stats.bias**2, abs=1e-15)
 
@@ -386,8 +386,8 @@ def test_expected_closed_form_matches_per_run_oracle():
 def test_accuracy_stats_zero_error_design():
     # one input's output stream is its own full-period input stream, so
     # every uniform draw is estimated exactly
-    d = make_design("cemux", [1.0], 6)
-    stats = accuracy_stats(d, 50, 4)
+    d = make_design("cemux", 6)
+    stats = accuracy_stats(d, [1.0], 50, 4)
     assert stats == AccuracyStats(rmse=0.0, bias=0.0, mse=0.0, runs=50)
     # a filter shorter than its warm-up leaves no errors to average, so its
     # moments are undefined, not a perfect 0
@@ -404,11 +404,11 @@ def test_accuracy_stats_matches_per_run_loop(weight_mode, monkeypatch):
     monkeypatch.setattr(scmux.analysis, "_CHUNK_ELEMENTS", 3 << 4)
     assert _chunk_runs(1 << 4) == 3
     for name in (*DESIGN_NAMES, *ABLATION_NAMES):
-        d = make_design(name, [0.4, -0.3, 0.2, 0.1], 4)
-        errors = accuracy_errors_per_run(d, 1000, 23, weight_mode)
+        d, w = make_design(name, 4), [0.4, -0.3, 0.2, 0.1]
+        errors = accuracy_errors_per_run(d, w, 1000, 23, weight_mode)
         for runs in (1, 2, 3, 4, 1000):
             expected = AccuracyStats.from_errors(errors[:runs])
-            assert accuracy_stats(d, runs, 23, weight_mode) == expected, (name, runs)
+            assert accuracy_stats(d, w, runs, 23, weight_mode) == expected, (name, runs)
 
 
 def test_accuracy_stats_fills_each_chunks_tables_before_its_runs(monkeypatch):
@@ -430,22 +430,22 @@ def test_accuracy_stats_fills_each_chunks_tables_before_its_runs(monkeypatch):
             # the per-run oracle below misses the tables of all but the last fill
             fills.clear()
             misses.clear()
-            d = make_design(name, [0.25] * 16, n)
-            stats = accuracy_stats(d, runs, 8, "uniform")
+            d = make_design(name, n)
+            stats = accuracy_stats(d, [0.25] * 16, runs, 8, "uniform")
             assert fills == [min(chunk, runs - i) for i in range(0, runs, chunk)]
             assert not misses, "a run missed the tables its chunk's fill entered"
             if n == 10:
-                expected = accuracy_errors_per_run(d, runs, 8, "uniform")
+                expected = accuracy_errors_per_run(d, [0.25] * 16, runs, 8, "uniform")
                 assert stats == AccuracyStats.from_errors(expected)
     # fixed weights fill one row per chunk
     fills.clear()
-    accuracy_stats(make_design("cemux", [0.5, 0.25], 10), 20, 1)
+    accuracy_stats(make_design("cemux", 10), [0.5, 0.25], 20, 1)
     assert fills == [1, 1]
 
 
 def test_accuracy_stats_identity_and_runs():
-    d = make_design("basic_hardwired", [0.5, -0.5], 6)
-    stats = accuracy_stats(d, 200, 10)
+    d = make_design("basic_hardwired", 6)
+    stats = accuracy_stats(d, [0.5, -0.5], 200, 10)
     assert stats.rmse == math.sqrt(stats.mse)
     assert stats.mse >= stats.bias**2
     assert stats.runs == 200

@@ -93,8 +93,8 @@ def test_noisy_signal_csv_kind_and_validation():
 
 def test_stochastic_identity_filter_passthrough():
     sig = make_noisy_signal("sine_mix", 0.05, 11, 40)
-    d = make_design("cemux", [1.0], 10)
-    out, stats = stochastic_fir(d, sig, 5)
+    d = make_design("cemux", 10)
+    out, stats = stochastic_fir(d, FilterSpec((1.0,)), sig, 5)
     assert np.max(np.abs(out.samples - sig.samples)) <= 2 ** -9
     assert stats.rmse <= 2 ** -9
 
@@ -108,9 +108,9 @@ def test_scaling_consistency_on_constant_input():
     # constant inputs and exhaustive-period generation leave only the
     # weight/value quantization residual
     h = (0.25, 0.5, 0.25)
-    d = make_design("cemux", h, 8)
+    d = make_design("cemux", 8)
     sig = Signal(np.full(8, 0.3125))  # exactly representable at n=8
-    out, stats = stochastic_fir(d, sig, 1)
+    out, stats = stochastic_fir(d, FilterSpec(h), sig, 1)
     assert stats.rmse <= 2 ** -7
 
 

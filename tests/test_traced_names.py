@@ -71,22 +71,22 @@ def test_each_run_is_one_adder_call_of_2_to_the_n_cycles(monkeypatch):
     import scmux.filterapp
     from oracles import ABLATION_NAMES, DESIGN_NAMES
     from scmux.adders import make_design
-    from scmux.filterapp import Signal
+    from scmux.filterapp import FilterSpec, Signal
 
     calls = []
     for module in (scmux.analysis, scmux.filterapp):
-        def counted(design, values, big_n, seed, run=module.run_adder):
+        def counted(design, values, big_n, seed, weights, run=module.run_adder):
             calls.append((design.n, big_n))
-            return run(design, values, big_n, seed)
+            return run(design, values, big_n, seed, weights)
 
         monkeypatch.setattr(module, "run_adder", counted)
     # every preset: each PCC branch of run_adder, and the APC
     for name in DESIGN_NAMES + ABLATION_NAMES:
-        d = make_design(name, [0.5, -0.25, 0.25], 10)
+        d, w = make_design(name, 10), (0.5, -0.25, 0.25)
         for mode in (None, "uniform", "pm"):
             calls.clear()
-            scmux.analysis.accuracy_stats(d, 37, 5, mode)
+            scmux.analysis.accuracy_stats(d, w, 37, 5, mode)
             assert calls == [(10, 1024)] * 37, (name, mode)
         calls.clear()
-        scmux.filterapp.stochastic_fir(d, Signal(np.linspace(-1.0, 1.0, 9)), 5)
+        scmux.filterapp.stochastic_fir(d, FilterSpec(w), Signal(np.linspace(-1.0, 1.0, 9)), 5)
         assert calls == [(10, 1024)] * 9, name
