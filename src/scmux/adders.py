@@ -33,11 +33,11 @@ from .muxtree import (
     quantize_weights,
     tree_size,
 )
-from .rns import RnsSpec, _lfsr_position, _lfsr_windows, complement_output, rns_sequence
+from .rns import _source_starts, _source_table, complement_output, wbg_bit_index
 
 # make_channels is not on the run path; it stays reachable as
 # scmux.adders.make_channels, where callers and perfbench's tracer look it up
-from .sngen import PccKind, make_channels, pcc_thresholds, wbg_bit_index  # noqa: F401
+from .sngen import PccKind, make_channels, pcc_thresholds  # noqa: F401
 
 @dataclass(frozen=True)
 class AdderDesign:
@@ -160,80 +160,6 @@ class SimulationReport:
     sampling_counts: np.ndarray | None
 
 
-# seeds only drive pseudo-random source kinds; these run from reset, as in hardware
-_RESET_KINDS = ("sobol_reversed_counter", "counter")
-
-
-@lru_cache(maxsize=None)
-def _reset_words(kind: str, n: int) -> np.ndarray:
-    # the 2^n words of a source run from reset are the same in every run
-    words = rns_sequence(RnsSpec(kind, n), 1 << n)
-    words.setflags(write=False)
-    return words
-
-
-@lru_cache(maxsize=None)
-def _reset_classes(kind: str, n: int) -> np.ndarray:
-    # their WBG classes are the same in every run too
-    classes = wbg_bit_index(_reset_words(kind, n), n)
-    classes.setflags(write=False)
-    return classes
-
-
-_MASK32 = 0xFFFFFFFF
-
-
-def _hash_pair(const: int, mult: int, i: int) -> tuple[int, int]:
-    # a SeedSequence hash xors its value with the running constant, advances
-    # the constant by one multiply and multiplies by the new one, so hash i of
-    # the fixed sequence uses the pair (const mult^i, const mult^(i + 1))
-    first = const * pow(mult, i, 1 << 32) & _MASK32
-    return first, first * mult & _MASK32
-
-
-# generate_state's hash of pool word 0, the low word of the first uint64
-_OUTPUT_HASH = _hash_pair(0x8B51F9DD, 0x58F38DED, 0)
-
-
-def _hash(v: int, pair: tuple[int, int]) -> int:
-    v = (v ^ pair[0]) * pair[1] & _MASK32
-    return v ^ (v >> 16)
-
-
-# each spawn key's hash times the mixing's second multiplier, as it is mixed
-# into pool word 0; the key's is entropy hash 16, after 4 for the pool words
-# and 12 to mix them (a source index is at most the tree height, 16)
-_KEY_TERMS = tuple(
-    0x4973F715 * _hash(key, _hash_pair(0x43B0D7E5, 0x931E8875, 16)) & _MASK32
-    for key in range(17)
-)
-
-
-def _source_starts(master_seed: int, indices, n: int) -> np.ndarray:
-    """Start positions of sources `indices` in the width-n LFSR's state cycle.
-
-    Index 0 is the data source and l the level-l select source. Source i's
-    seed is SeedSequence(master_seed, spawn_key=(i,)).generate_state(1,
-    np.uint64)[0], child i of SeedSequence(master_seed).spawn(k) for any
-    k > i, so the assignment is stable across designs. Its LFSR starts at
-    state max(seed mod 2^n, 1), read through rns._lfsr_position. As n <= 16,
-    only the seed's low 32-bit word is computed: word 0 of the master seed's
-    entropy pool, from numpy, then in 32-bit integer arithmetic each spawn
-    key mixed into it and generate_state's hash. Master seeds lie in
-    [0, 2^64).
-    """
-    x = 0xCA01F9DD * int(np.random.SeedSequence(master_seed).pool[0])
-    mask = (1 << n) - 1
-    c, m = _OUTPUT_HASH
-    states = []
-    for i in indices:
-        # word 0 mixed with the key, then generate_state's hash of it
-        r = (x - _KEY_TERMS[i]) & _MASK32
-        r = (r ^ (r >> 16) ^ c) * m & _MASK32
-        states.append(max((r ^ (r >> 16)) & mask, 1))
-    return _lfsr_position(n)[states]
-
-
 def _values_array(values, m: int) -> np.ndarray:
     # the range is checked once, where the values are quantized
     v = np.asarray(values, dtype=np.float64)
@@ -302,7 +228,7 @@ def _fill_tables(design: AdderDesign, weights) -> None:
 def _biased_walk(step: np.ndarray, leaf_owner: np.ndarray, classes: np.ndarray, starts):
     """Input a biased tree samples at each cycle; level l reads row starts[l - 1] of classes.
 
-    classes holds rows of select-word WBG classes (sngen.wbg_bit_index).
+    classes holds rows of select-word WBG classes (rns.wbg_bit_index).
     Every cycle walks the heap from the root, one level per select source,
     each mux converting its source's word through a WBG (see
     build_biased_selector_tree). The step table is pre-scaled (see _tables),
@@ -315,7 +241,7 @@ def _biased_walk(step: np.ndarray, leaf_owner: np.ndarray, classes: np.ndarray, 
     return leaf_owner[idx]
 
 
-def _owner_sequence(design: AdderDesign, tree, big_n, seed) -> np.ndarray:
+def _owner_sequence(design: AdderDesign, tree, seed) -> np.ndarray:
     """Input index sampled at each clock cycle, per the design's select wiring."""
     n = design.n
     if design.tree_type == "hardwired":
@@ -326,24 +252,21 @@ def _owner_sequence(design: AdderDesign, tree, big_n, seed) -> np.ndarray:
             return tree
         # one independent LFSR per level; its word's MSB is the select bit,
         # bit n - l of the owner-map index for level l
-        msbs = _lfsr_windows(n, big_n, "level_msbs")
-        starts = _source_starts(seed, range(1, n + 1), n)
+        msbs = _source_table("lfsr", n, "level_msbs")
+        starts = _source_starts("lfsr", seed, range(1, n + 1), n)
         return tree.take(msbs[np.arange(n), starts].sum(axis=0, dtype=np.uint16))
 
     step, leaf_owner = tree
     depth = leaf_owner.size.bit_length() - 1
-    classes = _lfsr_windows(n, big_n, "wbg_classes")
-    return _biased_walk(step, leaf_owner, classes, _source_starts(seed, range(1, depth + 1), n))
+    classes = _source_table("lfsr", n, "wbg_classes")
+    starts = _source_starts("lfsr", seed, range(1, depth + 1), n)
+    return _biased_walk(step, leaf_owner, classes, starts)
 
 
-def _data_row(design: AdderDesign, big_n: int, seed: int, row: str) -> np.ndarray:
-    """The run's data-source words (row "words") or their WBG classes ("wbg_classes")."""
-    n = design.n
-    if design.data_rns_kind not in _RESET_KINDS:
-        return _lfsr_windows(n, big_n, row)[_source_starts(seed, [0], n)[0]]
-    if row == "words":
-        return _reset_words(design.data_rns_kind, n)
-    return _reset_classes(design.data_rns_kind, n)
+def _data_row(design: AdderDesign, seed: int, form: str) -> np.ndarray:
+    """The run's data-source words (form "words") or their WBG classes ("wbg_classes")."""
+    kind, n = design.data_rns_kind, design.n
+    return _source_table(kind, n, form)[_source_starts(kind, seed, [0], n)[0]]
 
 
 def run_adder(design: AdderDesign, values, big_n: int, seed: int, weights) -> SimulationReport:
@@ -380,11 +303,11 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int, weights) -> Si
         tables = _tables[key]
     nums, tree = tables
 
-    owners = _owner_sequence(design, tree, big_n, seed)
+    owners = _owner_sequence(design, tree, seed)
     neg = w < 0
     post_sign = np.where(neg, big_n - thresholds, thresholds)
     if design.data_pcc is PccKind.COMPARATOR:
-        words = _data_row(design, big_n, seed, "words")
+        words = _data_row(design, seed, "words")
         if design.full_correlation:
             z = words < post_sign[owners]
         else:
@@ -395,9 +318,9 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int, weights) -> Si
         # which is 0, for the word 0; so inverting all n + 1 bits of a
         # negative input's code inverts each of its outputs
         codes = np.where(neg, thresholds ^ ((2 << n) - 1), thresholds)
-        classes = _data_row(design, big_n, seed, "wbg_classes")
+        classes = _data_row(design, seed, "wbg_classes")
         if design.full_correlation:
-            words = _data_row(design, big_n, seed, "words")
+            words = _data_row(design, seed, "words")
             classes = np.where(neg[owners], wbg_bit_index(complement_output(words, n), n), classes)
         z = ((codes[owners] >> classes) & 1).astype(np.uint8)
 
@@ -434,7 +357,7 @@ def _apc_coefficients(weights: bytes, n: int) -> tuple[np.ndarray, np.ndarray, i
     w = np.frombuffer(weights, dtype=np.float64)
     bw = bipolar_thresholds(np.abs(w), n)
     negs = w < 0
-    w_bits = _reset_words("counter", n)[None, :] < bw[:, None]
+    w_bits = _source_table("counter", n, "words") < bw[:, None]
     codes = 2 * bw - (1 << n)
     out = (w_bits ^ negs[:, None], np.where(negs, -codes, codes))
     for arr in out:
@@ -468,7 +391,7 @@ def run_apc(weights, values, big_n: int) -> SimulationReport:
 
     # the data source runs from reset like the coefficient one; the design is
     # fully deterministic
-    x_bits = _reset_words("sobol_reversed_counter", n)[None, :] < bx[:, None]
+    x_bits = _source_table("sobol_reversed_counter", n, "words") < bx[:, None]
     # product bit = XNOR(x, w), inverted for a negative coefficient; the
     # accumulator adds every product bit of every cycle
     acc = m * big_n - int(np.count_nonzero(x_bits ^ coeff_bits))

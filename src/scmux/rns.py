@@ -9,6 +9,11 @@ Kinds:
 
 Both counters emit every word in [0, 2^n - 1] exactly once per period. A
 source runs from reset: a counter from word 0, the LFSR from state 1.
+
+A run reads every source, data, select or APC, as a row of one cached table
+per kind, width and form (_source_table), and _source_starts picks the row
+from the run's seed; only the LFSR's table has more than one. A word's WBG
+class (wbg_bit_index) is one of those forms.
 """
 
 from dataclasses import dataclass
@@ -105,35 +110,117 @@ def rns_sequence(spec: RnsSpec, count: int) -> np.ndarray:
     return np.resize(_one_period(spec), count)
 
 
-# room for a table of each kind at every width
-@lru_cache(maxsize=3 * len(LFSR_TAPS))
-def _lfsr_windows(width: int, count: int, kind: str) -> np.ndarray:
-    """Read-only table of what the width-n LFSR yields over `count` words from each start.
+@lru_cache(maxsize=None)
+def _wbg_shift_table(n: int) -> np.ndarray:
+    # shift[r] = index of r's leading one counted from the LSB;
+    # shift[0] = n so that (b >> n) & 1 == 0 for any b < 2^n
+    tbl = np.full(1 << n, n, dtype=np.int64)
+    for r in range(1, 1 << n):
+        tbl[r] = r.bit_length() - 1
+    tbl.setflags(write=False)
+    return tbl
 
-    Row p holds the words from the p-th state of the cycle from state 1 on; a
-    seeded source's p comes from adders._source_starts. Kinds:
-      words        (2^n - 1, count) int64: the words;
-      wbg_classes  (2^n - 1, count) int64: each word's WBG class
-                   (sngen.wbg_bit_index);
-      level_msbs   (n, 2^n - 1, count) uint16: entry [l - 1, p] is each
-                   word's MSB weighted by 2^(n - l), the bit that level l's
-                   select adds to a hardwired tree's owner-map index.
-    Each is a sliding window over one table laid out along the cycle repeated
-    end to end, so reading a start's row copies nothing.
+
+def wbg_bit_index(words, n: int) -> np.ndarray:
+    """Threshold bit a WBG of width n outputs for each source word.
+
+    It is the index of the word's leading one, counted from the LSB, or n for
+    the word 0, whose output is always 0; the word 1 << k (k < n) or 0 stands
+    for each of the n + 1 classes.
     """
-    # a start lies at most 2^n - 2 words in
-    laid = np.resize(_lfsr_cycle(width), (1 << width) - 2 + count)
-    if kind == "wbg_classes":
-        from .sngen import wbg_bit_index  # sngen imports this module
+    return _wbg_shift_table(n)[words]
 
+
+# bounded by its keys: three kinds and three forms at each width
+@lru_cache(maxsize=None)
+def _source_table(kind: str, width: int, form: str) -> np.ndarray:
+    """Read-only table of the 2^n words a width-n source yields from each start.
+
+    A table has one row per start: 2^n - 1 for the LFSR, where row p holds the
+    words from the p-th state of the cycle from state 1 on, and one for a
+    counter, which runs from reset. _source_starts gives a run's row. Forms:
+      words        (rows, 2^n) int64: the words;
+      wbg_classes  (rows, 2^n) int64: each word's WBG class (wbg_bit_index);
+      level_msbs   (n, rows, 2^n) uint16: entry [l - 1, p] is each word's MSB
+                   weighted by 2^(n - l), the bit that level l's select adds
+                   to a hardwired tree's owner-map index.
+    Each is a sliding window over the source's run from reset, long enough
+    for the last start, so reading a row copies nothing.
+    """
+    count = 1 << width
+    rows = count - 1 if kind == "lfsr" else 1
+    laid = rns_sequence(RnsSpec(kind, width), rows - 1 + count)
+    if form == "wbg_classes":
         laid = wbg_bit_index(laid, width)
-    elif kind == "level_msbs":
+    elif form == "level_msbs":
         weights = (1 << np.arange(width - 1, -1, -1)).astype(np.uint16)
         laid = (laid >> (width - 1)).astype(np.uint16) * weights[:, None]
-    elif kind != "words":
-        raise ValueError(f"unknown LFSR table kind {kind!r}")
+    elif form != "words":
+        raise ValueError(f"unknown source table form {form!r}")
     laid.setflags(write=False)
     return sliding_window_view(laid, count, axis=-1)
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_pair(const: int, mult: int, i: int) -> tuple[int, int]:
+    # a SeedSequence hash xors its value with the running constant, advances
+    # the constant by one multiply and multiplies by the new one, so hash i of
+    # the fixed sequence uses the pair (const mult^i, const mult^(i + 1))
+    first = const * pow(mult, i, 1 << 32) & _MASK32
+    return first, first * mult & _MASK32
+
+
+# generate_state's hash of pool word 0, the low word of the first uint64
+_OUTPUT_HASH = _hash_pair(0x8B51F9DD, 0x58F38DED, 0)
+
+
+def _hash(v: int, pair: tuple[int, int]) -> int:
+    v = (v ^ pair[0]) * pair[1] & _MASK32
+    return v ^ (v >> 16)
+
+
+# each spawn key's hash times the mixing's second multiplier, as it is mixed
+# into pool word 0; the key's is entropy hash 16, after 4 for the pool words
+# and 12 to mix them (a source index is at most the tree height, 16)
+_KEY_TERMS = tuple(
+    0x4973F715 * _hash(key, _hash_pair(0x43B0D7E5, 0x931E8875, 16)) & _MASK32
+    for key in range(17)
+)
+
+# a counter runs from reset whatever the seed: row 0 of its table for each
+# source, held per source count (at most 17) as read-only broadcast views so
+# that reading them allocates nothing
+_RESET_STARTS = tuple(np.broadcast_to(np.int64(0), k) for k in range(18))
+
+
+def _source_starts(kind: str, master_seed: int, indices, n: int) -> np.ndarray:
+    """Rows of _source_table(kind, n, form) that sources `indices` read.
+
+    Index 0 is the data source and l the level-l select source. A counter has
+    one row, row 0. An LFSR's row is its start position in the state cycle:
+    source i's seed is SeedSequence(master_seed, spawn_key=(i,))
+    .generate_state(1, np.uint64)[0], child i of
+    SeedSequence(master_seed).spawn(k) for any k > i, so the assignment is
+    stable across designs, and its LFSR starts at state max(seed mod 2^n, 1),
+    read through _lfsr_position. As n <= 16, only the seed's low 32-bit word
+    is computed: word 0 of the master seed's entropy pool, from numpy, then
+    in 32-bit integer arithmetic each spawn key mixed into it and
+    generate_state's hash. Master seeds lie in [0, 2^64).
+    """
+    if kind != "lfsr":
+        return _RESET_STARTS[len(indices)]
+    x = 0xCA01F9DD * int(np.random.SeedSequence(master_seed).pool[0])
+    mask = (1 << n) - 1
+    c, m = _OUTPUT_HASH
+    states = []
+    for i in indices:
+        # word 0 mixed with the key, then generate_state's hash of it
+        r = (x - _KEY_TERMS[i]) & _MASK32
+        r = (r ^ (r >> 16) ^ c) * m & _MASK32
+        states.append(max((r ^ (r >> 16)) & mask, 1))
+    return _lfsr_position(n)[states]
 
 
 def complement_output(word, n: int):

@@ -11,12 +11,11 @@ streams entering the adder tree is maximally correlated.
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .bitstream import bipolar_thresholds
-from .rns import complement_output
+from .rns import complement_output, wbg_bit_index
 
 
 class PccKind(Enum):
@@ -45,7 +44,8 @@ def pcc_thresholds(values, n: int, pcc: PccKind) -> np.ndarray:
     (2^n - 1)/2^n with a warning.
     """
     b = bipolar_thresholds(values, n)
-    if pcc is PccKind.WBG and np.any(b == 1 << n):
+    # b <= 2^n; initial=0 lets an empty row through to the checks after this
+    if pcc is PccKind.WBG and b.max(initial=0) == 1 << n:
         warnings.warn(
             f"WBG cannot represent probability 1; clamping threshold to {(1 << n) - 1}",
             QuantizationWarning,
@@ -78,17 +78,6 @@ def make_channels(
     ]
 
 
-@lru_cache(maxsize=None)
-def _wbg_shift_table(n: int) -> np.ndarray:
-    # shift[r] = index of r's leading one counted from the LSB;
-    # shift[0] = n so that (b >> n) & 1 == 0 for any b < 2^n
-    tbl = np.full(1 << n, n, dtype=np.int64)
-    for r in range(1, 1 << n):
-        tbl[r] = r.bit_length() - 1
-    tbl.setflags(write=False)
-    return tbl
-
-
 def pcc_bits(pcc: PccKind, words: np.ndarray, b, n: int) -> np.ndarray:
     """Vectorized PCC over an array of source words; returns uint8 bits.
 
@@ -101,16 +90,6 @@ def pcc_bits(pcc: PccKind, words: np.ndarray, b, n: int) -> np.ndarray:
     if (np.asarray(b) >> n).any():
         raise ValueError(f"WBG threshold outside [0, 2^{n} - 1]: {b}")
     return ((b >> wbg_bit_index(words, n)) & 1).astype(np.uint8)
-
-
-def wbg_bit_index(words, n: int) -> np.ndarray:
-    """Threshold bit a WBG of width n outputs for each source word.
-
-    It is the index of the word's leading one, counted from the LSB, or n for
-    the word 0, whose output is always 0; the word 1 << k (k < n) or 0 stands
-    for each of the n + 1 classes.
-    """
-    return _wbg_shift_table(n)[words]
 
 
 def input_bit_matrix(

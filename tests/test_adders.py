@@ -35,8 +35,8 @@ from scmux.adders import (
 from scmux.analysis import accuracy_stats
 from scmux.filterapp import make_lowpass
 from scmux.muxtree import build_biased_selector_tree, quantize_weights
-from scmux.rns import _lfsr_cycle, _lfsr_position, _lfsr_windows
-from scmux.sngen import PccKind, QuantizationWarning, wbg_bit_index
+from scmux.rns import _lfsr_cycle, _lfsr_position, _source_starts, _source_table, wbg_bit_index
+from scmux.sngen import PccKind, QuantizationWarning
 
 # feature matrix rows: tree type, data pcc, select source, select pcc,
 # full correlation, precise sampling
@@ -351,21 +351,20 @@ def test_step_table_walk_matches_per_level_walk(n, weights, words_seed):
     select = np.array([source_words(SourceSpec("lfsr", n, state), 1 << n)
                        for state in _lfsr_cycle(n)[starts]]).reshape(depth, 1 << n)
     assert np.array_equal(
-        _biased_walk(step, leaf_owner, _lfsr_windows(n, 1 << n, "wbg_classes"), starts),
+        _biased_walk(step, leaf_owner, _source_table("lfsr", n, "wbg_classes"), starts),
         biased_walk_per_level(heap, leaf_owner, select, n),
     )
 
 
 def test_seed_expansion_matches_fixed_spawn():
-    from scmux.adders import _source_starts
-
     # a fixed-size spawn assigns child i the seed SeedSequence(seed,
     # spawn_key=(i,)) gives, for every source index a tree can have
     for seed in (0, 1, 7, 2**32 + 5, 2**63 - 1):
         seeds = spawned_seeds(seed, 17)
         for n in (3, 9, 16):
             states = [max(s % (1 << n), 1) for s in seeds]
-            assert _source_starts(seed, range(17), n).tolist() == _lfsr_position(n)[states].tolist()
+            expected = _lfsr_position(n)[states].tolist()
+            assert _source_starts("lfsr", seed, range(17), n).tolist() == expected
     # over 10,000 more master seeds, against numpy's SeedSequence
     rng = np.random.default_rng(6174)
     seeds = [*range(50), 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1,
@@ -380,7 +379,7 @@ def test_seed_expansion_matches_fixed_spawn():
         for n in (3, 9, 16):
             states = [max(s % (1 << n), 1) for s in spawned]
             expected = _lfsr_position(n)[states].tolist()
-            assert _source_starts(seed, indices, n).tolist() == expected, (seed, n)
+            assert _source_starts("lfsr", seed, indices, n).tolist() == expected, (seed, n)
     # a seed congruent to 0 (mod 2^n) starts where one congruent to 1 does,
     # at state 1
     for seed, at_zero, at_one in FOLDED_SEEDS:
@@ -389,7 +388,7 @@ def test_seed_expansion_matches_fixed_spawn():
             for i in (at_zero, at_one)
         ]
         assert residues == [0, 1]
-        assert _source_starts(seed, [at_zero, at_one], 3).tolist() == [0, 0]
+        assert _source_starts("lfsr", seed, [at_zero, at_one], 3).tolist() == [0, 0]
 
 
 def test_run_adder_rejects_seeds_outside_64_bits():

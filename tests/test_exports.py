@@ -1,14 +1,18 @@
-"""Every public name of the package has a user outside the tests.
+"""The package's layering: its public names and its import graph.
 
-A helper that only tests call belongs in tests/oracles.py, not in src/scmux.
-A public top-level name of a src/scmux module counts as used when it is
-read in src/scmux (outside its own definition and __init__.py), in scripts/
-or in perfbench/spans.py, the tracer that wraps the package's functions by
-name.
+Every public name has a user outside the tests: a helper that only tests
+call belongs in tests/oracles.py, not in src/scmux. A public top-level name
+of a src/scmux module counts as used when it is read in src/scmux (outside
+its own definition and __init__.py), in scripts/ or in perfbench/spans.py,
+the tracer that wraps the package's functions by name.
+
+The modules import one another without a cycle, function-local imports
+included, so each layer can be read and loaded on top of the ones below it.
 """
 
 import ast
 import re
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,3 +60,41 @@ def test_every_exported_name_has_a_user_outside_the_tests():
     unused = [f"{module}.{name}" for module, name in public
               if name not in used and not re.search(rf"\b{name}\b", text)]
     assert public and not unused, f"public but used only by tests: {unused}"
+
+
+def _scmux_imports(path: Path) -> set[str]:
+    """Stems of the src/scmux modules a module imports, anywhere in its body.
+
+    The package itself (`from . import x`, `import scmux`) counts as
+    __init__, unless a module is named.
+    """
+    stems = {p.stem for p in MODULES}
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = (node.module or "").split(".")
+            elif (node.module or "").split(".")[0] == "scmux":
+                parts = node.module.split(".")[1:]
+            else:
+                continue
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found |= {a.name for a in node.names if a.name in stems} or {"__init__"}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "scmux":
+                    found.add(parts[1] if len(parts) > 1 else "__init__")
+    return found
+
+
+def test_module_imports_form_no_cycle():
+    paths = {p.stem: p for p in (ROOT / "src" / "scmux").glob("*.py")}
+    graph = {stem: _scmux_imports(path) & set(paths) for stem, path in paths.items()}
+    assert graph["adders"] >= {"rns", "sngen"}
+    try:
+        list(TopologicalSorter(graph).static_order())
+    except CycleError as err:
+        raise AssertionError(f"import cycle: {' -> '.join(err.args[1])}") from None

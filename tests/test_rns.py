@@ -9,7 +9,8 @@ from scmux.rns import (
     LFSR_TAPS,
     RnsSpec,
     _lfsr_position,
-    _lfsr_windows,
+    _source_starts,
+    _source_table,
     complement_output,
     rns_sequence,
 )
@@ -98,48 +99,83 @@ def _seeds(width, rng):
     return [0, 1, 1 << width, (5 << width) + 1, 2**64 - 1, *rng.integers(0, 2**63, 5).tolist()]
 
 
+def _start_row(kind, width, seed):
+    # an LFSR seed's row is _lfsr_position[max(seed mod 2^n, 1)]; a counter
+    # has one row, its run from reset, whatever the seed
+    return _lfsr_position(width)[max(seed % (1 << width), 1)] if kind == "lfsr" else 0
+
+
+def _seeded_words(kind, width, seed, count):
+    # the oracle's words from the start a seed picks; a counter ignores it
+    return source_words(SourceSpec(kind, width, seed if kind == "lfsr" else 0), count)
+
+
 @pytest.mark.parametrize("width", sorted(LFSR_TAPS))
 def test_lfsr_words_read_each_seeded_sequence_by_index(width):
-    # a seed's words are row _lfsr_position[max(seed mod 2^n, 1)] of the
-    # words table
+    # every kind's words table holds each seed's sequence at its start's row
     rng = np.random.default_rng(width)
-    for count in (1, 3 << width if width <= 10 else 5):
-        table = _lfsr_windows(width, count, "words")
-        for seed in _seeds(width, rng):
-            row = table[_lfsr_position(width)[max(seed % (1 << width), 1)]]
-            assert np.array_equal(row, source_words(SourceSpec("lfsr", width, seed), count)), seed
+    seeds = _seeds(width, rng)
+    for kind in KINDS:
+        table = _source_table(kind, width, "words")
+        assert table.shape == ((1 << width) - 1 if kind == "lfsr" else 1, 1 << width)
+        if kind != "lfsr":
+            assert np.array_equal(table[0], rns_sequence(RnsSpec(kind, width), 1 << width))
+        for seed in seeds:
+            row = table[_start_row(kind, width, seed)]
+            assert np.array_equal(row, _seeded_words(kind, width, seed, 1 << width)), (kind, seed)
 
 
 @pytest.mark.parametrize("width", [3, 9, 10, 16])
 def test_lfsr_windows_hold_each_start_states_words(width):
-    # each kind's row at a seed's start holds the oracle's words, their WBG
-    # classes (the leading one's index, n for the word 0) and their MSBs
-    # weighted by 2^(n - l) for level l
+    # for every kind, each form's row at a seed's start holds the oracle's
+    # words, their WBG classes (the leading one's index, n for the word 0)
+    # and their MSBs weighted by 2^(n - l) for level l; a counter's one row
+    # is checked once
     count = 1 << width
     rng = np.random.default_rng(width)
-    words = _lfsr_windows(width, count, "words")
-    classes = _lfsr_windows(width, count, "wbg_classes")
-    msbs = _lfsr_windows(width, count, "level_msbs")
-    assert words.shape == classes.shape == ((1 << width) - 1, count)
-    assert msbs.dtype == np.uint16 and msbs.shape == (width, (1 << width) - 1, count)
-    for seed in _seeds(width, rng):
-        start = _lfsr_position(width)[max(seed % (1 << width), 1)]
-        expected = source_words(SourceSpec("lfsr", width, seed), count)
-        assert np.array_equal(words[start], expected), seed
-        assert classes[start].tolist() == [int(w).bit_length() - 1 for w in expected]
-        for level in range(1, width + 1):
-            weighted = (expected >> (width - 1)) << (width - level)
-            assert np.array_equal(msbs[level - 1, start], weighted), (seed, level)
+    seeds = _seeds(width, rng)
+    for kind in KINDS:
+        rows = count - 1 if kind == "lfsr" else 1
+        words = _source_table(kind, width, "words")
+        classes = _source_table(kind, width, "wbg_classes")
+        msbs = _source_table(kind, width, "level_msbs")
+        assert words.shape == classes.shape == (rows, count)
+        assert msbs.dtype == np.uint16 and msbs.shape == (width, rows, count)
+        for seed in seeds if kind == "lfsr" else seeds[:1]:
+            start = _start_row(kind, width, seed)
+            expected = _seeded_words(kind, width, seed, count)
+            assert np.array_equal(words[start], expected), (kind, seed)
+            assert classes[start].tolist() == [
+                int(w).bit_length() - 1 if w else width for w in expected
+            ]
+            for level in range(1, width + 1):
+                weighted = (expected >> (width - 1)) << (width - level)
+                assert np.array_equal(msbs[level - 1, start], weighted), (kind, seed, level)
 
 
-@pytest.mark.parametrize("kind", ["words", "wbg_classes", "level_msbs"])
-def test_lfsr_windows_are_read_only(kind):
-    table = _lfsr_windows(5, 32, kind)
-    with pytest.raises(ValueError):
-        table[..., 0] = 0
-    # nor can a view of it be made writeable: the table under it is read-only
-    with pytest.raises(ValueError):
-        table.setflags(write=True)
+@pytest.mark.parametrize("form", ["words", "wbg_classes", "level_msbs"])
+def test_lfsr_windows_are_read_only(form):
+    # every kind's table, in each form
+    for kind in KINDS:
+        table = _source_table(kind, 5, form)
+        with pytest.raises(ValueError):
+            table[..., 0] = 0
+        # nor can a view of it be made writeable: the table under it is read-only
+        with pytest.raises(ValueError):
+            table.setflags(write=True)
+    with pytest.raises(ValueError, match="unknown source table form"):
+        _source_table("lfsr", 5, "bits")
+
+
+@pytest.mark.parametrize("kind", ["counter", "sobol_reversed_counter"])
+def test_counter_sources_read_row_zero_at_every_seed(kind):
+    rng = np.random.default_rng(11)
+    for n in (3, 9, 16):
+        for seed in _seeds(n, rng):
+            assert _source_starts(kind, seed, range(17), n).tolist() == [0] * 17
+            assert _source_starts(kind, seed, [0], n).tolist() == [0]
+    # an LFSR's row does depend on the seed
+    assert len({int(_source_starts("lfsr", s, [0], 9)[0]) for s in range(20)}) > 1
 
 
 def test_register_peeks_next_word():
