@@ -33,6 +33,7 @@ from .muxtree import (
     quantize_weights,
     tree_size,
 )
+from . import rns
 from .rns import _source_starts, _source_table, complement_output, wbg_bit_index
 
 # make_channels is not on the run path; it stays reachable as
@@ -253,20 +254,30 @@ def _owner_sequence(design: AdderDesign, tree, seed) -> np.ndarray:
         # one independent LFSR per level; its word's MSB is the select bit,
         # bit n - l of the owner-map index for level l
         msbs = _source_table("lfsr", n, "level_msbs")
-        starts = _source_starts("lfsr", seed, range(1, n + 1), n)
+        starts = _source_starts("lfsr", seed, slice(1, n + 1), n)
         return tree.take(msbs[np.arange(n), starts].sum(axis=0, dtype=np.uint16))
 
     step, leaf_owner = tree
     depth = leaf_owner.size.bit_length() - 1
     classes = _source_table("lfsr", n, "wbg_classes")
-    starts = _source_starts("lfsr", seed, range(1, depth + 1), n)
+    starts = _source_starts("lfsr", seed, slice(1, depth + 1), n)
     return _biased_walk(step, leaf_owner, classes, starts)
 
 
 def _data_row(design: AdderDesign, seed: int, form: str) -> np.ndarray:
     """The run's data-source words (form "words") or their WBG classes ("wbg_classes")."""
     kind, n = design.data_rns_kind, design.n
-    return _source_table(kind, n, form)[_source_starts(kind, seed, [0], n)[0]]
+    return _source_table(kind, n, form)[_source_starts(kind, seed, 0, n)]
+
+
+def _fill_starts(design: AdderDesign, seeds) -> None:
+    """Make rns hold the LFSR starts of the master seeds `seeds`, if the design's runs read an LFSR.
+
+    The noisy mux trees read one LFSR per level and cemux_lfsr's data source
+    is one; the other designs' sources run from reset.
+    """
+    if design.tree_type != "apc" and (not design.precise_sampling or design.data_rns_kind == "lfsr"):
+        rns._fill_starts(seeds, design.n)
 
 
 def run_adder(design: AdderDesign, values, big_n: int, seed: int, weights) -> SimulationReport:

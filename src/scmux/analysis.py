@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adders import AdderDesign, _fill_tables, run_adder
+from .adders import AdderDesign, _fill_starts, _fill_tables, run_adder
 from .bitstream import bipolar_thresholds
 from .muxtree import build_hardwired_tree, quantize_weights
 
@@ -116,6 +116,11 @@ _CHUNK_ELEMENTS = 1 << 14
 
 def _chunk_runs(per_run: int) -> int:
     return max(1, _CHUNK_ELEMENTS // per_run)
+
+
+# An adder chunk holds at most this many runs' drawn Python objects and LFSR
+# start rows.
+_CHUNK_RUNS = 128
 
 
 class _ModelRuntime:
@@ -282,7 +287,7 @@ def decompose_variance(cfg: ModelConfig, runs: int, master_seed: int) -> Varianc
     if runs < 2:
         raise ValueError("need at least 2 runs")
     rt = _ModelRuntime(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed))
+    rng = np.random.default_rng(master_seed)
 
     chunks = []
     c_cov = np.zeros((rt.M, rt.M))
@@ -360,11 +365,44 @@ def expected_closed_form(cfg: ModelConfig, runs: int, master_seed: int) -> float
     if cfg.values is not None:
         return closed_form_variance(cfg)
     rt = _ModelRuntime(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed))
+    rng = np.random.default_rng(master_seed)
     mup = 2.0 * rt._thresholds(rng.uniform(-1.0, 1.0, size=(runs, rt.M))) / rt.N - 1.0
     step = _chunk_runs(rt.M * rt.M)  # bounds the (R, M, M) gap tensor of the SCC +1 rows
     per_run = np.concatenate([_closed_form(rt, mup[i : i + step]) for i in range(0, runs, step)])
     return float(np.cumsum(per_run)[-1]) / runs
+
+
+def _draw_runs(bit_generator, fixed: np.ndarray, runs: int, weight_mode: str | None):
+    """Weights, values and seeds of `runs` runs, each drawn as a run's Generator calls draw it.
+
+    A run draws its weights (weight_mode "uniform": uniform(-1, 1, m), redrawn
+    while all are zero; "pm": signs from random(m) < 0.5; None: none), then
+    its values uniform(-1, 1, m), then its seed integers(0, 2^63), each value
+    from one raw word x of the bit generator: random() is (x >> 11) 2^-53,
+    uniform(-1, 1) is -1 + 2 random(), and integers(0, 2^63) is x >> 1, as
+    Lemire's method never rejects a draw with a 2^63 range. So the chunk is
+    one block of raw words, and a run whose weights are all zero drops its m
+    weight words, the chunk reading m more. Returns the (runs, m) weights
+    (`fixed` in every row under None), the (runs, m) values and the seeds.
+    """
+    m = fixed.size
+    k = (m if weight_mode else 0) + m + 1
+    words = bit_generator.random_raw(runs * k)
+    while True:
+        block = words.reshape(runs, k)
+        unit = (block[:, :-1] >> 11) * 2.0**-53
+        uniform = -1.0 + 2.0 * unit
+        if weight_mode != "uniform" or uniform[:, :m].any(axis=1).all():
+            break
+        at = np.argmin(uniform[:, :m].any(axis=1)) * k
+        words = np.concatenate((words[:at], words[at + m :], bit_generator.random_raw(m)))
+    if weight_mode == "uniform":
+        weights = uniform[:, :m]
+    elif weight_mode == "pm":
+        weights = np.where(unit[:, :m] < 0.5, -1.0, 1.0) / m
+    else:
+        weights = np.broadcast_to(fixed, (runs, m))
+    return weights, uniform[:, -m:], (block[:, -1] >> 1).tolist()
 
 
 def accuracy_stats(
@@ -380,36 +418,27 @@ def accuracy_stats(
     U[-1, 1] input values. Under weight_mode None every run uses the row
     itself; otherwise each run redraws its weights: "uniform" for U[-1, 1],
     "pm" for random signs at magnitude 1/M. Errors are measured against each
-    run's own quantized target. Runs are drawn a chunk at a time, and each
-    chunk's weight tables are built in one _fill_tables pass before its
-    runs, one run_adder call each.
+    run's own quantized target. Runs are drawn a chunk at a time
+    (_draw_runs), and each chunk's weight tables and LFSR starts are built
+    in one _fill_tables and one _fill_starts pass before its runs, one
+    run_adder call each.
     """
     if runs < 1:
         raise ValueError("need at least 1 run")
     if weight_mode not in (None, "uniform", "pm"):
         raise ValueError("weight_mode must be None, 'uniform' or 'pm'")
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed))
+    rng = np.random.default_rng(master_seed)
     fixed = np.asarray(weights, dtype=np.float64)
-    m = len(fixed)
     big_n = 1 << design.n
-    # a chunk's draws and weight tables stay near _CHUNK_ELEMENTS elements, and
-    # its drawn Python objects at 128 runs' worth
-    step = min(_chunk_runs(max(big_n, m)), 128)
+    # a chunk's draws and weight tables stay near _CHUNK_ELEMENTS elements
+    step = min(_chunk_runs(max(big_n, fixed.size)), _CHUNK_RUNS)
     errors = []
     for start in range(0, runs, step):
-        # each run draws its weights, values and seed in turn; run_adder draws
-        # nothing, so drawing a chunk ahead leaves every run's draws unchanged
-        draws = []
-        for _ in range(min(step, runs - start)):
-            w = fixed
-            if weight_mode == "uniform":
-                w = rng.uniform(-1.0, 1.0, size=m)
-                while not np.any(w):
-                    w = rng.uniform(-1.0, 1.0, size=m)
-            elif weight_mode == "pm":
-                w = np.where(rng.random(m) < 0.5, -1.0, 1.0) / m
-            draws.append((w, rng.uniform(-1.0, 1.0, size=m), int(rng.integers(0, 2**63))))
-        _fill_tables(design, [fixed] if weight_mode is None else [w for w, _, _ in draws])
-        for w, v, seed in draws:
+        # run_adder draws nothing, so drawing a chunk ahead leaves every run's
+        # draws unchanged
+        ws, vs, seeds = _draw_runs(rng.bit_generator, fixed, min(step, runs - start), weight_mode)
+        _fill_tables(design, [fixed] if weight_mode is None else ws)
+        _fill_starts(design, seeds)
+        for w, v, seed in zip(ws, vs, seeds):
             errors.append(run_adder(design, v, big_n, seed, w).error)
     return AccuracyStats.from_errors(errors)

@@ -95,8 +95,8 @@ def bipolar_thresholds(values, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("bit-width must be >= 1")
     v = np.asarray(values, dtype=np.float64)
-    bad = ~((v >= -1.0) & (v <= 1.0))  # NaN fails both comparisons
-    if bad.any():
-        raise ValueError(f"bipolar values must lie in [-1, 1]; input value {v[bad][0]} is outside")
+    inside = np.abs(v) <= 1.0  # NaN fails the comparison
+    if not inside.all():
+        raise ValueError(f"bipolar values must lie in [-1, 1]; input value {v[~inside][0]} is outside")
     # searchsorted returns intp, which is int64 on the supported platforms
     return np.searchsorted(_bipolar_midpoints(n), v, side="right").astype(np.int64, copy=False)

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .adders import AdderDesign, make_design, run_adder
-from .analysis import AccuracyStats
+from .adders import AdderDesign, _fill_starts, make_design, run_adder
+from .analysis import _CHUNK_RUNS, AccuracyStats
 
 
 # every signal is sampled at the MIT-BIH ECG rate
@@ -98,19 +98,19 @@ def stochastic_fir(
     scale = spec.weight_mass
     x = signal.samples
     ref = _reference_raw(spec, signal)
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed))
+    # one seed per sample, the words of one integers(0, 2^63) call per sample
+    seeds = np.random.default_rng(master_seed).integers(0, 2**63, size=len(x)).tolist()
 
     out = np.empty(len(x))
-    errors = []
-    warmup = min(m - 1, len(x))
     # row i: x_i, x_{i-1}, ..., x_{i-M+1}, zeros before the signal starts
     windows = sliding_window_view(np.concatenate([np.zeros(m - 1), x]), m)[:, ::-1]
-    for i, window in enumerate(windows):
-        seed = int(rng.integers(0, 2**63))
-        out[i] = run_adder(design, window, 1 << design.n, seed, h).estimate * scale
-        if i >= warmup:
-            errors.append(out[i] - ref[i])
-    stats = AccuracyStats.from_errors(errors)
+    for start in range(0, len(x), _CHUNK_RUNS):
+        chunk = range(start, min(start + _CHUNK_RUNS, len(x)))
+        _fill_starts(design, seeds[start : chunk.stop])
+        for i in chunk:
+            out[i] = run_adder(design, windows[i], 1 << design.n, seeds[i], h).estimate * scale
+    warmup = min(m - 1, len(x))
+    stats = AccuracyStats.from_errors((out[warmup:] - ref[warmup:]).tolist())
     return Signal(np.clip(out, -1.0, 1.0)), stats
 
 
@@ -196,14 +196,19 @@ def filter_rmse_vs_length(
         per_n: dict[int, float] = {}
         for n in n_values:
             design = make_design(name, n)
-            rng = np.random.default_rng(np.random.SeedSequence((master_seed, n)))
+            rng = np.random.default_rng((master_seed, n))
             errs = []
-            for _ in range(runs):
-                start = int(rng.integers(0, len(x) - m))
-                window = x[start : start + m][::-1]
-                seed = int(rng.integers(0, 2**63))
-                rep = run_adder(design, window, 1 << design.n, seed, h)
-                errs.append(rep.estimate * scale - float(h @ window))
+            for done in range(0, runs, _CHUNK_RUNS):
+                # each run draws its window's start, then its seed
+                draws = [
+                    (int(rng.integers(0, len(x) - m)), int(rng.integers(0, 2**63)))
+                    for _ in range(min(_CHUNK_RUNS, runs - done))
+                ]
+                _fill_starts(design, [seed for _, seed in draws])
+                for start, seed in draws:
+                    window = x[start : start + m][::-1]
+                    rep = run_adder(design, window, 1 << design.n, seed, h)
+                    errs.append(rep.estimate * scale - float(h @ window))
             per_n[n] = AccuracyStats.from_errors(errs).rmse
         out[name] = per_n
     return out

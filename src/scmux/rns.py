@@ -172,55 +172,102 @@ def _hash_pair(const: int, mult: int, i: int) -> tuple[int, int]:
     return first, first * mult & _MASK32
 
 
-# generate_state's hash of pool word 0, the low word of the first uint64
-_OUTPUT_HASH = _hash_pair(0x8B51F9DD, 0x58F38DED, 0)
+# The 32-bit arithmetic below reads the same on a Python int and on a uint64
+# array: every product is of two values below 2^32, so no uint64 wraps, and a
+# difference that wraps (or goes negative) is masked back to 32 bits.
 
 
-def _hash(v: int, pair: tuple[int, int]) -> int:
+def _hash(v, pair: tuple[int, int]):
     v = (v ^ pair[0]) * pair[1] & _MASK32
     return v ^ (v >> 16)
 
 
-# each spawn key's hash times the mixing's second multiplier, as it is mixed
-# into pool word 0; the key's is entropy hash 16, after 4 for the pool words
-# and 12 to mix them (a source index is at most the tree height, 16)
-_KEY_TERMS = tuple(
-    0x4973F715 * _hash(key, _hash_pair(0x43B0D7E5, 0x931E8875, 16)) & _MASK32
-    for key in range(17)
-)
-
-# a counter runs from reset whatever the seed: row 0 of its table for each
-# source, held per source count (at most 17) as read-only broadcast views so
-# that reading them allocates nothing
-_RESET_STARTS = tuple(np.broadcast_to(np.int64(0), k) for k in range(18))
+def _mix(x, y):
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return r ^ (r >> 16)
 
 
-def _source_starts(kind: str, master_seed: int, indices, n: int) -> np.ndarray:
+# the entropy hashes, in SeedSequence's order: 4 for the pool words, 12 to mix
+# them and then one per pool word for each spawn key word
+_ENTROPY_HASHES = tuple(_hash_pair(0x43B0D7E5, 0x931E8875, i) for i in range(17))
+# generate_state's hash of pool word 0, the low word of the first uint64
+_OUTPUT_HASH = _hash_pair(0x8B51F9DD, 0x58F38DED, 0)
+# pool words 2 and 3 before mixing: a seed below 2^64 has at most two words
+_PAD_WORDS = tuple(_hash(0, _ENTROPY_HASHES[i]) for i in (2, 3))
+
+
+def _pool_word0(seed):
+    """Word 0 of SeedSequence(seed).pool, for a seed in [0, 2^64).
+
+    `seed` is a Python int or a uint64 array; the word has its type. The seed's
+    two 32-bit words, then two zeros, are hashed into a pool of four words,
+    and each word in turn has its hash mixed into every other word.
+    """
+    h = _ENTROPY_HASHES
+    w0 = _hash(seed & _MASK32, h[0])
+    w1 = _mix(_hash(seed >> 32, h[1]), _hash(w0, h[4]))
+    w2 = _mix(_mix(_PAD_WORDS[0], _hash(w0, h[5])), _hash(w1, h[8]))
+    w3 = _mix(_mix(_mix(_PAD_WORDS[1], _hash(w0, h[6])), _hash(w1, h[9])), _hash(w2, h[12]))
+    return _mix(_mix(_mix(w0, _hash(w1, h[7])), _hash(w2, h[10])), _hash(w3, h[13]))
+
+
+# spawn key i's hash, as it is mixed into pool word 0 (entropy hash 16), for
+# every source a run can have: the data source and at most 16 levels
+_KEY_HASHES = np.array([_hash(key, _ENTROPY_HASHES[16]) for key in range(17)], dtype=np.uint64)
+_KEY_HASHES.setflags(write=False)
+
+# a counter runs from reset whatever the seed: row 0 of its table for every
+# source
+_RESET_ROW = np.zeros(_KEY_HASHES.size, dtype=np.int64)
+_RESET_ROW.setflags(write=False)
+
+# The LFSR start rows of the last fill, keyed by (master seed, n): entry i of
+# a row is source i's start at width n, for all 17 sources. Read-only views of
+# the fill's block.
+_starts: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _lfsr_start_rows(seeds, n: int) -> np.ndarray:
+    # the starts of all 17 sources of each master seed: see _source_starts
+    pool = _pool_word0(seeds)
+    if isinstance(seeds, np.ndarray):
+        pool = pool[..., None]
+    words = _hash(_mix(pool, _KEY_HASHES), _OUTPUT_HASH)
+    return _lfsr_position(n)[np.maximum(words & ((1 << n) - 1), 1)]
+
+
+def _fill_starts(seeds, n: int) -> None:
+    """Make _starts hold the LFSR start rows of the master seeds `seeds` at width n, alone."""
+    rows = _lfsr_start_rows(np.array(seeds, dtype=np.uint64), n)
+    rows.setflags(write=False)
+    _starts.clear()
+    _starts.update(zip([(seed, n) for seed in seeds], rows))
+
+
+def _source_starts(kind: str, seeds, indices, n: int) -> np.ndarray:
     """Rows of _source_table(kind, n, form) that sources `indices` read.
 
-    Index 0 is the data source and l the level-l select source. A counter has
-    one row, row 0. An LFSR's row is its start position in the state cycle:
-    source i's seed is SeedSequence(master_seed, spawn_key=(i,))
-    .generate_state(1, np.uint64)[0], child i of
-    SeedSequence(master_seed).spawn(k) for any k > i, so the assignment is
-    stable across designs, and its LFSR starts at state max(seed mod 2^n, 1),
-    read through _lfsr_position. As n <= 16, only the seed's low 32-bit word
-    is computed: word 0 of the master seed's entropy pool, from numpy, then
-    in 32-bit integer arithmetic each spawn key mixed into it and
-    generate_state's hash. Master seeds lie in [0, 2^64).
+    `seeds` is one master seed or a uint64 array of them, each in [0, 2^64);
+    the result has the seeds' shape followed by the indices'. Index 0 is the
+    data source and l the level-l select source. A counter has one row, row
+    0. An LFSR's row is its start position in the state cycle: source i's
+    seed is SeedSequence(master_seed, spawn_key=(i,)).generate_state(1,
+    np.uint64)[0], child i of SeedSequence(master_seed).spawn(k) for any
+    k > i, so the assignment is stable across designs, and its LFSR starts at
+    state max(seed mod 2^n, 1), read through _lfsr_position. As n <= 16, only
+    the seed's low 32-bit word is computed, in 32-bit integer arithmetic:
+    pool word 0 of the master seed (_pool_word0), the key mixed into it, and
+    generate_state's hash. A single seed's starts are read from the last
+    _fill_starts when it holds the seed at width n.
     """
+    single = not isinstance(seeds, np.ndarray)
     if kind != "lfsr":
-        return _RESET_STARTS[len(indices)]
-    x = 0xCA01F9DD * int(np.random.SeedSequence(master_seed).pool[0])
-    mask = (1 << n) - 1
-    c, m = _OUTPUT_HASH
-    states = []
-    for i in indices:
-        # word 0 mixed with the key, then generate_state's hash of it
-        r = (x - _KEY_TERMS[i]) & _MASK32
-        r = (r ^ (r >> 16) ^ c) * m & _MASK32
-        states.append(max((r ^ (r >> 16)) & mask, 1))
-    return _lfsr_position(n)[states]
+        rows = _RESET_ROW if single else np.broadcast_to(_RESET_ROW, seeds.shape + _RESET_ROW.shape)
+    else:
+        rows = _starts.get((seeds, n)) if single else None
+        if rows is None:
+            rows = _lfsr_start_rows(seeds, n)
+    return rows[..., indices]
 
 
 def complement_output(word, n: int):

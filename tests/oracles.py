@@ -48,6 +48,10 @@ DESIGN_NAMES = (
     "apc",
 )
 ABLATION_NAMES = ("cemux_nofc", "cemux_nops", "cemux_nofc_nops", "cemux_lfsr")
+# the designs whose runs read the LFSR tables: the select sources of the
+# noisy trees, and the data source of cemux_lfsr
+LFSR_DESIGNS = ("basic_hardwired", "cemux_nops", "cemux_nofc_nops", "basic_biased", "cemux_biased",
+                "cemux_lfsr")
 
 
 def quantize_weights_transcription(weights, m):
@@ -230,8 +234,12 @@ def quantize_to_probability(p, n):
 
 
 def bipolar_threshold(value, n):
-    """Comparator threshold of a bipolar value: floor((v + 1) / 2 * 2^n + 1/2)."""
-    return quantize_to_probability((Fraction(value) + 1) / 2, n)
+    """Comparator threshold of a bipolar value: floor((v + 1) / 2 * 2^n + 1/2).
+
+    Exact in integers: for v = p/q it is floor(((p + q) 2^n + q) / 2q).
+    """
+    p, q = value.as_integer_ratio()
+    return ((p + q) * (1 << n) + q) // (2 * q)
 
 
 def pcc_threshold(p, n, pcc):
@@ -963,6 +971,38 @@ def full_matrix_apc(weights, values, big_n):
         (-1.0 if ng else 1.0) * wh * mh for ng, wh, mh in zip(negs, w_hat, mu_hat)
     ) / denom
     return estimate, target, estimate - target
+
+
+def run_draws_per_run(rng, weights, runs, weight_mode=None):
+    """Each run's (weights, values, seed), from accuracy_stats's per-run
+    Generator calls: the weights (or `weights` itself, under weight_mode
+    None), the values, then the seed."""
+    m = len(weights)
+    draws = []
+    for _ in range(runs):
+        w = weights
+        if weight_mode == "uniform":
+            w = rng.uniform(-1.0, 1.0, size=m)
+            while not np.any(w):
+                w = rng.uniform(-1.0, 1.0, size=m)
+        elif weight_mode == "pm":
+            w = np.where(rng.random(m) < 0.5, -1.0, 1.0) / m
+        draws.append((w, rng.uniform(-1.0, 1.0, size=m), int(rng.integers(0, 2**63))))
+    return draws
+
+
+def fir_estimates_per_sample(design, coefficients, samples, master_seed):
+    """stochastic_fir's normalized estimates from one loop: output sample i
+    draws its seed, then makes one run_adder call on x_i, ..., x_{i-M+1}."""
+    rng = np.random.default_rng(np.random.SeedSequence(master_seed))
+    h = np.asarray(coefficients, dtype=np.float64)
+    padded = np.concatenate([np.zeros(h.size - 1), samples])
+    estimates = []
+    for i in range(len(samples)):
+        seed = int(rng.integers(0, 2**63))
+        window = padded[i : i + h.size][::-1]
+        estimates.append(run_adder(design, window, 1 << design.n, seed, h).estimate)
+    return estimates
 
 
 def accuracy_errors_per_run(design, weights, runs, master_seed, weight_mode=None):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     ABLATION_NAMES,
     DESIGN_NAMES,
+    LFSR_DESIGNS,
     SourceSpec,
     biased_tree_reference,
     biased_walk_per_level,
@@ -284,10 +285,6 @@ def test_run_kernel_matches_full_matrix_oracle_on_filter_size_biased_trees():
 # SeedSequence spawns: (master seed, index of the source at 0, index of the
 # source at 1)
 FOLDED_SEEDS = ((2**63 + 25, 0, 3), (2**63 + 32, 1, 3), (2**63 + 71, 3, 0))
-# the designs whose runs read the LFSR tables: the select sources of the
-# noisy trees, and the data source of cemux_lfsr
-LFSR_DESIGNS = ("basic_hardwired", "cemux_nops", "cemux_nofc_nops", "basic_biased", "cemux_biased",
-                "cemux_lfsr")
 
 
 @pytest.mark.parametrize("n", [3, 10, 16])
@@ -371,7 +368,11 @@ def test_seed_expansion_matches_fixed_spawn():
              *rng.integers(0, 2**63, 9_000).tolist(), *rng.integers(0, 2**32, 1_000).tolist(),
              *(seed for seed, _, _ in FOLDED_SEEDS)]
     indices = (0, 1, 5, 12)
-    for seed in seeds:
+    # and as one uint64 array, a row per seed
+    rows = {n: _source_starts("lfsr", np.array(seeds, dtype=np.uint64), indices, n)
+            for n in (3, 9, 16)}
+    assert all(r.shape == (len(seeds), len(indices)) for r in rows.values())
+    for k, seed in enumerate(seeds):
         spawned = [
             int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1, np.uint64)[0])
             for i in indices
@@ -380,6 +381,7 @@ def test_seed_expansion_matches_fixed_spawn():
             states = [max(s % (1 << n), 1) for s in spawned]
             expected = _lfsr_position(n)[states].tolist()
             assert _source_starts("lfsr", seed, indices, n).tolist() == expected, (seed, n)
+            assert rows[n][k].tolist() == expected, (seed, n)
     # a seed congruent to 0 (mod 2^n) starts where one congruent to 1 does,
     # at state 1
     for seed, at_zero, at_one in FOLDED_SEEDS:
@@ -389,6 +391,36 @@ def test_seed_expansion_matches_fixed_spawn():
         ]
         assert residues == [0, 1]
         assert _source_starts("lfsr", seed, [at_zero, at_one], 3).tolist() == [0, 0]
+
+
+def test_lfsr_runs_read_the_same_starts_with_or_without_a_fill():
+    # a run's starts come from the last fill when it holds the run's seed at
+    # the run's width, and are computed from the seed otherwise
+    import scmux.rns
+
+    rng = np.random.default_rng(2718)
+    seeds = [*rng.integers(0, 2**63, 3).tolist(), 2**64 - 1, FOLDED_SEEDS[0][0]]
+    others = rng.integers(0, 2**63, 5).tolist()
+    w, v = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)
+    try:
+        for name in LFSR_DESIGNS:
+            for n in (3, 10):
+                d = make_design(name, n)
+                for seed in seeds:
+                    reports = []
+                    # the fill holds the run's seed; another chunk's seeds; the
+                    # run's seed at another width; nothing
+                    for fill, width in (([*others, seed], n), (others, n), ([seed], n + 1), ([], n)):
+                        scmux.rns._fill_starts(fill, width)
+                        assert ((seed, n) in scmux.rns._starts) == (seed in fill and width == n)
+                        reports.append(run_adder(d, v, 1 << n, seed, w))
+                    for rep in reports[1:]:
+                        assert np.array_equal(rep.output_bits, reports[0].output_bits), name
+                        assert np.array_equal(rep.sampling_counts, reports[0].sampling_counts)
+                        assert (rep.estimate, rep.target, rep.error) == (
+                            reports[0].estimate, reports[0].target, reports[0].error)
+    finally:
+        scmux.rns._starts.clear()
 
 
 def test_run_adder_rejects_seeds_outside_64_bits():

@@ -3,22 +3,29 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     ABLATION_NAMES,
     DESIGN_NAMES,
+    LFSR_DESIGNS,
     accuracy_errors_per_run,
     enumerate_model_variance,
     expected_closed_form_per_run,
+    fir_estimates_per_sample,
     model_run_exact,
     model_run_once,
+    run_draws_per_run,
 )
 from scmux.adders import make_design
 from scmux.analysis import (
     _CHUNK_ELEMENTS,
+    _CHUNK_RUNS,
     AccuracyStats,
     ModelConfig,
     _chunk_runs,
+    _draw_runs,
     _model_runs,
     _ModelRuntime,
     accuracy_stats,
@@ -27,6 +34,7 @@ from scmux.analysis import (
     expected_closed_form,
 )
 from scmux.bitstream import bipolar_thresholds
+from scmux.filterapp import filter_rmse_vs_length, make_lowpass, pulse_train_signal, stochastic_fir
 from scmux.muxtree import build_hardwired_tree, quantize_weights
 
 
@@ -441,6 +449,108 @@ def test_accuracy_stats_fills_each_chunks_tables_before_its_runs(monkeypatch):
     fills.clear()
     accuracy_stats(make_design("cemux", 10), [0.5, 0.25], 20, 1)
     assert fills == [1, 1]
+
+
+def test_each_chunk_fills_its_lfsr_starts_before_its_runs(monkeypatch):
+    import scmux.rns
+
+    fills, computed = [], []
+    fill, rows = scmux.rns._fill_starts, scmux.rns._lfsr_start_rows
+    monkeypatch.setattr(
+        scmux.rns, "_fill_starts", lambda seeds, n: (fills.append(len(seeds)), fill(seeds, n))
+    )
+    # a fill computes its chunk's rows from an array of seeds, and a run that
+    # misses them its own from its seed
+    monkeypatch.setattr(
+        scmux.rns,
+        "_lfsr_start_rows",
+        lambda seeds, n: (computed.append(np.ndim(seeds)), rows(seeds, n))[1],
+    )
+    spec = make_lowpass(6, 0.5)
+    signal = pulse_train_signal(130)
+    for name in (*DESIGN_NAMES, *ABLATION_NAMES):
+        reads_lfsr = name in LFSR_DESIGNS
+        d = make_design(name, 4)
+        # chunks of at most 128 runs; at n = 10 and M = 16, of 16
+        for n, runs, chunk in ((4, 130, 128), (10, 20, 16)):
+            fills.clear()
+            computed.clear()
+            accuracy_stats(make_design(name, n), [0.25] * 16, runs, 5, "uniform")
+            assert fills == ([min(chunk, runs - i) for i in range(0, runs, chunk)] if reads_lfsr else [])
+            assert 0 not in computed, (name, "a run computed the starts its chunk's fill entered")
+        fills.clear()
+        computed.clear()
+        out, _ = stochastic_fir(d, spec, signal, 9)
+        filter_rmse_vs_length([name], spec, [4], 130, 9)
+        assert fills == ([128, 2, 128, 2] if reads_lfsr else [])
+        assert 0 not in computed, name
+        if not reads_lfsr:
+            assert not computed, name
+        # and the chunked seeds are the per-sample ones
+        expected = np.array(fir_estimates_per_sample(d, spec.coefficients, signal.samples, 9))
+        assert np.array_equal(out.samples, np.clip(expected * spec.weight_mass, -1.0, 1.0)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([1, 2, 3, 16, 255]),
+    st.sampled_from([None, "uniform", "pm"]),
+    st.sampled_from([1, 127, 128, 129]),
+)
+def test_chunk_draws_equal_per_run_generator_calls(master_seed, m, weight_mode, runs):
+    # chunks of at most _CHUNK_RUNS runs from one generator, as accuracy_stats
+    # draws them, against each run's Generator calls from another
+    fixed = np.linspace(-1.0, 0.5, m)
+    chunked, per_run = np.random.default_rng(master_seed), np.random.default_rng(master_seed)
+    draws = []
+    for start in range(0, runs, _CHUNK_RUNS):
+        ws, vs, seeds = _draw_runs(chunked.bit_generator, fixed, min(_CHUNK_RUNS, runs - start),
+                                   weight_mode)
+        assert len(ws) == len(vs) == len(seeds)
+        draws += zip(ws, vs, seeds)
+    expected = run_draws_per_run(per_run, fixed, runs, weight_mode)
+    assert len(draws) == runs
+    for (w, v, seed), (ew, ev, eseed) in zip(draws, expected):
+        assert np.array_equal(w, ew) and np.array_equal(v, ev)
+        assert type(seed) is int and seed == eseed
+    assert chunked.bit_generator.state == per_run.bit_generator.state
+
+
+class _RawWords:
+    """A bit generator stand-in that hands out the given raw words in order."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+        self.taken = 0
+
+    def random_raw(self, size):
+        out = self.words[self.taken : self.taken + size]
+        self.taken += size
+        assert out.size == size, "the stand-in ran out of words"
+        return out
+
+
+@pytest.mark.parametrize("slot,repeats", [(0, 1), (3, 1), (5, 2)])
+def test_all_zero_uniform_weights_are_redrawn(slot, repeats):
+    # the word 2^63 draws random() = 0.5, so uniform(-1, 1) = 0.0; m of them in
+    # run `slot`'s weight words (twice over for repeats = 2) make an all-zero
+    # weight row, which the run redraws from the words that follow
+    m, runs = 3, 6
+    k = 2 * m + 1
+    words = np.random.default_rng(slot).integers(0, 2**64 - 1, runs * k + 4 * m,
+                                                 dtype=np.uint64, endpoint=True)
+    zeros = np.full(m * repeats, 2**63, dtype=np.uint64)
+    at = slot * k
+    with_zeros = _RawWords(np.concatenate((words[:at], zeros, words[at:])))
+    without = _RawWords(words)
+    fixed = np.zeros(m)
+    got = _draw_runs(with_zeros, fixed, runs, "uniform")
+    want = _draw_runs(without, fixed, runs, "uniform")
+    assert with_zeros.taken == without.taken + m * repeats
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert got[0].any(axis=1).all()
 
 
 def test_accuracy_stats_identity_and_runs():

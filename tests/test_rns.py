@@ -9,6 +9,7 @@ from scmux.rns import (
     LFSR_TAPS,
     RnsSpec,
     _lfsr_position,
+    _pool_word0,
     _source_starts,
     _source_table,
     complement_output,
@@ -174,6 +175,8 @@ def test_counter_sources_read_row_zero_at_every_seed(kind):
         for seed in _seeds(n, rng):
             assert _source_starts(kind, seed, range(17), n).tolist() == [0] * 17
             assert _source_starts(kind, seed, [0], n).tolist() == [0]
+        rows = _source_starts(kind, np.array(_seeds(n, rng), dtype=np.uint64), range(17), n)
+        assert rows.shape == (10, 17) and not rows.any()
     # an LFSR's row does depend on the seed
     assert len({int(_source_starts("lfsr", s, [0], 9)[0]) for s in range(20)}) > 1
 
@@ -209,3 +212,19 @@ def test_sequence_extension_consistency(kind, width, count):
     spec = RnsSpec(kind, width)
     long = rns_sequence(spec, count + 10)
     assert list(long[:count]) == list(rns_sequence(spec, count))
+
+
+def test_pool_word_matches_seed_sequence():
+    # the master seed's pool word 0, in 32-bit arithmetic on a Python int and
+    # on a uint64 array alike, across the one- and two-word seeds and their edges
+    rng = np.random.default_rng(1618)
+    seeds = [*range(50), 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**64 - 1,
+             *rng.integers(0, 2**32, 300).tolist(), *rng.integers(0, 2**63, 300).tolist(),
+             *rng.integers(0, 2**64 - 1, 300, dtype=np.uint64, endpoint=True).tolist()]
+    expected = [int(np.random.SeedSequence(seed).pool[0]) for seed in seeds]
+    words = [_pool_word0(seed) for seed in seeds]
+    assert all(type(word) is int for word in words)
+    assert words == expected
+    array_words = _pool_word0(np.array(seeds, dtype=np.uint64))
+    assert array_words.dtype == np.uint64
+    assert array_words.tolist() == expected
