@@ -33,7 +33,6 @@ from .muxtree import (
     quantize_weights,
     tree_size,
 )
-from . import rns
 from .rns import _source_starts, _source_table, complement_output, wbg_bit_index
 
 # make_channels is not on the run path; it stays reachable as
@@ -169,22 +168,22 @@ def _values_array(values, m: int) -> np.ndarray:
     return v
 
 
-# The run's weight tables, keyed by (|w| bytes, n, tree type): the entries of
-# the last fill alone. The tree depends on the magnitudes alone; the signs act
-# after it, so weights that differ only in sign share one entry. An entry is
-# (numerators, tree), read-only views of the fill's blocks: a "hardwired" tree
-# is its owner map, and a "biased" tree is (step, leaf_owner). Entry
-# step[s (n + 1) + k] is where the walk goes from heap slot s when the select
-# word has WBG class k (see wbg_bit_index): the next slot times n + 1 if that
-# slot is a mux, or else the next slot's position among the leaves.
+# The weight tables of the last fill, keyed by (|w| bytes, n, tree type). The
+# tree depends on the magnitudes alone; the signs act after it, so weights that
+# differ only in sign share one entry. An entry is (numerators, tree),
+# read-only views of the fill's blocks: a "hardwired" tree is its owner map,
+# and a "biased" tree is (step, leaf_owner). Entry step[s (n + 1) + k] is where
+# the walk goes from heap slot s when the select word has WBG class k (see
+# wbg_bit_index): the next slot times n + 1 if that slot is a mux, or else the
+# next slot's position among the leaves.
 _tables: dict[tuple[bytes, int, str], tuple] = {}
 
 
-def _fill_tables(design: AdderDesign, weights) -> None:
-    """Make _tables hold the tables of each weight vector of `weights`.
+def _fill_tables(design: AdderDesign, weights) -> tuple[list[tuple], list[int]]:
+    """The _tables entries of the distinct magnitude rows of `weights`, and each row's entry index.
 
-    If every vector's tables are present, nothing is built. Otherwise the
-    distinct magnitude vectors are quantized as one block and their trees built
+    If every row's tables are present, nothing is built. Otherwise the
+    distinct magnitude rows are quantized as one block and their trees built
     as one block, per active count for a biased tree, each slot's step-table
     row read off the bits of its code and pre-scaled (see _tables), and their
     entries replace the cache's contents.
@@ -192,97 +191,81 @@ def _fill_tables(design: AdderDesign, weights) -> None:
     message and leaves the cache as it was.
     """
     n, tree_type = design.n, design.tree_type
-    if tree_type == "apc":
-        return
-    rows = {}
-    for row in np.abs(np.asarray(weights, dtype=np.float64)):
-        rows.setdefault((row.tobytes(), n, tree_type), row)
-    if all(key in _tables for key in rows):
-        return
-    nums = _quantize_rows(list(rows.values()), n)
-    nums.setflags(write=False)
-    keys = list(rows)
-    if tree_type == "hardwired":
-        owners = _hardwired_rows(nums, n)
-        owners.setflags(write=False)
-        entries = dict(zip(keys, zip(nums, owners)))
-    else:
-        entries = {}
-        active = np.count_nonzero(nums, axis=1)
-        for k in set(active.tolist()):
-            group = np.flatnonzero(active == k)
-            heap, leaf_owner = _biased_rows(nums[group], n)
-            # a select WBG outputs bit k of its code for a word of class k;
-            # codes lie below 2^n, so class n (the word 0) reads bit n, a 0
-            bits = (heap[:, :, None] >> np.arange(n + 1)) & 1
-            slots = heap.shape[1]
-            nxt = 2 * np.arange(slots)[:, None] + 2 - bits
-            step = np.where(nxt < slots, nxt * (n + 1), nxt - slots).reshape(len(group), -1)
-            step.setflags(write=False)
-            leaf_owner.setflags(write=False)
-            for r, row_step, row_owner in zip(group.tolist(), step, leaf_owner):
-                entries[keys[r]] = (nums[r], (row_step, row_owner))
-    _tables.clear()
-    _tables.update(entries)
+    mags = np.abs(np.asarray(weights, dtype=np.float64))
+    index = {}
+    which = [index.setdefault((row.tobytes(), n, tree_type), len(index)) for row in mags]
+    if not index.keys() <= _tables.keys():
+        rows = {(row.tobytes(), n, tree_type): row for row in mags}
+        keys = list(rows)
+        nums = _quantize_rows(list(rows.values()), n)
+        nums.setflags(write=False)
+        if tree_type == "hardwired":
+            owners = _hardwired_rows(nums, n)
+            owners.setflags(write=False)
+            entries = dict(zip(keys, zip(nums, owners)))
+        else:
+            entries = {}
+            active = np.count_nonzero(nums, axis=1)
+            for k in set(active.tolist()):
+                group = np.flatnonzero(active == k)
+                heap, leaf_owner = _biased_rows(nums[group], n)
+                # a select WBG outputs bit k of its code for a word of class k;
+                # codes lie below 2^n, so class n (the word 0) reads bit n, a 0
+                bits = (heap[:, :, None] >> np.arange(n + 1)) & 1
+                slots = heap.shape[1]
+                nxt = 2 * np.arange(slots)[:, None] + 2 - bits
+                step = np.where(nxt < slots, nxt * (n + 1), nxt - slots).reshape(len(group), -1)
+                step.setflags(write=False)
+                leaf_owner.setflags(write=False)
+                for r, row_step, row_owner in zip(group.tolist(), step, leaf_owner):
+                    entries[keys[r]] = (nums[r], (row_step, row_owner))
+        _tables.clear()
+        _tables.update(entries)
+    return [_tables[key] for key in index], which
 
 
-def _biased_walk(step: np.ndarray, leaf_owner: np.ndarray, classes: np.ndarray, starts):
-    """Input a biased tree samples at each cycle; level l reads row starts[l - 1] of classes.
+def _per_run(rows: list, which: list) -> np.ndarray:
+    """Row which[r] of the equal-length arrays `rows` for each run r, (R, L).
 
-    classes holds rows of select-word WBG classes (rns.wbg_bit_index).
-    Every cycle walks the heap from the root, one level per select source,
-    each mux converting its source's word through a WBG (see
-    build_biased_selector_tree). The step table is pre-scaled (see _tables),
-    so a level is one add and one gather, and the last level's entries are
-    leaf positions.
+    A lone row serves every run as a (1, L) view, which broadcasts.
     """
-    idx = np.zeros(classes.shape[-1], dtype=np.int64)
-    for start in starts:
-        idx = step[idx + classes[start]]
-    return leaf_owner[idx]
+    return rows[0][None] if len(rows) == 1 else np.array(rows)[which]
 
 
-def _owner_sequence(design: AdderDesign, tree, seed) -> np.ndarray:
-    """Input index sampled at each clock cycle, per the design's select wiring."""
-    n = design.n
-    if design.tree_type == "hardwired":
-        if design.precise_sampling:
-            # the counter runs from its reset state over its 2^n words, so its
-            # dyadic blocks stay aligned with the low-discrepancy data source:
-            # cycle t samples owner[t]
-            return tree
-        # one independent LFSR per level; its word's MSB is the select bit,
-        # bit n - l of the owner-map index for level l
-        msbs = _source_table("lfsr", n, "level_msbs")
-        starts = _source_starts("lfsr", seed, slice(1, n + 1), n)
-        return tree.take(msbs[np.arange(n), starts].sum(axis=0, dtype=np.uint16))
-
-    step, leaf_owner = tree
-    depth = leaf_owner.size.bit_length() - 1
-    classes = _source_table("lfsr", n, "wbg_classes")
-    starts = _source_starts("lfsr", seed, slice(1, depth + 1), n)
-    return _biased_walk(step, leaf_owner, classes, starts)
+def _row_offsets(rows: int, width: int):
+    """Offset of each row in a flattened (rows, width) block, as a column; 0 for one row."""
+    return width * np.arange(rows)[:, None] if rows > 1 else 0
 
 
-def _data_row(design: AdderDesign, seed: int, form: str) -> np.ndarray:
-    """The run's data-source words (form "words") or their WBG classes ("wbg_classes")."""
-    kind, n = design.data_rns_kind, design.n
-    return _source_table(kind, n, form)[_source_starts(kind, seed, 0, n)]
+def _biased_walk(step: np.ndarray, leaf_owner: np.ndarray, classes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Input each run's biased tree samples at each cycle, (R, 2^n).
 
-
-def _fill_starts(design: AdderDesign, seeds) -> None:
-    """Make rns hold the LFSR starts of the master seeds `seeds`, if the design's runs read an LFSR.
-
-    The noisy mux trees read one LFSR per level and cemux_lfsr's data source
-    is one; the other designs' sources run from reset.
+    step and leaf_owner hold each run's tree, all of one depth D, as a row,
+    or one row for every run (see _per_run and _tables). Run r's level l
+    reads row starts[r, l - 1] of classes, rows of select-word WBG classes
+    (rns.wbg_bit_index). Every cycle walks the heap from the root, one level
+    per select source, each mux converting its source's word through a WBG
+    (see build_biased_selector_tree). The step table is pre-scaled, so a
+    level is one add and one gather, and the last level's entries are leaf
+    positions.
     """
-    if design.tree_type != "apc" and (not design.precise_sampling or design.data_rns_kind == "lfsr"):
-        rns._fill_starts(seeds, design.n)
+    if not starts.shape[1]:
+        # a one-input tree has no levels: its leaf owns every cycle
+        return np.repeat(leaf_owner, classes.shape[-1], axis=1)
+    # with its row's offset added, each entry indexes the flattened block: the
+    # next slot's row of entries, or a leaf position plus the offset
+    offsets = _row_offsets(*step.shape)
+    flat = (step + offsets).ravel()
+    idx = offsets
+    for level in starts.T:
+        idx = flat.take(idx + classes[level])
+    return leaf_owner.ravel().take(idx + (_row_offsets(*leaf_owner.shape) - offsets))
 
 
-def run_adder(design: AdderDesign, values, big_n: int, seed: int, weights) -> SimulationReport:
-    """Cycle-accurate simulation of one adder run with the weight row `weights`.
+def _simulate(design: AdderDesign, weights: np.ndarray, values: np.ndarray, seeds) -> list:
+    """SimulationReports of the runs (weights[r], values[r], seeds[r]) of a mux design, as one block.
 
+    weights and values are (R, M) float64 blocks and seeds R master seeds.
     Each clock cycle the tree passes one input's bit to the output, so only
     that bit is generated: the sampled input's PCC reads the cycle's shared
     source word x (complemented for a negative input under full correlation),
@@ -293,7 +276,130 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int, weights) -> Si
       comparator otherwise: [x < B], inverted for a negative input;
       WBG: bit k of the code for a word of class k (bit n, which is 0, for
           the word 0), so a negative input's code has all n + 1 bits inverted.
-    The up-down counter accumulates the output. The APC runs its own datapath.
+    The up-down counter accumulates the output. Each step is one array pass
+    over the block's (R, 2^n) cycles; a report's output_bits and
+    sampling_counts are read-only rows of the block's arrays.
+    """
+    n, big_n = design.n, 1 << design.n
+    runs, m = values.shape
+    thresholds = pcc_thresholds(values, n, design.data_pcc)
+    tables, which = _fill_tables(design, weights)
+    # one seed's starts cost less in Python integers than as a one-element array
+    seed = seeds[0] if runs == 1 else np.array(seeds, dtype=np.uint64)
+
+    # owners[r, t]: the input run r samples at cycle t
+    if design.tree_type == "hardwired":
+        # under precise sampling the counter runs from its reset state over
+        # its 2^n words, so its dyadic blocks stay aligned with the
+        # low-discrepancy data source: cycle t samples owner[t]
+        owners = _per_run([tree for _, tree in tables], which)
+        if not design.precise_sampling:
+            # one independent LFSR per level; its word's MSB is the select
+            # bit, bit n - l of the owner-map index for level l
+            starts = _source_starts("lfsr", seed, slice(1, n + 1), n).reshape(runs, n)
+            levels = _source_table("lfsr", n, "level_msbs")[np.arange(n)[:, None], starts.T]
+            select = levels.sum(axis=0, dtype=np.uint16)
+            owners = owners.ravel().take(select + _row_offsets(*owners.shape))
+    else:
+        classes = _source_table("lfsr", n, "wbg_classes")
+        depths = [leaf.size.bit_length() - 1 for _, (_, leaf) in tables]
+        starts = _source_starts("lfsr", seed, slice(1, max(depths) + 1), n).reshape(runs, -1)
+        groups = {}
+        for r, w in enumerate(which):
+            groups.setdefault(depths[w], []).append(r)
+        owners = np.empty((runs, big_n), dtype=np.int64) if len(groups) > 1 else None
+        for depth, group in groups.items():
+            # the row of each run's tree among the group's trees
+            rank = {}
+            rows = [rank.setdefault(which[r], len(rank)) for r in group]
+            trees = [tables[w][1] for w in rank]
+            walk = _biased_walk(
+                _per_run([step for step, _ in trees], rows),
+                _per_run([leaf for _, leaf in trees], rows),
+                classes,
+                starts[group, :depth],
+            )
+            if owners is None:
+                owners = walk
+            else:
+                owners[group] = walk
+
+    # idx: the flat index of each cycle's sampled input in the (R, M) rows;
+    # a lone run's is its owner
+    idx = owners + np.arange(0, runs * m, m)[:, None] if runs > 1 else owners
+    neg = weights < 0
+    post_sign = np.where(neg, big_n - thresholds, thresholds)
+    kind = design.data_rns_kind
+    # a reset source's table is one row, every run's; an LFSR's run starts
+    # from its seed
+    data = _source_starts(kind, seed, 0, n).reshape(runs) if kind == "lfsr" else slice(None)
+    if design.data_pcc is PccKind.COMPARATOR:
+        words = _source_table(kind, n, "words")[data]
+        if design.full_correlation:
+            z = words < post_sign.ravel().take(idx)
+        else:
+            z = (words < thresholds.ravel().take(idx)) ^ neg.ravel().take(idx)
+        z = z.view(np.uint8)
+    else:
+        # a WBG outputs bit k of its code for a word of class k, and bit n,
+        # which is 0, for the word 0; so inverting all n + 1 bits of a
+        # negative input's code inverts each of its outputs
+        codes = np.where(neg, thresholds ^ ((2 << n) - 1), thresholds)
+        classes = _source_table(kind, n, "wbg_classes")[data]
+        if design.full_correlation:
+            words = _source_table(kind, n, "words")[data]
+            classes = np.where(neg.ravel().take(idx), wbg_bit_index(complement_output(words, n), n), classes)
+        z = ((codes.ravel().take(idx) >> classes) & 1).astype(np.uint8)
+
+    counts = np.bincount(idx.ravel(), minlength=runs * m).reshape(runs, m)
+    # sum_i s_i (q_i / 2^n)(2 B_i / 2^n - 1) = sum_i (q_i / 2^n)(2 B'_i / 2^n - 1)
+    # = (2 sum_i q_i B'_i - 2^2n) / 2^2n, as the q_i sum to 2^n: an integer
+    # over 2^2n, so one correctly rounded division gives the double nearest it
+    nums = _per_run([row for row, _ in tables], which)
+    dots = np.vecdot(nums, post_sign).tolist()
+    z.setflags(write=False)
+    counts.setflags(write=False)
+    reports = []
+    square = big_n * big_n
+    for ones, dot, bits, row_counts in zip(z.sum(axis=1).tolist(), dots, z, counts):
+        estimate = 2.0 * ones / big_n - 1.0  # ones lies in [0, 2^n]
+        target = (2 * dot - square) / square
+        reports.append(SimulationReport(estimate, target, estimate - target, bits, row_counts))
+    return reports
+
+
+# The reports of the last fill, keyed by (design, seed, value row bytes, weight
+# row bytes): one chunk's runs, each simulated by _simulate as a row of one
+# block.
+_reports: dict[tuple, SimulationReport] = {}
+
+
+def _fill_runs(design: AdderDesign, weights, values, seeds) -> None:
+    """Make _reports hold the reports of the runs (weights[r], values[r], seeds[r]) alone.
+
+    weights and values are (R, M) blocks and seeds R master seeds in
+    [0, 2^64). The APC runs its own datapath (run_apc) and fills nothing. A
+    block that _simulate rejects raises its message and leaves the reports
+    as they were.
+    """
+    if design.tree_type == "apc":
+        return
+    weights = np.asarray(weights, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    reports = _simulate(design, weights, values, seeds)
+    _reports.clear()
+    _reports.update(
+        ((design, seed, v.tobytes(), w.tobytes()), report)
+        for seed, v, w, report in zip(seeds, values, weights, reports)
+    )
+
+
+def run_adder(design: AdderDesign, values, big_n: int, seed: int, weights) -> SimulationReport:
+    """Cycle-accurate simulation of one adder run with the weight row `weights`.
+
+    After the checks, a mux run returns the report the last _fill_runs
+    stored for this design, seed, value row and weight row, or else runs the
+    chunk kernel (_simulate) on this run alone. The APC runs its own datapath.
     """
     n = design.n
     if big_n != (1 << n):
@@ -305,49 +411,12 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int, weights) -> Si
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError("weights must be a non-empty 1-d sequence")
-    thresholds = pcc_thresholds(_values_array(values, w.size), n, design.data_pcc)
-
-    key = (np.abs(w).tobytes(), n, design.tree_type)
-    tables = _tables.get(key)
-    if tables is None:
-        _fill_tables(design, [w])
-        tables = _tables[key]
-    nums, tree = tables
-
-    owners = _owner_sequence(design, tree, seed)
-    neg = w < 0
-    post_sign = np.where(neg, big_n - thresholds, thresholds)
-    if design.data_pcc is PccKind.COMPARATOR:
-        words = _data_row(design, seed, "words")
-        if design.full_correlation:
-            z = words < post_sign[owners]
-        else:
-            z = (words < thresholds[owners]) ^ neg[owners]
-        z = z.view(np.uint8)
-    else:
-        # a WBG outputs bit k of its code for a word of class k, and bit n,
-        # which is 0, for the word 0; so inverting all n + 1 bits of a
-        # negative input's code inverts each of its outputs
-        codes = np.where(neg, thresholds ^ ((2 << n) - 1), thresholds)
-        classes = _data_row(design, seed, "wbg_classes")
-        if design.full_correlation:
-            words = _data_row(design, seed, "words")
-            classes = np.where(neg[owners], wbg_bit_index(complement_output(words, n), n), classes)
-        z = ((codes[owners] >> classes) & 1).astype(np.uint8)
-
-    ones = int(np.count_nonzero(z))
-    estimate = min(1.0, max(-1.0, 2.0 * ones / big_n - 1.0))
-    # sum_i s_i (q_i / 2^n)(2 B_i / 2^n - 1) = sum_i (q_i / 2^n)(2 B'_i / 2^n - 1)
-    # is the integer below over 2^2n, so one correctly rounded division gives
-    # the double nearest it
-    target = int(nums @ (2 * post_sign - big_n)) / (big_n * big_n)
-    return SimulationReport(
-        estimate=estimate,
-        target=target,
-        error=estimate - target,
-        output_bits=z,
-        sampling_counts=np.bincount(owners, minlength=w.size),
-    )
+    v = _values_array(values, w.size)
+    # a stored report's value row passed the range check when it was filled
+    report = _reports.get((design, seed, v.tobytes(), w.tobytes()))
+    if report is None:
+        report = _simulate(design, w[None], v[None], [seed])[0]
+    return report
 
 
 # the stream lengths an APC runs at, with their bit-widths

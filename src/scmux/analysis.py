@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adders import AdderDesign, _fill_starts, _fill_tables, run_adder
+from .adders import AdderDesign, _fill_runs, run_adder
 from .bitstream import bipolar_thresholds
 from .muxtree import build_hardwired_tree, quantize_weights
 
@@ -118,9 +118,17 @@ def _chunk_runs(per_run: int) -> int:
     return max(1, _CHUNK_ELEMENTS // per_run)
 
 
-# An adder chunk holds at most this many runs' drawn Python objects and LFSR
-# start rows.
+# An adder chunk holds at most this many runs' drawn Python objects and reports.
 _CHUNK_RUNS = 128
+
+
+def _adder_chunk_runs(n: int, m: int) -> int:
+    """Runs in one chunk of M-input adder runs at precision n.
+
+    The chunk kernel's (R, 2^n) and (R, M) blocks stay within _CHUNK_ELEMENTS
+    elements, or hold one run, if that has more.
+    """
+    return min(_chunk_runs(max(1 << n, m)), _CHUNK_RUNS)
 
 
 class _ModelRuntime:
@@ -419,9 +427,8 @@ def accuracy_stats(
     itself; otherwise each run redraws its weights: "uniform" for U[-1, 1],
     "pm" for random signs at magnitude 1/M. Errors are measured against each
     run's own quantized target. Runs are drawn a chunk at a time
-    (_draw_runs), and each chunk's weight tables and LFSR starts are built
-    in one _fill_tables and one _fill_starts pass before its runs, one
-    run_adder call each.
+    (_draw_runs), and each chunk is simulated in one _fill_runs pass before
+    its runs, one run_adder call each, which returns the run's stored report.
     """
     if runs < 1:
         raise ValueError("need at least 1 run")
@@ -430,15 +437,13 @@ def accuracy_stats(
     rng = np.random.default_rng(master_seed)
     fixed = np.asarray(weights, dtype=np.float64)
     big_n = 1 << design.n
-    # a chunk's draws and weight tables stay near _CHUNK_ELEMENTS elements
-    step = min(_chunk_runs(max(big_n, fixed.size)), _CHUNK_RUNS)
+    step = _adder_chunk_runs(design.n, fixed.size)
     errors = []
     for start in range(0, runs, step):
         # run_adder draws nothing, so drawing a chunk ahead leaves every run's
         # draws unchanged
         ws, vs, seeds = _draw_runs(rng.bit_generator, fixed, min(step, runs - start), weight_mode)
-        _fill_tables(design, [fixed] if weight_mode is None else ws)
-        _fill_starts(design, seeds)
+        _fill_runs(design, ws, vs, seeds)
         for w, v, seed in zip(ws, vs, seeds):
             errors.append(run_adder(design, v, big_n, seed, w).error)
     return AccuracyStats.from_errors(errors)

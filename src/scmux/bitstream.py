@@ -96,7 +96,7 @@ def bipolar_thresholds(values, n: int) -> np.ndarray:
         raise ValueError("bit-width must be >= 1")
     v = np.asarray(values, dtype=np.float64)
     inside = np.abs(v) <= 1.0  # NaN fails the comparison
-    if not inside.all():
+    if np.count_nonzero(inside) != inside.size:
         raise ValueError(f"bipolar values must lie in [-1, 1]; input value {v[~inside][0]} is outside")
     # searchsorted returns intp, which is int64 on the supported platforms
-    return np.searchsorted(_bipolar_midpoints(n), v, side="right").astype(np.int64, copy=False)
+    return _bipolar_midpoints(n).searchsorted(v, side="right").astype(np.int64, copy=False)

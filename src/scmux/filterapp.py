@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .adders import AdderDesign, _fill_starts, make_design, run_adder
-from .analysis import _CHUNK_RUNS, AccuracyStats
+from .adders import AdderDesign, _fill_runs, make_design, run_adder
+from .analysis import AccuracyStats, _adder_chunk_runs
+from .rns import _MASK32
 
 
 # every signal is sampled at the MIT-BIH ECG rate
@@ -104,9 +105,11 @@ def stochastic_fir(
     out = np.empty(len(x))
     # row i: x_i, x_{i-1}, ..., x_{i-M+1}, zeros before the signal starts
     windows = sliding_window_view(np.concatenate([np.zeros(m - 1), x]), m)[:, ::-1]
-    for start in range(0, len(x), _CHUNK_RUNS):
-        chunk = range(start, min(start + _CHUNK_RUNS, len(x)))
-        _fill_starts(design, seeds[start : chunk.stop])
+    step = _adder_chunk_runs(design.n, m)
+    for start in range(0, len(x), step):
+        chunk = range(start, min(start + step, len(x)))
+        _fill_runs(design, np.broadcast_to(h, (len(chunk), m)), windows[start : chunk.stop],
+                   seeds[start : chunk.stop])
         for i in chunk:
             out[i] = run_adder(design, windows[i], 1 << design.n, seeds[i], h).estimate * scale
     warmup = min(m - 1, len(x))
@@ -170,6 +173,44 @@ def pulse_train_signal(
     return Signal(np.clip(x, -1.0, 1.0))
 
 
+def _draw_windows(rng: np.random.Generator, k: int, runs: int) -> tuple[list[int], list[int]]:
+    """Window starts and seeds of `runs` runs, each drawn as a run's two Generator calls draw it.
+
+    A run draws its start integers(0, k), then its seed integers(0, 2^63),
+    for 1 <= k < 2^32. The start reads the bit generator's next 32-bit half
+    u: the high half of a raw word that an earlier start left buffered, or
+    else the low half of a fresh raw word, whose high half it buffers. It is
+    (u k) >> 32 unless (u k) mod 2^32 < (2^32 - k) mod k, when Lemire's
+    method draws again; k = 1 draws nothing. The seed is the next raw word
+    >> 1, and leaves the buffered half alone. So a chunk is one block of raw
+    words, and the generator's buffer is set to where the run's calls leave
+    it. A chunk in which some start would draw again is drawn by the calls
+    themselves.
+    """
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    # runs whose start takes the low half of a fresh word: every other run,
+    # from the first one that finds no buffered half
+    unbuffered = np.arange(runs) - state["has_uint32"]
+    fresh = (unbuffered >= 0) & (unbuffered % 2 == 0) & (k > 1)
+    ends = np.cumsum(1 + fresh)
+    words = bit_generator.random_raw(int(ends[-1]))
+    start_words = words[np.maximum(ends - 2, 0)]
+    buffered = np.concatenate((np.array([state["uinteger"]], dtype=np.uint64), start_words[:-1] >> 32))
+    u = np.where(fresh, start_words & _MASK32, buffered)
+    scaled = u * np.uint64(k)
+    if np.any((scaled & _MASK32) < (2**32 - k) % k):
+        bit_generator.state = state
+        draws = [(int(rng.integers(0, k)), int(rng.integers(0, 2**63))) for _ in range(runs)]
+        return [start for start, _ in draws], [seed for _, seed in draws]
+    if k > 1:
+        after = bit_generator.state
+        after["has_uint32"] = int(fresh[-1])
+        after["uinteger"] = int(start_words[-1] >> 32 if fresh[-1] else u[-1])
+        bit_generator.state = after
+    return (scaled >> 32).tolist(), (words[ends - 1] >> 1).tolist()
+
+
 def filter_rmse_vs_length(
     design_names,
     spec: FilterSpec,
@@ -197,16 +238,13 @@ def filter_rmse_vs_length(
         for n in n_values:
             design = make_design(name, n)
             rng = np.random.default_rng((master_seed, n))
+            step = _adder_chunk_runs(n, m)
             errs = []
-            for done in range(0, runs, _CHUNK_RUNS):
-                # each run draws its window's start, then its seed
-                draws = [
-                    (int(rng.integers(0, len(x) - m)), int(rng.integers(0, 2**63)))
-                    for _ in range(min(_CHUNK_RUNS, runs - done))
-                ]
-                _fill_starts(design, [seed for _, seed in draws])
-                for start, seed in draws:
-                    window = x[start : start + m][::-1]
+            for done in range(0, runs, step):
+                starts, seeds = _draw_windows(rng, len(x) - m, min(step, runs - done))
+                windows = [x[start : start + m][::-1] for start in starts]
+                _fill_runs(design, np.broadcast_to(h, (len(windows), m)), windows, seeds)
+                for window, seed in zip(windows, seeds):
                     rep = run_adder(design, window, 1 << design.n, seed, h)
                     errs.append(rep.estimate * scale - float(h @ window))
             per_n[n] = AccuracyStats.from_errors(errs).rmse

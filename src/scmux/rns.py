@@ -216,32 +216,16 @@ def _pool_word0(seed):
 _KEY_HASHES = np.array([_hash(key, _ENTROPY_HASHES[16]) for key in range(17)], dtype=np.uint64)
 _KEY_HASHES.setflags(write=False)
 
-# a counter runs from reset whatever the seed: row 0 of its table for every
-# source
-_RESET_ROW = np.zeros(_KEY_HASHES.size, dtype=np.int64)
-_RESET_ROW.setflags(write=False)
-
-# The LFSR start rows of the last fill, keyed by (master seed, n): entry i of
-# a row is source i's start at width n, for all 17 sources. Read-only views of
-# the fill's block.
-_starts: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _lfsr_start_rows(seeds, n: int) -> np.ndarray:
-    # the starts of all 17 sources of each master seed: see _source_starts
+def _lfsr_start_rows(seeds, keys: np.ndarray, n: int) -> np.ndarray:
+    """LFSR starts of the sources whose spawn-key hashes are `keys`: see _source_starts."""
     pool = _pool_word0(seeds)
     if isinstance(seeds, np.ndarray):
-        pool = pool[..., None]
-    words = _hash(_mix(pool, _KEY_HASHES), _OUTPUT_HASH)
+        words = _hash(_mix(pool.reshape(pool.shape + (1,) * keys.ndim), keys), _OUTPUT_HASH)
+    else:
+        # one seed's few words cost less as Python integers than as arrays
+        words = [_hash(_mix(pool, key), _OUTPUT_HASH) for key in keys.ravel().tolist()]
+        words = np.array(words, dtype=np.int64).reshape(keys.shape)
     return _lfsr_position(n)[np.maximum(words & ((1 << n) - 1), 1)]
-
-
-def _fill_starts(seeds, n: int) -> None:
-    """Make _starts hold the LFSR start rows of the master seeds `seeds` at width n, alone."""
-    rows = _lfsr_start_rows(np.array(seeds, dtype=np.uint64), n)
-    rows.setflags(write=False)
-    _starts.clear()
-    _starts.update(zip([(seed, n) for seed in seeds], rows))
 
 
 def _source_starts(kind: str, seeds, indices, n: int) -> np.ndarray:
@@ -257,17 +241,12 @@ def _source_starts(kind: str, seeds, indices, n: int) -> np.ndarray:
     state max(seed mod 2^n, 1), read through _lfsr_position. As n <= 16, only
     the seed's low 32-bit word is computed, in 32-bit integer arithmetic:
     pool word 0 of the master seed (_pool_word0), the key mixed into it, and
-    generate_state's hash. A single seed's starts are read from the last
-    _fill_starts when it holds the seed at width n.
+    generate_state's hash.
     """
-    single = not isinstance(seeds, np.ndarray)
+    keys = _KEY_HASHES[..., indices]
     if kind != "lfsr":
-        rows = _RESET_ROW if single else np.broadcast_to(_RESET_ROW, seeds.shape + _RESET_ROW.shape)
-    else:
-        rows = _starts.get((seeds, n)) if single else None
-        if rows is None:
-            rows = _lfsr_start_rows(seeds, n)
-    return rows[..., indices]
+        return np.zeros(np.shape(seeds) + keys.shape, dtype=np.int64)
+    return _lfsr_start_rows(seeds, keys, n)
 
 
 def complement_output(word, n: int):

@@ -21,7 +21,7 @@ loop (model_run_once and its neighbours) likewise takes the quantizer, the
 owner map and the thresholds from the package, to check the batched
 decomposition's statistics run by run. The accuracy loop
 (accuracy_errors_per_run) calls the package's run_adder once per run, to check
-that accuracy_stats's chunked draws and weight-table fills leave every run
+that accuracy_stats's chunked draws and chunk fills leave every run
 unchanged.
 """
 

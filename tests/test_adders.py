@@ -280,6 +280,141 @@ def test_run_kernel_matches_full_matrix_oracle_on_filter_size_biased_trees():
     assert depths == {7, 8} and checked > 30
 
 
+def _wiring(tree_type, pcc, fc, ps, kind, n):
+    return AdderDesign(
+        name=f"{tree_type}/{pcc.value}/fc={fc}/ps={ps}/{kind}", n=n, tree_type=tree_type,
+        data_pcc=pcc, data_rns_kind=kind, full_correlation=fc, precise_sampling=ps,
+    )
+
+
+def _assert_same_report(rep, expected, name):
+    assert rep.output_bits.dtype == expected.output_bits.dtype == np.uint8, name
+    assert np.array_equal(rep.output_bits, expected.output_bits), name
+    assert np.array_equal(rep.sampling_counts, expected.sampling_counts), name
+    assert (rep.estimate, rep.target, rep.error) == (expected.estimate, expected.target, expected.error), name
+
+
+def _assert_matches_oracle(rep, d, v, seed, w):
+    z, counts, estimate, target, error = full_matrix_run(d, v, 1 << d.n, seed, w)
+    assert np.array_equal(rep.output_bits, z), d.name
+    assert np.array_equal(rep.sampling_counts, counts), d.name
+    assert (rep.estimate, rep.target, rep.error) == (estimate, target, error), d.name
+
+
+def test_chunk_kernel_matches_per_run_kernel_and_full_matrix_oracle():
+    # one _fill_runs pass over a chunk, each run with its own weight row,
+    # stores for every run the report the kernel gives the run alone and the
+    # full-matrix oracle generates
+    from scmux.adders import _fill_runs, _reports, _simulate
+
+    rng = np.random.default_rng(9091)
+    checked = set()
+    for runs, n in ((1, 3), (2, 5), (7, 4), (6, 6), (5, 3)):
+        m_inputs = int(rng.integers(4, 9))
+        weights = rng.uniform(-1, 1, (runs, m_inputs))
+        # row r keeps its first k_r inputs: biased heaps of unequal depth
+        weights[np.arange(m_inputs) >= rng.integers(1, m_inputs + 1, (runs, 1))] = 0.0
+        weights[rng.random((runs, m_inputs)) < 0.1] *= 1e-6  # zero numerators
+        weights[:, 0] = rng.choice([-1.0, 1.0], runs) * rng.uniform(0.5, 1.0, runs)
+        values = rng.uniform(-1, 1, (runs, m_inputs))
+        values[rng.random((runs, m_inputs)) < 0.25] = -1.0  # code 0
+        values[rng.random((runs, m_inputs)) < 0.25] = 1.0  # code N, clamped by a WBG
+        seeds = rng.integers(0, 2**63, runs).tolist()
+        nums = [quantize_weights(w, n) for w in weights]
+        codes = np.array([[bipolar_threshold(x, n) for x in v] for v in values])
+        checked.add("R = 1" if runs == 1 else "R > 1")
+        if len({int(np.count_nonzero(q) - 1).bit_length() for q in nums}) > 1:
+            checked.add("unequal heap depths")
+        if any(np.any((q == 0) & (w != 0)) for q, w in zip(nums, weights)):
+            checked.add("zero numerator")
+        for features in MUX_FEATURES:
+            d = _wiring(*features, n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", QuantizationWarning)
+                _fill_runs(d, weights, values, seeds)
+                for w, v, seed, q, b in zip(weights, values, seeds, nums, codes):
+                    rep = run_adder(d, v, 1 << n, seed, w)
+                    assert rep is _reports[(d, seed, v.tobytes(), w.tobytes())]
+                    _assert_same_report(rep, _simulate(d, w[None], v[None], [seed])[0], d.name)
+                    _assert_matches_oracle(rep, d, v, seed, w)
+                    sampled_neg = (w < 0) & (q > 0)
+                    if np.any(sampled_neg & (b == 0)):
+                        checked.add("negative input at code 0")
+                    if d.data_pcc is PccKind.COMPARATOR and np.any(sampled_neg & (b == 1 << n)):
+                        checked.add("negative input at code N")
+                    if d.data_pcc is PccKind.WBG and np.any((q > 0) & (b == 1 << n)):
+                        checked.add("wbg clamp")
+    assert checked == {
+        "R = 1", "R > 1", "unequal heap depths", "zero numerator", "negative input at code 0",
+        "negative input at code N", "wbg clamp",
+    }
+
+
+def test_accuracy_stats_chunks_match_the_per_run_kernel_and_oracle(monkeypatch):
+    # chunks of 3 runs at n = 4, so 8 runs fill 3, 3 and a partial last chunk
+    # of 2; every run's report is the one it gets alone, and the oracle's
+    import scmux.analysis
+    from scmux.adders import _simulate
+
+    monkeypatch.setattr(scmux.analysis, "_CHUNK_ELEMENTS", 3 << 4)
+    calls = []
+    run = scmux.analysis.run_adder
+
+    def recorded(d, v, big_n, seed, w):
+        calls.append((v, seed, w, run(d, v, big_n, seed, w)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(scmux.analysis, "run_adder", recorded)
+    for features in MUX_FEATURES:
+        d = _wiring(*features, 4)
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuantizationWarning)
+            stats = accuracy_stats(d, [0.4, -0.3, 0.2, 0.1, 0.05], 8, 31, "uniform")
+            assert stats.runs == len(calls) == 8
+            for v, seed, w, rep in calls:
+                _assert_same_report(rep, _simulate(d, w[None], v[None], [seed])[0], d.name)
+                _assert_matches_oracle(rep, d, v, seed, w)
+
+
+def test_stored_reports_are_read_only_and_keyed_by_the_whole_run():
+    from scmux.adders import _fill_runs, _reports
+
+    rng = np.random.default_rng(404)
+    d = make_design("basic_biased", 6)
+    weights, values = rng.uniform(-1, 1, (3, 5)), rng.uniform(-1, 1, (3, 5))
+    seeds = rng.integers(0, 2**63, 3).tolist()
+    _fill_runs(d, weights, values, seeds)
+    stored = run_adder(d, values[0], 64, seeds[0], weights[0])
+    assert stored is _reports[(d, seeds[0], values[0].tobytes(), weights[0].tobytes())]
+    for arr in (stored.output_bits, stored.sampling_counts):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    # the checks come first: rows holding a stored run's bytes in the wrong
+    # shape still raise
+    with pytest.raises(ValueError) as exc:
+        run_adder(d, values[0], 64, seeds[0], weights[0][None])
+    assert str(exc.value) == "weights must be a non-empty 1-d sequence"
+    with pytest.raises(ValueError) as exc:
+        run_adder(d, values[0][None], 64, seeds[0], weights[0])
+    assert str(exc.value) == "values and weights must have equal length"
+    # a call that differs from every stored run, in its values, its weights
+    # (the doubled row quantizes alike), its seed or its design, runs alone
+    flipped = values[0].copy()
+    flipped[1] = -flipped[1]
+    for call_d, v, seed, w in (
+        (d, flipped, seeds[0], weights[0]),
+        (d, values[0], seeds[0], 2 * weights[0]),
+        (d, values[0], seeds[0], weights[1]),
+        (d, values[0], seeds[1], weights[0]),
+        (make_design("cemux_biased", 6), values[0], seeds[0], weights[0]),
+    ):
+        rep = run_adder(call_d, v, 64, seed, w)
+        assert all(rep is not report for report in _reports.values())
+        _assert_matches_oracle(rep, call_d, v, seed, w)
+
+
 # master seeds among whose sources 0-3, those of a run at n = 3, one has a
 # seed congruent to 0 and another to 1 (mod 8), found by searching
 # SeedSequence spawns: (master seed, index of the source at 0, index of the
@@ -341,14 +476,14 @@ def test_step_table_walk_matches_per_level_walk(n, weights, words_seed):
         rng.permuted(np.tile(classes, (depth, 4)), axis=1),
     ))
     expected = biased_walk_per_level(heap, leaf_owner, select, n)
-    walked = _biased_walk(step, leaf_owner, wbg_bit_index(select, n), range(depth))
+    walked = _biased_walk(step[None], leaf_owner[None], wbg_bit_index(select, n), np.arange(depth)[None])[0]
     assert np.array_equal(walked, expected)
     # and on the WBG class table a run reads, from random start positions
     starts = rng.integers(0, (1 << n) - 1, depth)
     select = np.array([source_words(SourceSpec("lfsr", n, state), 1 << n)
                        for state in _lfsr_cycle(n)[starts]]).reshape(depth, 1 << n)
     assert np.array_equal(
-        _biased_walk(step, leaf_owner, _source_table("lfsr", n, "wbg_classes"), starts),
+        _biased_walk(step[None], leaf_owner[None], _source_table("lfsr", n, "wbg_classes"), starts[None])[0],
         biased_walk_per_level(heap, leaf_owner, select, n),
     )
 
@@ -394,9 +529,11 @@ def test_seed_expansion_matches_fixed_spawn():
 
 
 def test_lfsr_runs_read_the_same_starts_with_or_without_a_fill():
-    # a run's starts come from the last fill when it holds the run's seed at
-    # the run's width, and are computed from the seed otherwise
-    import scmux.rns
+    # a run's report comes from the last fill when it holds the run at the
+    # run's width, and from the kernel run alone otherwise; both read the same
+    # LFSR starts
+    import scmux.adders
+    from scmux.adders import _fill_runs
 
     rng = np.random.default_rng(2718)
     seeds = [*rng.integers(0, 2**63, 3).tolist(), 2**64 - 1, FOLDED_SEEDS[0][0]]
@@ -411,8 +548,11 @@ def test_lfsr_runs_read_the_same_starts_with_or_without_a_fill():
                     # the fill holds the run's seed; another chunk's seeds; the
                     # run's seed at another width; nothing
                     for fill, width in (([*others, seed], n), (others, n), ([seed], n + 1), ([], n)):
-                        scmux.rns._fill_starts(fill, width)
-                        assert ((seed, n) in scmux.rns._starts) == (seed in fill and width == n)
+                        scmux.adders._reports.clear()
+                        if fill:
+                            _fill_runs(make_design(name, width), [w] * len(fill), [v] * len(fill), fill)
+                        stored = (d, seed, v.tobytes(), w.tobytes()) in scmux.adders._reports
+                        assert stored == (seed in fill and width == n)
                         reports.append(run_adder(d, v, 1 << n, seed, w))
                     for rep in reports[1:]:
                         assert np.array_equal(rep.output_bits, reports[0].output_bits), name
@@ -420,7 +560,7 @@ def test_lfsr_runs_read_the_same_starts_with_or_without_a_fill():
                         assert (rep.estimate, rep.target, rep.error) == (
                             reports[0].estimate, reports[0].target, reports[0].error)
     finally:
-        scmux.rns._starts.clear()
+        scmux.adders._reports.clear()
 
 
 def test_run_adder_rejects_seeds_outside_64_bits():
@@ -564,7 +704,8 @@ def test_weights_differing_in_sign_share_one_tree_entry(name, monkeypatch):
     def miss(*args):
         raise AssertionError("the flipped weights missed the cache")
 
-    monkeypatch.setattr(scmux.adders, "_fill_tables", miss)
+    # a miss rebuilds the tables, quantizing the weights first
+    monkeypatch.setattr(scmux.adders, "_quantize_rows", miss)
     rep = run_adder(d, values, 64, 3, [-x for x in w])
     assert scmux.adders._tables[(np.abs(w).tobytes(), 6, d.tree_type)] is entry
     # the same tree, with every sign inverter flipped

@@ -423,49 +423,62 @@ def test_accuracy_stats_fills_each_chunks_tables_before_its_runs(monkeypatch):
     import scmux.adders
     import scmux.analysis
 
-    fills, misses = [], []
-    fill = scmux.analysis._fill_tables
-    monkeypatch.setattr(
-        scmux.analysis, "_fill_tables", lambda d, w: (fills.append(len(w)), fill(d, w))
-    )
-    # run_adder's own fill runs only on a miss of the table cache
-    monkeypatch.setattr(
-        scmux.adders, "_fill_tables", lambda d, w: (misses.append(d.name), fill(d, w))
-    )
+    fills, kernel, rows = [], [], []
+    fill, simulate, tables = scmux.analysis._fill_runs, scmux.adders._simulate, scmux.adders._fill_tables
+
+    def counted_fill(d, w, v, seeds):
+        fills.append(len(seeds))
+        fill(d, w, v, seeds)
+
+    def counted_kernel(d, w, v, seeds):
+        # once per fill, and for a run alone only when the run missed the
+        # reports of its chunk's fill
+        kernel.append(len(seeds))
+        return simulate(d, w, v, seeds)
+
+    def counted_tables(d, w):
+        # the distinct weight rows whose tables each kernel call reads
+        out = tables(d, w)
+        rows.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(scmux.analysis, "_fill_runs", counted_fill)
+    monkeypatch.setattr(scmux.adders, "_simulate", counted_kernel)
+    monkeypatch.setattr(scmux.adders, "_fill_tables", counted_tables)
     for name in ("cemux_wbg", "cemux_biased"):
         # chunks of 2^14 owner-map elements, and of at most 128 runs
         for n, runs, chunk in ((10, 40, 16), (16, 3, 1), (4, 130, 128)):
-            # the per-run oracle below misses the tables of all but the last fill
             fills.clear()
-            misses.clear()
+            kernel.clear()
             d = make_design(name, n)
             stats = accuracy_stats(d, [0.25] * 16, runs, 8, "uniform")
             assert fills == [min(chunk, runs - i) for i in range(0, runs, chunk)]
-            assert not misses, "a run missed the tables its chunk's fill entered"
+            assert kernel == fills, "a run missed the reports its chunk's fill entered"
             if n == 10:
+                scmux.adders._reports.clear()
                 expected = accuracy_errors_per_run(d, [0.25] * 16, runs, 8, "uniform")
                 assert stats == AccuracyStats.from_errors(expected)
     # fixed weights fill one row per chunk
-    fills.clear()
+    rows.clear()
     accuracy_stats(make_design("cemux", 10), [0.5, 0.25], 20, 1)
-    assert fills == [1, 1]
+    assert rows == [1, 1]
 
 
 def test_each_chunk_fills_its_lfsr_starts_before_its_runs(monkeypatch):
     import scmux.rns
 
     fills, computed = [], []
-    fill, rows = scmux.rns._fill_starts, scmux.rns._lfsr_start_rows
-    monkeypatch.setattr(
-        scmux.rns, "_fill_starts", lambda seeds, n: (fills.append(len(seeds)), fill(seeds, n))
-    )
-    # a fill computes its chunk's rows from an array of seeds, and a run that
-    # misses them its own from its seed
-    monkeypatch.setattr(
-        scmux.rns,
-        "_lfsr_start_rows",
-        lambda seeds, n: (computed.append(np.ndim(seeds)), rows(seeds, n))[1],
-    )
+    rows = scmux.rns._lfsr_start_rows
+
+    def counted(seeds, keys, n):
+        # a chunk computes its rows from an array of seeds, and a run alone
+        # its own from its seed
+        computed.append(np.ndim(seeds))
+        if np.ndim(seeds):
+            fills.append(len(seeds))
+        return rows(seeds, keys, n)
+
+    monkeypatch.setattr(scmux.rns, "_lfsr_start_rows", counted)
     spec = make_lowpass(6, 0.5)
     signal = pulse_train_signal(130)
     for name in (*DESIGN_NAMES, *ABLATION_NAMES):

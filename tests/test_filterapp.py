@@ -144,3 +144,72 @@ def test_filter_rmse_vs_length_shape_and_monotonicity():
     per = res["cemux"]
     assert set(per) == {4, 6, 8}
     assert per[8] < per[4]
+
+
+@pytest.mark.parametrize("name", ["cemux", "basic_biased", "cemux_lfsr", "apc"])
+def test_filter_chunks_fill_their_runs_before_the_runs(name, monkeypatch):
+    import scmux.adders
+    import scmux.filterapp
+    from scmux.analysis import _adder_chunk_runs
+
+    events, kernel = [], []
+    fill, run, simulate = scmux.filterapp._fill_runs, scmux.filterapp.run_adder, scmux.adders._simulate
+
+    def counted_fill(d, w, v, seeds):
+        events.append(len(seeds))
+        fill(d, w, v, seeds)
+
+    def counted_run(*args):
+        events.append("run")
+        return run(*args)
+
+    def counted_kernel(d, w, v, seeds):
+        kernel.append((len(seeds), len(seeds) << d.n))
+        return simulate(d, w, v, seeds)
+
+    monkeypatch.setattr(scmux.filterapp, "_fill_runs", counted_fill)
+    monkeypatch.setattr(scmux.filterapp, "run_adder", counted_run)
+    monkeypatch.setattr(scmux.adders, "_simulate", counted_kernel)
+    spec = make_lowpass(6, 0.5)
+    # chunks of at most 128 runs and of 2^14 cycles: 128 at n = 4, 16 at n = 10
+    for n, length, chunk in ((4, 130, 128), (10, 40, 16)):
+        assert _adder_chunk_runs(n, spec.taps) == chunk
+        sizes = [min(chunk, length - i) for i in range(0, length, chunk)]
+        for call in (
+            lambda: stochastic_fir(make_design(name, n), spec, pulse_train_signal(length), 3),
+            lambda: filter_rmse_vs_length([name], spec, [n], length, 3),
+        ):
+            events.clear()
+            kernel.clear()
+            call()
+            # each chunk is filled, then its runs made, one run_adder call each
+            assert events == [e for k in sizes for e in (k, *["run"] * k)]
+            # and the kernel runs once per mux fill: no run is simulated alone
+            assert [runs for runs, _ in kernel] == ([] if name == "apc" else sizes)
+            assert all(cycles <= 1 << 14 for _, cycles in kernel)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4095 - 150, 2**31 + 1])
+@pytest.mark.parametrize("runs", [1, 2, 7, 8])
+@pytest.mark.parametrize("carried", [False, True])
+def test_window_draws_equal_each_runs_generator_calls(k, runs, carried):
+    # filter_rmse_vs_length's chunk of window starts integers(0, k) and seeds
+    # integers(0, 2^63), drawn from one block of raw words, against each
+    # run's two Generator calls. k = 2^31 + 1 redraws about half of its
+    # 32-bit halves, so its chunks take the calls themselves; k = 1 draws
+    # nothing for a start.
+    from scmux.filterapp import _draw_windows
+
+    block, calls = (np.random.default_rng((77, k, runs)) for _ in range(2))
+    if carried:
+        # one bounded 32-bit draw leaves the high half of its word buffered
+        for rng in (block, calls):
+            rng.integers(0, 5)
+    assert block.bit_generator.state["has_uint32"] == int(carried)
+    # chunks in a row carry each other's buffered halves
+    for _ in range(3):
+        starts, seeds = _draw_windows(block, k, runs)
+        expected = [(int(calls.integers(0, k)), int(calls.integers(0, 2**63))) for _ in range(runs)]
+        assert list(zip(starts, seeds)) == expected
+        assert all(type(x) is int for x in starts + seeds)
+        assert block.bit_generator.state == calls.bit_generator.state
