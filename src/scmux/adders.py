@@ -21,7 +21,6 @@ correlation, precise sampling, or swap the data source for an LFSR.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -140,7 +139,7 @@ def make_design(name: str, n: int) -> AdderDesign:
     """Instantiate a named design at precision n.
 
     Weights are checked where a run or a report uses them: by the quantizer,
-    or by run_apc for the APC.
+    or by the APC kernel (_apc) for the APC.
     """
     key = normalize_design_name(name)
     if not 3 <= n <= 16:
@@ -179,49 +178,61 @@ def _values_array(values, m: int) -> np.ndarray:
 _tables: dict[tuple[bytes, int, str], tuple] = {}
 
 
+def _fill_rows(cache: dict, rows: np.ndarray, tag: tuple, build) -> tuple[list, list[int]]:
+    """The cache entries of the distinct rows of the (R, M) block `rows`, and each row's entry index.
+
+    A row's key is (its bytes, *tag), and the cache holds the entries of the
+    last fill alone: if every row's entry is present, nothing is built;
+    otherwise build(the distinct rows as one block) returns their entries,
+    in order, and they replace the cache's contents. A build that raises
+    leaves the cache as it was.
+    """
+    index = {}
+    which = [index.setdefault((row.tobytes(), *tag), len(index)) for row in rows]
+    if not index.keys() <= cache.keys():
+        distinct = {(row.tobytes(), *tag): row for row in rows}
+        entries = build(np.array(list(distinct.values())))
+        cache.clear()
+        cache.update(zip(distinct, entries))
+    return [cache[key] for key in index], which
+
+
 def _fill_tables(design: AdderDesign, weights) -> tuple[list[tuple], list[int]]:
     """The _tables entries of the distinct magnitude rows of `weights`, and each row's entry index.
 
-    If every row's tables are present, nothing is built. Otherwise the
-    distinct magnitude rows are quantized as one block and their trees built
-    as one block, per active count for a biased tree, each slot's step-table
-    row read off the bits of its code and pre-scaled (see _tables), and their
-    entries replace the cache's contents.
-    A block the quantizer rejects (NaN, infinite or zero weights) raises its
-    message and leaves the cache as it was.
+    See _fill_rows: the distinct magnitude rows are quantized as one block
+    and their trees built as one block, per active count for a biased tree,
+    each slot's step-table row read off the bits of its code and pre-scaled
+    (see _tables). A block the quantizer rejects (NaN, infinite or zero
+    weights) raises its message and leaves the cache as it was.
     """
     n, tree_type = design.n, design.tree_type
-    mags = np.abs(np.asarray(weights, dtype=np.float64))
-    index = {}
-    which = [index.setdefault((row.tobytes(), n, tree_type), len(index)) for row in mags]
-    if not index.keys() <= _tables.keys():
-        rows = {(row.tobytes(), n, tree_type): row for row in mags}
-        keys = list(rows)
-        nums = _quantize_rows(list(rows.values()), n)
+
+    def build(mags):
+        nums = _quantize_rows(mags, n)
         nums.setflags(write=False)
         if tree_type == "hardwired":
             owners = _hardwired_rows(nums, n)
             owners.setflags(write=False)
-            entries = dict(zip(keys, zip(nums, owners)))
-        else:
-            entries = {}
-            active = np.count_nonzero(nums, axis=1)
-            for k in set(active.tolist()):
-                group = np.flatnonzero(active == k)
-                heap, leaf_owner = _biased_rows(nums[group], n)
-                # a select WBG outputs bit k of its code for a word of class k;
-                # codes lie below 2^n, so class n (the word 0) reads bit n, a 0
-                bits = (heap[:, :, None] >> np.arange(n + 1)) & 1
-                slots = heap.shape[1]
-                nxt = 2 * np.arange(slots)[:, None] + 2 - bits
-                step = np.where(nxt < slots, nxt * (n + 1), nxt - slots).reshape(len(group), -1)
-                step.setflags(write=False)
-                leaf_owner.setflags(write=False)
-                for r, row_step, row_owner in zip(group.tolist(), step, leaf_owner):
-                    entries[keys[r]] = (nums[r], (row_step, row_owner))
-        _tables.clear()
-        _tables.update(entries)
-    return [_tables[key] for key in index], which
+            return list(zip(nums, owners))
+        entries = [None] * len(nums)
+        active = np.count_nonzero(nums, axis=1)
+        for k in set(active.tolist()):
+            group = np.flatnonzero(active == k)
+            heap, leaf_owner = _biased_rows(nums[group], n)
+            # a select WBG outputs bit k of its code for a word of class k;
+            # codes lie below 2^n, so class n (the word 0) reads bit n, a 0
+            bits = (heap[:, :, None] >> np.arange(n + 1)) & 1
+            slots = heap.shape[1]
+            nxt = 2 * np.arange(slots)[:, None] + 2 - bits
+            step = np.where(nxt < slots, nxt * (n + 1), nxt - slots).reshape(len(group), -1)
+            step.setflags(write=False)
+            leaf_owner.setflags(write=False)
+            for r, row_step, row_owner in zip(group.tolist(), step, leaf_owner):
+                entries[r] = (nums[r], (row_step, row_owner))
+        return entries
+
+    return _fill_rows(_tables, np.abs(np.asarray(weights, dtype=np.float64)), (n, tree_type), build)
 
 
 def _per_run(rows: list, which: list) -> np.ndarray:
@@ -369,24 +380,28 @@ def _simulate(design: AdderDesign, weights: np.ndarray, values: np.ndarray, seed
 
 
 # The reports of the last fill, keyed by (design, seed, value row bytes, weight
-# row bytes): one chunk's runs, each simulated by _simulate as a row of one
-# block.
+# row bytes): one chunk's runs, each simulated by its design's chunk kernel
+# (_run_block) as a row of one block.
 _reports: dict[tuple, SimulationReport] = {}
+
+
+def _run_block(design: AdderDesign, weights: np.ndarray, values: np.ndarray, seeds) -> list:
+    """SimulationReports of the runs (weights[r], values[r], seeds[r]): _apc for the APC, else _simulate."""
+    if design.tree_type == "apc":
+        return _apc(weights, values, design.n)
+    return _simulate(design, weights, values, seeds)
 
 
 def _fill_runs(design: AdderDesign, weights, values, seeds) -> None:
     """Make _reports hold the reports of the runs (weights[r], values[r], seeds[r]) alone.
 
     weights and values are (R, M) blocks and seeds R master seeds in
-    [0, 2^64). The APC runs its own datapath (run_apc) and fills nothing. A
-    block that _simulate rejects raises its message and leaves the reports
-    as they were.
+    [0, 2^64). A block that the kernel rejects raises its message and
+    leaves the reports as they were.
     """
-    if design.tree_type == "apc":
-        return
     weights = np.asarray(weights, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    reports = _simulate(design, weights, values, seeds)
+    reports = _run_block(design, weights, values, seeds)
     _reports.clear()
     _reports.update(
         ((design, seed, v.tobytes(), w.tobytes()), report)
@@ -397,25 +412,23 @@ def _fill_runs(design: AdderDesign, weights, values, seeds) -> None:
 def run_adder(design: AdderDesign, values, big_n: int, seed: int, weights) -> SimulationReport:
     """Cycle-accurate simulation of one adder run with the weight row `weights`.
 
-    After the checks, a mux run returns the report the last _fill_runs
-    stored for this design, seed, value row and weight row, or else runs the
-    chunk kernel (_simulate) on this run alone. The APC runs its own datapath.
+    After the checks, a run returns the report the last _fill_runs stored
+    for this design, seed, value row and weight row, or else runs its
+    design's chunk kernel (_run_block) on this run alone.
     """
     n = design.n
     if big_n != (1 << n):
         raise ValueError(f"stream length must be 2^n = {1 << n} for design {design.name}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    if design.tree_type == "apc":
-        return run_apc(weights, values, big_n)
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1:
+    if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-d sequence")
     v = _values_array(values, w.size)
     # a stored report's value row passed the range check when it was filled
     report = _reports.get((design, seed, v.tobytes(), w.tobytes()))
     if report is None:
-        report = _simulate(design, w[None], v[None], [seed])[0]
+        report = _run_block(design, w[None], v[None], [seed])[0]
     return report
 
 
@@ -423,26 +436,125 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int, weights) -> Si
 _APC_WIDTHS = {1 << n: n for n in range(3, 17)}
 
 
-# the last weights' entry alone: every scripts/ run uses the APC on fixed taps, and
-# an entry holds an (M, N) bit matrix, 16.8 MB at M = 256 and n = 16
-@lru_cache(maxsize=1)
-def _apc_coefficients(weights: bytes, n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The coefficient side of an APC run, the same for every run of the weights.
+def _count_terms(b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K(a, b) = #{t < a : rev_n(t) < b} in closed form, as terms read off the codes b.
 
-    Returns two read-only arrays, the coefficient bit of each input and cycle
-    with the input's sign inverter folded in and the signed codes
-    s_i (2 B_i - 2^n) of the |w_i|, then the codes' unsigned sum: 2^n times
-    the sum of the quantized coefficients.
+    rev_n(t) is the bit-reversed counter's word at cycle t, so K(a, b)
+    counts the cycles among the first a whose word lies below b, for a and
+    b in [0, 2^n]; it is symmetric in a and b. Returns offsets and counts of
+    shape b.shape + (n + 1,) and n + 1 shifts, with
+    K(a, b) = sum_j counts_j ((a + offsets_j) >> shifts_j).
+
+    The count halves t level by level, reading the bits of b - 1 from the
+    top: the ceil(a/2) even t have words below 2^(n-1), the floor(a/2) odd
+    t words at or above it. On a 1 bit every even t counts and the odd ones
+    go on, a := floor(a/2); on a 0 bit only the even ones go on,
+    a := ceil(a/2). Each t left after the n levels counts. As
+    floor((floor((a + c)/2^l) + e)/2) = floor((a + c + e 2^l)/2^(l+1)),
+    level l's a is (a + c_l) >> l, c_l summing 2^k over the levels k < l
+    that rounded up. b = 0 counts nothing.
     """
-    w = np.frombuffer(weights, dtype=np.float64)
-    bw = bipolar_thresholds(np.abs(w), n)
-    negs = w < 0
-    w_bits = _source_table("counter", n, "words") < bw[:, None]
-    codes = 2 * bw - (1 << n)
-    out = (w_bits ^ negs[:, None], np.where(negs, -codes, codes))
-    for arr in out:
+    b = np.asarray(b, dtype=np.int64)[..., None]
+    levels = np.arange(n)
+    ones = ((b - 1) >> (n - 1 - levels)) & 1
+    up = (1 - ones) << levels
+    c = np.cumsum(up, axis=-1)  # c_(l+1)
+    offsets = np.concatenate((c - up + (1 << levels), c[..., -1:]), axis=-1)
+    counts = np.concatenate((ones, np.ones_like(b)), axis=-1) * (b > 0)
+    return offsets, np.append(levels + 1, n), counts
+
+
+# The coefficient sides of the last APC fill, keyed by (weight row bytes, n); see
+# _fill_rows and _apc_sides_of.
+_apc_sides: dict[tuple[bytes, int], tuple | None] = {}
+
+
+def _apc_sides_of(w: np.ndarray, n: int) -> list:
+    """The coefficient side of each row of the (R, M) weight block `w`, what each of its runs reads (see _apc).
+
+    A row with some |w_i| outside [0, 1] (NaN included) has the side None.
+    Any other row's side holds the offsets (M, n + 2) and shifts (n + 2) of
+    its terms, the terms' (M (n + 2), 2) coefficients in the accumulator
+    and the target numerator, their two constant parts, and the codes'
+    unsigned sum, sum_i (2 Bw_i - 2^n), 2^n times the quantized
+    coefficients' sum. Its arrays are read-only.
+    """
+    big_n = 1 << n
+    inside = np.abs(w) <= 1.0  # NaN fails
+    bw = bipolar_thresholds(np.where(inside, np.abs(w), 0.0), n)
+    neg = w < 0
+    signs = np.where(neg, -1, 1)
+    codes = 2 * bw - big_n
+    # over 2^n cycles input i's data and coefficient bits differ in
+    # D_i = Bx_i + Bw_i - 2 K(Bw_i, Bx_i) cycles, and its product bit,
+    # XNOR(x, w) inverted for w_i < 0, adds 2^n - D_i, or D_i for w_i < 0,
+    # to the accumulator: Bw_i for w_i < 0, else 2^n - Bw_i, plus
+    # s_i (2 K(Bw_i, Bx_i) - Bx_i). The target numerator
+    # sum_i s_i (2 Bw_i - 2^n)(2 Bx_i - 2^n) is the sum of
+    # 2 s_i (2 Bw_i - 2^n) Bx_i and -2^n s_i (2 Bw_i - 2^n). So a run's
+    # terms are K's n + 1 terms, then Bx_i itself (offset and shift 0)
+    offsets, shifts, counts = _count_terms(bw, n)
+    offsets = np.concatenate((offsets, np.zeros_like(bw)[..., None]), axis=-1)
+    shifts = np.append(shifts, 0)
+    coefs = np.zeros(offsets.shape + (2,), dtype=np.int64)
+    coefs[..., :-1, 0] = 2 * signs[..., None] * counts
+    coefs[..., -1, 0] = -signs
+    coefs[..., -1, 1] = 2 * signs * codes
+    coefs = coefs.reshape(len(w), -1, 2)
+    bases = np.stack(
+        (np.where(neg, bw, big_n - bw).sum(axis=-1), -big_n * (signs * codes).sum(axis=-1)),
+        axis=-1,
+    )
+    for arr in (offsets, shifts, coefs, bases):
         arr.setflags(write=False)
-    return *out, int(codes.sum())
+    masses = codes.sum(axis=-1).tolist()
+    return [
+        (offsets[d], shifts, coefs[d], bases[d], masses[d]) if inside[d].all() else None
+        for d in range(len(w))
+    ]
+
+
+def _apc(weights: np.ndarray, values: np.ndarray, n: int) -> list:
+    """SimulationReports of the APC runs (weights[r], values[r]), as one block.
+
+    weights and values are (R, M) float64 blocks. Each run makes run_apc's
+    checks, and a block raises the message of its first failing run: its
+    values' range, then its coefficients' range, then its quantized mass.
+    Both sources run from reset, so at cycle t input i's data bit is
+    [rev_n(t) < Bx_i] and its coefficient bit [t < Bw_i]: the run's
+    accumulator, the sum of its M 2^n product bits, is a closed form in the
+    value codes Bx (see _apc_sides_of and _count_terms), one array pass over
+    the block's (R, M, n + 2) terms.
+    """
+    big_n = 1 << n
+    runs, m = values.shape
+    sides, which = _fill_rows(_apc_sides, weights, (n,), lambda w: _apc_sides_of(w, n))
+    failed = [side is None or side[-1] <= 0 for side in sides]
+    if any(failed):
+        first = next(r for r, k in enumerate(which) if failed[k])
+        # a run before it fails none of the checks; its own values' range
+        # comes first
+        bipolar_thresholds(values[: first + 1], n)
+        if sides[which[first]] is None:
+            raise ValueError("APC coefficient values |w_i| must lie in [0, 1]")
+        raise ValueError("zero weight mass after quantization")
+    bx = bipolar_thresholds(values, n)
+    terms = bx[..., None] + _per_run([side[0] for side in sides], which)
+    terms >>= sides[0][1]
+    coefs = _per_run([side[2] for side in sides], which)
+    sums = (terms.reshape(runs, 1, -1) @ coefs)[:, 0] + _per_run([side[3] for side in sides], which)
+    reports = []
+    for (acc, num), k in zip(sums.tolist(), which):
+        # the quantized coefficients and values are their codes over 2^n, so
+        # the sum of the coefficients and the signed sum of their products
+        # with the values are integers over 2^n and 2^2n; one correctly
+        # rounded division gives the double nearest each
+        denom = sides[k][-1] / big_n
+        raw = 2.0 * acc / (big_n * m) - 1.0
+        estimate = min(1.0, max(-1.0, raw * m / denom))
+        target = num / (big_n * big_n) / denom
+        reports.append(SimulationReport(estimate, target, estimate - target, None, None))
+    return reports
 
 
 def run_apc(weights, values, big_n: int) -> SimulationReport:
@@ -453,7 +565,9 @@ def run_apc(weights, values, big_n: int) -> SimulationReport:
     sources are the bit-reversed counter and the plain counter, whose paired
     outputs are jointly equidistributed. The parallel counter adds all M
     product bits each cycle; the accumulator's mean is rescaled so the report
-    targets the same normalized weighted mean as the mux designs.
+    targets the same normalized weighted mean as the mux designs. The
+    design is fully deterministic; the run is the chunk kernel (_apc) on
+    this run alone.
     """
     n = _APC_WIDTHS.get(big_n)
     if n is None:
@@ -461,36 +575,7 @@ def run_apc(weights, values, big_n: int) -> SimulationReport:
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-d sequence")
-    m = w.size
-    bx = bipolar_thresholds(_values_array(values, m), n)
-    if not np.all(np.abs(w) <= 1.0):  # NaN fails too
-        raise ValueError("APC coefficient values |w_i| must lie in [0, 1]")
-    coeff_bits, signed, denom_num = _apc_coefficients(w.tobytes(), n)
-    if denom_num <= 0:
-        raise ValueError("zero weight mass after quantization")
-
-    # the data source runs from reset like the coefficient one; the design is
-    # fully deterministic
-    x_bits = _source_table("sobol_reversed_counter", n, "words") < bx[:, None]
-    # product bit = XNOR(x, w), inverted for a negative coefficient; the
-    # accumulator adds every product bit of every cycle
-    acc = m * big_n - int(np.count_nonzero(x_bits ^ coeff_bits))
-    raw = 2.0 * acc / (big_n * m) - 1.0
-
-    # the quantized coefficients and values are their codes over 2^n, so the
-    # sum of the coefficients and the signed sum of their products with the
-    # values are integers over 2^n and 2^2n; one correctly rounded division
-    # gives the double nearest each
-    denom = denom_num / big_n
-    estimate = min(1.0, max(-1.0, raw * m / denom))
-    target = int(signed @ (2 * bx - big_n)) / (big_n * big_n) / denom
-    return SimulationReport(
-        estimate=estimate,
-        target=target,
-        error=estimate - target,
-        output_bits=None,
-        sampling_counts=None,
-    )
+    return _apc(w[None], _values_array(values, w.size)[None], n)[0]
 
 
 def structural_report(design: AdderDesign, weights) -> dict[str, int]:

@@ -5,8 +5,6 @@ by the frequency of 1s: unipolar value = P(bit = 1), bipolar value =
 2 P(bit = 1) - 1.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 
@@ -73,24 +71,16 @@ class Bitstream:
         return f"Bitstream({bits}{tail}, len={self._n})"
 
 
-@lru_cache(maxsize=None)
-def _bipolar_midpoints(n: int) -> np.ndarray:
-    # midpoint k = (2k + 1)/2^n - 1 is the least value whose code exceeds k;
-    # numerator and denominator are integers below 2^(n+1), so for any
-    # practical n every entry is exact in float64
-    size = 1 << n
-    mids = (2 * np.arange(size, dtype=np.int64) + 1 - size) / size
-    mids.setflags(write=False)
-    return mids
-
-
 def bipolar_thresholds(values, n: int) -> np.ndarray:
     """Comparator thresholds B in [0, 2^n] for bipolar values, as int64.
 
     B is the code whose stream probability B/2^n is closest to (v + 1)/2,
     ties rounding up, i.e. floor((v + 1)/2 * 2^n + 1/2); n + 1 bits hold it
-    so that probability 1 is representable. Exact for every double: the code
-    of v is the number of rounding midpoints at or below v.
+    so that probability 1 is representable. Exact for every double: B counts
+    the rounding midpoints (2k + 1 - 2^n)/2^n, k in [0, 2^n), at or below v,
+    and as 2k + 1 - 2^n is an integer, those are the k with
+    2k + 1 - 2^n <= floor(v 2^n), so B = (floor(v 2^n) + 2^n + 1) >> 1;
+    v 2^n, a power-of-two scaling, and its floor are exact.
     """
     if n < 1:
         raise ValueError("bit-width must be >= 1")
@@ -98,5 +88,5 @@ def bipolar_thresholds(values, n: int) -> np.ndarray:
     inside = np.abs(v) <= 1.0  # NaN fails the comparison
     if np.count_nonzero(inside) != inside.size:
         raise ValueError(f"bipolar values must lie in [-1, 1]; input value {v[~inside][0]} is outside")
-    # searchsorted returns intp, which is int64 on the supported platforms
-    return _bipolar_midpoints(n).searchsorted(v, side="right").astype(np.int64, copy=False)
+    size = 1 << n
+    return (np.floor(v * size).astype(np.int64) + (size + 1)) >> 1

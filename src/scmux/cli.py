@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime/precondition error.
 import argparse
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,9 @@ def _positive_ints(text: str) -> list[int]:
     return values
 
 
+# parsing reads the parser and never changes it, so one parser serves every
+# main call of a process
+@cache
 def build_parser() -> _Parser:
     p = _Parser(prog="scmux", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)

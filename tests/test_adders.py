@@ -810,11 +810,42 @@ def test_apc_trivials():
     (([0.5, 0.25], [0.1, 0.2]), [0.1, 0.2], 16, "weights must be a non-empty 1-d sequence"),
     ([0.5, 0.25], [0.1], 16, "values and weights must have equal length"),
     ([1e-3, -1e-3], [0.1, 0.2], 16, "zero weight mass after quantization"),
+    # a row failing more than one check raises the first: values, then
+    # coefficients, then mass
+    ([0.5, 0.25], [0.1, 1.5], 16, "bipolar values must lie in [-1, 1]; input value 1.5 is outside"),
+    ([1.5, 0.25], [math.nan, 0.2], 16,
+     "bipolar values must lie in [-1, 1]; input value nan is outside"),
+    ([0.5, -1.5], [0.1, 0.2], 16, APC_RANGE),
+    ([math.nan, 0.0], [0.1, 0.2], 16, APC_RANGE),
+    ([2.0, 1e-3], [0.1, 0.2], 16, APC_RANGE),
 ])
 def test_apc_input_errors(weights, values, big_n, message):
+    import scmux.adders
+    from scmux.adders import _fill_runs
+
     with pytest.raises(ValueError) as exc:
         run_apc(weights, values, big_n)
     assert str(exc.value) == message
+    n = big_n.bit_length() - 1
+    if not 3 <= n <= 16 or big_n != 1 << n:
+        return
+    # run_adder makes the same checks, and a chunk whose runs before this
+    # one pass them raises the same message and keeps the stored reports
+    d = make_design("apc", n)
+    with pytest.raises(ValueError) as exc:
+        run_adder(d, values, big_n, 5, weights)
+    assert str(exc.value) == message
+    w, v = np.asarray(weights, dtype=np.float64), np.asarray(values, dtype=np.float64)
+    if w.ndim != 1 or w.size == 0 or v.shape != w.shape:
+        return
+    good_w, good_v = np.full(w.size, 0.5), np.linspace(-1.0, 1.0, w.size)
+    _fill_runs(d, [good_w], [good_v], [7])
+    stored = dict(scmux.adders._reports)
+    with pytest.raises(ValueError) as exc:
+        _fill_runs(d, [good_w, w, good_w], [good_v, v, good_v], [1, 2, 3])
+    assert str(exc.value) == message
+    assert scmux.adders._reports.keys() == stored.keys()
+    assert all(scmux.adders._reports[key] is rep for key, rep in stored.items())
 
 
 def test_apc_matches_full_matrix_oracle_at_filter_size():
@@ -840,22 +871,209 @@ def test_apc_matches_full_matrix_oracle_at_filter_size():
                     rep.estimate, rep.target, rep.error)
 
 
-def test_apc_coefficient_cache_keeps_one_entry():
-    # per-run weights must not pile up one (M, N) bit matrix per run: the cache
-    # keeps the last weights' entry, and a repeat of them hits it
-    from scmux.adders import _apc_coefficients
+def _reversed_count_brute(a, b, n):
+    """#{t < a : rev_n(t) < b}, read off the bit-reversed counter's words."""
+    words = source_words(SourceSpec("sobol_reversed_counter", n), 1 << n)
+    return int(np.count_nonzero(words[:a] < b))
+
+
+def _reversed_count(a, b, n):
+    from scmux.adders import _count_terms
+
+    offsets, shifts, counts = _count_terms(b, n)
+    return (((np.asarray(a)[..., None] + offsets) >> shifts) * counts).sum(axis=-1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reversed_count_closed_form_matches_brute_force_for_every_pair(n):
+    # brute[a, b] counts the words below b among the first a
+    codes = np.arange((1 << n) + 1)
+    below = source_words(SourceSpec("sobol_reversed_counter", n), 1 << n) < codes[:, None]
+    brute = np.concatenate((np.zeros((1, codes.size), int), np.cumsum(below, axis=1).T))
+    assert np.array_equal(brute, brute.T)
+    assert np.array_equal(_reversed_count(codes[:, None], codes[None, :], n), brute)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, 1 << n), st.integers(0, 1 << n))))
+@example((16, 1 << 16, 1 << 16))
+@example((16, 0, 40503))
+@example((16, 32769, 32768))
+def test_reversed_count_closed_form_matches_brute_force_up_to_16_bits(case):
+    n, a, b = case
+    assert _reversed_count(a, b, n) == _reversed_count(b, a, n) == _reversed_count_brute(a, b, n)
+
+
+def _assert_apc_matches_oracle(rep, w, v, n):
+    assert (rep.estimate, rep.target, rep.error) == full_matrix_apc(w, v, 1 << n)
+    assert rep.output_bits is None and rep.sampling_counts is None
+
+
+def test_apc_chunks_match_full_matrix_oracle_exactly():
+    # one _fill_runs pass over a chunk, each run with its own weight row,
+    # stores the report that run_apc gives the run alone and that the oracle
+    # reads off both (M, N) bit matrices
+    from scmux.adders import _fill_runs, _reports
+
+    rng = np.random.default_rng(2025)
+    checked = set()
+    for runs, n, m_inputs in ((1, 3, 5), (4, 3, 1), (6, 5, 9), (3, 8, 40), (2, 16, 6), (1, 16, 3)):
+        weights = rng.uniform(-1, 1, (runs, m_inputs))
+        weights[:, 0] = rng.choice([-1.0, 1.0], runs) * rng.uniform(0.5, 1.0, runs)
+        # taps below 2^-n quantize to code 2^(n-1), a coefficient of 0
+        tiny = rng.random((runs, m_inputs)) < 0.2
+        tiny[:, 0] = False
+        weights[tiny] = rng.uniform(-1, 1, int(tiny.sum())) / (1 << n)
+        weights[rng.random((runs, m_inputs)) < 0.1] = -1.0
+        values = rng.uniform(-1, 1, (runs, m_inputs))
+        values[rng.random((runs, m_inputs)) < 0.2] = -1.0  # code 0
+        values[rng.random((runs, m_inputs)) < 0.2] = 1.0  # code N
+        seeds = rng.integers(0, 2**63, runs).tolist()
+        d = make_design("apc", n)
+        _fill_runs(d, weights, values, seeds)
+        for w, v, seed in zip(weights, values, seeds):
+            rep = run_adder(d, v, 1 << n, seed, w)
+            assert rep is _reports[(d, seed, v.tobytes(), w.tobytes())]
+            _assert_apc_matches_oracle(rep, w, v, n)
+            assert run_apc(w, v, 1 << n) == rep
+            codes = np.array([bipolar_threshold(x, n) for x in v])
+            if np.any((w < 0) & (codes == 0)):
+                checked.add("negative coefficient at value code 0")
+            if np.any((w < 0) & (codes == 1 << n)):
+                checked.add("negative coefficient at value code N")
+            if np.any([bipolar_threshold(abs(x), n) == 1 << (n - 1) for x in w]):
+                checked.add("coefficient code 2^(n-1)")
+        checked.add("R = 1" if runs == 1 else "R > 1")
+        checked.add(f"n = {n}")
+    assert checked == {
+        "R = 1", "R > 1", "n = 3", "n = 5", "n = 8", "n = 16", "coefficient code 2^(n-1)",
+        "negative coefficient at value code 0", "negative coefficient at value code N",
+    }
+
+
+@pytest.mark.parametrize("weight_mode", [None, "uniform", "pm"])
+def test_apc_accuracy_stats_chunks_match_full_matrix_oracle(weight_mode, monkeypatch):
+    # chunks of 3 runs at n = 4, so 8 runs fill 3, 3 and a partial last chunk
+    # of 2, each run returning its stored report
+    import scmux.analysis
+    from scmux.adders import _reports
+
+    monkeypatch.setattr(scmux.analysis, "_CHUNK_ELEMENTS", 3 << 4)
+    calls = []
+    run = scmux.analysis.run_adder
+
+    def recorded(d, v, big_n, seed, w):
+        calls.append((v, w, run(d, v, big_n, seed, w)))
+        assert calls[-1][-1] is _reports[(d, seed, v.tobytes(), w.tobytes())]
+        return calls[-1][-1]
+
+    monkeypatch.setattr(scmux.analysis, "run_adder", recorded)
+    d = make_design("apc", 4)
+    stats = accuracy_stats(d, [0.9, -0.3, 0.2, 0.1, -0.05], 8, 31, weight_mode)
+    assert stats.runs == len(calls) == 8
+    assert (len({w.tobytes() for _, w, _ in calls}) > 1) == (weight_mode is not None)
+    for v, w, rep in calls:
+        _assert_apc_matches_oracle(rep, w, v, 4)
+
+
+def test_stored_apc_reports_are_read_only_and_keyed_by_the_whole_run():
+    import dataclasses
+
+    from scmux.adders import _fill_runs, _reports
+
+    rng = np.random.default_rng(505)
+    d = make_design("apc", 6)
+    weights, values = rng.uniform(-1, 1, (3, 5)), rng.uniform(-1, 1, (3, 5))
+    seeds = rng.integers(0, 2**63, 3).tolist()
+    _fill_runs(d, weights, values, seeds)
+    stored = run_adder(d, values[0], 64, seeds[0], weights[0])
+    assert stored is _reports[(d, seeds[0], values[0].tobytes(), weights[0].tobytes())]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stored.estimate = 0.0
+    # the coefficient sides the runs read are read-only too
+    from scmux.adders import _apc_sides
+
+    for side in _apc_sides.values():
+        assert not any(arr.flags.writeable for arr in side[:4])
+    # a call that differs from every stored run, in its values (the same
+    # seed), its weights or its design, runs alone
+    flipped = values[0].copy()
+    flipped[1] = -flipped[1]
+    for call_d, v, seed, w in (
+        (d, flipped, seeds[0], weights[0]),
+        (d, values[1], seeds[0], weights[0]),
+        (d, values[0], seeds[0], weights[1]),
+        (make_design("apc", 7), values[0], seeds[0], weights[0]),
+    ):
+        rep = run_adder(call_d, v, 1 << call_d.n, seed, w)
+        assert all(rep is not report for report in _reports.values())
+        _assert_apc_matches_oracle(rep, w, v, call_d.n)
+
+
+def test_apc_chunk_raises_the_message_of_its_first_failing_run():
+    # each chunk mixes good rows with rows that fail one or more of run_apc's
+    # checks; it raises what run_apc raises for the first run that fails, and
+    # keeps the stored reports
+    import scmux.adders
+    from scmux.adders import _fill_runs
+
+    rng = np.random.default_rng(606)
+    d = make_design("apc", 5)
+    kinds = ("good", "value", "coefficient", "mass", "value+coefficient", "coefficient+mass")
+    seen = set()
+    for _ in range(60):
+        runs = int(rng.integers(1, 6))
+        picks = rng.choice(len(kinds), runs, p=[0.6, 0.08, 0.08, 0.08, 0.08, 0.08])
+        weights = rng.uniform(-1, 1, (runs, 4))
+        weights[:, 0] = 0.75
+        values = rng.uniform(-1, 1, (runs, 4))
+        for r, k in enumerate(picks):
+            kind = kinds[k]
+            if "value" in kind:
+                values[r, rng.integers(4)] = rng.choice([1.25, -3.0, math.nan])
+            if "mass" in kind:
+                weights[r] = rng.uniform(-1, 1, 4) / 64
+            if "coefficient" in kind:
+                weights[r, rng.integers(4)] = rng.choice([1.5, -1.0 - 2**-52, math.nan])
+        expected = None
+        for w, v in zip(weights, values):
+            try:
+                run_apc(w, v, 32)
+            except ValueError as exc:
+                expected = str(exc)
+                break
+        _fill_runs(d, [[0.5]], [[0.25]], [1])
+        stored = dict(scmux.adders._reports)
+        if expected is None:
+            _fill_runs(d, weights, values, list(range(runs)))
+            continue
+        seen.add(expected.split(";")[0])
+        with pytest.raises(ValueError) as exc:
+            _fill_runs(d, weights, values, list(range(runs)))
+        assert str(exc.value) == expected
+        assert scmux.adders._reports.keys() == stored.keys()
+        assert all(scmux.adders._reports[key] is rep for key, rep in stored.items())
+    assert seen == {"bipolar values must lie in [-1, 1]", APC_RANGE, "zero weight mass after quantization"}
+
+
+def test_apc_run_allocates_no_bit_matrix():
+    # the APC counts each input's product-bit mismatches in closed form: a run
+    # at n = 16 and M = 256 holds no (M, 2^n) array (one bool matrix is 16.8 MB)
+    import tracemalloc
 
     rng = np.random.default_rng(77)
-    values = rng.uniform(-1, 1, 8)
-    for _ in range(5):
-        run_apc(rng.uniform(-1, 1, 8), values, 256)
-        assert _apc_coefficients.cache_info().currsize == 1
-    w = rng.uniform(-1, 1, 8)
-    first = run_apc(w, values, 256)
-    hits = _apc_coefficients.cache_info().hits
-    assert run_apc(w, values, 256) == first
-    assert _apc_coefficients.cache_info().hits == hits + 1
-    assert _apc_coefficients.cache_info().currsize == 1
+    values = rng.uniform(-1, 1, 256)
+    run_apc(rng.uniform(-1, 1, 256), values, 1 << 16)
+    # new weights: the call computes their coefficient side too
+    w = rng.uniform(-1, 1, 256)
+    tracemalloc.start()
+    try:
+        run_apc(w, values, 1 << 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_apc_rejects_out_of_range_coefficients():

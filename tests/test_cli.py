@@ -648,3 +648,37 @@ def test_cli_exit_code_contract(argv):
                 assert exc.code == 1, argv
             else:
                 assert code in (0, 2), argv
+
+
+def test_main_calls_share_one_parser_that_prints_what_a_fresh_one_prints(tmp_path, capsys):
+    from scmux import cli
+
+    wf = tmp_path / "w.txt"
+    wf.write_text("0.5\n-0.25\n")
+    calls = [
+        ["quantize", "--weights", str(wf), "--m", "3"],
+        ["--help"],
+        ["sweep-m", "--help"],
+        ["sweep-m", "--designs", "cemux", "--m-min", "4", "--m-max", "3"],
+        ["report", "--design", "cemux", "--n", "x"],
+        ["nonsense"],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 1, 1, 1]
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert [run(argv) for argv in calls] == fresh
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * len(calls) - 1)
