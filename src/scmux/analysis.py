@@ -108,9 +108,11 @@ class ModelConfig:
             raise ValueError("values and weights must have equal length")
 
 
-# A chunk of runs fills its (R, M, N) bit block, or the closed forms' (R, M, M)
-# gap tensor, with at most this many elements (or holds one run, if that has
-# more), which keeps batching's rise in decompose's peak RSS under a megabyte.
+# A chunk of model runs fills its (R, K, N) stream words, K = 1 under one shared
+# source (SCC +1) and M otherwise, and then without a shared source its
+# (R, M, N) bit block; the closed forms fill an (R, M, M) gap tensor. Each
+# holds at most this many elements (or one run, if that has more), which keeps
+# batching's rise in decompose's peak RSS under a megabyte.
 _CHUNK_ELEMENTS = 1 << 14
 
 
@@ -144,9 +146,17 @@ class _ModelRuntime:
         self.c = quantize_weights(cfg.weights, self.n)
         self.negative = np.asarray(cfg.weights) < 0
         self.wt = self.c / self.N
-        # first[i, t]: cycle t is among the first c_i, the cycles whose bits
-        # the noise component counts for input i
-        self.first = np.arange(self.N) < self.c[:, None]
+        # stream words per run: one shared source under SCC +1, else one per input
+        self.K = 1 if cfg.input_scc == 1 else self.M
+        # the noise component counts input i's bits over its first c_i cycles
+        if self.K == 1:
+            # the shared words of those cycles, input by input (sum c = N
+            # entries); input i's entries start at its first_start, if c_i > 0
+            starts = np.cumsum(self.c) - self.c
+            self.first_at = np.arange(self.N) - np.repeat(starts, self.c)
+            self.first_start = starts[self.c > 0]
+        else:
+            self.first = np.arange(self.N) < self.c[:, None]
         self.owner = build_hardwired_tree(self.c)
         if cfg.values is not None:
             self.fixed_thresholds = self._thresholds(np.asarray(cfg.values, float))
@@ -162,34 +172,50 @@ class _ModelRuntime:
 def _draw_chunk(rt: _ModelRuntime, rng: np.random.Generator, runs: int):
     """Draw `runs` runs in the per-run order: values, stream words, select words.
 
-    Returns the post-sign thresholds (runs, M), the stream words (runs, K, N),
-    where K = 1 when all inputs share one source (SCC +1) and M otherwise,
-    and the input owning each cycle (runs, N). Input i's bit at cycle t is
-    words[r, i or 0, t] < B'_i.
+    Each run reads the generator words that its per-run calls read, but into
+    rows of blocks allocated once per chunk:
+    - values: random() into a row, as uniform(-1, 1) is -1 + 2 random();
+    - hypergeometric words: permutation(N) is arange(N) shuffled, so a run
+      shuffles its row of an arange block in place (SCC +1), or permutes
+      its (M, N) rows in place (SCC 0);
+    - Bernoulli words and select words: integers(0, 2^n) reads one uint32 u
+      per word as u >> (32 - n), since Lemire's method never rejects a
+      power-of-two range, and random(dtype=float32) reads the same u as
+      (u >> 8) 2^-24, so a word is floor(2^n f). A run's uint32 draws are
+      consecutive, so they are one float32 call.
+
+    Returns the post-sign thresholds (runs, M), the int32 stream words
+    (runs, K, N), where K = 1 when all inputs share one source (SCC +1) and
+    M otherwise, and the input owning each cycle (runs, N). Input i's bit at
+    cycle t is words[r, i or 0, t] < B'_i.
     """
-    cfg, N, M = rt.cfg, rt.N, rt.M
-    hyper, shared = cfg.sn_model == "hypergeometric", cfg.input_scc == 1
-    noisy = cfg.sampling == "noisy"
-    values = np.empty((runs, M))
-    words = np.empty((runs, 1 if shared else M, N), dtype=np.int64)
-    sel = np.empty((runs, N), dtype=np.int64)
-    tile = np.broadcast_to(np.arange(N), (M, N))
+    N, M, K = rt.N, rt.M, rt.K
+    hyper, noisy = rt.cfg.sn_model == "hypergeometric", rt.cfg.sampling == "noisy"
+    drawn = rt.fixed_thresholds is None
+    unit = np.empty((runs, M))
+    words = np.tile(np.arange(N), (runs, K, 1)) if hyper else None
+    f32 = np.empty((runs, (0 if hyper else K * N) + (N if noisy else 0)), dtype=np.float32)
     for r in range(runs):
-        if rt.fixed_thresholds is None:
-            values[r] = rng.uniform(-1.0, 1.0, size=M)
-        if hyper and shared:
-            words[r, 0] = rng.permutation(N)
+        if drawn:
+            rng.random(out=unit[r])
+        if hyper and K == 1:
+            rng.shuffle(words[r, 0])
         elif hyper:
-            rng.permuted(tile, axis=1, out=words[r])
-        else:  # bernoulli: with-replacement uniform words
-            words[r] = rng.integers(0, N, size=words.shape[1:])
-        if noisy:
-            sel[r] = rng.integers(0, N, size=N)
-    if rt.fixed_thresholds is None:
-        bp = rt._thresholds(values)
+            rng.permuted(words[r], axis=1, out=words[r])
+        if f32.shape[1]:
+            rng.random(out=f32[r], dtype=np.float32)
+    # int32 words (N <= 2^16) halve the chunk's per-cycle arrays; the arange
+    # block is int64 while it is shuffled, as numpy shuffles 8-byte items fastest
+    codes = (f32 * N).astype(np.int32)
+    words = words.astype(np.int32) if hyper else codes[:, : K * N].reshape(runs, K, N)
+    if drawn:
+        bp = rt._thresholds(-1.0 + 2.0 * unit)
     else:
         bp = np.broadcast_to(rt.fixed_thresholds, (runs, M))
-    owners = rt.owner[sel] if noisy else np.broadcast_to(rt.owner, (runs, N))
+    if noisy:
+        owners = rt.owner[codes[:, -N:]]
+    else:
+        owners = np.broadcast_to(rt.owner, (runs, N))
     return bp, words, owners
 
 
@@ -204,48 +230,97 @@ def _chunk_stats(rt: _ModelRuntime, bp: np.ndarray, words: np.ndarray, owners: n
     or float64 BLAS products whose partial sums are integers of magnitude
     at most 2N, hence exact); squares are taken in float64, where no
     product can wrap. The numerators stay exact in float64 for n <= 10.
+
+    samp and corr read the bits through the column sums
+    g_t = sum_i k_i (2 u_it - 1), for k = C - c and k = c, and only as
+    sum_t g_t^2. When all inputs share one word sequence w (K = 1), input
+    i's bit at cycle t is w_t < B'_i, so the inputs whose bits are set form
+    a suffix in threshold order, the same one for every word between two
+    consecutive sorted thresholds. sum_t g_t^2 is then a sum over the M + 1
+    gaps between them of (words in the gap) g^2, in int64, and no
+    (R, M, N) bit block is formed. A permutation has B'_i words below B'_i,
+    so under the hypergeometric model input i's +/-1 bit sum is 2 B'_i - N.
     """
     N, M, n = rt.N, rt.M, rt.n
     R = bp.shape[0]
-    u = words < bp[:, :, None]  # (R, M, N) stream bits
-    uf = u.astype(np.float64)
+    hyper, precise = rt.cfg.sn_model == "hypergeometric", rt.cfg.sampling == "precise"
     a = 2 * bp - N  # mu'_i = a_i / N
     scale = float(N << n) ** 2
+    b = bp.astype(np.int32)  # compared with the int32 words without a cast
+
+    if rt.K == 1:
+        w = words[:, 0]
+        if precise:
+            ones = np.count_nonzero(w < b[:, rt.owner], axis=1)
+        else:
+            ones = np.count_nonzero(w < np.take(b, owners + M * np.arange(R)[:, None]), axis=1)
+        first = w[:, rt.first_at] < np.repeat(b, rt.c, axis=1)
+        prefix = np.zeros((R, M), dtype=np.int64)
+        prefix[:, rt.c > 0] = np.add.reduceat(first, rt.first_start, axis=1, dtype=np.int64)
+        # at[r, i]: the run's words below B'_i
+        if hyper:
+            at = bp
+        else:
+            hist = np.bincount((w + N * np.arange(R)[:, None]).ravel(), minlength=R * N)
+            below = np.zeros((R, N + 1), dtype=np.int64)
+            np.cumsum(hist.reshape(R, N), axis=1, out=below[:, 1:])
+            at = np.take(below, bp + (N + 1) * np.arange(R)[:, None])
+        # flat indices of each run's inputs in threshold order
+        order = np.argsort(bp, axis=1, kind="stable") + M * np.arange(R)[:, None]
+        cut = np.take(at, order)
+
+        def square_sum(k):
+            # in threshold order the words of gap j, cut_(j-1) <= w < cut_j, set
+            # the bits of inputs j, j + 1, ..., so there g = S - 2 (k_0 + ... +
+            # k_(j-1)) with S = sum k; summed by parts over the gaps,
+            # sum_t g_t^2 = N S^2 + 4 sum_j cut_j k_j (S + k_j - 2 (k_0 + ... + k_j))
+            k = np.take(k, order)
+            k_sum = k.sum(axis=1)
+            rest = cut * k * (k_sum[:, None] + k - 2 * np.cumsum(k, axis=1))
+            return (N * k_sum**2 + 4 * rest.sum(axis=1)).astype(np.float64)
+
+    else:
+        u = words < b[:, :, None]  # (R, M, N) stream bits
+        own = owners[:, None, :] == np.arange(M)[:, None]
+        ones = np.count_nonzero(u & own, axis=(1, 2))
+        prefix = np.count_nonzero(u & rt.first, axis=2)
+        at = bp if hyper else np.count_nonzero(u, axis=2)
+        uf = u.astype(np.float64)
+
+        def square_sum(k):
+            g = 2.0 * (k[:, None, :] @ uf)[:, 0] - k.sum(axis=1, keepdims=True)
+            return (g**2).sum(axis=1)
 
     # total: (mu_hat - sum w~ mu')^2 = D^2 / (2^n N)^2
-    ones = np.take_along_axis(u, owners[:, None, :], axis=1).sum(axis=(1, 2))
     d = ((2 * ones - N) << n) - a @ rt.c
     total = d.astype(np.float64) ** 2 / scale
 
     # noise: deviation of the first-c_i prefix sums from their exact means
-    prefix = np.count_nonzero(u & rt.first, axis=2)
     e = ((2 * prefix - rt.c) << n) - rt.c * a
     noise = (e.astype(np.float64) ** 2).sum(axis=1) / scale
 
-    s = 2 * np.count_nonzero(u, axis=2) - N  # per-stream +/-1 bit sums
-    if rt.cfg.sampling == "precise":
+    s = 2 * at - N  # per-stream +/-1 bit sums
+    if precise:
         samp = np.zeros(R)
         dc = np.zeros((R, M))
     else:
         counts = np.bincount((owners + M * np.arange(R)[:, None]).ravel(), minlength=R * M)
         dc_int = counts.reshape(R, M) - rt.c
         dc = dc_int.astype(np.float64)
-        g = 2.0 * (dc[:, None, :] @ uf)[:, 0] - dc.sum(axis=1)[:, None]
         x = (dc_int * s).sum(axis=1).astype(np.float64)
-        samp = (x**2 - (g**2).sum(axis=1)) / (N * (N - 1)) / N**2
+        samp = (x**2 - square_sum(dc_int)) / (N * (N - 1)) / N**2
 
     # corr = (N P - (N - 1) Q) / ((N - 1) N^4) with P the +/-1 pair sum of
     # the bits and Q its mean, both integers
     cw = rt.c.astype(np.float64)
-    gc = 2.0 * (cw @ uf) - N  # +/-1 column sums weighted by c
     xc = (s @ rt.c).astype(np.float64)
     sf = s.astype(np.float64)
-    p = xc**2 - (gc**2).sum(axis=1) - (sf**2 - N) @ cw**2
+    p = xc**2 - square_sum(np.broadcast_to(rt.c, (R, M))) - (sf**2 - N) @ cw**2
     ca = rt.c * a
     q = ca.sum(axis=1).astype(np.float64) ** 2 - (ca.astype(np.float64) ** 2).sum(axis=1)
     corr = (N * p - (N - 1) * q) / (N - 1) / float(N) ** 4
 
-    return np.stack([total, noise, samp, corr]), dc
+    return np.array([total, noise, samp, corr]), dc
 
 
 def _model_runs(rt: _ModelRuntime, rng: np.random.Generator, runs: int):
@@ -254,7 +329,7 @@ def _model_runs(rt: _ModelRuntime, rng: np.random.Generator, runs: int):
     Every statistic is an unbiased single-run estimate, so means and
     standard errors across runs follow directly.
     """
-    step = _chunk_runs(rt.M * rt.N)
+    step = _chunk_runs(rt.K * rt.N)
     for start in range(0, runs, step):
         yield _chunk_stats(rt, *_draw_chunk(rt, rng, min(step, runs - start)))
 

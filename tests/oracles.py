@@ -812,6 +812,52 @@ def model_run_exact(rt: _ModelRuntime, rng: np.random.Generator):
     return total, noise, samp, corr
 
 
+def block_chunk_stats(rt: _ModelRuntime, bp: np.ndarray, words: np.ndarray, owners: np.ndarray):
+    """A chunk's (4, R) statistics and dc (R, M) from its whole (R, M, N) bit block.
+
+    The plain form of scmux.analysis._chunk_stats on the same draws: every
+    stream bit is formed, the owner gather, prefix counts, per-stream sums
+    and column sums read the block, whether or not the inputs share a source.
+    """
+    N, M, n = rt.N, rt.M, rt.n
+    R = bp.shape[0]
+    u = words < bp[:, :, None]  # (R, M, N) stream bits
+    uf = u.astype(np.float64)
+    a = 2 * bp - N
+    scale = float(N << n) ** 2
+
+    ones = np.take_along_axis(u, owners[:, None, :], axis=1).sum(axis=(1, 2))
+    d = ((2 * ones - N) << n) - a @ rt.c
+    total = d.astype(np.float64) ** 2 / scale
+
+    first = np.arange(N) < rt.c[:, None]
+    prefix = np.count_nonzero(u & first, axis=2)
+    e = ((2 * prefix - rt.c) << n) - rt.c * a
+    noise = (e.astype(np.float64) ** 2).sum(axis=1) / scale
+
+    s = 2 * np.count_nonzero(u, axis=2) - N
+    if rt.cfg.sampling == "precise":
+        samp = np.zeros(R)
+        dc = np.zeros((R, M))
+    else:
+        counts = np.bincount((owners + M * np.arange(R)[:, None]).ravel(), minlength=R * M)
+        dc_int = counts.reshape(R, M) - rt.c
+        dc = dc_int.astype(np.float64)
+        g = 2.0 * (dc[:, None, :] @ uf)[:, 0] - dc.sum(axis=1)[:, None]
+        x = (dc_int * s).sum(axis=1).astype(np.float64)
+        samp = (x**2 - (g**2).sum(axis=1)) / (N * (N - 1)) / N**2
+
+    cw = rt.c.astype(np.float64)
+    gc = 2.0 * (cw @ uf) - N
+    xc = (s @ rt.c).astype(np.float64)
+    sf = s.astype(np.float64)
+    p = xc**2 - (gc**2).sum(axis=1) - (sf**2 - N) @ cw**2
+    ca = rt.c * a
+    q = ca.sum(axis=1).astype(np.float64) ** 2 - (ca.astype(np.float64) ** 2).sum(axis=1)
+    corr = (N * p - (N - 1) * q) / (N - 1) / float(N) ** 4
+    return np.stack([total, noise, samp, corr]), dc
+
+
 def closed_form_once(model, sampling, scc, wt: np.ndarray, mup: np.ndarray, N: int) -> float:
     if model == "bernoulli":
         # the bernoulli rows hold at any input correlation level

@@ -11,6 +11,7 @@ from oracles import (
     DESIGN_NAMES,
     LFSR_DESIGNS,
     accuracy_errors_per_run,
+    block_chunk_stats,
     enumerate_model_variance,
     expected_closed_form_per_run,
     fir_estimates_per_sample,
@@ -25,6 +26,8 @@ from scmux.analysis import (
     AccuracyStats,
     ModelConfig,
     _chunk_runs,
+    _chunk_stats,
+    _draw_chunk,
     _draw_runs,
     _model_runs,
     _ModelRuntime,
@@ -290,7 +293,9 @@ def _model_case(rng, row, kind, fixed):
     """A random ModelConfig of a row, and a run count of the given kind.
 
     kind 0: fewer runs than one chunk; 1: several chunks and a partial
-    last one; 2: M * N above the chunk budget, so chunks of one run.
+    last one; 2: M * N above the chunk budget, so chunks of one run, or
+    with one shared source (SCC +1), whose chunks hold R * N words, a full
+    chunk and a last one of one to three runs.
     """
     if kind == 0:
         n, m_inputs = int(rng.integers(2, 9)), int(rng.integers(1, 7))
@@ -303,11 +308,15 @@ def _model_case(rng, row, kind, fixed):
     w[int(rng.integers(m_inputs))] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
     values = tuple(rng.uniform(-1, 1, m_inputs)) if fixed else None
     cfg = ModelConfig(*row, tuple(w), values, 1 << n)
-    step = _chunk_runs(m_inputs << n)
+    shared = row[2] == 1
+    step = _chunk_runs((1 if shared else m_inputs) << n)
     if kind == 0:
         runs = int(rng.integers(1, min(step - 1, 40) + 1))
     elif kind == 1:
         runs = 2 * step + int(rng.integers(1, step))
+    elif shared:
+        assert step > 1 and (m_inputs << n) > _CHUNK_ELEMENTS
+        runs = step + int(rng.integers(1, 4))
     else:
         assert step == 1 and (m_inputs << n) > _CHUNK_ELEMENTS
         runs = int(rng.integers(2, 5))
@@ -324,7 +333,8 @@ def test_batched_model_runs_match_per_run_oracle():
             cfg, runs = _model_case(rng, row, j % 3, j % 2 == 1)
             seed = int(rng.integers(2**32))
             rt = _ModelRuntime(cfg)
-            chunks = list(_model_runs(rt, np.random.default_rng(seed), runs))
+            rng_batched = np.random.default_rng(seed)
+            chunks = list(_model_runs(rt, rng_batched, runs))
             stats = np.concatenate([st for st, _ in chunks], axis=1)
             dcs = np.concatenate([dc for _, dc in chunks])
             assert stats.shape == (4, runs) and dcs.shape == (runs, rt.M)
@@ -341,6 +351,8 @@ def test_batched_model_runs_match_per_run_oracle():
                 corr = Fraction(float(stats[3, r]))
                 assert abs(corr - exact[3]) <= abs(exact[3]) * Fraction(1, 2**52)
                 c_cov += np.outer(ref_dc, ref_dc)
+            # the chunks read exactly the per-run calls' draws, no more
+            assert rng_batched.bit_generator.state == rng_once.bit_generator.state
             if runs >= 2:
                 rep = decompose_variance(cfg, runs, seed)
                 assert np.array_equal(rep.c_covariance, c_cov / runs)
@@ -359,7 +371,8 @@ def test_model_runs_do_not_wrap_at_n16():
                 ("hypergeometric", "precise", 1)):
         cfg = ModelConfig(*row, (0.6, -0.4), None, 1 << 16)
         rt = _ModelRuntime(cfg)
-        chunks = list(_model_runs(rt, np.random.default_rng(16), 3))
+        rng_batched = np.random.default_rng(16)
+        chunks = list(_model_runs(rt, rng_batched, 3))
         assert [dc.shape[0] for _, dc in chunks] == [1, 1, 1]
         stats = np.concatenate([st for st, _ in chunks], axis=1)
         assert np.all(np.isfinite(stats)) and np.all(stats[:2] >= 0.0)
@@ -371,6 +384,66 @@ def test_model_runs_do_not_wrap_at_n16():
                 assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
             assert abs(Fraction(float(stats[3, r])) - exact[3]) <= 1e-13
             assert abs(stats[3, r] - ref[3]) <= 1e-13
+        assert rng_batched.bit_generator.state == rng_once.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 10, 16])
+def test_chunk_stats_equal_the_bit_block_oracle(n):
+    # _chunk_stats reads one word per cycle, and under a shared source the
+    # gaps between sorted thresholds; block_chunk_stats forms every bit.
+    # Both run on the same draws, including values at -1 and +1 (thresholds
+    # 0 and N), tied thresholds, zero weights and a single input.
+    rng = np.random.default_rng(n)
+    rows = [row for row in _MODEL_ROWS if row[2] is not None]
+    for i in range(48 if n <= 10 else 16):
+        row = rows[i % len(rows)]
+        m_inputs = 1 if i % 8 == 7 else int(rng.integers(2, 12))
+        w = rng.uniform(-1, 1, m_inputs)
+        w[rng.random(m_inputs) < 0.3] = 0.0
+        w[int(rng.integers(m_inputs))] = rng.choice([-0.5, 0.5])
+        values = None
+        if i % 3 == 1:
+            values = tuple(rng.uniform(-1, 1, m_inputs))
+        elif i % 3 == 2:
+            values = tuple(rng.choice([-1.0, 0.0, 0.5, 1.0], m_inputs))
+        rt = _ModelRuntime(ModelConfig(*row, tuple(w), values, 1 << n))
+        runs = int(rng.integers(1, 9 if n <= 10 else 3))
+        draws = _draw_chunk(rt, np.random.default_rng(i), runs)
+        got, got_dc = _chunk_stats(rt, *draws)
+        want, want_dc = block_chunk_stats(rt, *draws)
+        assert np.array_equal(got[:3], want[:3]) and np.array_equal(got_dc, want_dc)
+        if n <= 10:
+            assert np.array_equal(got[3], want[3])
+        else:  # the bound of test_model_runs_do_not_wrap_at_n16
+            assert np.all(np.abs(got[3] - want[3]) <= 1e-13)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_chunk_draws_read_the_per_run_calls_words(n):
+    # _draw_chunk's calls against the per-run calls they stand for, after an
+    # odd-length shuffle leaves half of a raw word buffered: float32 selects
+    # against integers(0, 2^n), a shuffled arange row against permutation,
+    # an in-place permuted block against a permuted copy, and -1 + 2 random()
+    # against uniform(-1, 1); each pair leaves the generators in one state
+    fast, plain = np.random.default_rng(n), np.random.default_rng(n)
+    for rng in (fast, plain):
+        rng.shuffle(np.arange(7))
+    for size in ((5,), (3, 37), (1 << n,)):
+        f = np.empty(size, dtype=np.float32)
+        fast.random(out=f, dtype=np.float32)
+        assert np.array_equal((f * (1 << n)).astype(np.int64), plain.integers(0, 1 << n, size))
+        assert fast.bit_generator.state == plain.bit_generator.state
+    big_n = 1 << min(n, 10)
+    row = np.arange(big_n)
+    fast.shuffle(row)
+    assert np.array_equal(row, plain.permutation(big_n))
+    block = np.tile(np.arange(big_n), (3, 1))
+    fast.permuted(block, axis=1, out=block)
+    assert np.array_equal(block, plain.permuted(np.tile(np.arange(big_n), (3, 1)), axis=1))
+    unit = np.empty(5)
+    fast.random(out=unit)
+    assert np.array_equal(-1.0 + 2.0 * unit, plain.uniform(-1.0, 1.0, 5))
+    assert fast.bit_generator.state == plain.bit_generator.state
 
 
 def test_expected_closed_form_matches_per_run_oracle():
