@@ -174,7 +174,10 @@ def _values_array(values, m: int) -> np.ndarray:
 # and a "biased" tree is (step, leaf_owner). Entry step[s (n + 1) + k] is where
 # the walk goes from heap slot s when the select word has WBG class k (see
 # wbg_bit_index): the next slot times n + 1 if that slot is a mux, or else the
-# next slot's position among the leaves.
+# next slot's position among the leaves. A fill's biased trees share one depth,
+# that of its deepest tree (see _biased_rows), and _fill_rows keeps the last
+# fill's entries alone, so every entry a chunk reads has that depth: _simulate
+# reads it off one entry.
 _tables: dict[tuple[bytes, int, str], tuple] = {}
 
 
@@ -201,10 +204,11 @@ def _fill_tables(design: AdderDesign, weights) -> tuple[list[tuple], list[int]]:
     """The _tables entries of the distinct magnitude rows of `weights`, and each row's entry index.
 
     See _fill_rows: the distinct magnitude rows are quantized as one block
-    and their trees built as one block, per active count for a biased tree,
-    each slot's step-table row read off the bits of its code and pre-scaled
-    (see _tables). A block the quantizer rejects (NaN, infinite or zero
-    weights) raises its message and leaves the cache as it was.
+    and their trees built as one block, a biased block at the depth of its
+    deepest tree, each slot's step-table row read off the bits of its code
+    and pre-scaled (see _tables). A block the quantizer rejects (NaN,
+    infinite or zero weights) raises its message and leaves the cache as it
+    was.
     """
     n, tree_type = design.n, design.tree_type
 
@@ -215,22 +219,16 @@ def _fill_tables(design: AdderDesign, weights) -> tuple[list[tuple], list[int]]:
             owners = _hardwired_rows(nums, n)
             owners.setflags(write=False)
             return list(zip(nums, owners))
-        entries = [None] * len(nums)
-        active = np.count_nonzero(nums, axis=1)
-        for k in set(active.tolist()):
-            group = np.flatnonzero(active == k)
-            heap, leaf_owner = _biased_rows(nums[group], n)
-            # a select WBG outputs bit k of its code for a word of class k;
-            # codes lie below 2^n, so class n (the word 0) reads bit n, a 0
-            bits = (heap[:, :, None] >> np.arange(n + 1)) & 1
-            slots = heap.shape[1]
-            nxt = 2 * np.arange(slots)[:, None] + 2 - bits
-            step = np.where(nxt < slots, nxt * (n + 1), nxt - slots).reshape(len(group), -1)
-            step.setflags(write=False)
-            leaf_owner.setflags(write=False)
-            for r, row_step, row_owner in zip(group.tolist(), step, leaf_owner):
-                entries[r] = (nums[r], (row_step, row_owner))
-        return entries
+        heap, leaf_owner = _biased_rows(nums, n)
+        # a select WBG outputs bit k of its code for a word of class k;
+        # codes lie below 2^n, so class n (the word 0) reads bit n, a 0
+        bits = (heap[:, :, None] >> np.arange(n + 1)) & 1
+        slots = heap.shape[1]
+        nxt = 2 * np.arange(slots)[:, None] + 2 - bits
+        step = np.where(nxt < slots, nxt * (n + 1), nxt - slots).reshape(len(nums), -1)
+        for arr in (step, leaf_owner):
+            arr.setflags(write=False)
+        return list(zip(nums, zip(step, leaf_owner)))
 
     return _fill_rows(_tables, np.abs(np.asarray(weights, dtype=np.float64)), (n, tree_type), build)
 
@@ -312,28 +310,15 @@ def _simulate(design: AdderDesign, weights: np.ndarray, values: np.ndarray, seed
             select = levels.sum(axis=0, dtype=np.uint16)
             owners = owners.ravel().take(select + _row_offsets(*owners.shape))
     else:
-        classes = _source_table("lfsr", n, "wbg_classes")
-        depths = [leaf.size.bit_length() - 1 for _, (_, leaf) in tables]
-        starts = _source_starts("lfsr", seed, slice(1, max(depths) + 1), n).reshape(runs, -1)
-        groups = {}
-        for r, w in enumerate(which):
-            groups.setdefault(depths[w], []).append(r)
-        owners = np.empty((runs, big_n), dtype=np.int64) if len(groups) > 1 else None
-        for depth, group in groups.items():
-            # the row of each run's tree among the group's trees
-            rank = {}
-            rows = [rank.setdefault(which[r], len(rank)) for r in group]
-            trees = [tables[w][1] for w in rank]
-            walk = _biased_walk(
-                _per_run([step for step, _ in trees], rows),
-                _per_run([leaf for _, leaf in trees], rows),
-                classes,
-                starts[group, :depth],
-            )
-            if owners is None:
-                owners = walk
-            else:
-                owners[group] = walk
+        # a fill's trees share one depth (see _tables)
+        depth = tables[0][1][1].size.bit_length() - 1
+        starts = _source_starts("lfsr", seed, slice(1, depth + 1), n).reshape(runs, depth)
+        owners = _biased_walk(
+            _per_run([step for _, (step, _) in tables], which),
+            _per_run([leaf for _, (_, leaf) in tables], which),
+            _source_table("lfsr", n, "wbg_classes"),
+            starts,
+        )
 
     # idx: the flat index of each cycle's sampled input in the (R, M) rows;
     # a lone run's is its owner

@@ -9,9 +9,11 @@ and its redundancy-free mux count is one less than the total number of 1s
 across the expansions. The biased-selector tree is a balanced binary tree
 whose per-node select probabilities encode the weights instead, held as its
 heap table. The slot ranges depend only on the number k of active inputs and
-are built once per k; a build from numerators then reads every slot's two
-subtree masses off the prefix sums of the active numerators, so a cycle's
-path is a fixed-depth index walk.
+the heap depth, and are built once per pair; a build from numerators then
+reads every slot's two subtree masses off the prefix sums of the active
+numerators, so a cycle's path is a fixed-depth index walk. A block's trees
+all share the depth of its deepest tree, a shallower tree padded below its
+leaves with muxes of code 0, which always route to the same leaf.
 
 A quantized weight vector is one int64 row of numerators over 2^h; the
 signs stay with the weights. The quantizer and both tree builds work on
@@ -134,18 +136,20 @@ def tree_size(nums, tree_type: str) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=256)
-def _heap_ranges(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The balanced split of k active inputs, independent of their masses.
+def _heap_ranges(k: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The balanced split of k active inputs over depth levels, independent of their masses.
 
     Returns each heap slot's active-position range as rows lo, mid, hi, level
     by level, and each heap leaf's active position. Slot s splits [lo, hi) at
     mid = lo + (hi - lo) // 2 into slots 2s + 1 and 2s + 2, so a one-input
     range above the last level splits at mid = lo: a padding mux whose left
-    half is empty.
+    half is empty. With depth at least (k - 1).bit_length(), every range on
+    the last level holds at most one input, and a heap leaf's position is
+    that of the one-input range above it.
     """
     lo, hi = np.zeros(1, dtype=np.int64), np.full(1, k, dtype=np.int64)
     levels = [np.empty((3, 0), dtype=np.int64)]
-    for _ in range((k - 1).bit_length()):
+    for _ in range(depth):
         mid = lo + (hi - lo) // 2
         levels.append(np.stack((lo, mid, hi)))
         lo, hi = np.stack((lo, mid), axis=1).ravel(), np.stack((mid, hi), axis=1).ravel()
@@ -158,30 +162,38 @@ def _heap_ranges(k: int) -> tuple[np.ndarray, np.ndarray]:
 def _biased_rows(nums: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Heaps (R, 2^D - 1) and leaf owners (R, 2^D) of an (R, M) numerator block.
 
-    Every row has the same number k of nonzero numerators, since the heap
-    layout depends on k (see build_biased_selector_tree).
+    D is the depth of the block's deepest tree, (k - 1).bit_length() for
+    the largest number k of nonzero numerators in a row; a row with fewer
+    levels of its own is padded below its leaves (see _heap_ranges and
+    build_biased_selector_tree). Every row sums to 2^h, so has some k >= 1.
     """
-    active = np.nonzero(nums)[1].reshape(len(nums), -1)
-    if not active.shape[1]:
-        raise ValueError("no inputs with nonzero quantized weight")
-    ranges, leaf = _heap_ranges(active.shape[1])
-    prefix = np.cumsum(np.take_along_axis(nums, active, axis=1), axis=1)
-    prefix = np.concatenate((np.zeros((len(nums), 1), dtype=np.int64), prefix), axis=1)
-    at_lo, at_mid, at_hi = (prefix[:, r] for r in ranges)
+    active = np.count_nonzero(nums, axis=1)
+    most = int(active.max())
+    depth = (most - 1).bit_length()
+    # each row's slot ranges and leaf positions, over its active inputs
+    ranges, leaf = (np.array(arrs) for arrs in zip(*(_heap_ranges(k, depth) for k in active.tolist())))
+    # each row's active inputs in input order, then zero numerators up to
+    # the block's largest k, over which the prefix sums stay at the row's sum
+    rows = np.arange(len(nums))[:, None]
+    order = np.argsort(nums == 0, axis=1, kind="stable")[:, :most]
+    prefix = np.zeros((len(nums), most + 1), dtype=np.int64)
+    np.cumsum(nums[rows, order], axis=1, out=prefix[:, 1:])
+    at_lo, at_mid, at_hi = prefix[rows[:, None], ranges].transpose(1, 0, 2)
     left, mass = at_mid - at_lo, at_hi - at_lo
     # code floor(p 2^h + 1/2) for p = left / mass, exact in integers. With
     # mass <= 2^h no p is a rounding tie, and a mux's right half has positive
     # mass, so no code reaches 2^h. A padding mux's left mass is 0, so its code
     # is 0; the empty ranges below it get divisor 1
     heap = ((2 * left << h) + mass) // np.maximum(2 * mass, 1)
-    return heap, active[:, leaf]
+    return heap, order[rows, leaf]
 
 
 def build_biased_selector_tree(nums) -> tuple[np.ndarray, np.ndarray]:
     """Balanced tree over the inputs with nonzero quantized weight.
 
     Returns (heap_thresholds, leaf_owner), both read-only: the tree as a
-    complete heap of depth D = log2(leaf_owner.size). heap_thresholds holds
+    complete heap of its own depth D = log2(leaf_owner.size), which is
+    (k - 1).bit_length() for its k active inputs. heap_thresholds holds
     each slot's h-bit select code, h the quantization height, for the node
     probability mass(left half) / mass(both halves). Select bit 1 at slot s
     routes to slot 2s + 1 (the left, lower-index half) and bit 0 to slot

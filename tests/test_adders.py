@@ -461,6 +461,8 @@ def test_step_table_walk_matches_per_level_walk(n, weights, words_seed):
         return
     q = quantize_weights(weights, n)
     heap, leaf_owner = build_biased_selector_tree(q)
+    # a fresh fill: an entry an earlier fill left has that fill's depth
+    _tables.clear()
     _fill_tables(make_design("cemux_biased", n), [weights])
     nums, (step, cached_owner) = _tables[(np.array(weights).tobytes(), n, "biased")]
     assert np.array_equal(nums, q)
@@ -789,6 +791,30 @@ def test_a_bad_row_fails_its_whole_fill_and_leaves_no_entry(name, monkeypatch):
     _fill_tables(d, [good[1], good[2]])
     assert _tables.keys() == entries.keys()
     assert all(_tables[key] is entry for key, entry in entries.items())
+
+
+@pytest.mark.parametrize("name", ["cemux_biased", "basic_biased"])
+def test_a_one_row_fill_reads_the_deeper_entry_an_earlier_mixed_fill_left(name):
+    from scmux.adders import _fill_tables, _tables
+
+    n = 5
+    d = make_design(name, n)
+    # two active inputs, one level of its own; five active inputs, three levels
+    shallow, deep = [0.5, 0.0, -0.5, 0.0, 0.0], [0.3, -0.2, 0.25, 0.1, -0.15]
+    _fill_tables(d, [shallow, deep])
+    entry = _tables[(np.abs(shallow).tobytes(), n, "biased")]
+    assert entry[1][1].size == 8
+    assert build_biased_selector_tree(quantize_weights(shallow, n))[1].size == 2
+    values = [0.75, -0.5, -1.0, 0.25, 1.0]
+    rep = run_adder(d, values, 1 << n, 77, shallow)
+    # the run's one-row fill hits the mixed fill's entry
+    assert _tables[(np.abs(shallow).tobytes(), n, "biased")] is entry
+    _assert_matches_oracle(rep, d, np.array(values), 77, np.array(shallow))
+    # and equals a run on a fresh fill, whose tree has its own depth
+    _tables.clear()
+    fresh = run_adder(d, values, 1 << n, 77, shallow)
+    assert _tables[(np.abs(shallow).tobytes(), n, "biased")][1][1].size == 2
+    _assert_same_report(rep, fresh, name)
 
 
 def test_apc_trivials():

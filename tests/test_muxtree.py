@@ -10,6 +10,7 @@ from oracles import (
     biased_heap_layout,
     biased_leaf_path_products,
     biased_tree_reference,
+    biased_walk_per_level,
     dump_tree,
     full_tree_select,
     level_ordered_owners,
@@ -101,9 +102,21 @@ def weight_blocks(draw):
 @given(weight_blocks(), st.integers(1, 12))
 @example([[0.0, 1.0, 0.0], [0.5, 0.5, 0.25], [1e308, 1.0, 0.0], [0.0, 0.0, -3.0]], 4)
 @example([[1.0], [1e-300], [-1e308]], 1)
+# k = 1, 2, 3, 4 and 5 active inputs, zero numerators in between
+@example(
+    [
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.5, 0.0, 1.0, 0.0, 0.0, -3.0, 0.0, 0.0],
+        [0.25, 0.0, 0.5, 0.0, 1.0, 0.0, -0.25, 0.0, 0.0],
+        [1.0, 0.0, 0.5, 0.0, -0.25, 0.0, 1.0, 0.0, -3.0],
+    ],
+    6,
+)
 def test_row_wise_cores_match_per_vector_builds_and_oracles(rows, h):
     # one block of rows gives each row what it gives alone, and what the
-    # transcription, the level-ordered blocks and the recursive biased tree give
+    # transcription, the level-ordered blocks and the recursive biased tree
+    # give; the whole block's biased trees have its deepest tree's depth D
     nums = _quantize_rows(rows, h)
     assert nums.shape == (len(rows), len(rows[0])) and nums.dtype == np.int64
     for row, row_nums in zip(rows, nums):
@@ -121,6 +134,20 @@ def test_row_wise_cores_match_per_vector_builds_and_oracles(rows, h):
             assert (heap.tolist(), leaf_owner.tolist()) == expected
             built = build_biased_selector_tree(row_nums)
             assert all(map(np.array_equal, (heap, leaf_owner), built))
+    rng = np.random.default_rng(h)
+    depth = (int(active.max()) - 1).bit_length()
+    select = rng.integers(0, 1 << h, (depth, 256))
+    for row_nums, heap, leaf_owner in zip(nums, *_biased_rows(nums, h)):
+        assert (heap.size, leaf_owner.size) == ((1 << depth) - 1, 1 << depth)
+        # the row's own tree in the first 2^d - 1 slots, code-0 padding below
+        own_heap, own_owner = biased_heap_layout(biased_tree_reference(row_nums, PccKind.WBG))
+        d = len(own_owner).bit_length() - 1
+        assert heap[: (1 << d) - 1].tolist() == own_heap
+        assert not heap[(1 << d) - 1:].any()
+        assert np.array_equal(
+            biased_walk_per_level(heap, leaf_owner, select, h),
+            biased_walk_per_level(np.array(own_heap), np.array(own_owner), select[:d], h),
+        )
 
 
 def test_quantize_rows_raises_the_first_bad_rows_message():
@@ -401,7 +428,7 @@ def _cut_configs():
 
 def test_biased_tree_matches_recursive_reference_node_for_node():
     # the heap build reads every slot's masses off prefix sums over ranges
-    # cached per active count; the reference halves the active inputs
+    # cached per active count and depth; the reference halves the active inputs
     # recursively with one Fraction per mux, laid out as a heap
     seen = set()
     for _, nums in _cut_configs():
