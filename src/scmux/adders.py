@@ -167,16 +167,55 @@ def _values_array(values, m: int) -> np.ndarray:
     return v
 
 
+# A loop of runs hands them to _fill_runs a block at a time, and _simulate runs
+# a block's cycles a slice at a time. Each array with a 2^n (cycle) axis, a
+# slice's, holds at most _CHUNK_ELEMENTS elements, and so does each (R, M)
+# block (and the model path's chunks, see analysis); a block's per-run tables
+# hold at most _BLOCK_ELEMENTS. Either holds one run if a run alone has more.
+_CHUNK_ELEMENTS = 1 << 14
+_BLOCK_ELEMENTS = 1 << 17
+# A block holds at most this many runs' drawn Python objects and reports.
+_CHUNK_RUNS = 128
+
+
+def _chunk_runs(per_run: int) -> int:
+    return max(1, _CHUNK_ELEMENTS // per_run)
+
+
+def _block_runs(design: AdderDesign, m: int) -> int:
+    """Runs in one block of M-input runs of `design`.
+
+    Its (R, M) rows stay within _CHUNK_ELEMENTS elements and its largest
+    per-run table within _BLOCK_ELEMENTS, or it holds one run if that has
+    more: the APC's (R, M, n + 2) terms (_apc); a biased fill's
+    (R, 2^D - 1, n + 1) step tables, D at most (M - 1).bit_length()
+    (_fill_tables); a hardwired slice's (R, n + 1, M) numerator bits, read
+    to build its owner maps (_hardwired_rows). 2^n bounds the slices, not
+    the block.
+    """
+    n = design.n
+    if design.tree_type == "apc":
+        table = m * (n + 2)
+    elif design.tree_type == "biased":
+        table = ((1 << (m - 1).bit_length()) - 1) * (n + 1)
+    else:
+        table = (n + 1) * m
+    return min(_chunk_runs(m), max(1, _BLOCK_ELEMENTS // max(table, 1)), _CHUNK_RUNS)
+
+
 # The weight tables of the last fill, keyed by (|w| bytes, n, tree type). The
 # tree depends on the magnitudes alone; the signs act after it, so weights that
 # differ only in sign share one entry. An entry is (numerators, tree),
-# read-only views of the fill's blocks: a "hardwired" tree is its owner map,
-# and a "biased" tree is (step, leaf_owner). Entry step[s (n + 1) + k] is where
-# the walk goes from heap slot s when the select word has WBG class k (see
+# read-only views of the fill's blocks. A "hardwired" tree is its owner map,
+# which has a 2^n axis: a fill builds its rows' maps only if they fit one slice
+# of cycles, _chunk_runs(2^n) rows, as under fixed weights or in a run alone,
+# and otherwise its trees are None and each slice builds its runs' maps. A
+# "biased" tree is (step, leaf_owner). Entry step[s (n + 1) + k] is where the
+# walk goes from heap slot s when the select word has WBG class k (see
 # wbg_bit_index): the next slot times n + 1 if that slot is a mux, or else the
 # next slot's position among the leaves. A fill's biased trees share one depth,
 # that of its deepest tree (see _biased_rows), and _fill_rows keeps the last
-# fill's entries alone, so every entry a chunk reads has that depth: _simulate
+# fill's entries alone, so every entry a block reads has that depth: _simulate
 # reads it off one entry.
 _tables: dict[tuple[bytes, int, str], tuple] = {}
 
@@ -204,11 +243,11 @@ def _fill_tables(design: AdderDesign, weights) -> tuple[list[tuple], list[int]]:
     """The _tables entries of the distinct magnitude rows of `weights`, and each row's entry index.
 
     See _fill_rows: the distinct magnitude rows are quantized as one block
-    and their trees built as one block, a biased block at the depth of its
-    deepest tree, each slot's step-table row read off the bits of its code
-    and pre-scaled (see _tables). A block the quantizer rejects (NaN,
-    infinite or zero weights) raises its message and leaves the cache as it
-    was.
+    and their trees built as one block: hardwired owner maps if they fit one
+    slice, biased trees at the depth of the deepest, each slot's step-table
+    row read off the bits of its code and pre-scaled (see _tables). A block
+    the quantizer rejects (NaN, infinite or zero weights) raises its message
+    and leaves the cache as it was.
     """
     n, tree_type = design.n, design.tree_type
 
@@ -216,16 +255,24 @@ def _fill_tables(design: AdderDesign, weights) -> tuple[list[tuple], list[int]]:
         nums = _quantize_rows(mags, n)
         nums.setflags(write=False)
         if tree_type == "hardwired":
+            if len(nums) > _chunk_runs(1 << n):
+                return [(row, None) for row in nums]
             owners = _hardwired_rows(nums, n)
             owners.setflags(write=False)
             return list(zip(nums, owners))
         heap, leaf_owner = _biased_rows(nums, n)
-        # a select WBG outputs bit k of its code for a word of class k;
-        # codes lie below 2^n, so class n (the word 0) reads bit n, a 0
-        bits = (heap[:, :, None] >> np.arange(n + 1)) & 1
+        # slot s goes to slot 2s + 2 on select bit 0 and to 2s + 1 on bit 1
         slots = heap.shape[1]
-        nxt = 2 * np.arange(slots)[:, None] + 2 - bits
-        step = np.where(nxt < slots, nxt * (n + 1), nxt - slots).reshape(len(nums), -1)
+        nxt = 2 * np.arange(slots)[:, None] + [2, 1]
+        right, left = np.where(nxt < slots, nxt * (n + 1), nxt - slots).T
+        # a select WBG outputs bit k of its code for a word of class k; codes
+        # lie below 2^n, so class n (the word 0) reads bit n, a 0. Each step
+        # is in place, over the block's one (R, slots, n + 1) array
+        step = heap[:, :, None] >> np.arange(n + 1)
+        step &= 1
+        step *= (left - right)[:, None]
+        step += right[:, None]
+        step = step.reshape(len(nums), -1)
         for arr in (step, leaf_owner):
             arr.setflags(write=False)
         return list(zip(nums, zip(step, leaf_owner)))
@@ -238,7 +285,7 @@ def _per_run(rows: list, which: list) -> np.ndarray:
 
     A lone row serves every run as a (1, L) view, which broadcasts.
     """
-    return rows[0][None] if len(rows) == 1 else np.array(rows)[which]
+    return rows[0][None] if len(rows) == 1 else np.array([rows[k] for k in which])
 
 
 def _row_offsets(rows: int, width: int):
@@ -267,8 +314,11 @@ def _biased_walk(step: np.ndarray, leaf_owner: np.ndarray, classes: np.ndarray, 
     flat = (step + offsets).ravel()
     idx = offsets
     for level in starts.T:
-        idx = flat.take(idx + classes[level])
-    return leaf_owner.ravel().take(idx + (_row_offsets(*leaf_owner.shape) - offsets))
+        rows = classes[level]
+        rows += idx
+        idx = flat.take(rows)
+    idx += _row_offsets(*leaf_owner.shape) - offsets
+    return leaf_owner.ravel().take(idx)
 
 
 def _simulate(design: AdderDesign, weights: np.ndarray, values: np.ndarray, seeds) -> list:
@@ -285,9 +335,13 @@ def _simulate(design: AdderDesign, weights: np.ndarray, values: np.ndarray, seed
       comparator otherwise: [x < B], inverted for a negative input;
       WBG: bit k of the code for a word of class k (bit n, which is 0, for
           the word 0), so a negative input's code has all n + 1 bits inverted.
-    The up-down counter accumulates the output. Each step is one array pass
-    over the block's (R, 2^n) cycles; a report's output_bits and
-    sampling_counts are read-only rows of the block's arrays.
+    The up-down counter accumulates the output. Each per-run step is one
+    array pass over the whole block: the codes and targets, the weight
+    tables (_fill_tables) and the LFSR starts. Each step over cycles is one
+    array pass over a slice of _chunk_runs(2^n) runs, so that no array with a
+    2^n axis outgrows _CHUNK_ELEMENTS elements, or one run: the owner maps,
+    the select, the data bits and the counts. A report's output_bits and
+    sampling_counts are read-only rows of its slice's arrays.
     """
     n, big_n = design.n, 1 << design.n
     runs, m = values.shape
@@ -295,78 +349,112 @@ def _simulate(design: AdderDesign, weights: np.ndarray, values: np.ndarray, seed
     tables, which = _fill_tables(design, weights)
     # one seed's starts cost less in Python integers than as a one-element array
     seed = seeds[0] if runs == 1 else np.array(seeds, dtype=np.uint64)
-
-    # owners[r, t]: the input run r samples at cycle t
-    if design.tree_type == "hardwired":
-        # under precise sampling the counter runs from its reset state over
-        # its 2^n words, so its dyadic blocks stay aligned with the
-        # low-discrepancy data source: cycle t samples owner[t]
-        owners = _per_run([tree for _, tree in tables], which)
-        if not design.precise_sampling:
-            # one independent LFSR per level; its word's MSB is the select
-            # bit, bit n - l of the owner-map index for level l
-            starts = _source_starts("lfsr", seed, slice(1, n + 1), n).reshape(runs, n)
-            levels = _source_table("lfsr", n, "level_msbs")[np.arange(n)[:, None], starts.T]
-            select = levels.sum(axis=0, dtype=np.uint16)
-            owners = owners.ravel().take(select + _row_offsets(*owners.shape))
-    else:
-        # a fill's trees share one depth (see _tables)
-        depth = tables[0][1][1].size.bit_length() - 1
-        starts = _source_starts("lfsr", seed, slice(1, depth + 1), n).reshape(runs, depth)
-        owners = _biased_walk(
-            _per_run([step for _, (step, _) in tables], which),
-            _per_run([leaf for _, (_, leaf) in tables], which),
-            _source_table("lfsr", n, "wbg_classes"),
-            starts,
-        )
-
-    # idx: the flat index of each cycle's sampled input in the (R, M) rows;
-    # a lone run's is its owner
-    idx = owners + np.arange(0, runs * m, m)[:, None] if runs > 1 else owners
     neg = weights < 0
     post_sign = np.where(neg, big_n - thresholds, thresholds)
-    kind = design.data_rns_kind
-    # a reset source's table is one row, every run's; an LFSR's run starts
-    # from its seed
-    data = _source_starts(kind, seed, 0, n).reshape(runs) if kind == "lfsr" else slice(None)
-    if design.data_pcc is PccKind.COMPARATOR:
-        words = _source_table(kind, n, "words")[data]
-        if design.full_correlation:
-            z = words < post_sign.ravel().take(idx)
-        else:
-            z = (words < thresholds.ravel().take(idx)) ^ neg.ravel().take(idx)
-        z = z.view(np.uint8)
-    else:
-        # a WBG outputs bit k of its code for a word of class k, and bit n,
-        # which is 0, for the word 0; so inverting all n + 1 bits of a
-        # negative input's code inverts each of its outputs
-        codes = np.where(neg, thresholds ^ ((2 << n) - 1), thresholds)
-        classes = _source_table(kind, n, "wbg_classes")[data]
-        if design.full_correlation:
-            words = _source_table(kind, n, "words")[data]
-            classes = np.where(neg.ravel().take(idx), wbg_bit_index(complement_output(words, n), n), classes)
-        z = ((codes.ravel().take(idx) >> classes) & 1).astype(np.uint8)
-
-    counts = np.bincount(idx.ravel(), minlength=runs * m).reshape(runs, m)
+    rows, trees = zip(*tables)
+    nums = _per_run(rows, which)
     # sum_i s_i (q_i / 2^n)(2 B_i / 2^n - 1) = sum_i (q_i / 2^n)(2 B'_i / 2^n - 1)
     # = (2 sum_i q_i B'_i - 2^2n) / 2^2n, as the q_i sum to 2^n: an integer
     # over 2^2n, so one correctly rounded division gives the double nearest it
-    nums = _per_run([row for row, _ in tables], which)
     dots = np.vecdot(nums, post_sign).tolist()
-    z.setflags(write=False)
-    counts.setflags(write=False)
+    comparator = design.data_pcc is PccKind.COMPARATOR
+    # the code each input's PCC reads, its sign inverter folded in
+    if comparator:
+        codes = post_sign if design.full_correlation else thresholds
+    else:
+        codes = np.where(neg, thresholds ^ ((2 << n) - 1), thresholds)
+    # a reset source's table is one row, every run's; an LFSR's run starts
+    # from its seed
+    kind = design.data_rns_kind
+    data = _source_starts(kind, seed, 0, n).reshape(runs) if kind == "lfsr" else slice(None)
+    if comparator or design.full_correlation:
+        words = _source_table(kind, n, "words")
+    if not comparator:
+        classes = _source_table(kind, n, "wbg_classes")
+    starts = None
+    if design.tree_type == "biased":
+        # a fill's trees share one depth (see _tables)
+        depth = trees[0][1].size.bit_length() - 1
+        starts = _source_starts("lfsr", seed, slice(1, depth + 1), n).reshape(runs, depth)
+        steps, leaves = [step for step, _ in trees], [leaf for _, leaf in trees]
+    elif not design.precise_sampling:
+        # one independent LFSR per level; its word's MSB is the select bit,
+        # bit n - l of the owner-map index for level l
+        starts = _source_starts("lfsr", seed, slice(1, n + 1), n).reshape(runs, n)
+    step = _chunk_runs(big_n)
+    if starts is not None and design.tree_type == "hardwired":
+        levels = _source_table("lfsr", n, "level_msbs")
+        # a slice gathers the levels a group at a time, each gather within
+        # _CHUNK_ELEMENTS elements or one level of one run
+        group = _chunk_runs(min(step, runs) << n)
+        level_rows = np.arange(n)[:, None]
+
     reports = []
     square = big_n * big_n
-    for ones, dot, bits, row_counts in zip(z.sum(axis=1).tolist(), dots, z, counts):
-        estimate = 2.0 * ones / big_n - 1.0  # ones lies in [0, 2^n]
-        target = (2 * dot - square) / square
-        reports.append(SimulationReport(estimate, target, estimate - target, bits, row_counts))
+    per_run = (data, starts, codes, neg, dots)
+    for lo in range(0, runs, step):
+        part = slice(lo, lo + step)
+        # a block of one slice is its own slice, which spares a run alone the
+        # slicing; a reset source's slice(None) and absent starts stay as
+        # they are
+        part_data, part_starts, part_codes, part_neg, part_dots = (
+            per_run if runs <= step
+            else [arr[part] if isinstance(arr, (np.ndarray, list)) else arr for arr in per_run]
+        )
+        size = len(part_codes)
+        # owners[r, t]: the input run r samples at cycle t
+        if design.tree_type == "biased":
+            owners = _biased_walk(
+                _per_run(steps, which[part]), _per_run(leaves, which[part]),
+                _source_table("lfsr", n, "wbg_classes"), part_starts,
+            )
+        else:
+            # under precise sampling the counter runs from its reset state over
+            # its 2^n words, so its dyadic blocks stay aligned with the
+            # low-discrepancy data source: cycle t samples owner[t]
+            owners = _hardwired_rows(nums[part], n) if trees[0] is None else _per_run(trees, which[part])
+            if part_starts is not None:
+                select = _row_offsets(*owners.shape)
+                for first in range(0, n, group):
+                    at = slice(first, first + group)
+                    gathered = levels[level_rows[at], part_starts[:, at].T]
+                    select = select + gathered.sum(axis=0, dtype=np.uint16)
+                owners = owners.ravel().take(select)
+        # idx: the flat index of each cycle's sampled input in the slice's
+        # (R, M) rows; a lone run's is its owner
+        idx = owners + np.arange(0, size * m, m)[:, None] if size > 1 else owners
+        sampled = part_codes.ravel().take(idx)
+        if comparator:
+            z = words[part_data] < sampled
+            if not design.full_correlation:
+                z ^= part_neg.ravel().take(idx)
+            z = z.view(np.uint8)
+        else:
+            # a WBG outputs bit k of its code for a word of class k, and bit n,
+            # which is 0, for the word 0; so inverting all n + 1 bits of a
+            # negative input's code inverts each of its outputs
+            part_classes = classes[part_data]
+            if design.full_correlation:
+                complemented = wbg_bit_index(complement_output(words[part_data], n), n)
+                part_classes = np.where(part_neg.ravel().take(idx), complemented, part_classes)
+            sampled >>= part_classes
+            sampled &= 1
+            z = sampled.astype(np.uint8)
+        counts = np.bincount(idx.ravel(), minlength=size * m).reshape(size, m)
+        z.setflags(write=False)
+        counts.setflags(write=False)
+        for ones, dot, bits, row_counts in zip(z.sum(axis=1).tolist(), part_dots, z, counts):
+            estimate = 2.0 * ones / big_n - 1.0  # ones lies in [0, 2^n]
+            target = (2 * dot - square) / square
+            reports.append(SimulationReport(estimate, target, estimate - target, bits, row_counts))
+        # freed before the next slice makes its own
+        del owners, idx, sampled
     return reports
 
 
 # The reports of the last fill, keyed by (design, seed, value row bytes, weight
-# row bytes): one chunk's runs, each simulated by its design's chunk kernel
-# (_run_block) as a row of one block.
+# row bytes): one block's runs, each simulated by its design's block kernel
+# (_run_block) as a row of the block.
 _reports: dict[tuple, SimulationReport] = {}
 
 
@@ -399,7 +487,7 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int, weights) -> Si
 
     After the checks, a run returns the report the last _fill_runs stored
     for this design, seed, value row and weight row, or else runs its
-    design's chunk kernel (_run_block) on this run alone.
+    design's block kernel (_run_block) on this run alone.
     """
     n = design.n
     if big_n != (1 << n):
@@ -551,7 +639,7 @@ def run_apc(weights, values, big_n: int) -> SimulationReport:
     outputs are jointly equidistributed. The parallel counter adds all M
     product bits each cycle; the accumulator's mean is rescaled so the report
     targets the same normalized weighted mean as the mux designs. The
-    design is fully deterministic; the run is the chunk kernel (_apc) on
+    design is fully deterministic; the run is the block kernel (_apc) on
     this run alone.
     """
     n = _APC_WIDTHS.get(big_n)

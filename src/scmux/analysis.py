@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adders import AdderDesign, _fill_runs, run_adder
+from .adders import AdderDesign, _block_runs, _chunk_runs, _fill_runs, run_adder
 from .bitstream import bipolar_thresholds
 from .muxtree import build_hardwired_tree, quantize_weights
 
@@ -106,31 +106,6 @@ class ModelConfig:
             raise ValueError("N must be a power of two in [4, 2^16]")
         if self.values is not None and len(self.values) != len(self.weights):
             raise ValueError("values and weights must have equal length")
-
-
-# A chunk of model runs fills its (R, K, N) stream words, K = 1 under one shared
-# source (SCC +1) and M otherwise, and then without a shared source its
-# (R, M, N) bit block; the closed forms fill an (R, M, M) gap tensor. Each
-# holds at most this many elements (or one run, if that has more), which keeps
-# batching's rise in decompose's peak RSS under a megabyte.
-_CHUNK_ELEMENTS = 1 << 14
-
-
-def _chunk_runs(per_run: int) -> int:
-    return max(1, _CHUNK_ELEMENTS // per_run)
-
-
-# An adder chunk holds at most this many runs' drawn Python objects and reports.
-_CHUNK_RUNS = 128
-
-
-def _adder_chunk_runs(n: int, m: int) -> int:
-    """Runs in one chunk of M-input adder runs at precision n.
-
-    The chunk kernel's (R, 2^n) and (R, M) blocks stay within _CHUNK_ELEMENTS
-    elements, or hold one run, if that has more.
-    """
-    return min(_chunk_runs(max(1 << n, m)), _CHUNK_RUNS)
 
 
 class _ModelRuntime:
@@ -327,7 +302,11 @@ def _model_runs(rt: _ModelRuntime, rng: np.random.Generator, runs: int):
     """Simulate `runs` runs a chunk at a time; yield _chunk_stats per chunk.
 
     Every statistic is an unbiased single-run estimate, so means and
-    standard errors across runs follow directly.
+    standard errors across runs follow directly. A chunk fills its (R, K, N)
+    stream words, K = 1 under one shared source (SCC +1) and M otherwise,
+    and then without a shared source its (R, M, N) bit block; each holds at
+    most adders._CHUNK_ELEMENTS elements (or one run, if that has more),
+    which keeps batching's rise in decompose's peak RSS under a megabyte.
     """
     step = _chunk_runs(rt.K * rt.N)
     for start in range(0, runs, step):
@@ -501,9 +480,10 @@ def accuracy_stats(
     U[-1, 1] input values. Under weight_mode None every run uses the row
     itself; otherwise each run redraws its weights: "uniform" for U[-1, 1],
     "pm" for random signs at magnitude 1/M. Errors are measured against each
-    run's own quantized target. Runs are drawn a chunk at a time
-    (_draw_runs), and each chunk is simulated in one _fill_runs pass before
-    its runs, one run_adder call each, which returns the run's stored report.
+    run's own quantized target. Runs are drawn a block at a time
+    (_draw_runs, adders._block_runs), and each block is simulated in one
+    _fill_runs pass before its runs, one run_adder call each, which returns
+    the run's stored report.
     """
     if runs < 1:
         raise ValueError("need at least 1 run")
@@ -512,10 +492,10 @@ def accuracy_stats(
     rng = np.random.default_rng(master_seed)
     fixed = np.asarray(weights, dtype=np.float64)
     big_n = 1 << design.n
-    step = _adder_chunk_runs(design.n, fixed.size)
+    step = _block_runs(design, fixed.size)
     errors = []
     for start in range(0, runs, step):
-        # run_adder draws nothing, so drawing a chunk ahead leaves every run's
+        # run_adder draws nothing, so drawing a block ahead leaves every run's
         # draws unchanged
         ws, vs, seeds = _draw_runs(rng.bit_generator, fixed, min(step, runs - start), weight_mode)
         _fill_runs(design, ws, vs, seeds)

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .adders import AdderDesign, _fill_runs, make_design, run_adder
-from .analysis import AccuracyStats, _adder_chunk_runs
+from .adders import AdderDesign, _block_runs, _fill_runs, make_design, run_adder
+from .analysis import AccuracyStats
 from .rns import _MASK32
 
 
@@ -105,12 +105,12 @@ def stochastic_fir(
     out = np.empty(len(x))
     # row i: x_i, x_{i-1}, ..., x_{i-M+1}, zeros before the signal starts
     windows = sliding_window_view(np.concatenate([np.zeros(m - 1), x]), m)[:, ::-1]
-    step = _adder_chunk_runs(design.n, m)
+    step = _block_runs(design, m)
     for start in range(0, len(x), step):
-        chunk = range(start, min(start + step, len(x)))
-        _fill_runs(design, np.broadcast_to(h, (len(chunk), m)), windows[start : chunk.stop],
-                   seeds[start : chunk.stop])
-        for i in chunk:
+        block = range(start, min(start + step, len(x)))
+        _fill_runs(design, np.broadcast_to(h, (len(block), m)), windows[start : block.stop],
+                   seeds[start : block.stop])
+        for i in block:
             out[i] = run_adder(design, windows[i], 1 << design.n, seeds[i], h).estimate * scale
     warmup = min(m - 1, len(x))
     stats = AccuracyStats.from_errors((out[warmup:] - ref[warmup:]).tolist())
@@ -238,7 +238,7 @@ def filter_rmse_vs_length(
         for n in n_values:
             design = make_design(name, n)
             rng = np.random.default_rng((master_seed, n))
-            step = _adder_chunk_runs(n, m)
+            step = _block_runs(design, m)
             errs = []
             for done in range(0, runs, step):
                 starts, seeds = _draw_windows(rng, len(x) - m, min(step, runs - done))

@@ -172,10 +172,13 @@ def _biased_rows(nums: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     depth = (most - 1).bit_length()
     # each row's slot ranges and leaf positions, over its active inputs
     ranges, leaf = (np.array(arrs) for arrs in zip(*(_heap_ranges(k, depth) for k in active.tolist())))
-    # each row's active inputs in input order, then zero numerators up to
-    # the block's largest k, over which the prefix sums stay at the row's sum
-    rows = np.arange(len(nums))[:, None]
-    order = np.argsort(nums == 0, axis=1, kind="stable")[:, :most]
+    # each row's active inputs in input order, then its zero numerators, up
+    # to the block's largest k, over which the prefix sums stay at the row's
+    # sum: the nonzero entries of the row's mask, then of its complement,
+    # read row by row without a sort
+    rows, m = np.arange(len(nums))[:, None], nums.shape[1]
+    zero = nums == 0
+    order = np.flatnonzero(np.concatenate((~zero, zero), axis=1)).reshape(len(nums), m)[:, :most] % m
     prefix = np.zeros((len(nums), most + 1), dtype=np.int64)
     np.cumsum(nums[rows, order], axis=1, out=prefix[:, 1:])
     at_lo, at_mid, at_hi = prefix[rows[:, None], ranges].transpose(1, 0, 2)

@@ -350,13 +350,170 @@ def test_chunk_kernel_matches_per_run_kernel_and_full_matrix_oracle():
     }
 
 
+def _slice_runs(reports):
+    """Run counts of the slices a block's reports come from, in order, and each slice's bit-array size.
+
+    A report's output_bits is a row of its slice's (R, 2^n) bit array.
+    """
+    slices = []
+    for rep in reports:
+        base = rep.output_bits.base
+        if not slices or slices[-1][0] is not base:
+            slices.append([base, 0])
+        slices[-1][1] += 1
+    return [(runs, base.size) for base, runs in slices]
+
+
+def test_blocks_of_several_slices_match_the_run_alone_and_the_oracle(monkeypatch):
+    # slices of 3 runs at n = 4, so a block of 8 runs spans slices of 3, 3
+    # and a partial last one of 2; a fill builds its rows' owner maps only if
+    # it has at most 3 distinct rows, and otherwise each slice builds its own
+    import scmux.adders
+    from scmux.adders import _fill_runs, _reports, _simulate, _tables
+
+    monkeypatch.setattr(scmux.adders, "_CHUNK_ELEMENTS", 3 << 4)
+    rng = np.random.default_rng(3131)
+    n, runs, m_inputs = 4, 8, 6
+    checked = set()
+    for pattern in ([0, 1, 0, 0, 1, 1, 0, 1], list(range(runs))):
+        rows = rng.uniform(-1, 1, (runs, m_inputs))
+        # row r keeps its first k_r inputs: biased heaps of unequal depth
+        rows[np.arange(m_inputs) >= rng.integers(1, m_inputs + 1, (runs, 1))] = 0.0
+        rows[:, 0] = rng.choice([-1.0, 1.0], runs) * rng.uniform(0.5, 1.0, runs)
+        weights = rows[pattern]
+        values = rng.uniform(-1, 1, (runs, m_inputs))
+        values[rng.random((runs, m_inputs)) < 0.2] = -1.0  # code 0
+        seeds = rng.integers(0, 2**63, runs).tolist()
+        for features in MUX_FEATURES:
+            d = _wiring(*features, n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", QuantizationWarning)
+                _fill_runs(d, weights, values, seeds)
+                reports = [run_adder(d, v, 1 << n, seed, w) for w, v, seed in zip(weights, values, seeds)]
+                assert all(rep is _reports[(d, seed, v.tobytes(), w.tobytes())]
+                           for rep, w, v, seed in zip(reports, weights, values, seeds))
+                assert _slice_runs(reports) == [(3, 3 << n), (3, 3 << n), (2, 2 << n)], d.name
+                for rep, w, v, seed in zip(reports, weights, values, seeds):
+                    _assert_same_report(rep, _simulate(d, w[None], v[None], [seed])[0], d.name)
+                    _assert_matches_oracle(rep, d, v, seed, w)
+            if d.tree_type == "hardwired":
+                built = {tree is not None for _, tree in _tables.values()}
+                checked.add("fill's owner maps" if built == {True} else "slices' owner maps")
+            depths = {int(np.count_nonzero(row) - 1).bit_length() for row in weights}
+            if d.tree_type == "biased" and len(depths) > 1:
+                checked.add("unequal heap depths")
+            if d.data_rns_kind == "lfsr":
+                checked.add("lfsr data source")
+    assert checked == {"fill's owner maps", "slices' owner maps", "unequal heap depths", "lfsr data source"}
+
+    # a block with a failing row, a value out of range or a NaN weight in its
+    # last slice, raises and leaves the stored reports as they were
+    stored = dict(_reports)
+    for bad in ("value", "weight"):
+        bad_weights, bad_values = weights.copy(), values.copy()
+        if bad == "value":
+            bad_values[7, 2] = 1.5
+        else:
+            bad_weights[7, 1] = math.nan
+        with pytest.raises(ValueError):
+            _fill_runs(d, bad_weights, bad_values, seeds)
+        assert _reports.keys() == stored.keys()
+        assert all(_reports[key] is rep for key, rep in stored.items())
+
+
+@pytest.mark.parametrize("n", [10, 13])
+def test_a_blocks_cycle_arrays_do_not_grow_with_the_block(n):
+    # every array with a 2^n axis is a slice's, of at most 2^14 elements or
+    # one run: a 128-run block's kernel needs at most 2^17 int64 elements
+    # (1 MiB) of transient memory more than a block of one slice. One
+    # unsliced (128, 2^n) int64 array takes 1 MiB at n = 10 and 8 MiB at
+    # n = 13, and an unsliced kernel holds several at once
+    import tracemalloc
+
+    from scmux.adders import _chunk_runs, _simulate
+
+    rng = np.random.default_rng(n)
+
+    def transient(d, runs):
+        weights, values = rng.uniform(-1, 1, (runs, 16)), rng.uniform(-1, 1, (runs, 16))
+        seeds = rng.integers(0, 2**63, runs).tolist()
+        tracemalloc.start()
+        try:
+            reports = _simulate(d, weights, values, seeds)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(cycles <= 1 << 14 or size == 1 for size, cycles in _slice_runs(reports))
+        return peak - kept
+
+    for features in MUX_FEATURES:
+        d = _wiring(*features, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuantizationWarning)
+            transient(d, 1)  # the source tables are built once
+            one_slice = transient(d, _chunk_runs(1 << n))
+            assert transient(d, 128) - one_slice <= 8 << 17, d.name
+
+
+@pytest.mark.parametrize("name", ["cemux_nops", "basic_hardwired"])
+def test_a_lone_run_gathers_its_level_selects_a_level_at_a_time(name):
+    # at n = 16 a run's 16 level words per cycle are 2 MiB as one uint16
+    # gather; gathered a level at a time, a lone run's transient memory stays
+    # within three int64 arrays of 2^16 cycles (the owners, the sampled codes
+    # and the select with its level)
+    import tracemalloc
+
+    from scmux.adders import _simulate
+
+    rng = np.random.default_rng(16)
+    d = make_design(name, 16)
+    weights, values = rng.uniform(-1, 1, (1, 16)), rng.uniform(-1, 1, (1, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuantizationWarning)
+        _simulate(d, weights, values, [5])  # the tables are built once
+        tracemalloc.start()
+        try:
+            _simulate(d, weights, values, [6])
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak - kept <= 3 * (8 << 16)
+
+
+def test_block_runs_bound_each_blocks_rows_and_tables():
+    # a block holds at most 128 runs, its (R, M) rows at most 2^14 elements
+    # and its largest per-run table at most 2^17, or it holds one run
+    from scmux.adders import _block_runs
+
+    for name in DESIGN_NAMES + ABLATION_NAMES:
+        for n in (3, 4, 9, 10, 16):
+            d = make_design(name, n)
+            for m in (1, 2, 16, 150, 1000, 1 << 16):
+                runs = _block_runs(d, m)
+                if d.tree_type == "apc":
+                    table = m * (n + 2)  # the terms
+                elif d.tree_type == "biased":
+                    table = ((1 << (m - 1).bit_length()) - 1) * (n + 1)  # the step tables
+                else:
+                    table = (n + 1) * m  # the numerator bits an owner-map build reads
+                assert 1 <= runs <= 128
+                assert runs == 1 or (runs * m <= 1 << 14 and runs * table <= 1 << 17), (name, n, m)
+                # and no smaller bound holds one run more
+                assert runs == 128 or (runs + 1) * m > 1 << 14 or (runs + 1) * table > 1 << 17
+    # the filter study's APC at n = 4 and 150 taps keeps its 109-run blocks
+    assert _block_runs(make_design("apc", 4), 150) == 109
+    assert _block_runs(make_design("apc", 9), 150) == 79
+
+
 def test_accuracy_stats_chunks_match_the_per_run_kernel_and_oracle(monkeypatch):
-    # chunks of 3 runs at n = 4, so 8 runs fill 3, 3 and a partial last chunk
-    # of 2; every run's report is the one it gets alone, and the oracle's
+    # blocks of 9 runs at M = 5 and slices of 3 runs at n = 4, so 20 runs fill
+    # blocks of 9, 9 and 2, in slices of 3 and a partial last slice; every
+    # run's report is the one it gets alone, and the oracle's
+    import scmux.adders
     import scmux.analysis
     from scmux.adders import _simulate
 
-    monkeypatch.setattr(scmux.analysis, "_CHUNK_ELEMENTS", 3 << 4)
+    monkeypatch.setattr(scmux.adders, "_CHUNK_ELEMENTS", 3 << 4)
     calls = []
     run = scmux.analysis.run_adder
 
@@ -370,8 +527,8 @@ def test_accuracy_stats_chunks_match_the_per_run_kernel_and_oracle(monkeypatch):
         calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QuantizationWarning)
-            stats = accuracy_stats(d, [0.4, -0.3, 0.2, 0.1, 0.05], 8, 31, "uniform")
-            assert stats.runs == len(calls) == 8
+            stats = accuracy_stats(d, [0.4, -0.3, 0.2, 0.1, 0.05], 20, 31, "uniform")
+            assert stats.runs == len(calls) == 20
             for v, seed, w, rep in calls:
                 _assert_same_report(rep, _simulate(d, w[None], v[None], [seed])[0], d.name)
                 _assert_matches_oracle(rep, d, v, seed, w)
@@ -980,12 +1137,13 @@ def test_apc_chunks_match_full_matrix_oracle_exactly():
 
 @pytest.mark.parametrize("weight_mode", [None, "uniform", "pm"])
 def test_apc_accuracy_stats_chunks_match_full_matrix_oracle(weight_mode, monkeypatch):
-    # chunks of 3 runs at n = 4, so 8 runs fill 3, 3 and a partial last chunk
-    # of 2, each run returning its stored report
+    # (R, M) blocks of 3 runs at M = 5, so 8 runs fill 3, 3 and a partial
+    # last block of 2, each run returning its stored report
+    import scmux.adders
     import scmux.analysis
     from scmux.adders import _reports
 
-    monkeypatch.setattr(scmux.analysis, "_CHUNK_ELEMENTS", 3 << 4)
+    monkeypatch.setattr(scmux.adders, "_CHUNK_ELEMENTS", 3 * 5)
     calls = []
     run = scmux.analysis.run_adder
 

@@ -19,10 +19,8 @@ from oracles import (
     model_run_once,
     run_draws_per_run,
 )
-from scmux.adders import make_design
+from scmux.adders import _CHUNK_ELEMENTS, _CHUNK_RUNS, make_design
 from scmux.analysis import (
-    _CHUNK_ELEMENTS,
-    _CHUNK_RUNS,
     AccuracyStats,
     ModelConfig,
     _chunk_runs,
@@ -478,18 +476,34 @@ def test_accuracy_stats_zero_error_design():
 
 @pytest.mark.parametrize("weight_mode", [None, "uniform", "pm"])
 def test_accuracy_stats_matches_per_run_loop(weight_mode, monkeypatch):
-    import scmux.analysis
+    import scmux.adders
 
-    # chunks of 3 runs at n = 4, so that 1, 2, 3, 4 and 1,000 runs cross every
-    # chunk edge cheaply
-    monkeypatch.setattr(scmux.analysis, "_CHUNK_ELEMENTS", 3 << 4)
+    # blocks of 12 runs at M = 4 and slices of 3 runs at n = 4, so that 1, 2,
+    # 3, 4, 13 and 1,000 runs cross every block and slice edge cheaply
+    monkeypatch.setattr(scmux.adders, "_CHUNK_ELEMENTS", 3 << 4)
     assert _chunk_runs(1 << 4) == 3
     for name in (*DESIGN_NAMES, *ABLATION_NAMES):
         d, w = make_design(name, 4), [0.4, -0.3, 0.2, 0.1]
+        assert scmux.adders._block_runs(d, len(w)) == 12
         errors = accuracy_errors_per_run(d, w, 1000, 23, weight_mode)
-        for runs in (1, 2, 3, 4, 1000):
+        for runs in (1, 2, 3, 4, 13, 1000):
             expected = AccuracyStats.from_errors(errors[:runs])
             assert accuracy_stats(d, w, runs, 23, weight_mode) == expected, (name, runs)
+
+
+def _slices(reports):
+    """Run counts and cycle counts of the slices a block's reports come from, in order.
+
+    A report's output_bits is a row of its slice's (R, 2^n) bit array, so
+    runs of one slice share that array.
+    """
+    slices = []
+    for rep in reports:
+        base = rep.output_bits.base
+        if not slices or slices[-1][0] is not base:
+            slices.append([base, 0])
+        slices[-1][1] += 1
+    return [(runs, base.size) for base, runs in slices]
 
 
 def test_accuracy_stats_fills_each_chunks_tables_before_its_runs(monkeypatch):
@@ -505,9 +519,10 @@ def test_accuracy_stats_fills_each_chunks_tables_before_its_runs(monkeypatch):
 
     def counted_kernel(d, w, v, seeds):
         # once per fill, and for a run alone only when the run missed the
-        # reports of its chunk's fill
-        kernel.append(len(seeds))
-        return simulate(d, w, v, seeds)
+        # reports of its block's fill
+        reports = simulate(d, w, v, seeds)
+        kernel.append((len(seeds), _slices(reports)))
+        return reports
 
     def counted_tables(d, w):
         # the distinct weight rows whose tables each kernel call reads
@@ -519,21 +534,27 @@ def test_accuracy_stats_fills_each_chunks_tables_before_its_runs(monkeypatch):
     monkeypatch.setattr(scmux.adders, "_simulate", counted_kernel)
     monkeypatch.setattr(scmux.adders, "_fill_tables", counted_tables)
     for name in ("cemux_wbg", "cemux_biased"):
-        # chunks of 2^14 owner-map elements, and of at most 128 runs
-        for n, runs, chunk in ((10, 40, 16), (16, 3, 1), (4, 130, 128)):
+        # blocks of at most 128 runs whatever n is, simulated in slices of
+        # 2^14 cycles: 16 runs at n = 10, one at n = 16, all of a block at n = 4
+        for n, runs, block, step in ((10, 40, 128, 16), (16, 3, 128, 1), (4, 130, 128, 1024)):
             fills.clear()
             kernel.clear()
             d = make_design(name, n)
+            assert scmux.adders._block_runs(d, 16) == block
             stats = accuracy_stats(d, [0.25] * 16, runs, 8, "uniform")
-            assert fills == [min(chunk, runs - i) for i in range(0, runs, chunk)]
-            assert kernel == fills, "a run missed the reports its chunk's fill entered"
+            sizes = [min(block, runs - i) for i in range(0, runs, block)]
+            assert fills == sizes
+            assert [runs for runs, _ in kernel] == fills, "a run missed the reports its block's fill entered"
+            for size, slices in kernel:
+                assert slices == [(min(step, size - i), min(step, size - i) << n) for i in range(0, size, step)]
+                assert all(cycles <= 1 << 14 or runs == 1 for runs, cycles in slices)
             if n == 10:
                 scmux.adders._reports.clear()
                 expected = accuracy_errors_per_run(d, [0.25] * 16, runs, 8, "uniform")
                 assert stats == AccuracyStats.from_errors(expected)
-    # fixed weights fill one row per chunk
+    # fixed weights fill one row per block
     rows.clear()
-    accuracy_stats(make_design("cemux", 10), [0.5, 0.25], 20, 1)
+    accuracy_stats(make_design("cemux", 10), [0.5, 0.25], 200, 1)
     assert rows == [1, 1]
 
 
@@ -544,7 +565,7 @@ def test_each_chunk_fills_its_lfsr_starts_before_its_runs(monkeypatch):
     rows = scmux.rns._lfsr_start_rows
 
     def counted(seeds, keys, n):
-        # a chunk computes its rows from an array of seeds, and a run alone
+        # a block computes its rows from an array of seeds, and a run alone
         # its own from its seed
         computed.append(np.ndim(seeds))
         if np.ndim(seeds):
@@ -557,13 +578,14 @@ def test_each_chunk_fills_its_lfsr_starts_before_its_runs(monkeypatch):
     for name in (*DESIGN_NAMES, *ABLATION_NAMES):
         reads_lfsr = name in LFSR_DESIGNS
         d = make_design(name, 4)
-        # chunks of at most 128 runs; at n = 10 and M = 16, of 16
-        for n, runs, chunk in ((4, 130, 128), (10, 20, 16)):
+        # blocks of at most 128 runs, at n = 10 as at n = 4: one array of
+        # starts per block, whatever its slices
+        for n, runs in ((4, 130), (10, 130)):
             fills.clear()
             computed.clear()
             accuracy_stats(make_design(name, n), [0.25] * 16, runs, 5, "uniform")
-            assert fills == ([min(chunk, runs - i) for i in range(0, runs, chunk)] if reads_lfsr else [])
-            assert 0 not in computed, (name, "a run computed the starts its chunk's fill entered")
+            assert fills == ([128, 2] if reads_lfsr else [])
+            assert 0 not in computed, (name, "a run computed the starts its block's fill entered")
         fills.clear()
         computed.clear()
         out, _ = stochastic_fir(d, spec, signal, 9)
@@ -572,7 +594,7 @@ def test_each_chunk_fills_its_lfsr_starts_before_its_runs(monkeypatch):
         assert 0 not in computed, name
         if not reads_lfsr:
             assert not computed, name
-        # and the chunked seeds are the per-sample ones
+        # and the blocked seeds are the per-sample ones
         expected = np.array(fir_estimates_per_sample(d, spec.coefficients, signal.samples, 9))
         assert np.array_equal(out.samples, np.clip(expected * spec.weight_mass, -1.0, 1.0)), name
 

@@ -150,7 +150,7 @@ def test_filter_rmse_vs_length_shape_and_monotonicity():
 def test_filter_chunks_fill_their_runs_before_the_runs(name, monkeypatch):
     import scmux.adders
     import scmux.filterapp
-    from scmux.analysis import _adder_chunk_runs
+    from scmux.adders import _block_runs
 
     events, kernel = [], []
     fill, run, simulate = scmux.filterapp._fill_runs, scmux.filterapp.run_adder, scmux.adders._simulate
@@ -164,29 +164,37 @@ def test_filter_chunks_fill_their_runs_before_the_runs(name, monkeypatch):
         return run(*args)
 
     def counted_kernel(d, w, v, seeds):
-        kernel.append((len(seeds), len(seeds) << d.n))
-        return simulate(d, w, v, seeds)
+        reports = simulate(d, w, v, seeds)
+        # the cycles of each slice: a report's output_bits is a row of its
+        # slice's (R, 2^n) bit array
+        kernel.append((len(seeds), [base.size for base in {id(r.output_bits.base): r.output_bits.base
+                                                          for r in reports}.values()]))
+        return reports
 
     monkeypatch.setattr(scmux.filterapp, "_fill_runs", counted_fill)
     monkeypatch.setattr(scmux.filterapp, "run_adder", counted_run)
     monkeypatch.setattr(scmux.adders, "_simulate", counted_kernel)
     spec = make_lowpass(6, 0.5)
-    # chunks of at most 128 runs and of 2^14 cycles: 128 at n = 4, 16 at n = 10
-    for n, length, chunk in ((4, 130, 128), (10, 40, 16)):
-        assert _adder_chunk_runs(n, spec.taps) == chunk
-        sizes = [min(chunk, length - i) for i in range(0, length, chunk)]
+    # blocks of at most 128 runs, at n = 10 as at n = 4; the mux kernel runs
+    # a block's cycles in slices of 2^14: all of a block at n = 4, 16 runs at
+    # n = 10
+    for n, step in ((4, 1024), (10, 16)):
+        assert _block_runs(make_design(name, n), spec.taps) == 128
+        sizes = [128, 2]
         for call in (
-            lambda: stochastic_fir(make_design(name, n), spec, pulse_train_signal(length), 3),
-            lambda: filter_rmse_vs_length([name], spec, [n], length, 3),
+            lambda: stochastic_fir(make_design(name, n), spec, pulse_train_signal(130), 3),
+            lambda: filter_rmse_vs_length([name], spec, [n], 130, 3),
         ):
             events.clear()
             kernel.clear()
             call()
-            # each chunk is filled, then its runs made, one run_adder call each
+            # each block is filled, then its runs made, one run_adder call each
             assert events == [e for k in sizes for e in (k, *["run"] * k)]
             # and the kernel runs once per mux fill: no run is simulated alone
             assert [runs for runs, _ in kernel] == ([] if name == "apc" else sizes)
-            assert all(cycles <= 1 << 14 for _, cycles in kernel)
+            for runs, slices in kernel:
+                assert slices == [min(step, runs - i) << n for i in range(0, runs, step)]
+                assert all(cycles <= 1 << 14 for cycles in slices)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4095 - 150, 2**31 + 1])

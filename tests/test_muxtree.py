@@ -150,6 +150,33 @@ def test_row_wise_cores_match_per_vector_builds_and_oracles(rows, h):
         )
 
 
+def test_biased_rows_of_wide_sparse_blocks_match_each_rows_own_tree():
+    # blocks of 109 rows as wide as the filter study's 150 taps, whose active
+    # inputs lie scattered over the row: at n = 4 at most 16 of them are
+    # active. Each row's heap holds its own tree in its first 2^d - 1 slots
+    # and code-0 padding below, and its leaves name its own active inputs
+    rng = np.random.default_rng(4150)
+    for h, m in ((4, 150), (6, 150), (3, 40)):
+        weights = rng.uniform(-1, 1, (109, m))
+        weights[rng.random((109, m)) < 0.5] = 0.0
+        weights[:, rng.integers(m)] = 1.0  # no row is all zero
+        nums = _quantize_rows(weights, h)
+        heaps, leaf_owners = _biased_rows(nums, h)
+        depth = (int(np.count_nonzero(nums, axis=1).max()) - 1).bit_length()
+        assert heaps.shape == (109, (1 << depth) - 1) and leaf_owners.shape == (109, 1 << depth)
+        select = rng.integers(0, 1 << h, (depth, 64))
+        for row_nums, heap, leaf_owner in zip(nums, heaps, leaf_owners):
+            own_heap, own_owner = biased_heap_layout(biased_tree_reference(row_nums, PccKind.WBG))
+            d = len(own_owner).bit_length() - 1
+            assert heap[: (1 << d) - 1].tolist() == own_heap
+            assert not heap[(1 << d) - 1:].any()
+            assert set(leaf_owner.tolist()) == set(np.flatnonzero(row_nums).tolist())
+            assert np.array_equal(
+                biased_walk_per_level(heap, leaf_owner, select, h),
+                biased_walk_per_level(np.array(own_heap), np.array(own_owner), select[:d], h),
+            )
+
+
 def test_quantize_rows_raises_the_first_bad_rows_message():
     nan, inf = float("nan"), float("inf")
     cases = [
