@@ -167,11 +167,9 @@ def _values_array(values, m: int) -> np.ndarray:
     return v
 
 
-# A loop of runs hands them to _fill_runs a block at a time, and _simulate runs
-# a block's cycles a slice at a time. Each array with a 2^n (cycle) axis, a
-# slice's, holds at most _CHUNK_ELEMENTS elements, and so does each (R, M)
-# block (and the model path's chunks, see analysis); a block's per-run tables
-# hold at most _BLOCK_ELEMENTS. Either holds one run if a run alone has more.
+# _run_reports fills runs a block (_block_runs) at a time, and _simulate runs a
+# block's cycles a slice at a time: each array with a 2^n axis holds at most
+# _CHUNK_ELEMENTS elements, or one run's, as do the model path's chunks.
 _CHUNK_ELEMENTS = 1 << 14
 _BLOCK_ELEMENTS = 1 << 17
 # A block holds at most this many runs' drawn Python objects and reports.
@@ -190,8 +188,7 @@ def _block_runs(design: AdderDesign, m: int) -> int:
     more: the APC's (R, M, n + 2) terms (_apc); a biased fill's
     (R, 2^D - 1, n + 1) step tables, D at most (M - 1).bit_length()
     (_fill_tables); a hardwired slice's (R, n + 1, M) numerator bits, read
-    to build its owner maps (_hardwired_rows). 2^n bounds the slices, not
-    the block.
+    to build its owner maps (_hardwired_rows). 2^n bounds the slices alone.
     """
     n = design.n
     if design.tree_type == "apc":
@@ -452,9 +449,8 @@ def _simulate(design: AdderDesign, weights: np.ndarray, values: np.ndarray, seed
     return reports
 
 
-# The reports of the last fill, keyed by (design, seed, value row bytes, weight
-# row bytes): one block's runs, each simulated by its design's block kernel
-# (_run_block) as a row of the block.
+# The reports of the last _fill_runs, one block's runs, keyed by (design, seed,
+# value row bytes, weight row bytes).
 _reports: dict[tuple, SimulationReport] = {}
 
 
@@ -503,6 +499,22 @@ def run_adder(design: AdderDesign, values, big_n: int, seed: int, weights) -> Si
     if report is None:
         report = _run_block(design, w[None], v[None], [seed])[0]
     return report
+
+
+def _run_reports(design: AdderDesign, m: int, runs: int, draw):
+    """Each of `runs` M-input runs' value row and SimulationReport, in run order.
+
+    Runs come a block (_block_runs) at a time: draw(lo, hi) returns runs lo
+    to hi - 1's (R, M) weights and values and R seeds, drawn ahead as a run
+    draws nothing, and one _fill_runs pass simulates them. Each run is then
+    one run_adder call at big_n = 2^n, which returns its stored report.
+    """
+    step = _block_runs(design, m)
+    for lo in range(0, runs, step):
+        weights, values, seeds = draw(lo, min(lo + step, runs))
+        _fill_runs(design, weights, values, seeds)
+        for w, v, seed in zip(weights, values, seeds):
+            yield v, run_adder(design, v, 1 << design.n, seed, w)
 
 
 # the stream lengths an APC runs at, with their bit-widths

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adders import AdderDesign, _block_runs, _chunk_runs, _fill_runs, run_adder
+from .adders import AdderDesign, _chunk_runs, _run_reports
 from .bitstream import bipolar_thresholds
 from .muxtree import build_hardwired_tree, quantize_weights
 
@@ -480,25 +480,16 @@ def accuracy_stats(
     U[-1, 1] input values. Under weight_mode None every run uses the row
     itself; otherwise each run redraws its weights: "uniform" for U[-1, 1],
     "pm" for random signs at magnitude 1/M. Errors are measured against each
-    run's own quantized target. Runs are drawn a block at a time
-    (_draw_runs, adders._block_runs), and each block is simulated in one
-    _fill_runs pass before its runs, one run_adder call each, which returns
-    the run's stored report.
+    run's own quantized target. The runs come from adders._run_reports, a
+    block at a time, each block's draws from one _draw_runs call.
     """
     if runs < 1:
         raise ValueError("need at least 1 run")
     if weight_mode not in (None, "uniform", "pm"):
         raise ValueError("weight_mode must be None, 'uniform' or 'pm'")
-    rng = np.random.default_rng(master_seed)
+    bit_generator = np.random.default_rng(master_seed).bit_generator
     fixed = np.asarray(weights, dtype=np.float64)
-    big_n = 1 << design.n
-    step = _block_runs(design, fixed.size)
-    errors = []
-    for start in range(0, runs, step):
-        # run_adder draws nothing, so drawing a block ahead leaves every run's
-        # draws unchanged
-        ws, vs, seeds = _draw_runs(rng.bit_generator, fixed, min(step, runs - start), weight_mode)
-        _fill_runs(design, ws, vs, seeds)
-        for w, v, seed in zip(ws, vs, seeds):
-            errors.append(run_adder(design, v, big_n, seed, w).error)
-    return AccuracyStats.from_errors(errors)
+    reports = _run_reports(
+        design, fixed.size, runs, lambda lo, hi: _draw_runs(bit_generator, fixed, hi - lo, weight_mode)
+    )
+    return AccuracyStats.from_errors([report.error for _, report in reports])

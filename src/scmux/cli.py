@@ -149,19 +149,23 @@ def cmd_sweep_n(args):
     _emit(args, rows)
 
 
+def _pm_weights(rng: np.random.Generator, m: int) -> list[float]:
+    """M random-sign 1/M weights: input i is negative when its random() is below 0.5."""
+    return list(np.where(rng.random(m) < 0.5, -1.0, 1.0) / m)
+
+
 def cmd_decompose(args):
     if not 2 <= args.n <= 16:
         raise ValueError(f"--n must be in [2, 16], got {args.n}")
-    if args.weights_file:
-        weights = args.weights_file
-        weight_sets = {len(weights): weights}
-        m_list = [len(weights)]
-    else:
-        m_list = args.m_list
-        rng = np.random.default_rng(args.seed)
-        weight_sets = {
-            M: list(np.where(rng.random(M) < 0.5, -1.0, 1.0) / M) for M in m_list
-        }
+    m_list = [len(args.weights_file)] if args.weights_file else args.m_list
+    # the model path's (M, M) arrays, and each run's (M, 2^n) words without --scc 1
+    if max(m_list) > 1 << 12 or (args.scc != "1" and max(m_list) << args.n > 1 << 24):
+        raise ValueError(
+            f"{'--weights-file' if args.weights_file else '--m-list'} gives M = {max(m_list)} at "
+            f"--n {args.n}; decompose needs M <= 4096 and, unless --scc is 1, M * 2^n <= 2^24"
+        )
+    rng = np.random.default_rng(args.seed)
+    weight_sets = {M: args.weights_file or _pm_weights(rng, M) for M in m_list}
     values = tuple(args.values_file) if args.values_file else None
     scc = None if args.scc == "none" else int(args.scc)
     rows = ["M,eps_noise,eps_samp,eps_corr,total,closed_form"]
@@ -221,8 +225,7 @@ def cmd_report(args):
     else:
         if args.pm < 1:
             raise ValueError(f"--pm must be >= 1, got {args.pm}")
-        rng = np.random.default_rng(args.seed)
-        weights = list(np.where(rng.random(args.pm) < 0.5, -1.0, 1.0) / args.pm)
+        weights = _pm_weights(np.random.default_rng(args.seed), args.pm)
     counts = structural_report(make_design(args.design, args.n), weights)
     rows = ["component,count"]
     rows += [f"{key},{counts[key]}" for key in sorted(counts)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .adders import AdderDesign, _block_runs, _fill_runs, make_design, run_adder
+from .adders import AdderDesign, _run_reports, make_design
 from .analysis import AccuracyStats
 from .rns import _MASK32
 
@@ -102,16 +102,12 @@ def stochastic_fir(
     # one seed per sample, the words of one integers(0, 2^63) call per sample
     seeds = np.random.default_rng(master_seed).integers(0, 2**63, size=len(x)).tolist()
 
-    out = np.empty(len(x))
     # row i: x_i, x_{i-1}, ..., x_{i-M+1}, zeros before the signal starts
     windows = sliding_window_view(np.concatenate([np.zeros(m - 1), x]), m)[:, ::-1]
-    step = _block_runs(design, m)
-    for start in range(0, len(x), step):
-        block = range(start, min(start + step, len(x)))
-        _fill_runs(design, np.broadcast_to(h, (len(block), m)), windows[start : block.stop],
-                   seeds[start : block.stop])
-        for i in block:
-            out[i] = run_adder(design, windows[i], 1 << design.n, seeds[i], h).estimate * scale
+    reports = _run_reports(
+        design, m, len(x), lambda lo, hi: (np.broadcast_to(h, (hi - lo, m)), windows[lo:hi], seeds[lo:hi])
+    )
+    out = np.array([report.estimate * scale for _, report in reports])
     warmup = min(m - 1, len(x))
     stats = AccuracyStats.from_errors((out[warmup:] - ref[warmup:]).tolist())
     return Signal(np.clip(out, -1.0, 1.0)), stats
@@ -233,20 +229,18 @@ def filter_rmse_vs_length(
     h = np.asarray(spec.coefficients)
     scale = spec.weight_mass
     out: dict[str, dict[int, float]] = {}
+
+    def draw(rng, lo, hi):
+        starts, seeds = _draw_windows(rng, len(x) - m, hi - lo)
+        return np.broadcast_to(h, (hi - lo, m)), [x[start : start + m][::-1] for start in starts], seeds
+
     for name in design_names:
         per_n: dict[int, float] = {}
         for n in n_values:
             design = make_design(name, n)
             rng = np.random.default_rng((master_seed, n))
-            step = _block_runs(design, m)
-            errs = []
-            for done in range(0, runs, step):
-                starts, seeds = _draw_windows(rng, len(x) - m, min(step, runs - done))
-                windows = [x[start : start + m][::-1] for start in starts]
-                _fill_runs(design, np.broadcast_to(h, (len(windows), m)), windows, seeds)
-                for window, seed in zip(windows, seeds):
-                    rep = run_adder(design, window, 1 << design.n, seed, h)
-                    errs.append(rep.estimate * scale - float(h @ window))
+            reports = _run_reports(design, m, runs, lambda lo, hi: draw(rng, lo, hi))
+            errs = [report.estimate * scale - float(h @ window) for window, report in reports]
             per_n[n] = AccuracyStats.from_errors(errs).rmse
         out[name] = per_n
     return out

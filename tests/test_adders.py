@@ -510,18 +510,17 @@ def test_accuracy_stats_chunks_match_the_per_run_kernel_and_oracle(monkeypatch):
     # blocks of 9, 9 and 2, in slices of 3 and a partial last slice; every
     # run's report is the one it gets alone, and the oracle's
     import scmux.adders
-    import scmux.analysis
     from scmux.adders import _simulate
 
     monkeypatch.setattr(scmux.adders, "_CHUNK_ELEMENTS", 3 << 4)
     calls = []
-    run = scmux.analysis.run_adder
+    run = scmux.adders.run_adder
 
     def recorded(d, v, big_n, seed, w):
         calls.append((v, seed, w, run(d, v, big_n, seed, w)))
         return calls[-1][-1]
 
-    monkeypatch.setattr(scmux.analysis, "run_adder", recorded)
+    monkeypatch.setattr(scmux.adders, "run_adder", recorded)
     for features in MUX_FEATURES:
         d = _wiring(*features, 4)
         calls.clear()
@@ -1140,19 +1139,18 @@ def test_apc_accuracy_stats_chunks_match_full_matrix_oracle(weight_mode, monkeyp
     # (R, M) blocks of 3 runs at M = 5, so 8 runs fill 3, 3 and a partial
     # last block of 2, each run returning its stored report
     import scmux.adders
-    import scmux.analysis
     from scmux.adders import _reports
 
     monkeypatch.setattr(scmux.adders, "_CHUNK_ELEMENTS", 3 * 5)
     calls = []
-    run = scmux.analysis.run_adder
+    run = scmux.adders.run_adder
 
     def recorded(d, v, big_n, seed, w):
         calls.append((v, w, run(d, v, big_n, seed, w)))
         assert calls[-1][-1] is _reports[(d, seed, v.tobytes(), w.tobytes())]
         return calls[-1][-1]
 
-    monkeypatch.setattr(scmux.analysis, "run_adder", recorded)
+    monkeypatch.setattr(scmux.adders, "run_adder", recorded)
     d = make_design("apc", 4)
     stats = accuracy_stats(d, [0.9, -0.3, 0.2, 0.1, -0.05], 8, 31, weight_mode)
     assert stats.runs == len(calls) == 8

@@ -508,10 +508,9 @@ def _slices(reports):
 
 def test_accuracy_stats_fills_each_chunks_tables_before_its_runs(monkeypatch):
     import scmux.adders
-    import scmux.analysis
 
     fills, kernel, rows = [], [], []
-    fill, simulate, tables = scmux.analysis._fill_runs, scmux.adders._simulate, scmux.adders._fill_tables
+    fill, simulate, tables = scmux.adders._fill_runs, scmux.adders._simulate, scmux.adders._fill_tables
 
     def counted_fill(d, w, v, seeds):
         fills.append(len(seeds))
@@ -530,7 +529,7 @@ def test_accuracy_stats_fills_each_chunks_tables_before_its_runs(monkeypatch):
         rows.append(len(out[0]))
         return out
 
-    monkeypatch.setattr(scmux.analysis, "_fill_runs", counted_fill)
+    monkeypatch.setattr(scmux.adders, "_fill_runs", counted_fill)
     monkeypatch.setattr(scmux.adders, "_simulate", counted_kernel)
     monkeypatch.setattr(scmux.adders, "_fill_tables", counted_tables)
     for name in ("cemux_wbg", "cemux_biased"):

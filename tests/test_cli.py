@@ -252,6 +252,48 @@ def test_decompose_out_of_range_n_is_rejected(capsys, n):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, reaches_the_model", [
+    # (M, M) covariance and gaps: at most 4096 inputs, whatever the source
+    (["--m-list", "65536", "--n", "16"], False),
+    (["--m-list", "65536", "--scc", "1", "--n", "8"], False),
+    (["--m-list", "4097", "--scc", "1", "--n", "3"], False),
+    (["--m-list", "4096", "--scc", "1", "--n", "16"], True),
+    # a source per input: at most 2^24 words per run
+    (["--m-list", "2,4096", "--scc", "0", "--n", "16"], False),
+    (["--m-list", "257", "--n", "16"], False),
+    (["--m-list", "256", "--n", "16"], True),
+    (["--m-list", "4096", "--scc", "0", "--n", "12"], True),
+])
+def test_decompose_points_beyond_the_model_bounds_exit_before_any_runs(
+    tmp_path, capsys, monkeypatch, argv, reaches_the_model
+):
+    from scmux import cli
+
+    def reached(cfg, runs, seed):
+        raise ValueError(f"reached M = {len(cfg.weights)}")
+
+    monkeypatch.setattr(cli, "decompose_variance", reached)
+    code, out, err = run_cli(capsys, "decompose", "--model", "bernoulli", "--sampling",
+                             "precise", *argv, "--runs", "2")
+    m_list = [int(m) for m in argv[1].split(",")]
+    n = argv[-1]
+    assert (code, out) == (2, "")
+    if reaches_the_model:
+        assert err == f"scmux: error: reached M = {m_list[0]}\n"
+    else:
+        # no point of the list runs, the in-bounds ones before it included
+        assert err == (f"scmux: error: --m-list gives M = {max(m_list)} at --n {n}; decompose "
+                       "needs M <= 4096 and, unless --scc is 1, M * 2^n <= 2^24\n")
+    # a weights file is bounded alike
+    wf = tmp_path / "w.txt"
+    wf.write_text("0.5\n" * max(m_list))
+    code, out, err = run_cli(capsys, "decompose", "--model", "bernoulli", "--sampling",
+                             "precise", *argv[2:], "--weights-file", str(wf), "--runs", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("scmux: error: reached" if reaches_the_model
+                          else f"scmux: error: --weights-file gives M = {max(m_list)} at --n {n};")
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep-m", "--designs", "cemux", "--n", "-1"],
     ["sweep-n", "--designs", "cemux", "--n-min", "-1"],

@@ -98,3 +98,20 @@ def test_module_imports_form_no_cycle():
         list(TopologicalSorter(graph).static_order())
     except CycleError as err:
         raise AssertionError(f"import cycle: {' -> '.join(err.args[1])}") from None
+
+
+def test_only_adders_runs_the_adder_loop():
+    # one module sizes the blocks of runs, fills them and makes the per-run
+    # run_adder call, so each caller reads adders._run_reports instead;
+    # __init__ only re-exports run_adder
+    loop = {"run_adder", "_fill_runs", "_block_runs"}
+    for path in (ROOT / "src" / "scmux").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names = {name for _, name in _referenced_outside_own_definition(path)}
+        if path.stem == "__init__":
+            names.discard("run_adder")
+        if path.stem != "adders":
+            assert not names & loop, (path.name, sorted(names & loop))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "run_adder"]
+        assert len(calls) == (path.stem == "adders"), (path.name, len(calls))

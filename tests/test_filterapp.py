@@ -149,11 +149,10 @@ def test_filter_rmse_vs_length_shape_and_monotonicity():
 @pytest.mark.parametrize("name", ["cemux", "basic_biased", "cemux_lfsr", "apc"])
 def test_filter_chunks_fill_their_runs_before_the_runs(name, monkeypatch):
     import scmux.adders
-    import scmux.filterapp
     from scmux.adders import _block_runs
 
     events, kernel = [], []
-    fill, run, simulate = scmux.filterapp._fill_runs, scmux.filterapp.run_adder, scmux.adders._simulate
+    fill, run, simulate = scmux.adders._fill_runs, scmux.adders.run_adder, scmux.adders._simulate
 
     def counted_fill(d, w, v, seeds):
         events.append(len(seeds))
@@ -171,8 +170,8 @@ def test_filter_chunks_fill_their_runs_before_the_runs(name, monkeypatch):
                                                           for r in reports}.values()]))
         return reports
 
-    monkeypatch.setattr(scmux.filterapp, "_fill_runs", counted_fill)
-    monkeypatch.setattr(scmux.filterapp, "run_adder", counted_run)
+    monkeypatch.setattr(scmux.adders, "_fill_runs", counted_fill)
+    monkeypatch.setattr(scmux.adders, "run_adder", counted_run)
     monkeypatch.setattr(scmux.adders, "_simulate", counted_kernel)
     spec = make_lowpass(6, 0.5)
     # blocks of at most 128 runs, at n = 10 as at n = 4; the mux kernel runs

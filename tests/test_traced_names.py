@@ -64,29 +64,32 @@ def test_traced_arguments_keep_their_positions():
 def test_each_run_is_one_adder_call_of_2_to_the_n_cycles(monkeypatch):
     # spans.py's _note_adder counts a run's cycles, and whether it ran a
     # hardwired tree, once per traced run_adder call: batching the runs'
-    # set-up must leave one call per run, at big_n = 2^n
+    # set-up must leave one call per run, at big_n = 2^n, on every caller
     import numpy as np
 
-    import scmux.analysis
-    import scmux.filterapp
+    import scmux.adders
     from oracles import ABLATION_NAMES, DESIGN_NAMES
     from scmux.adders import make_design
-    from scmux.filterapp import FilterSpec, Signal
+    from scmux.analysis import accuracy_stats
+    from scmux.filterapp import FilterSpec, Signal, filter_rmse_vs_length, stochastic_fir
 
     calls = []
-    for module in (scmux.analysis, scmux.filterapp):
-        def counted(design, values, big_n, seed, weights, run=module.run_adder):
-            calls.append((design.n, big_n))
-            return run(design, values, big_n, seed, weights)
 
-        monkeypatch.setattr(module, "run_adder", counted)
+    def counted(design, values, big_n, seed, weights, run=scmux.adders.run_adder):
+        calls.append((design.n, big_n))
+        return run(design, values, big_n, seed, weights)
+
+    monkeypatch.setattr(scmux.adders, "run_adder", counted)
     # every preset: each PCC branch of run_adder, and the APC
     for name in DESIGN_NAMES + ABLATION_NAMES:
         d, w = make_design(name, 10), (0.5, -0.25, 0.25)
         for mode in (None, "uniform", "pm"):
             calls.clear()
-            scmux.analysis.accuracy_stats(d, w, 37, 5, mode)
+            accuracy_stats(d, w, 37, 5, mode)
             assert calls == [(10, 1024)] * 37, (name, mode)
         calls.clear()
-        scmux.filterapp.stochastic_fir(d, FilterSpec(w), Signal(np.linspace(-1.0, 1.0, 9)), 5)
+        stochastic_fir(d, FilterSpec(w), Signal(np.linspace(-1.0, 1.0, 9)), 5)
         assert calls == [(10, 1024)] * 9, name
+        calls.clear()
+        filter_rmse_vs_length([name], FilterSpec(w), [4, 10], 7, 5)
+        assert calls == [(4, 16)] * 7 + [(10, 1024)] * 7, name
